@@ -349,9 +349,14 @@ def _cmd_append(args: argparse.Namespace) -> int:
                     raise DataError(
                         f"{path}: a delta spec must be a JSON object")
                 delta = DeltaBatch.from_request(spec, base.arity)
-                reports.append(engine.apply_delta(delta))
             else:
-                reports.append(engine.append(read_csv(path)))
+                batch = read_csv(path)
+                if batch.names != base.names:
+                    raise DataError(
+                        f"{path}: header {list(batch.names)} does not "
+                        f"match the base {list(base.names)}")
+                delta = DeltaBatch.inserts(batch.rows())
+            reports.append(engine.apply_delta(delta))
     finally:
         engine.close()
     if args.json:
@@ -375,6 +380,7 @@ def _cmd_append(args: argparse.Namespace) -> int:
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
+    from repro.deltalog import DeltaBatch
     from repro.incremental import IncrementalFastOD
 
     def emit(payload: dict, text: str) -> None:
@@ -417,8 +423,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             if current.names != engine.relation.names:
                 raise DataError(
                     f"{args.csv}: header changed while watching")
-            fresh = current.select_rows(range(seen, current.n_rows))
-            report = engine.append(fresh)
+            report = engine.apply_delta(DeltaBatch.inserts(
+                map(current.row, range(seen, current.n_rows))))
             seen = current.n_rows
             batches += 1
             idle = 0

@@ -55,6 +55,10 @@ def _extend(columns: Dict[str, np.ndarray], n_attrs: int, n_rows: int,
             columns[f"mono{index}"] = key // step
         elif kind == 2:
             source = columns[names[int(rng.integers(0, len(names)))]]
+            if source.dtype.kind in "OSU":
+                # a string source derives from its rank codes (no extra
+                # random draws, so every other column is unchanged)
+                source = np.unique(source, return_inverse=True)[1]
             prime = int(rng.choice([7, 11, 13, 17, 19]))
             columns[f"drv{index}"] = (source * prime + 3) % 23
         else:

@@ -1,7 +1,8 @@
 """Z-set deltas and the durable, replayable delta WAL.
 
 * :mod:`repro.deltalog.model` — weighted ``(+1 | -1, row)`` batches
-  (:class:`DeltaBatch`) with deterministic application semantics, and
+  (:class:`DeltaBatch`) with deterministic application semantics, the
+  pure one-batch :meth:`DeltaBatch.fold` (a :class:`DeltaFold`), and
   :func:`replay_relation` for folding a logged history in one pass;
 * :mod:`repro.deltalog.log` — the per-dataset append-only
   :class:`DeltaLog` (LSN-prefixed, CRC-checked, fsync'd; torn tails
@@ -18,7 +19,12 @@ from repro.deltalog.log import (
     delta_log_path,
     read_delta_log,
 )
-from repro.deltalog.model import DeltaBatch, DeltaOp, replay_relation
+from repro.deltalog.model import (
+    DeltaBatch,
+    DeltaFold,
+    DeltaOp,
+    replay_relation,
+)
 from repro.deltalog.records import (
     encode_record,
     read_records,
@@ -28,6 +34,7 @@ from repro.deltalog.records import (
 __all__ = [
     "DELTALOG_DIRNAME",
     "DeltaBatch",
+    "DeltaFold",
     "DeltaLog",
     "DeltaLogError",
     "DeltaOp",

@@ -23,14 +23,37 @@ same batch from the log must produce byte-identical row sequences
   weights in this model never go below the relation's multiset;
 * surviving inserts append at the end of the relation, in op order.
 
+Those rules live in one resolver loop (:func:`_resolve`);
+:meth:`DeltaBatch.split`, :meth:`DeltaBatch.fold`,
+:meth:`DeltaBatch.apply_to` and :func:`replay_relation` are views of
+it.  :meth:`DeltaBatch.fold` is the one pure fold: it resolves a batch
+once and keeps every stage (resolved indices, surviving inserts, the
+post-delete and final relations), so a caller can fingerprint the
+result, log it, and hand the same fold to the incremental engine.
+
 Value equality is Python equality (so ``1`` and ``1.0`` match, as they
 do in a dict); values must be hashable scalars so rows can be indexed
-and survive the log's JSON round-trip.
+and survive the log's JSON round-trip.  NaN is rejected: it equals
+nothing, itself included, so no delete could ever name it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import (
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.errors import DataError
 from repro.relation.table import Relation
@@ -40,8 +63,7 @@ DeltaOp = Tuple[int, tuple]
 
 
 def _normalize_row(row: Sequence, arity: Optional[int]) -> tuple:
-    if isinstance(row, (str, bytes)) or not isinstance(
-            row, (list, tuple)):
+    if not isinstance(row, (list, tuple)):
         raise DataError(
             f"a delta row must be a list/tuple of values, got {row!r}")
     values = tuple(row)
@@ -55,7 +77,32 @@ def _normalize_row(row: Sequence, arity: Optional[int]) -> tuple:
         raise DataError(
             f"delta row {values!r} contains unhashable values; "
             "rows must hold scalar values") from None
+    for value in values:
+        if value != value:
+            raise DataError(f"delta row {values!r} contains NaN, which "
+                            "is not a valid cell value")
     return values
+
+
+class DeltaFold(NamedTuple):
+    """One batch resolved and applied to one relation
+    (:meth:`DeltaBatch.fold`).
+
+    ``deletes`` are the sorted indices of the ``base`` rows removed,
+    ``kept`` the surviving ones (all of ``base`` when nothing was
+    deleted), ``inserts`` the surviving insert rows in op order.
+    ``after_deletes`` is ``base`` without ``deletes`` and ``relation``
+    is ``after_deletes`` plus ``inserts``: the relation after the
+    batch.  Relations derived from an encoded ``base`` carry derived
+    encodings, so fingerprinting or adopting them re-encodes nothing.
+    """
+
+    base: Relation
+    deletes: List[int]
+    inserts: List[tuple]
+    kept: Sequence[int]
+    after_deletes: Relation
+    relation: Relation
 
 
 class DeltaBatch:
@@ -189,84 +236,52 @@ class DeltaBatch:
     def split(self, relation: Relation
               ) -> Tuple[List[int], List[tuple]]:
         """Resolve this batch against ``relation``: the sorted row
-        indices to drop and the surviving insert rows, in op order.
+        indices to drop and the surviving insert rows, in op order."""
+        return next(_resolve(relation, [self]))
 
-        This is the single code path deciding *which* occurrence a
-        delete removes — the live engine and boot-time replay both go
-        through it, which is what makes replayed fingerprints
-        byte-identical to never-crashed ones.
-        """
-        arity = relation.arity
-        delete_indices: List[int] = []
-        pending: List[tuple] = []
-        index: Optional[Dict[tuple, List[int]]] = None
-        heads: Dict[tuple, int] = {}
-        targets = {row for weight, row in self.ops if weight < 0}
-        for weight, row in self.ops:
-            if len(row) != arity:
-                raise DataError(
-                    f"delta row {row!r} has {len(row)} values; "
-                    f"the relation has {arity} attributes")
-            if weight > 0:
-                pending.append(row)
-                continue
-            if index is None:
-                # index only the deleted row-values: the relation scan
-                # is unavoidable, but keeping non-targets out of the
-                # dict makes it a membership probe per row
-                index = {}
-                columns = [relation.column_at(i) for i in range(arity)]
-                for position, existing in enumerate(zip(*columns)):
-                    if existing in targets:
-                        index.setdefault(existing, []).append(position)
-            positions = index.get(row)
-            head = heads.get(row, 0)
-            if positions is not None and head < len(positions):
-                delete_indices.append(positions[head])
-                heads[row] = head + 1
-                continue
-            for i in range(len(pending) - 1, -1, -1):
-                if pending[i] == row:
-                    del pending[i]
-                    break
-            else:
-                raise DataError(
-                    f"delta deletes row {row!r}, which has no "
-                    "remaining occurrence in the relation or this "
-                    "batch's inserts")
-        delete_indices.sort()
-        return delete_indices, pending
+    def fold(self, relation: Relation) -> DeltaFold:
+        """Resolve this batch against ``relation`` and apply it, once
+        (pure: ``relation`` is untouched)."""
+        deletes, inserts = self.split(relation)
+        kept: Sequence[int] = range(relation.n_rows)
+        after_deletes = relation
+        if deletes:
+            kept = np.delete(np.arange(relation.n_rows), deletes).tolist()
+            after_deletes = relation.select_rows(kept)
+        final = (after_deletes.append_rows(inserts) if inserts
+                 else after_deletes)
+        return DeltaFold(relation, deletes, inserts, kept, after_deletes,
+                         final)
 
     def apply_to(self, relation: Relation) -> Relation:
         """The relation after this batch (pure; no engine state)."""
-        deletes, inserts = self.split(relation)
-        out = relation
-        if deletes:
-            out = out.drop_rows(deletes)
-        if inserts:
-            out = out.append_rows(inserts)
-        return out
+        return self.fold(relation).relation
 
 
-def replay_relation(relation: Relation,
-                    batches: Iterable[DeltaBatch]) -> Relation:
-    """Fold many batches over ``relation`` without materializing the
-    intermediate relations.
+def _resolve(relation: Relation, batches: Sequence[DeltaBatch]
+             ) -> Iterator[Tuple[List[int], List[tuple]]]:
+    """Resolve ``batches`` in order against ``relation``, yielding per
+    batch the sorted positions its deletes remove and its surviving
+    inserts.
 
-    Semantically identical to ``for b in batches: relation =
-    b.apply_to(relation)`` (the property tests assert it), but a
-    boot-time replay of thousands of logged batches runs in one pass:
-    rows live in a tombstoned list with a per-value FIFO position
-    index, and the final relation is built once at the end.
+    Positions number the relation's rows, then every surviving insert
+    in the order it lands.  Only values some batch deletes are
+    indexed, each as a FIFO of its live positions: the relation scan
+    is unavoidable, but keeping other values out of the dict makes it
+    one membership probe per row.
     """
-    rows: List[tuple] = list(relation.rows())
-    alive: List[bool] = [True] * len(rows)
-    index: Dict[tuple, List[int]] = {}
-    heads: Dict[tuple, int] = {}
-    for position, row in enumerate(rows):
-        index.setdefault(row, []).append(position)
     arity = relation.arity
+    targets = {row for batch in batches
+               for weight, row in batch.ops if weight < 0}
+    live: Dict[tuple, Deque[int]] = {}
+    if targets:
+        columns = [relation.column_at(i) for i in range(arity)]
+        for position, row in enumerate(zip(*columns)):
+            if row in targets:
+                live.setdefault(row, deque()).append(position)
+    n_positions = relation.n_rows
     for batch in batches:
+        deletes: List[int] = []
         pending: List[tuple] = []
         for weight, row in batch.ops:
             if len(row) != arity:
@@ -276,11 +291,9 @@ def replay_relation(relation: Relation,
             if weight > 0:
                 pending.append(row)
                 continue
-            positions = index.get(row)
-            head = heads.get(row, 0)
-            if positions is not None and head < len(positions):
-                alive[positions[head]] = False
-                heads[row] = head + 1
+            positions = live.get(row)
+            if positions:
+                deletes.append(positions.popleft())
                 continue
             for i in range(len(pending) - 1, -1, -1):
                 if pending[i] == row:
@@ -291,13 +304,34 @@ def replay_relation(relation: Relation,
                     f"delta deletes row {row!r}, which has no "
                     "remaining occurrence in the relation or this "
                     "batch's inserts")
-        for row in pending:
-            index.setdefault(row, []).append(len(rows))
-            rows.append(row)
-            alive.append(True)
+        if targets:
+            for offset, row in enumerate(pending):
+                if row in targets:
+                    live.setdefault(row, deque()).append(
+                        n_positions + offset)
+        n_positions += len(pending)
+        deletes.sort()
+        yield deletes, pending
+
+
+def replay_relation(relation: Relation,
+                    batches: Iterable[DeltaBatch]) -> Relation:
+    """Fold many batches over ``relation`` in one pass.
+
+    Equal to ``for b in batches: relation = b.apply_to(relation)`` (the
+    property tests assert it), but a boot-time replay of thousands of
+    logged batches resolves them in one :func:`_resolve` pass and
+    builds the final relation once, never the intermediate ones.
+    """
+    dead: Set[int] = set()
+    inserted: List[tuple] = []
+    for deletes, inserts in _resolve(relation, list(batches)):
+        dead.update(deletes)
+        inserted.extend(inserts)
+    rows = [*relation.rows(), *inserted]
     return Relation.from_rows(
         relation.names,
-        [row for row, live in zip(rows, alive) if live])
+        [row for position, row in enumerate(rows) if position not in dead])
 
 
-__all__ = ["DeltaBatch", "DeltaOp", "replay_relation"]
+__all__ = ["DeltaBatch", "DeltaFold", "DeltaOp", "replay_relation"]

@@ -27,15 +27,18 @@ valid ODs (a violating tuple pair, once present, never goes away).
   typed tasks), paying full validation only for candidates that became
   reachable because an invalidated OD stopped pruning them.
 
-General deltas (:meth:`IncrementalFastOD.apply_delta`) extend the
-model to row retractions and updates via weighted
-:class:`~repro.deltalog.DeltaBatch` ops.  Deletes are the *dual* of
-appends: removing rows can never create a violating or swapped pair,
-so every **True** verdict survives a retraction, and a **False**
-verdict survives exactly when its *witness* — the concrete violating
-or swapped row pair, recorded lazily just before the first retraction
-that needs it — is untouched by the deletion (a violation is a
-property of its two rows alone).  A delete-only batch retracts and
+Every row change enters through :meth:`IncrementalFastOD.apply_delta`
+as a weighted :class:`~repro.deltalog.DeltaBatch` (an append is an
+insert-only batch) or as that batch's :class:`~repro.deltalog.DeltaFold`
+— the engine adopts the fold's post-delete and final relations rather
+than re-deriving them, so a caller that already folded a batch (to
+fingerprint and log it first) pays for the fold once.  Deletes are the
+*dual* of appends: removing rows can never create a violating or
+swapped pair, so every **True** verdict survives a retraction, and a
+**False** verdict survives exactly when its *witness* — the concrete
+violating or swapped row pair, recorded lazily just before the first
+retraction that needs it — is untouched by the deletion (a violation
+is a property of its two rows alone).  A delete-only batch retracts and
 re-traverses: held FD keys are kept verbatim, held OCD keys move to a
 scan-free reseed set, witnessed False verdicts are remapped, and only
 witnessless False verdicts re-validate (demoted OCDs whose violating
@@ -55,17 +58,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -78,7 +71,6 @@ from repro.engine.executors import make_executor
 from repro.engine.planner import LatticePlanner, TraversalBackend
 from repro.engine.tasks import FdCheckTask, OcdScanTask
 from repro.engine.telemetry import build_timings
-from repro.errors import DataError
 from repro.incremental.delta import BatchEffect, DeltaPartition, GroupTracker
 from repro.relation.encoding import sort_key
 from repro.relation.schema import bit_count
@@ -86,7 +78,7 @@ from repro.relation.table import Relation
 from repro.violations.monitor import OcdClassState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.deltalog import DeltaBatch
+    from repro.deltalog import DeltaBatch, DeltaFold
 
 FdKey = Tuple[int, int]             # (context mask, node mask)
 OcdKey = Tuple[int, int, int]       # (context mask, attr a, attr b)
@@ -135,15 +127,16 @@ class BatchReport:
 
 
 class IncrementalFastOD:
-    """FASTOD whose output is delta-maintained across appended batches.
+    """FASTOD whose output is delta-maintained across row changes.
 
+    >>> from repro.deltalog import DeltaBatch
     >>> from repro.relation.table import Relation
     >>> engine = IncrementalFastOD(Relation.from_rows(
     ...     ["a", "b"], [(1, 10), (2, 20)]))
     >>> engine.result.n_ods > 0
     True
-    >>> report = engine.append([(3, 5)])      # a swap lands
-    >>> "{}: a ~ b" in report.invalidated
+    >>> report = engine.apply_delta(DeltaBatch.inserts([(3, 5)]))
+    >>> "{}: a ~ b" in report.invalidated      # a swap landed
     True
     """
 
@@ -255,42 +248,12 @@ class IncrementalFastOD:
         self._executor.rebase(self._encoded)
         return self._executor.scan_partition("swap", a, b, partition)
 
-    def append(self, batch: Union[Relation, Iterable[Sequence]]
-               ) -> BatchReport:
-        """Fold a batch of rows in and refresh the discovered set."""
-        started = time.perf_counter()
-        if isinstance(batch, Relation):
-            if batch.names != self._names:
-                raise DataError(
-                    f"batch schema {batch.names} does not match "
-                    f"{self._names}")
-            rows = list(batch.rows())
-        else:
-            rows = [tuple(row) for row in batch]
-        self._n_batches += 1
-        previous = self._result
-        if not rows:
-            return BatchReport(
-                self._n_batches, 0, self._encoded.n_rows,
-                seconds=time.perf_counter() - started, result=previous)
-
-        retraversed = self._apply_insert_rows(rows)
-        if self._verify:
-            self._check_against_oracle(self._result)
-
-        before = {str(od) for od in previous.all_ods}
-        after = {str(od) for od in self._result.all_ods}
-        return BatchReport(
-            self._n_batches, len(rows), self._encoded.n_rows,
-            invalidated=sorted(before - after),
-            appeared=sorted(after - before),
-            retraversed=retraversed,
-            seconds=time.perf_counter() - started,
-            result=self._result)
-
-    def apply_delta(self, delta: "DeltaBatch") -> BatchReport:
-        """Fold a weighted :class:`~repro.deltalog.DeltaBatch` of
-        inserts/deletes/updates in and refresh the discovered set.
+    def apply_delta(self, delta: "DeltaBatch | DeltaFold"
+                    ) -> BatchReport:
+        """Apply a weighted :class:`~repro.deltalog.DeltaBatch` of
+        inserts/deletes/updates (folded here) or its
+        :class:`~repro.deltalog.DeltaFold` over :attr:`relation`, and
+        refresh the discovered set.
 
         A delete-only batch retracts and re-traverses against the
         salvaged verdicts: True FDs kept verbatim, True OCDs reseeded
@@ -303,44 +266,52 @@ class IncrementalFastOD:
         is never materialized (held OCDs re-validate by scan there,
         since reseed trust only holds before the inserts land).
         """
+        # imported here: discovery-only processes (the CLI) never load
+        # the delta log package
+        from repro.deltalog import DeltaBatch
+
         started = time.perf_counter()
+        fold = (delta.fold(self._relation)
+                if isinstance(delta, DeltaBatch) else delta)
+        if fold.base is not self._relation:
+            raise ValueError(
+                "the fold was computed against another relation than "
+                "this engine's current one")
         self._n_batches += 1
         previous = self._result
-        delete_indices, insert_rows = delta.split(self._relation)
-        if not delete_indices and not insert_rows:
+        if not fold.deletes and not fold.inserts:
             return BatchReport(
                 self._n_batches, 0, self._encoded.n_rows,
                 seconds=time.perf_counter() - started, result=previous)
         retraversed = False
-        if delete_indices:
+        if fold.deletes:
             # with inserts following, the post-delete snapshot is
             # never consulted: fold both sides in, traverse once
-            self._retract(delete_indices, traverse=not insert_rows)
+            self._retract(fold, traverse=not fold.inserts)
             retraversed = True
-            if insert_rows:
-                self._apply_insert_rows(insert_rows,
-                                        force_traverse=True)
-        elif insert_rows:
-            retraversed = self._apply_insert_rows(insert_rows)
+        if fold.inserts:
+            retraversed = self._apply_inserts(
+                fold.relation, force_traverse=retraversed)
         if self._verify:
             self._check_against_oracle(self._result)
 
         before = {str(od) for od in previous.all_ods}
         after = {str(od) for od in self._result.all_ods}
         return BatchReport(
-            self._n_batches, len(insert_rows), self._encoded.n_rows,
+            self._n_batches, len(fold.inserts), self._encoded.n_rows,
             invalidated=sorted(before - after),
             appeared=sorted(after - before),
             retraversed=retraversed,
             seconds=time.perf_counter() - started,
             result=self._result,
-            n_deleted=len(delete_indices))
+            n_deleted=len(fold.deletes))
 
-    def _apply_insert_rows(self, rows: List[tuple],
-                           force_traverse: bool = False) -> bool:
-        """The append fast path: grow the snapshot, sync the schedule,
-        demote flipped verdicts, re-traverse only if anything flipped.
-        Sets ``self._result``; returns whether a traversal ran.
+    def _apply_inserts(self, relation: Relation,
+                       force_traverse: bool = False) -> bool:
+        """The append fast path: adopt ``relation`` (the snapshot
+        grown by rows appended at its end), sync the schedule, demote
+        flipped verdicts, re-traverse only if anything flipped.  Sets
+        ``self._result``; returns whether a traversal ran.
 
         ``force_traverse`` is the second half of a combined
         delete+insert batch: the retraction skipped its traversal, so
@@ -351,7 +322,6 @@ class IncrementalFastOD:
         # is known to hold for
         self._seed_pending()
         n_old = self._relation.n_rows
-        relation = self._relation.append_rows(rows)
         encoded = relation.encode()
         self._relation = relation
         self._encoded = encoded
@@ -380,10 +350,9 @@ class IncrementalFastOD:
             self._result = self._carry_result(previous)
         return retraversed
 
-    def _retract(self, indices: List[int],
-                 traverse: bool = True) -> None:
-        """Drop rows and (by default) re-establish an exact result for
-        the shrunk snapshot.
+    def _retract(self, fold: "DeltaFold", traverse: bool = True) -> None:
+        """Adopt the fold's post-delete snapshot and (by default)
+        re-establish an exact result for it.
 
         Deletes preserve truth: removing rows cannot create a
         violating pair (FD) or a swap (OCD), so held FD keys are kept
@@ -415,10 +384,9 @@ class IncrementalFastOD:
         for ocd_key in self._ocd_false:
             if ocd_key not in self._ocd_witness:
                 self._witness_ocd(*ocd_key)
-        banned = set(indices)
+        kept = fold.kept
         n_old = self._relation.n_rows
-        kept = [i for i in range(n_old) if i not in banned]
-        relation = self._relation.select_rows(kept)
+        relation = fold.after_deletes
         encoded = relation.encode()
         self._relation = relation
         self._encoded = encoded

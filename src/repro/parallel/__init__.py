@@ -24,7 +24,6 @@ from repro.parallel.pool import (
     CHUNKS_PER_WORKER,
     PARALLEL_MIN_GROUPED_ROWS,
     PARALLEL_MIN_ROWS,
-    ClassScanPool,
     PoolDispatchError,
     WorkerCrashError,
     WorkerPool,
@@ -36,7 +35,6 @@ from repro.parallel.shm import SharedArrayBlock, attach
 
 __all__ = [
     "CHUNKS_PER_WORKER",
-    "ClassScanPool",
     "PARALLEL_MIN_GROUPED_ROWS",
     "PARALLEL_MIN_ROWS",
     "PoolDispatchError",

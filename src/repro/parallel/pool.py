@@ -1078,45 +1078,3 @@ class WorkerPool:
                 d.get("queue_wait_seconds", 0.0)
                 for d in self.dispatches),
         }
-
-
-class ClassScanPool:
-    """Legacy shim over the engine executors' class-sharded scan gate.
-
-    Historically this class owned the "serial kernel below the
-    thresholds, lazily pooled :meth:`WorkerPool.run_class_scan`
-    above" decision for :class:`repro.core.validation
-    .CanonicalValidator`, the violation detector, and the incremental
-    append path.  Those consumers now build an executor via
-    :func:`repro.engine.make_executor`; this wrapper delegates to the
-    same code so the policy (including crashed-pool rebuild) exists
-    exactly once.  New code should use the executor directly.
-    """
-
-    def __init__(self, relation: EncodedRelation,
-                 workers: Optional[int],
-                 threshold: Optional[int] = None):
-        from repro.engine.executors import make_executor
-
-        self.workers = resolve_workers(workers)
-        self._executor = make_executor(relation, workers=workers,
-                                       min_grouped_rows=threshold)
-
-    @property
-    def relation(self) -> EncodedRelation:
-        return self._executor.relation
-
-    def rebase(self, relation: EncodedRelation) -> None:
-        """Follow a grown relation (incremental appends)."""
-        self._executor.rebase(relation)
-
-    def close(self) -> None:
-        self._executor.close()
-
-    def scan(self, mode: str, a: int, b: int,
-             partition: StrippedPartition) -> bool:
-        """Verdict of one ``"swap"``/``"const"`` scan over
-        ``partition`` — pooled when big enough, serial otherwise."""
-        return self._executor.scan_partition(mode, a, b, partition)
-
-

@@ -10,7 +10,10 @@ of its equivalence class in the single-attribute partition.
 Missing values (``None``) sort before everything else (SQL ``NULLS
 FIRST`` under ascending order).  Columns may mix types; a deterministic
 total order is imposed by grouping values by *kind* (missing, boolean,
-number, string, other) and ordering within each kind.
+number, string, other) and ordering within each kind.  ``±inf`` are
+ordinary numbers (below or above every finite one); NaN is rejected
+with :class:`~repro.errors.DataError`, since it equals nothing, itself
+included, and so has no place in an order.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.errors import DataError
 
 #: Kind tags used to build a total order across mixed-type columns.
 _KIND_MISSING = 0
@@ -36,7 +41,8 @@ def sort_key(value: Any) -> Tuple[int, Any]:
     scalars — ``numbers.Number`` covers them), then strings, then other
     comparable values grouped by type, with ``repr`` as the last
     resort.  Within numbers, ints and floats compare numerically (so
-    ``1 == 1.0`` share a rank).
+    ``1 == 1.0`` share a rank) and ``±inf`` bound the finite ones; NaN
+    raises :class:`~repro.errors.DataError`.
     """
     if value is None:
         return (_KIND_MISSING, 0)
@@ -45,7 +51,15 @@ def sort_key(value: Any) -> Tuple[int, Any]:
     if isinstance(value, numbers.Number):
         # Normalise numpy scalars so 1, np.int64(1) and 1.0 share a key.
         as_float = float(value)
-        as_int = int(as_float)
+        try:
+            as_int = int(as_float)
+        except OverflowError:               # ±inf: an ordinary float
+            return (_KIND_NUMBER, as_float)
+        except ValueError:                  # NaN
+            raise DataError(
+                f"{value!r} is not a valid cell value: NaN equals "
+                "nothing, itself included, so it has no place in an "
+                "order") from None
         return (_KIND_NUMBER, as_int if as_int == as_float else as_float)
     if isinstance(value, str):
         return (_KIND_STRING, value)

@@ -108,8 +108,7 @@ class Relation:
 
     def rows(self) -> Iterator[Tuple[Any, ...]]:
         """Iterate over all tuples."""
-        for i in range(self._n_rows):
-            yield self.row(i)
+        return zip(*self._columns)
 
     # ------------------------------------------------------------------
     # transformations

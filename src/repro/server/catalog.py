@@ -268,10 +268,12 @@ class DatasetCatalog:
                 entry.relation, config, pool=pool)
         return entry.incremental
 
-    def rekey_after_delta(self, entry: CatalogEntry,
+    def rekey_after_delta(self, entry: CatalogEntry, new_fp: str,
                           lsn: Optional[int] = None) -> str:
         """Re-key an entry whose incremental engine just applied a
-        delta (append, update, or delete).
+        delta (append, update, or delete) to ``new_fp``, the content
+        fingerprint of the engine's relation (the caller hashed it
+        already, to log the delta).
 
         The old fingerprint no longer names any existing snapshot; it
         is retired and forwarded, so clients holding the pre-delta
@@ -288,7 +290,6 @@ class DatasetCatalog:
             if lsn is not None:
                 entry.delta_lsn = lsn
             old_fp = entry.fingerprint
-            new_fp = fingerprint(engine.relation)
             if new_fp == old_fp:
                 return old_fp
             entry.relation = engine.relation
@@ -315,9 +316,6 @@ class DatasetCatalog:
             self._evict_over_budget(keep=new_fp)
             self._sync_gauges()
             return new_fp
-
-    #: backwards-compatible alias — appends are just insert-only deltas
-    rekey_after_append = rekey_after_delta
 
     def add_forward(self, old_fp: str, new_fp: str) -> None:
         """Record that ``old_fp`` named an earlier snapshot of the

@@ -50,7 +50,7 @@ from repro.errors import DataError, ReproError
 from repro.obs import accounting, events, metrics, profiler, trace
 from repro.parallel.pool import WorkerPool, resolve_workers
 from repro.relation.fingerprint import fingerprint
-from repro.server.catalog import CatalogEntry, DatasetCatalog
+from repro.server.catalog import DatasetCatalog
 from repro.server.journal import JobJournal, JournalError
 from repro.server.store import ResultStore
 from repro.violations.detect import ViolationDetector
@@ -310,19 +310,24 @@ class JobScheduler:
                     "append jobs need a non-empty 'rows' list")
         # resolve forwards now so the job is pinned to live content
         entry = self._catalog.get(fingerprint)
-        if kind == "delta":
-            # parse against the entry's arity now, and normalise the
-            # convenience lists (inserts/deletes/updates) into one
+        if kind in ("append", "delta"):
+            # parse against the entry's arity now, so a bad row fails
+            # the request instead of the job.  A delta's convenience
+            # lists (inserts/deletes/updates) normalise into one
             # JSON-safe weighted op list — the journal replays it, the
-            # WAL records it, and the runner applies it, all verbatim
+            # WAL records it, and the runner applies it, all verbatim;
+            # an append keeps its 'rows' (the runner lowers them to an
+            # insert-only delta)
+            spec = {"inserts": rows} if kind == "append" else params
             try:
                 batch = DeltaBatch.from_request(
-                    params, entry.relation.arity)
+                    spec, entry.relation.arity)
             except DataError as error:
-                raise JobError(f"bad delta: {error}") from None
-            for key in ("inserts", "deletes", "updates"):
-                params.pop(key, None)
-            params["ops"] = batch.to_dict()["ops"]
+                raise JobError(f"bad {kind}: {error}") from None
+            if kind == "delta":
+                for key in ("inserts", "deletes", "updates"):
+                    params.pop(key, None)
+                params["ops"] = batch.to_dict()["ops"]
         with self._lock:
             self._next_id += 1
             job = Job(f"job-{self._next_id}", kind, entry.fingerprint,
@@ -666,22 +671,12 @@ class JobScheduler:
                     count_pairs=True)
 
     def _run_append(self, job: Job) -> None:
-        rows = job.params.get("rows")
-        if not rows:
-            raise JobError("append jobs need non-empty 'rows'")
-        entry = self._catalog.get(job.fingerprint)
-        try:
-            batch = DeltaBatch.inserts(rows, arity=entry.relation.arity)
-        except DataError as error:
-            raise JobError(f"bad append rows: {error}") from None
-        self._apply_delta(job, entry, batch)
+        self._apply_delta(job, DeltaBatch.inserts(
+            job.params.get("rows") or ()))
 
     def _run_delta(self, job: Job) -> None:
-        batch = DeltaBatch.from_dict({"ops": job.params.get("ops")})
-        if not len(batch):
-            raise JobError("delta jobs need at least one op")
-        entry = self._catalog.get(job.fingerprint)
-        self._apply_delta(job, entry, batch)
+        self._apply_delta(job, DeltaBatch.from_dict(
+            {"ops": job.params.get("ops")}))
 
     def _delta_log(self, root_fp: str) -> Optional[DeltaLog]:
         """The open WAL for one dataset's root fingerprint (runner
@@ -695,37 +690,41 @@ class JobScheduler:
             self._delta_logs[root_fp] = log
         return log
 
-    def _apply_delta(self, job: Job, entry: CatalogEntry,
-                     batch: DeltaBatch) -> None:
-        """Apply one weighted batch WAL-first.
+    def _apply_delta(self, job: Job, batch: DeltaBatch) -> None:
+        """Apply one weighted batch WAL-first, resolving, folding and
+        hashing it once.
 
-        Order matters: (1) validate by previewing the post-delta
-        relation — op errors (deleting an absent row) and
-        would-be-empty datasets fail the job before anything is
-        logged; (2) durably append to the dataset's delta WAL — once
-        the fsync returns, the delta *happened*, and a crash anywhere
-        after this line is repaired by boot-time replay; (3) fold the
-        batch into the incremental engine; (4) re-key the catalog
-        entry and evict results stored under the retired fingerprint
-        (the old key now forwards to mutated content, so serving its
-        cached ODs would be silently stale).
+        Order matters: (1) fold the batch over the engine's relation
+        (pure) — op errors (deleting an absent row) and would-be-empty
+        datasets fail the job before anything is logged; (2) durably
+        append the batch to the dataset's delta WAL with the fold's
+        fingerprint — once the fsync returns, the delta *happened*,
+        and a crash anywhere after this line is repaired by boot-time
+        replay; (3) hand the same fold to the incremental engine;
+        (4) re-key the catalog entry under that fingerprint and evict
+        results stored under the retired one (the old key now
+        forwards to mutated content, so serving its cached ODs would
+        be silently stale).  Nothing changes before the fsync.
         """
+        if not len(batch):
+            raise JobError(f"{job.kind} jobs need at least one row change")
+        entry = self._catalog.get(job.fingerprint)
         config = self._job_config(job)
         pool = self._shared_pool(entry.encoded)
         engine = self._catalog.ensure_incremental(
             entry.fingerprint, config, pool=pool)
         old_fp = entry.fingerprint
-        preview = batch.apply_to(engine.relation)
-        if preview.n_rows == 0:
+        fold = batch.fold(engine.relation)
+        if fold.relation.n_rows == 0:
             raise JobError(
                 "delta would leave the dataset empty; use "
                 "re-registration, not deltas, to replace a dataset")
-        fp_after = fingerprint(preview)
+        new_fp = fingerprint(fold.relation)
         log = self._delta_log(entry.root_fingerprint)
-        lsn = (log.append(batch, fp_before=old_fp, fp_after=fp_after)
+        lsn = (log.append(batch, fp_before=old_fp, fp_after=new_fp)
                if log is not None else None)
-        report = engine.apply_delta(batch)
-        new_fp = self._catalog.rekey_after_delta(entry, lsn=lsn)
+        report = engine.apply_delta(fold)
+        self._catalog.rekey_after_delta(entry, new_fp, lsn=lsn)
         if new_fp != old_fp:
             self._store.invalidate(old_fp)
         stored = self._store.put(new_fp, engine.config, engine.result)

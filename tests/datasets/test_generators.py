@@ -121,3 +121,13 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ReproError):
             make_dataset("nope")
+
+    @pytest.mark.parametrize("n_attrs", [13, 14, 15, 16])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_wide_ncvoter_generates(self, seed, n_attrs):
+        """A derived column may draw the string ``county_name`` as its
+        source; it derives from the rank codes instead of crashing."""
+        rel = make_dataset("ncvoter", n_rows=200, n_attrs=n_attrs,
+                           seed=seed)
+        assert rel.n_rows == 200 and rel.arity == n_attrs
+        assert rel.encode().arity == n_attrs

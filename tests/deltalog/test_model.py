@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.deltalog import DeltaBatch, replay_relation
 from repro.errors import DataError
+from repro.relation.fingerprint import fingerprint
 from repro.relation.table import Relation
 
 
@@ -38,6 +39,16 @@ class TestConstruction:
     def test_arity_checked_when_given(self):
         with pytest.raises(DataError):
             DeltaBatch([(1, (1, 2, 3))], arity=2)
+
+    def test_nan_rejected(self):
+        with pytest.raises(DataError, match="NaN"):
+            DeltaBatch.inserts([(1, float("nan"))])
+        with pytest.raises(DataError, match="NaN"):
+            DeltaBatch.from_request({"deletes": [[float("nan"), 2]]})
+
+    def test_infinities_accepted(self):
+        batch = DeltaBatch.inserts([(float("inf"), float("-inf"))])
+        assert batch.ops == [(1, (float("inf"), float("-inf")))]
 
     def test_updates_decompose(self):
         batch = DeltaBatch.updates([((1, 2), (1, 3))])
@@ -106,6 +117,40 @@ class TestSplit:
     def test_arity_mismatch_raises(self):
         with pytest.raises(DataError):
             DeltaBatch([(1, (1, 2, 3))]).split(rel([(1, 1)]))
+
+
+class TestFold:
+    def test_fold_keeps_every_stage(self):
+        relation = rel([(1, 1), (2, 2), (3, 3)])
+        fold = DeltaBatch([(-1, (2, 2)), (1, (4, 4))]).fold(relation)
+        assert fold.base is relation
+        assert fold.deletes == [1] and fold.inserts == [(4, 4)]
+        assert list(fold.kept) == [0, 2]
+        assert list(fold.after_deletes.rows()) == [(1, 1), (3, 3)]
+        assert list(fold.relation.rows()) == [(1, 1), (3, 3), (4, 4)]
+        assert list(relation.rows()) == [(1, 1), (2, 2), (3, 3)]
+
+    def test_insert_only_fold_reuses_the_base(self):
+        relation = rel([(1, 1)])
+        fold = DeltaBatch.inserts([(2, 2)]).fold(relation)
+        assert fold.after_deletes is relation
+        assert list(fold.kept) == [0]
+
+    def test_folded_encodings_match_from_scratch(self):
+        relation = rel([(3, 1), (1, 2), (2, 2), (1, 1)])
+        relation.encode()
+        fold = DeltaBatch([(-1, (1, 2)), (1, (0, 5)), (1, (9, 1))]
+                          ).fold(relation)
+        scratch = rel(list(fold.relation.rows()))
+        assert fingerprint(fold.relation) == fingerprint(scratch)
+        assert fold.relation.encode().ranks[0].tolist() == \
+            scratch.encode().ranks[0].tolist()
+
+    def test_failed_resolution_folds_nothing(self):
+        relation = rel([(1, 1)])
+        with pytest.raises(DataError):
+            DeltaBatch([(1, (2, 2)), (-1, (9, 9))]).fold(relation)
+        assert list(relation.rows()) == [(1, 1)]
 
 
 class TestApply:

@@ -21,6 +21,7 @@ from repro.core.hybrid import hybrid_discover
 from repro.core.parser import parse
 from repro.core.validation import CanonicalValidator
 from repro.datasets import employees, make_dataset, ncvoter_like
+from repro.deltalog import DeltaBatch
 from repro.extensions import (
     discover_bidirectional_ocds,
     discover_conditional_ods,
@@ -84,7 +85,7 @@ class TestIncrementalGolden:
         try:
             assert od_strings(engine.result) == expected[0]
             for i in range(3):
-                engine.append(list(make_dataset(
+                engine.apply_delta(DeltaBatch.inserts(make_dataset(
                     "flight", n_rows=40, n_attrs=5,
                     seed=100 + i).rows()))
                 assert od_strings(engine.result) == expected[i + 1]

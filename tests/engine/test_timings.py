@@ -17,6 +17,7 @@ from repro.core.hybrid import hybrid_discover
 from repro.core.serialize import result_from_dict, result_to_dict
 from repro.core.validation import CanonicalValidator
 from repro.datasets import employees, make_dataset
+from repro.deltalog import DeltaBatch
 from repro.engine.telemetry import build_timings, total_tasks
 from repro.extensions.bidirectional import discover_bidirectional_ocds
 from repro.extensions.conditional import discover_conditional_ods
@@ -71,7 +72,7 @@ class TestEntryPointsExposeTimings:
                                  engine.result.executor_stats,
                                  levels=True)
             batch = relation.select_rows(range(relation.n_rows // 2))
-            engine.append(batch)
+            engine.apply_delta(DeltaBatch.inserts(batch.rows()))
             assert_timings_shape(engine.result.timings,
                                  engine.result.executor_stats)
         finally:
@@ -118,7 +119,8 @@ class TestRoundTrip:
         yield hybrid_discover(relation)
         engine = IncrementalFastOD(relation)
         try:
-            engine.append(relation.select_rows(range(3)))
+            engine.apply_delta(DeltaBatch.inserts(
+                relation.select_rows(range(3)).rows()))
             yield engine.result
         finally:
             engine.close()

@@ -1,11 +1,12 @@
 """Fault injection and kill -9 against the delta WAL.
 
-Three failure windows, three tests:
+Three failure windows:
 
 * ``deltalog.append`` fires *before* any byte is written — the job
   must fail, the log must sit at its previous LSN, and the dataset
-  must stay at its pre-delta fingerprint (WAL-first means no log
-  record, no state change).
+  must stay at its pre-delta fingerprint, its incremental engine at
+  its pre-delta relation and result (WAL-first means no log record,
+  no state change).
 * ``deltalog.replay`` fires at boot — the service must degrade to an
   honest 404 for that dataset (counted in ``delta_errors``), and a
   clean reboot must recover it fully.
@@ -20,6 +21,7 @@ import signal
 import subprocess
 
 from repro import faults
+from repro.core.fastod import FastOD
 from repro.deltalog import delta_log_path, read_delta_log
 from repro.faults import FaultPlan
 from repro.server.client import ServiceClient
@@ -63,11 +65,41 @@ class TestAppendFault:
             assert entry.delta_lsn == 0
             assert [tuple(r) for r in ROWS] == list(
                 entry.relation.rows())
+            # the job built the engine before the append, and nothing
+            # was folded into it: base relation, base result
+            engine = entry.incremental
+            assert engine.n_batches == 0
+            assert engine.relation is entry.relation
+            assert engine.result.same_ods(FastOD(entry.relation).run())
             # disarmed, the same delta goes through at LSN 1
             retry = svc.delta(fp, {"deletes": [[1, 10, 5]],
                                    "inserts": [[5, 50, 7]]})
             assert retry["status"] == "done"
             assert retry["lsn"] == 1
+
+
+    def test_failed_append_leaves_a_warm_engine_untouched(
+            self, tmp_path):
+        journal = tmp_path / "journal"
+        with ODService(port=0, workers=1,
+                       journal_dir=str(journal)) as svc:
+            fp = register(svc)
+            first = svc.delta(fp, {"inserts": [[5, 50, 7]]})
+            assert first["status"] == "done"
+            entry = svc.catalog.get(fp)
+            engine = entry.incremental
+            relation, result = engine.relation, engine.result
+            plan = FaultPlan(seed=0, rates={"deltalog.append": 1.0})
+            with faults.injected(plan):
+                job = svc.delta(first["fingerprint"], {
+                    "deletes": [[1, 10, 5]], "inserts": [[6, 60, 8]]})
+            assert job["status"] == "failed"
+            assert entry.incremental is engine
+            assert engine.relation is relation
+            assert engine.result is result
+            assert engine.n_batches == 1
+            assert entry.fingerprint == first["fingerprint"]
+            assert len(read_delta_log(delta_log_path(journal, fp))) == 1
 
 
 class TestReplayFault:

@@ -100,6 +100,21 @@ class TestDeltaSemantics:
         engine.apply_delta(DeltaBatch.inserts([(3, 30)]))
         engine.close()
 
+    def test_fold_over_another_relation_is_refused(self):
+        engine = IncrementalFastOD(make_relation(2, [(1, 10), (2, 20)]))
+        before = od_strings(engine.result)
+        stale = DeltaBatch.deletes([(1, 10)]).fold(
+            make_relation(2, [(1, 10), (2, 20)]))
+        with pytest.raises(ValueError):
+            engine.apply_delta(stale)
+        assert engine.n_batches == 0
+        assert od_strings(engine.result) == before
+        # a fold over the engine's own relation is adopted as is
+        fold = DeltaBatch.deletes([(1, 10)]).fold(engine.relation)
+        engine.apply_delta(fold)
+        assert engine.relation is fold.relation
+        engine.close()
+
     def test_delete_to_empty_and_regrow(self):
         engine = IncrementalFastOD(
             make_relation(2, [(1, 10), (2, 20), (3, 5)]),
@@ -130,7 +145,7 @@ class TestVerdictMaintenance:
         engine = IncrementalFastOD(
             Relation.from_rows(["a", "b"], [(1, 10), (2, 20)]),
             verify_with_oracle=True)
-        grown = engine.append([(3, 5)])         # (3,5) swaps a ~ b
+        grown = engine.apply_delta(DeltaBatch.inserts([(3, 5)]))  # a swap
         assert "{}: a ~ b" in grown.invalidated
         shrunk = engine.apply_delta(DeltaBatch.deletes([(3, 5)]))
         assert "{}: a ~ b" in shrunk.appeared

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.fastod import FastOD, FastODConfig
 from repro.datasets import employees
 from repro.datasets.streaming import drifting_stream, stream_batches
+from repro.deltalog import DeltaBatch
 from repro.errors import DataError
 from repro.incremental import IncrementalFastOD
 from repro.relation.table import Relation
@@ -18,6 +19,14 @@ from tests.conftest import make_relation
 
 def od_strings(result):
     return sorted(str(od) for od in result.all_ods)
+
+
+def append(engine, rows):
+    """Append ``rows`` (a row list or a relation): an insert-only
+    delta."""
+    if isinstance(rows, Relation):
+        rows = rows.rows()
+    return engine.apply_delta(DeltaBatch.inserts(rows))
 
 
 def assert_oracle(engine):
@@ -39,8 +48,8 @@ class TestInitialRun:
     def test_empty_relation(self):
         relation = Relation.from_rows(["a", "b"], [])
         engine = IncrementalFastOD(relation, verify_with_oracle=True)
-        engine.append([(1, 2)])
-        engine.append([(1, 3), (2, 3)])
+        append(engine, [(1, 2)])
+        append(engine, [(1, 3), (2, 3)])
         assert engine.relation.n_rows == 3
 
 
@@ -48,7 +57,7 @@ class TestAppend:
     def test_swap_invalidates_ocd(self):
         engine = IncrementalFastOD(
             Relation.from_rows(["a", "b"], [(1, 10), (2, 20)]))
-        report = engine.append([(3, 5)])
+        report = append(engine, [(3, 5)])
         assert "{}: a ~ b" in report.invalidated
         assert report.retraversed
 
@@ -56,44 +65,46 @@ class TestAppend:
         engine = IncrementalFastOD(
             make_relation(2, [(1, 5), (2, 5)]), verify_with_oracle=True)
         assert "{}: [] -> c1" in od_strings(engine.result)
-        report = engine.append([(3, 6)])
+        report = append(engine, [(3, 6)])
         assert "{}: [] -> c1" in report.invalidated
 
     def test_duplicate_rows_skip_retraversal(self):
         rows = [(1, 10), (2, 20), (2, 20)]
         engine = IncrementalFastOD(make_relation(2, rows),
                                    verify_with_oracle=True)
-        report = engine.append([rows[0], rows[1]])
+        report = append(engine, [rows[0], rows[1]])
         assert not report.retraversed
         assert not report.invalidated
 
     def test_empty_batch_is_a_noop(self):
         engine = IncrementalFastOD(make_relation(2, [(1, 2), (3, 4)]))
         before = od_strings(engine.result)
-        report = engine.append([])
+        report = append(engine, [])
         assert report.n_appended == 0
         assert od_strings(engine.result) == before
 
     def test_batch_relation_schema_must_match(self):
         engine = IncrementalFastOD(make_relation(2, [(1, 2)]))
-        other = Relation.from_rows(["x", "y"], [(1, 2)])
+        before = od_strings(engine.result)
         with pytest.raises(DataError):
-            engine.append(other)
+            append(engine, [(1, 2, 3)])
+        assert engine.relation.n_rows == 1
+        assert od_strings(engine.result) == before
 
     def test_unseen_values_between_existing_ranks(self):
         # ranks shift but verdicts and state must survive the remap
         engine = IncrementalFastOD(
             make_relation(2, [(10, 100), (30, 300)]),
             verify_with_oracle=True)
-        engine.append([(20, 200)])      # lands between both columns
-        engine.append([(15, 150)])      # swapless, between again
+        append(engine, [(20, 200)])     # lands between both columns
+        append(engine, [(15, 150)])     # swapless, between again
         assert "{}: c0 ~ c1" in od_strings(engine.result)
-        engine.append([(40, 50)])       # now a swap
+        append(engine, [(40, 50)])      # now a swap
         assert "{}: c0 ~ c1" not in od_strings(engine.result)
 
     def test_report_counts_and_totals(self):
         engine = IncrementalFastOD(make_relation(2, [(1, 2), (3, 4)]))
-        report = engine.append([(5, 6), (7, 8)])
+        report = append(engine, [(5, 6), (7, 8)])
         assert report.n_appended == 2
         assert report.n_rows == 4
         assert report.batch_index == 1
@@ -114,7 +125,7 @@ class TestStreamEquivalence:
         engine = IncrementalFastOD(base, verify_with_oracle=True)
         invalidated = 0
         for batch in batches:
-            invalidated += len(engine.append(batch).invalidated)
+            invalidated += len(append(engine, batch).invalidated)
         assert engine.relation.n_rows == 220
         # drift must actually have exercised the demotion path
         assert invalidated > 0
@@ -124,7 +135,7 @@ class TestStreamEquivalence:
                                        n_batches=8)
         engine = IncrementalFastOD(base, verify_with_oracle=True)
         for batch in batches:
-            engine.append(batch)
+            append(engine, batch)
 
     @pytest.mark.parametrize("config", [
         FastODConfig(minimality_pruning=False, level_pruning=False),
@@ -138,7 +149,7 @@ class TestStreamEquivalence:
         engine = IncrementalFastOD(base, config,
                                    verify_with_oracle=True)
         for batch in batches:
-            engine.append(batch)
+            append(engine, batch)
 
 
 cells = st.integers(min_value=0, max_value=2)
@@ -162,6 +173,6 @@ class TestRandomizedStreams:
         engine = IncrementalFastOD(make_relation(n_cols, rows),
                                    verify_with_oracle=True)
         for batch in batches:
-            engine.append(batch)
+            append(engine, batch)
         # a final explicit cross-check, independent of the flag
         assert_oracle(engine)

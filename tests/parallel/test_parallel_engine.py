@@ -16,6 +16,7 @@ from repro.core.hybrid import hybrid_discover
 from repro.core.results import DiscoveryResult
 from repro.core.validation import CanonicalValidator
 from repro.datasets import employees, make_dataset
+from repro.deltalog import DeltaBatch
 from repro.incremental import IncrementalFastOD
 from repro.parallel.pool import resolve_workers
 from repro.relation.table import Relation
@@ -138,7 +139,7 @@ class TestIncrementalIdentity:
             verify_with_oracle=True)   # oracle asserts identity per batch
         try:
             for batch in batches:
-                engine.append(batch)
+                engine.apply_delta(DeltaBatch.inserts(batch))
         finally:
             engine.close()
 

@@ -186,18 +186,13 @@ class TestShutdownHygiene:
         with pytest.raises(WorkerCrashError):
             pool.run_scans(parents, [((0,), 1, "swap", 0, 1)])
 
-    def test_class_scan_pool_recovers_from_crash(self, encoded,
-                                                 monkeypatch):
-        """Crash recovery lives in the engine's PoolExecutor now; the
-        ClassScanPool shim (and every scan_partition consumer) must
-        still rebuild a pool whose workers died mid-session."""
-        import repro.parallel.pool as pool_module
+    def test_scan_partition_recovers_from_crash(self, encoded):
+        """Crash recovery lives in the engine's PoolExecutor: every
+        scan_partition consumer must rebuild a pool whose workers died
+        mid-session."""
+        from repro.engine.executors import make_executor
 
-        monkeypatch.setattr(pool_module, "PARALLEL_MIN_GROUPED_ROWS", 0)
-        from repro.parallel.pool import ClassScanPool
-
-        scanner = ClassScanPool(encoded, workers=2)
-        executor = scanner._executor
+        executor = make_executor(encoded, workers=2, min_grouped_rows=0)
         # a context with at least two stripped classes, so the gate
         # actually routes through the pool
         context = next(
@@ -207,13 +202,15 @@ class TestShutdownHygiene:
         expected = is_compatible_in_classes(
             encoded.column(1), encoded.column(2), context)
         try:
-            assert scanner.scan("swap", 1, 2, context) == expected
+            assert executor.scan_partition("swap", 1, 2,
+                                           context) == expected
             executor._owned.shutdown()      # simulate a crash teardown
             # next scan must rebuild the pool, not die on stale state
-            assert scanner.scan("swap", 1, 2, context) == expected
+            assert executor.scan_partition("swap", 1, 2,
+                                           context) == expected
             assert not executor._owned.closed
         finally:
-            scanner.close()
+            executor.close()
 
     def test_worker_task_error_propagates_traceback(self, encoded):
         from repro.parallel.pool import WorkerTaskError

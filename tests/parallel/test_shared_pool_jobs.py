@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.fastod import FastOD, FastODConfig
 from repro.datasets import make_dataset
+from repro.deltalog import DeltaBatch
 from repro.incremental import IncrementalFastOD
 from repro.server.catalog import DatasetCatalog
 from repro.server.jobs import JobScheduler
@@ -112,14 +113,14 @@ class TestInterleavedJobsIdentity:
             direct_serial(flight, parallel_min_grouped_rows=0))
         # oracle 2: serial incremental append on ncvoter
         oracle_v = IncrementalFastOD(voters, FastODConfig(workers=1))
-        oracle_v.append(batch_v)
+        oracle_v.apply_delta(DeltaBatch.inserts(batch_v))
         assert od_strings(a1.payload["result"]) == od_strings(
             oracle_v.result.to_dict())
         oracle_v.close()
         # oracle 3: serial incremental append on flight
         oracle_f = IncrementalFastOD(flight.take(400),
                                      FastODConfig(workers=1))
-        oracle_f.append(batch_f)
+        oracle_f.apply_delta(DeltaBatch.inserts(batch_f))
         assert od_strings(a2.payload["result"]) == od_strings(
             oracle_f.result.to_dict())
         oracle_f.close()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import DataError
 from repro.relation.encoding import (
     EncodedRelation,
     rank_encode_column,
@@ -68,6 +69,19 @@ class TestSortKey:
 
     def test_bool_is_not_number(self):
         assert sort_key(True)[0] != sort_key(1)[0]
+
+    def test_infinities_bound_the_finite_numbers(self):
+        inf = float("inf")
+        column = [inf, 3, -inf, 2.5, np.float64(-inf), 10 ** 6]
+        assert rank_encode_column(column).tolist() == [4, 2, 0, 1, 0, 3]
+
+    @pytest.mark.parametrize("nan", [float("nan"), np.float64("nan"),
+                                     np.float32("nan")])
+    def test_nan_is_a_data_error(self, nan):
+        with pytest.raises(DataError, match="NaN"):
+            sort_key(nan)
+        with pytest.raises(DataError, match="NaN"):
+            EncodedRelation.from_columns(["a"], [[1, nan]])
 
 
 class TestEncodedRelation:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.fastod import FastODConfig
 from repro.datasets import make_dataset
+from repro.deltalog import DeltaBatch
 from repro.relation.fingerprint import fingerprint
 from repro.server.catalog import CatalogError, DatasetCatalog
 from tests.conftest import make_relation
@@ -14,6 +15,14 @@ from tests.conftest import make_relation
 @pytest.fixture
 def catalog():
     return DatasetCatalog()
+
+
+def append(catalog, entry, rows):
+    """Append ``rows`` through the entry's engine (an insert-only
+    delta) and re-key the entry, as the job scheduler does."""
+    engine = entry.incremental
+    engine.apply_delta(DeltaBatch.inserts(rows))
+    return catalog.rekey_after_delta(entry, fingerprint(engine.relation))
 
 
 def small(seed: int = 0):
@@ -94,8 +103,7 @@ class TestAppendRekey:
         entry = catalog.register(small())
         old_fp = entry.fingerprint
         engine = catalog.ensure_incremental(old_fp, FastODConfig())
-        engine.append([(7, 7, 2)])
-        new_fp = catalog.rekey_after_append(entry)
+        new_fp = append(catalog, entry, [(7, 7, 2)])
         assert new_fp != old_fp
         assert new_fp == fingerprint(engine.relation)
         # old fingerprint forwards to the live entry
@@ -121,9 +129,8 @@ class TestAppendRekey:
         live entry, not be shadowed by the append forward."""
         entry = catalog.register(small())
         old_fp = entry.fingerprint
-        engine = catalog.ensure_incremental(old_fp, FastODConfig())
-        engine.append([(7, 7, 2)])
-        catalog.rekey_after_append(entry)
+        catalog.ensure_incremental(old_fp, FastODConfig())
+        append(catalog, entry, [(7, 7, 2)])
         fresh = catalog.register(small())   # the original content again
         assert fresh is not entry
         assert catalog.get(old_fp) is fresh
@@ -135,11 +142,9 @@ class TestAppendRekey:
         catalog = DatasetCatalog(max_resident_bytes=3 * base_bytes)
         a = catalog.register(small(1))
         b = catalog.register(small(2))
-        engine = catalog.ensure_incremental(b.fingerprint,
-                                            FastODConfig())
+        catalog.ensure_incremental(b.fingerprint, FastODConfig())
         for _ in range(3):
-            engine.append([(9, 4, 2)] * 4)      # grow b past budget
-            catalog.rekey_after_append(b)
+            append(catalog, b, [(9, 4, 2)] * 4)     # grow b past budget
         # the growing streaming entry pushed the total over budget;
         # the idle entry was evicted even though nothing registered
         assert a.fingerprint not in catalog
@@ -163,10 +168,8 @@ class TestAppendRekey:
         """Appending rows and registering the grown content directly
         land on the same fingerprint."""
         entry = catalog.register(small())
-        engine = catalog.ensure_incremental(
-            entry.fingerprint, FastODConfig())
-        engine.append([(9, 4, 2)])
-        new_fp = catalog.rekey_after_append(entry)
+        catalog.ensure_incremental(entry.fingerprint, FastODConfig())
+        new_fp = append(catalog, entry, [(9, 4, 2)])
         fresh = make_relation(3, [(0, 0, 2), (1, 0, 2), (2, 0, 2),
                                   (3, 0, 2), (9, 4, 2)])
         assert fingerprint(fresh) == new_fp

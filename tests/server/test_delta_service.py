@@ -4,15 +4,22 @@ catalog re-keying, stale-result invalidation, and boot-time replay.
 
 from __future__ import annotations
 
+import importlib
+from collections import Counter
+
 import pytest
 
+import repro.server.catalog as catalog_module
+import repro.server.jobs as jobs_module
 from repro.core.fastod import FastOD, FastODConfig
-from repro.deltalog import delta_log_path, read_delta_log
+from repro.deltalog import DeltaBatch, delta_log_path, read_delta_log
 from repro.relation.fingerprint import fingerprint
 from repro.relation.table import Relation
 from repro.server.catalog import DatasetCatalog
+from repro.server.client import ServiceClient, ServiceClientError
 from repro.server.http import ODService
 from repro.server.jobs import JobError, JobScheduler
+from repro.server.journal import JobJournal
 from repro.server.store import ResultStore
 
 COLUMNS = ["a", "b", "c"]
@@ -114,6 +121,55 @@ class TestDeltaJob:
                 tmp_path / "journal", fp)) == []
 
 
+class TestSubmissionEdge:
+    """Bad rows fail the request with HTTP 400; no job is created."""
+
+    @pytest.fixture
+    def running(self, tmp_path):
+        with service(tmp_path) as svc:
+            client = ServiceClient(svc.url)
+            fp = client.register_rows(COLUMNS, ROWS)["fingerprint"]
+            yield svc, client, fp
+
+    def assert_rejected(self, svc, call) -> None:
+        with pytest.raises(ServiceClientError) as caught:
+            call()
+        assert caught.value.status == 400
+        assert svc.scheduler.jobs() == []
+
+    def test_wrong_arity_append_is_400(self, running):
+        svc, client, fp = running
+        self.assert_rejected(svc, lambda: client.append(fp, [[1, 2]]))
+
+    def test_nan_append_is_400(self, running):
+        svc, client, fp = running
+        self.assert_rejected(
+            svc, lambda: client.append(fp, [[1, float("nan"), 5]]))
+
+    def test_nan_delta_is_400(self, running):
+        svc, client, fp = running
+        self.assert_rejected(svc, lambda: client.delta(
+            fp, inserts=[[float("nan"), 1, 5]]))
+
+    def test_nan_registration_is_400(self, running):
+        _, client, _ = running
+        with pytest.raises(ServiceClientError) as caught:
+            client.register_rows(COLUMNS, [[1, float("nan"), 5]])
+        assert caught.value.status == 400
+
+    def test_infinities_register_and_mutate(self, running):
+        _, client, _ = running
+        fp = client.register_rows(
+            COLUMNS, [[1, float("-inf"), 5], [2, 0, 5]])["fingerprint"]
+        job = client.delta(fp, inserts=[[3, float("inf"), 6]])
+        assert job["status"] == "done", job.get("error")
+        # ±inf bound the finite values: a and b still ascend together
+        assert "{}: a ~ b" not in job["report"]["invalidated"]
+        direct = FastOD(Relation.from_rows(COLUMNS, [
+            (1, float("-inf"), 5), (2, 0, 5), (3, float("inf"), 6)]))
+        assert job["result"]["ocds"] == direct.run().to_dict()["ocds"]
+
+
 class TestRecovery:
     def test_restart_replays_warm_state(self, tmp_path):
         with service(tmp_path) as svc:
@@ -169,12 +225,74 @@ class TestRecovery:
             assert svc.recovered["datasets"] == 0
             assert fp not in svc.catalog
 
+    def test_pending_append_in_a_journal_replays(self, tmp_path):
+        """A journaled append that never started carries its raw
+        'rows'; a restart re-queues and applies it."""
+        relation = Relation.from_rows(COLUMNS, [tuple(r) for r in ROWS])
+        fp = fingerprint(relation)
+        with JobJournal(tmp_path / "journal") as journal:
+            journal.dataset_registered(
+                fp, "t", {"columns": COLUMNS, "rows": ROWS})
+            journal.job_submitted("job-1", "append", fp,
+                                  {"rows": [[5, 50, 7]]})
+        with service(tmp_path) as svc:
+            assert svc.recovered["requeued"] == 1
+            job = svc.scheduler.wait("job-1", timeout=30.0)
+            assert job.status == "done", job.error
+            assert job.payload["lsn"] == 1
+            assert svc.catalog.get(fp).relation.n_rows == 5
+
     def test_no_journal_means_no_lsn(self, tmp_path):
         with ODService(port=0, workers=1) as svc:
             fp = register(svc)
             job = svc.delta(fp, {"inserts": [[5, 50, 7]]})
             assert job["status"] == "done"
             assert "lsn" not in job
+
+
+class TestOneFoldPerJob:
+    def test_mixed_delta_resolves_folds_and_hashes_once(
+            self, tmp_path, monkeypatch):
+        """One mixed delete+insert job: one resolve, one post-delete
+        selection, one append, one fingerprint — the WAL record, the
+        engine and the catalog all share that fold."""
+        catalog = DatasetCatalog()
+        entry = catalog.register(
+            Relation.from_rows(COLUMNS, [tuple(r) for r in ROWS]))
+        catalog.ensure_incremental(entry.fingerprint, FastODConfig())
+        calls = Counter()
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(DeltaBatch, "split", "resolve")
+        count(Relation, "select_rows", "select_rows")
+        count(Relation, "append_rows", "append_rows")
+        for module in (importlib.import_module("repro.relation.fingerprint"),
+                       jobs_module, catalog_module):
+            count(module, "fingerprint", "fingerprint")
+        with JobScheduler(catalog, ResultStore(), workers=1,
+                          delta_dir=tmp_path) as scheduler:
+            job = scheduler.submit("delta", entry.fingerprint, {
+                "deletes": [[2, 20, 5]], "inserts": [[5, 50, 7]]})
+            job.wait(30.0)
+        assert job.status == "done", job.error
+        assert calls == {"resolve": 1, "select_rows": 1,
+                         "append_rows": 1, "fingerprint": 1}
+        monkeypatch.undo()
+        engine = entry.incremental
+        assert job.payload["fingerprint"] == fingerprint(engine.relation)
+        assert entry.relation is engine.relation
+        record, = read_delta_log(delta_log_path(
+            tmp_path, entry.root_fingerprint))
+        assert record.fp_after == job.payload["fingerprint"]
+        catalog.close()
 
 
 class TestSchedulerDirect:
@@ -194,14 +312,4 @@ class TestSchedulerDirect:
             records = read_delta_log(delta_log_path(
                 tmp_path, entry.root_fingerprint))
             assert records[0].batch.ops == [(1, (5, 50, 7))]
-        catalog.close()
-
-    def test_rekey_after_append_alias_still_works(self):
-        catalog = DatasetCatalog()
-        entry = catalog.register(
-            Relation.from_rows(COLUMNS, [tuple(r) for r in ROWS]))
-        catalog.ensure_incremental(entry.fingerprint, FastODConfig())
-        entry.incremental.append([(5, 50, 7)])
-        new_fp = catalog.rekey_after_append(entry)
-        assert new_fp == fingerprint(entry.incremental.relation)
         catalog.close()

@@ -180,6 +180,18 @@ class TestErrors:
         assert main(["discover", str(missing)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_cell_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("a,b\n1,2\nnan,3\n")
+        assert main(["discover", str(path)]) == 2
+        assert "NaN" in capsys.readouterr().err
+
+    def test_infinite_cells_order_as_numbers(self, tmp_path, capsys):
+        path = tmp_path / "inf.csv"
+        path.write_text("a,b\n1,2\ninf,3\n-inf,1\n")
+        assert main(["discover", str(path)]) == 0
+        assert "{}: a ~ b" in capsys.readouterr().out.splitlines()
+
 
 @pytest.fixture
 def stream_files(tmp_path):
