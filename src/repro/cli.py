@@ -41,6 +41,7 @@ import time
 from typing import List, Optional
 
 from repro.core.fastod import FastOD, FastODConfig
+from repro.core.parser import parse_for
 from repro.datasets.registry import dataset_names, make_dataset
 from repro.errors import DataError, ReproError
 from repro.partitions.cache import PartitionCache
@@ -469,6 +470,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     relation = read_csv(args.csv, limit=args.limit)
+    dependency = parse_for(args.dependency, relation.schema)
     detector = ViolationDetector(
         relation,
         max_cached_partitions=args.cache_max_entries,
@@ -476,7 +478,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         with _CommandProfiler(args.profile):
             report = detector.check(
-                args.dependency, max_witnesses=0, count_pairs=False)
+                dependency, max_witnesses=0, count_pairs=False)
     finally:
         detector.close()
     print(f"{report.dependency}: {'HOLDS' if report.holds else 'VIOLATED'}")
@@ -485,6 +487,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_violations(args: argparse.Namespace) -> int:
     relation = read_csv(args.csv, limit=args.limit)
+    dependency = parse_for(args.dependency, relation.schema)
     detector = ViolationDetector(
         relation,
         max_cached_partitions=args.cache_max_entries,
@@ -492,7 +495,7 @@ def _cmd_violations(args: argparse.Namespace) -> int:
     try:
         with _CommandProfiler(args.profile):
             report = detector.check(
-                args.dependency, max_witnesses=args.witnesses,
+                dependency, max_witnesses=args.witnesses,
                 count_pairs=True)
     finally:
         detector.close()

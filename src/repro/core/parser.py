@@ -16,7 +16,7 @@ classes produce exactly this syntax, so ``parse(str(dep)) == dep``.
 from __future__ import annotations
 
 import re
-from typing import List, Tuple, Union
+from typing import FrozenSet, List, Tuple, Union
 
 from repro.core.od import (
     CanonicalFD,
@@ -25,6 +25,7 @@ from repro.core.od import (
     OrderCompatibility,
 )
 from repro.errors import ParseError
+from repro.relation.schema import Schema
 
 Dependency = Union[ListOD, OrderCompatibility, CanonicalFD, CanonicalOCD]
 
@@ -134,3 +135,21 @@ def parse_equivalence(text: str) -> Tuple[ListOD, ListOD]:
     lhs, rhs = _split_once(compact, _EQUIV, text)
     forward = ListOD(parse_order_spec(lhs), parse_order_spec(rhs))
     return forward, forward.reversed()
+
+
+def _attribute_names(dependency: Dependency) -> FrozenSet[str]:
+    """Every attribute name ``dependency`` mentions."""
+    if isinstance(dependency, CanonicalFD):
+        return dependency.context | {dependency.attribute}
+    if isinstance(dependency, CanonicalOCD):
+        return dependency.context | {dependency.left, dependency.right}
+    return frozenset(dependency.lhs.attrs + dependency.rhs.attrs)
+
+
+def parse_for(text: str, schema: Schema) -> Dependency:
+    """:func:`parse` for one relation: a name ``schema`` lacks raises
+    :class:`~repro.errors.SchemaError` here, at the edge, instead of a
+    ``KeyError`` deep in validation."""
+    dependency = parse(text)
+    schema.indices(sorted(_attribute_names(dependency)))
+    return dependency

@@ -1,22 +1,25 @@
 """Pluggable executors: where planner-emitted tasks actually run.
 
-An :class:`Executor` resolves the typed work units of
-:mod:`repro.engine.tasks` plus the two ad-hoc scan shapes the rest of
-the library needs (mask-derived validations for the hybrid escalation
-waves and bidirectional/pointwise sweeps; single class-sharded scans
-for the validator/detector/incremental append paths).  Two
+An :class:`Executor` resolves two kinds of work: partition products
+(:class:`~repro.engine.tasks.ProductTask`) and scans.  Every scan —
+FASTOD's OCD/FD checks, the hybrid escalation waves, the
+bidirectional/pointwise sweeps, one validator/detector/incremental
+check — is one task shape, :data:`ScanTask`
+``(key, context_key, mode, a, b)``, run by :meth:`run_scans`.
+``run_validations`` and ``scan_partition`` are views over it.  Two
 implementations ship:
 
 * :class:`SerialExecutor` runs every kernel inline on the coordinator,
   consulting the :class:`~repro.engine.budget.DeadlineBudget` between
-  tasks — the exact cadence the pre-engine serial fallbacks used.
+  tasks.
 * :class:`PoolExecutor` wraps a shared-memory
-  :class:`~repro.parallel.WorkerPool` and keeps the historical
-  serial-fallback policy in one place: a dispatch only leaves the
-  coordinator when it has at least two tasks and enough grouped rows
-  (or relation rows, for mask-derived validations) to amortize process
-  dispatch.  Sub-threshold batches fall through to an internal
-  :class:`SerialExecutor` that shares the same telemetry.
+  :class:`~repro.parallel.WorkerPool`.  A batch leaves the coordinator
+  only when it has at least two tasks and enough rows to amortize
+  process dispatch: grouped rows when the caller supplies every
+  context partition, relation rows when workers derive them.  Smaller
+  batches fall through to an internal :class:`SerialExecutor` that
+  shares the same telemetry, and every pooled batch goes through one
+  crash-recovery loop.
 
 Every future backend (async, distributed) is a third implementation of
 this protocol — not another traversal fork.
@@ -25,7 +28,8 @@ this protocol — not another traversal fork.
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, Optional, Protocol, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, List, Optional, Protocol,
+                    Sequence, Tuple)
 
 import repro.parallel.pool as pool_module
 from repro import kernels
@@ -33,7 +37,7 @@ from repro.engine.budget import DeadlineBudget
 from repro.engine.tasks import ProductTask
 from repro.engine.telemetry import ExecutorTelemetry
 from repro.obs import events
-from repro.parallel.pool import (PoolDispatchError, WorkerPool,
+from repro.parallel.pool import (PoolDispatchError, ScanTask, WorkerPool,
                                  resolve_workers)
 from repro.partitions.cache import PartitionCache
 from repro.partitions.partition import StrippedPartition
@@ -51,25 +55,6 @@ MAX_DISPATCH_CRASHES = 2
 RETRY_BACKOFF_BASE = 0.05
 RETRY_BACKOFF_CAP = 1.0
 
-#: ``(key, context_key, mode, a, b)`` — a scan against a published
-#: context partition.  Modes: ``"swap"``, ``"const"``, ``"swap_desc"``
-#: (descending right column), ``"pointwise"`` (``a`` is an LHS bitmask,
-#: ``b`` a target attribute; the context is ignored).
-ScanTask = Tuple[Hashable, Hashable, str, int, int]
-
-#: ``(key, context_mask, mode, a, b)`` — a scan whose context partition
-#: the executor derives itself (worker-local caches on the pool path).
-ValidationTask = Tuple[Hashable, int, str, int, int]
-
-
-def _kernel_verdict(mode: str, columns, a: int, b: int,
-                    context: Optional[StrippedPartition]) -> bool:
-    """One scan verdict on the coordinator (lazy import: validation
-    imports this package's siblings indirectly)."""
-    from repro.core.validation import scan_verdict
-
-    return scan_verdict(mode, columns, a, b, context)
-
 
 class SerialExecutor:
     """Runs every task inline on the coordinator.
@@ -86,6 +71,7 @@ class SerialExecutor:
                  telemetry: Optional[ExecutorTelemetry] = None,
                  kernel_backend: Optional[str] = None):
         self._relation = relation
+        #: derives the contexts a scan batch names by attribute mask
         self._cache: Optional[PartitionCache] = None
         self.kernel_backend = kernel_backend
         self.telemetry = telemetry or ExecutorTelemetry("serial", 1)
@@ -134,6 +120,15 @@ class SerialExecutor:
                   tasks: Sequence[ScanTask], budget: DeadlineBudget,
                   phase: str = "scans"
                   ) -> Tuple[Dict[Hashable, bool], bool]:
+        """Per-key verdicts of ``tasks``, plus a flag set when the
+        budget cut the batch short.  A task whose ``context_key`` is
+        not in ``contexts`` names its context by attribute mask; the
+        executor derives it from its own :class:`PartitionCache`."""
+        # imported per batch: validation imports this package's
+        # siblings, and a wrapper installed on the module's function
+        # after import must still be the one called
+        from repro.core.validation import scan_verdict
+
         started = time.perf_counter()
         columns = self._relation.ranks
         verdicts: Dict[Hashable, bool] = {}
@@ -143,56 +138,41 @@ class SerialExecutor:
                     self.telemetry.record(phase, len(verdicts), False,
                                           time.perf_counter() - started)
                     return verdicts, True
-                verdicts[key] = _kernel_verdict(
-                    mode, columns, a, b, contexts.get(context_key))
+                context = contexts.get(context_key)
+                if context is None and mode != "pointwise":
+                    if self._cache is None:
+                        self._cache = PartitionCache(self._relation)
+                    context = self._cache.get(context_key)
+                verdicts[key] = scan_verdict(mode, columns, a, b, context)
         self.telemetry.record(phase, len(verdicts), False,
                               time.perf_counter() - started)
         return verdicts, False
 
-    def run_validations(self, tasks: Sequence[ValidationTask],
+    def run_validations(self, tasks: Sequence[ScanTask],
                         budget: DeadlineBudget, phase: str = "wave"
                         ) -> Tuple[Dict[Hashable, bool], bool]:
-        started = time.perf_counter()
-        if self._cache is None:
-            self._cache = PartitionCache(self._relation)
-        columns = self._relation.ranks
-        verdicts: Dict[Hashable, bool] = {}
-        with kernels.activate(self.kernel_backend):
-            for key, mask, mode, a, b in tasks:
-                if budget.hit():
-                    self.telemetry.record(phase, len(verdicts), False,
-                                          time.perf_counter() - started)
-                    return verdicts, True
-                context = (None if mode == "pointwise"
-                           else self._cache.get(mask))
-                verdicts[key] = _kernel_verdict(mode, columns, a, b,
-                                                context)
-        self.telemetry.record(phase, len(verdicts), False,
-                              time.perf_counter() - started)
-        return verdicts, False
+        """:meth:`run_scans` with every context derived from its mask."""
+        return self.run_scans({}, tasks, budget, phase)
 
     def scan_partition(self, mode: str, a: int, b: int,
                        partition: StrippedPartition) -> bool:
         """One whole-partition scan (validator/detector/incremental)."""
-        started = time.perf_counter()
-        with kernels.activate(self.kernel_backend):
-            verdict = _kernel_verdict(mode, self._relation.ranks, a, b,
-                                      partition)
-        self.telemetry.record("class-scan", 1, False,
-                              time.perf_counter() - started)
-        return verdict
+        verdicts, _ = self.run_scans(
+            {0: partition}, [(0, 0, mode, a, b)],
+            DeadlineBudget.unlimited(), "class-scan")
+        return verdicts[0]
 
 
 class PoolExecutor:
     """Shards big task batches over a shared-memory worker pool.
 
     The pool starts lazily on the first dispatch that crosses the
-    serial-fallback thresholds; ``min_grouped_rows`` / ``min_rows``
-    default to the package thresholds *read at dispatch time* (so tests
-    and benchmarks can retune :mod:`repro.parallel.pool` globals).  An
-    injected ``pool`` is reused and never shut down by :meth:`close`;
-    an owned pool is torn down there (and rebuilt on the next dispatch
-    after a crash-path shutdown).
+    serial-fallback thresholds.  ``min_grouped_rows`` overrides the
+    grouped-row floor; both floors otherwise come from
+    :mod:`repro.parallel.pool` globals *read at dispatch time* (so tests
+    and benchmarks can retune them).  An injected ``pool`` is reused and
+    never shut down by :meth:`close`; an owned pool is torn down there
+    (and rebuilt on the next dispatch after a crash-path shutdown).
     """
 
     name = "pool"
@@ -200,7 +180,6 @@ class PoolExecutor:
     def __init__(self, relation: EncodedRelation, workers: int,
                  pool: Optional[WorkerPool] = None,
                  min_grouped_rows: Optional[int] = None,
-                 min_rows: Optional[int] = None,
                  stall_timeout: Optional[float] = None,
                  kernel_backend: Optional[str] = None):
         if workers < 2:
@@ -211,7 +190,6 @@ class PoolExecutor:
         self._injected = pool
         self._owned: Optional[WorkerPool] = None
         self._min_grouped_rows = min_grouped_rows
-        self._min_rows = min_rows
         self.stall_timeout = stall_timeout
         #: kernels backend the batches (pooled chunks *and* the serial
         #: fallback) run under; ``None`` defers to the process default
@@ -230,12 +208,6 @@ class PoolExecutor:
         if self._min_grouped_rows is not None:
             return self._min_grouped_rows
         return pool_module.PARALLEL_MIN_GROUPED_ROWS
-
-    @property
-    def rows_threshold(self) -> int:
-        if self._min_rows is not None:
-            return self._min_rows
-        return pool_module.PARALLEL_MIN_ROWS
 
     def rebase(self, relation: EncodedRelation) -> None:
         if relation is self._relation:
@@ -299,16 +271,54 @@ class PoolExecutor:
             time.sleep(min(RETRY_BACKOFF_BASE * (2 ** (crashes - 1)),
                            RETRY_BACKOFF_CAP))
 
-    @staticmethod
-    def _harvest(error: PoolDispatchError) -> Dict[Hashable, bool]:
-        """Verdicts acknowledged before the crash (partial results ride
-        the result queue; product outputs live in the torn-down shm
-        block, so product batches re-run whole and harvest nothing)."""
-        verdicts: Dict[Hashable, bool] = {}
-        for payload in error.partial_results:
-            for key, verdict in payload.get("verdicts", ()):
-                verdicts[key] = verdict
-        return verdicts
+    def _dispatch(self, phase: str, tasks: Sequence,
+                  send: Callable[[WorkerPool, List], Tuple[Dict, bool]],
+                  fallback: Callable[[List], Tuple[Dict, bool]],
+                  harvest: bool = True) -> Tuple[Dict, bool]:
+        """Run ``tasks`` on the pool: crash → harvest → rebuild →
+        backoff → quarantine, the one recovery loop of every pooled
+        batch.
+
+        ``send(pool, tasks)`` and ``fallback(tasks)`` return ``(results,
+        timed_out)`` from the pool and from the serial twin.  With
+        ``harvest``, verdicts a crashed dispatch had acknowledged are
+        kept and only the other tasks (keyed by ``task[0]``) re-run.
+        Product batches harvest nothing (their outputs lived in the
+        torn-down segment), and neither does a class-sharded scan,
+        whose partial results are per-chunk verdicts rather than the
+        scan's own.
+        """
+        results: Dict = {}
+        remaining = list(tasks)
+        started = time.perf_counter()
+        crashes = 0
+        while remaining and crashes < MAX_DISPATCH_CRASHES:
+            try:
+                with kernels.activate(self.kernel_backend):
+                    got, timed_out = send(self._pool(), remaining)
+            except PoolDispatchError as error:
+                if harvest:
+                    for payload in error.partial_results:
+                        results.update(payload.get("verdicts", ()))
+                    remaining = [t for t in remaining
+                                 if t[0] not in results]
+                crashes += 1
+                self._recover(crashes, bool(remaining)
+                              and crashes < MAX_DISPATCH_CRASHES)
+                continue
+            results.update(got)
+            self.telemetry.record(phase, len(results), True,
+                                  time.perf_counter() - started)
+            return results, timed_out
+        if harvest:
+            self.telemetry.record(phase, len(results), True,
+                                  time.perf_counter() - started)
+        if not remaining:
+            return results, False
+        self.telemetry.mark_degraded()
+        got, timed_out = fallback(remaining)
+        results.update(got)
+        return results, timed_out
 
     # -- task batches ---------------------------------------------------
     def run_products(self, parents: Dict[int, StrippedPartition],
@@ -319,116 +329,60 @@ class PoolExecutor:
         if len(tasks) < 2 or grouped_rows < self.grouped_rows_threshold:
             return self._serial.run_products(parents, tasks, budget)
         triples = [(t.child, t.left, t.right) for t in tasks]
-        started = time.perf_counter()
-        crashes = 0
-        while crashes < MAX_DISPATCH_CRASHES:
-            try:
-                with kernels.activate(self.kernel_backend):
-                    products, timed_out = self._pool().run_products(
-                        parents, triples, budget.deadline)
-                self.telemetry.record("products", len(products), True,
-                                      time.perf_counter() - started)
-                return products, timed_out
-            except PoolDispatchError:
-                crashes += 1
-                self._recover(crashes, crashes < MAX_DISPATCH_CRASHES)
-        self.telemetry.mark_degraded()
-        return self._serial.run_products(parents, tasks, budget)
+        return self._dispatch(
+            "products", tasks,
+            lambda pool, _: pool.run_products(parents, triples,
+                                              budget.deadline),
+            lambda rest: self._serial.run_products(parents, rest, budget),
+            harvest=False)
 
     def run_scans(self, contexts: Dict[Hashable, StrippedPartition],
                   tasks: Sequence[ScanTask], budget: DeadlineBudget,
                   phase: str = "scans"
                   ) -> Tuple[Dict[Hashable, bool], bool]:
-        grouped_rows = sum(len(p.rows) for p in contexts.values())
-        if len(tasks) < 2 or grouped_rows < self.grouped_rows_threshold:
+        if all(task[1] in contexts for task in tasks):
+            rows = sum(len(p.rows) for p in contexts.values())
+            floor = self.grouped_rows_threshold
+        else:       # workers derive contexts: gate on the relation
+            rows = self._relation.n_rows
+            floor = pool_module.PARALLEL_MIN_ROWS
+        if len(tasks) < 2 or rows < floor:
             return self._serial.run_scans(contexts, tasks, budget, phase)
-        verdicts: Dict[Hashable, bool] = {}
-        remaining = list(tasks)
-        started = time.perf_counter()
-        crashes = 0
-        timed_out = False
-        while remaining and crashes < MAX_DISPATCH_CRASHES:
-            try:
-                with kernels.activate(self.kernel_backend):
-                    got, timed_out = self._pool().run_scans(
-                        contexts, remaining, budget.deadline)
-                verdicts.update(got)
-                self.telemetry.record(phase, len(verdicts), True,
-                                      time.perf_counter() - started)
-                return verdicts, timed_out
-            except PoolDispatchError as error:
-                verdicts.update(self._harvest(error))
-                remaining = [t for t in remaining if t[0] not in verdicts]
-                crashes += 1
-                self._recover(crashes,
-                              bool(remaining)
-                              and crashes < MAX_DISPATCH_CRASHES)
-        self.telemetry.record(phase, len(verdicts), True,
-                              time.perf_counter() - started)
-        if remaining:
-            self.telemetry.mark_degraded()
-            serial_verdicts, timed_out = self._serial.run_scans(
-                contexts, remaining, budget, phase)
-            verdicts.update(serial_verdicts)
-        return verdicts, timed_out
+        return self._dispatch(
+            phase, tasks,
+            lambda pool, rest: pool.run_scans(contexts, rest,
+                                              budget.deadline),
+            lambda rest: self._serial.run_scans(contexts, rest, budget,
+                                                phase))
 
-    def run_validations(self, tasks: Sequence[ValidationTask],
+    def run_validations(self, tasks: Sequence[ScanTask],
                         budget: DeadlineBudget, phase: str = "wave"
                         ) -> Tuple[Dict[Hashable, bool], bool]:
-        if (len(tasks) < 2
-                or self._relation.n_rows < self.rows_threshold):
-            return self._serial.run_validations(tasks, budget, phase)
-        verdicts: Dict[Hashable, bool] = {}
-        remaining = list(tasks)
-        started = time.perf_counter()
-        crashes = 0
-        timed_out = False
-        while remaining and crashes < MAX_DISPATCH_CRASHES:
-            try:
-                with kernels.activate(self.kernel_backend):
-                    got, timed_out = self._pool().run_validations(
-                        remaining, budget.deadline)
-                verdicts.update(got)
-                self.telemetry.record(phase, len(verdicts), True,
-                                      time.perf_counter() - started)
-                return verdicts, timed_out
-            except PoolDispatchError as error:
-                verdicts.update(self._harvest(error))
-                remaining = [t for t in remaining if t[0] not in verdicts]
-                crashes += 1
-                self._recover(crashes,
-                              bool(remaining)
-                              and crashes < MAX_DISPATCH_CRASHES)
-        self.telemetry.record(phase, len(verdicts), True,
-                              time.perf_counter() - started)
-        if remaining:
-            self.telemetry.mark_degraded()
-            serial_verdicts, timed_out = self._serial.run_validations(
-                remaining, budget, phase)
-            verdicts.update(serial_verdicts)
-        return verdicts, timed_out
+        """:meth:`run_scans` with every context derived from its mask."""
+        return self.run_scans({}, tasks, budget, phase)
 
     def scan_partition(self, mode: str, a: int, b: int,
                        partition: StrippedPartition) -> bool:
+        """One whole-partition scan, class-sharded over the pool
+        (:meth:`WorkerPool.run_class_scan`) when the partition is big
+        enough; a crash re-runs it whole."""
         if (partition.n_classes < 2
                 or len(partition.rows) < self.grouped_rows_threshold
                 or mode == "pointwise"):
             return self._serial.scan_partition(mode, a, b, partition)
-        started = time.perf_counter()
-        crashes = 0
-        while crashes < MAX_DISPATCH_CRASHES:
-            try:
-                with kernels.activate(self.kernel_backend):
-                    verdict, _ = self._pool().run_class_scan(
-                        mode, a, b, partition)
-                self.telemetry.record("class-scan", 1, True,
-                                      time.perf_counter() - started)
-                return verdict
-            except PoolDispatchError:
-                crashes += 1
-                self._recover(crashes, crashes < MAX_DISPATCH_CRASHES)
-        self.telemetry.mark_degraded()
-        return self._serial.scan_partition(mode, a, b, partition)
+
+        def send(pool: WorkerPool, _) -> Tuple[Dict[int, bool], bool]:
+            verdict, timed_out = pool.run_class_scan(mode, a, b,
+                                                     partition)
+            return {0: verdict}, timed_out
+
+        def fallback(_) -> Tuple[Dict[int, bool], bool]:
+            return {0: self._serial.scan_partition(mode, a, b,
+                                                   partition)}, False
+
+        verdicts, _ = self._dispatch("class-scan", [(0, 0, mode, a, b)],
+                                     send, fallback, harvest=False)
+        return verdicts[0]
 
 
 class Executor(Protocol):
@@ -453,7 +407,7 @@ class Executor(Protocol):
                   phase: str = "scans"
                   ) -> Tuple[Dict[Hashable, bool], bool]: ...
 
-    def run_validations(self, tasks: Sequence[ValidationTask],
+    def run_validations(self, tasks: Sequence[ScanTask],
                         budget: DeadlineBudget, phase: str = "wave"
                         ) -> Tuple[Dict[Hashable, bool], bool]: ...
 
@@ -469,7 +423,6 @@ def make_executor(relation: EncodedRelation,
                   workers: Optional[int] = None,
                   pool: Optional[WorkerPool] = None,
                   min_grouped_rows: Optional[int] = None,
-                  min_rows: Optional[int] = None,
                   stall_timeout: Optional[float] = None,
                   kernel_backend: Optional[str] = None):
     """The one place the serial-vs-pool decision is made.
@@ -494,7 +447,6 @@ def make_executor(relation: EncodedRelation,
         return SerialExecutor(relation, kernel_backend=kernel_backend)
     return PoolExecutor(relation, effective, pool=pool,
                         min_grouped_rows=min_grouped_rows,
-                        min_rows=min_rows,
                         stall_timeout=stall_timeout,
                         kernel_backend=kernel_backend)
 
@@ -504,6 +456,5 @@ __all__ = [
     "PoolExecutor",
     "ScanTask",
     "SerialExecutor",
-    "ValidationTask",
     "make_executor",
 ]

@@ -11,14 +11,21 @@ worker processes:
   :mod:`multiprocessing.shared_memory`; workers read zero-copy NumPy
   views, so task payloads never pickle a column;
 * per dispatch, the partitions a level needs (parents for products,
-  OCD contexts for scans) are published as one block and sharded by
-  task chunk;
+  supplied scan contexts) are published as one block and sharded by
+  task chunk; a scan whose context is named by attribute mask instead
+  derives it from the worker's own partition cache over the shared
+  columns;
 * **product results return through shared memory too**: the coordinator
   pre-allocates a writable block (the result of ``Π_X · Π_Y`` holds at
   most ``min(||Π*_X||, ||Π*_Y||)`` grouped rows), workers write their
   flat ``rows``/``offsets`` straight into their task's slot, and only
   ``(mask, lengths)`` triples travel back on the result queue;
-* scan/validate verdicts are booleans — they ride the queue directly.
+* scan verdicts are booleans — they ride the queue directly.
+
+There are two dispatch kinds, ``"products"`` and ``"scans"``: every
+scan shape (level-wise OCD/FD checks, mask-derived validation waves,
+class-sharded single scans) is a :data:`ScanTask` batch handled by one
+worker loop.
 
 Determinism: workers run the exact same kernels
 (:meth:`StrippedPartition.product`,
@@ -99,8 +106,8 @@ _ZERO_COPY_BYTES = metrics.counter(
 #: read at dispatch time so tests and benchmarks can retune it.
 PARALLEL_MIN_GROUPED_ROWS = kernel_thresholds.PARALLEL_MIN_GROUPED_ROWS
 
-#: Relation size floor for the hybrid/validator parallel paths, which
-#: gate on rows (their context partitions are not known up front).
+#: Relation-row floor for scan batches whose context partitions the
+#: workers derive (not known up front, so no grouped-row count).
 PARALLEL_MIN_ROWS = kernel_thresholds.PARALLEL_MIN_ROWS
 
 #: Task chunks per worker and dispatch.  Two per worker balances the
@@ -122,6 +129,12 @@ MAX_DISPATCH_RECORDS = 512
 #: with headroom; the oldest is unlinked as new levels arrive.
 RETAINED_PARTITION_BLOCKS = 6
 
+#: ``(key, context_key, mode, a, b)`` — one scan, the only scan task
+#: shape.  A ``context_key`` present in the batch's ``contexts`` names
+#: that partition; any other key is an attribute mask whose Π* the
+#: executor derives.  Modes: ``"swap"``, ``"const"`` (``a`` constant),
+#: ``"swap_desc"`` (descending right column), ``"pointwise"`` (``a`` is
+#: an LHS bitmask, ``b`` a target attribute; the context is ignored).
 ScanTask = Tuple[Hashable, Hashable, str, int, int]
 
 #: Where a partition's shared replica lives:
@@ -241,7 +254,7 @@ class _WorkerState:
 
     def partition_cache(self, descriptor):
         """A worker-local :class:`PartitionCache` over the shared
-        columns (hybrid escalation tasks derive ad-hoc contexts)."""
+        columns (scan tasks that name their context by mask)."""
         from repro.partitions.cache import PartitionCache
 
         name, _layout, n_rows, arity = descriptor
@@ -303,19 +316,15 @@ def _handle_products(state: _WorkerState, payload: dict) -> dict:
     return {"done": done, "timed_out": timed_out}
 
 
-def _scan_verdict(mode: str, columns: List[np.ndarray], a: int, b: int,
-                  context: Optional[StrippedPartition]) -> bool:
-    """Worker-side twin of the coordinator kernels: one shared mode
-    dispatch, so unknown modes fail loudly at any worker count."""
+def _handle_scans(state: _WorkerState, payload: dict) -> dict:
+    """The worker half of :meth:`WorkerPool.run_scans`: the same mode
+    dispatch the coordinator runs, so unknown modes fail loudly at any
+    worker count."""
     from repro.core.validation import scan_verdict
 
-    return scan_verdict(mode, columns, a, b, context)
-
-
-def _handle_scans(state: _WorkerState, payload: dict) -> dict:
-    columns = state.columns(payload["columns"])
+    descriptor = payload["columns"]
+    columns = state.columns(descriptor)
     refs: Dict[Hashable, PartitionRef] = payload["contexts"]
-    n_rows = payload["columns"][2]
     deadline = payload["deadline"]
     # one partition object per context key, so derived state (class
     # ids, cached expansions) is shared by every task scanning it
@@ -326,34 +335,23 @@ def _handle_scans(state: _WorkerState, payload: dict) -> dict:
         if _past(deadline):
             timed_out = True
             break
-        context = contexts.get(context_key)
-        if context is None:
-            context = _partition_from_ref(state, refs[context_key],
-                                          n_rows)
-            contexts[context_key] = context
-        verdicts.append((key, _scan_verdict(mode, columns, a, b, context)))
-    return {"verdicts": verdicts, "timed_out": timed_out}
-
-
-def _handle_validations(state: _WorkerState, payload: dict) -> dict:
-    cache = state.partition_cache(payload["columns"])
-    columns = cache.relation.ranks
-    deadline = payload["deadline"]
-    verdicts: List[Tuple[Hashable, bool]] = []
-    timed_out = False
-    for key, mask, mode, a, b in payload["tasks"]:
-        if _past(deadline):
-            timed_out = True
-            break
-        context = None if mode == "pointwise" else cache.get(mask)
-        verdicts.append((key, _scan_verdict(mode, columns, a, b, context)))
+        context = None
+        if mode != "pointwise":
+            context = contexts.get(context_key)
+            if context is None:
+                ref = refs.get(context_key)
+                context = (
+                    state.partition_cache(descriptor).get(context_key)
+                    if ref is None else
+                    _partition_from_ref(state, ref, descriptor[2]))
+                contexts[context_key] = context
+        verdicts.append((key, scan_verdict(mode, columns, a, b, context)))
     return {"verdicts": verdicts, "timed_out": timed_out}
 
 
 _HANDLERS = {
     "products": _handle_products,
     "scans": _handle_scans,
-    "validations": _handle_validations,
 }
 
 
@@ -524,7 +522,6 @@ class WorkerPool:
         #: CPU seconds, publish seconds, wall seconds — the currency of
         #: the hardware-independent benchmark gate
         self.dispatches: List[Dict[str, object]] = []
-        self._columns_block: Optional[SharedArrayBlock] = None
         self._columns_arena = None
         #: adopted column arenas still holding our reference; shared
         #: with the finalizer so GC/crash teardown releases them too
@@ -542,44 +539,24 @@ class WorkerPool:
         return self._relation
 
     def _publish_columns(self) -> None:
-        """Make the relation's rank columns reachable by workers.
-
-        Preferred path: adopt the relation's refcounted shared arena
+        """Make the relation's rank columns reachable by workers by
+        adopting the relation's refcounted shared arena
         (:meth:`EncodedRelation.shared_arena`) — if another pool over
         the same relation already published one, this is zero-copy and
-        the two pools share a single segment.  The legacy per-pool
-        block publish remains as the fallback when the arena cannot be
-        built (e.g. no shared-memory support on the platform).
-        """
+        the two pools share a single segment.  An arena that cannot be
+        built (no shared-memory support) fails the pool with the
+        arena's own error."""
         relation = self._relation
-        old_block = self._columns_block
         old_arena = self._columns_arena
-        arena = None
-        try:
-            reused = relation.has_live_arena()
-            arena = relation.shared_arena()
-        except Exception:
-            arena = None
-        if arena is not None:
-            self._columns_arena = arena
-            self._adopted_arenas.append(arena)
-            self._columns_block = None
-            self._columns_descriptor = arena.descriptor()
-            if reused:
-                _ZERO_COPY_BYTES.inc(arena.nbytes)
-            else:
-                _SHM_BYTES.inc(arena.nbytes, payload="columns")
-        else:  # pragma: no cover - exercised via injection in tests
-            block = SharedArrayBlock.publish(relation.rank_arrays())
-            _SHM_BYTES.inc(block.nbytes, payload="columns")
-            self._live_blocks.add(block.name)
-            self._columns_block = block
-            self._columns_arena = None
-            self._columns_descriptor = (
-                block.name, block.layout, relation.n_rows, relation.arity)
-        if old_block is not None:
-            self._live_blocks.discard(old_block.name)
-            old_block.close_and_unlink()
+        reused = relation.has_live_arena()
+        arena = relation.shared_arena()
+        self._columns_arena = arena
+        self._adopted_arenas.append(arena)
+        self._columns_descriptor = arena.descriptor()
+        if reused:
+            _ZERO_COPY_BYTES.inc(arena.nbytes)
+        else:
+            _SHM_BYTES.inc(arena.nbytes, payload="columns")
         if old_arena is not None:
             self._release_arena(old_arena)
 
@@ -669,7 +646,6 @@ class WorkerPool:
         _shutdown_static(self._processes, self._task_queue,
                          self._live_blocks, self._adopted_arenas)
         self._partition_blocks.clear()
-        self._columns_block = None
         self._columns_arena = None
 
     def __enter__(self) -> "WorkerPool":
@@ -966,17 +942,17 @@ class WorkerPool:
                   tasks: Sequence[ScanTask],
                   deadline: Optional[float] = None
                   ) -> Tuple[Dict[Hashable, bool], bool]:
-        """Validation scans over published context partitions.
+        """Run :data:`ScanTask` batches, sharded across workers.
 
-        ``tasks`` are ``(key, context_key, mode, a, b)`` with mode
-        ``"swap"`` (OCD) or ``"const"`` (FD); returns per-key verdicts
-        plus a flag set when the cooperative deadline cut workers short
-        (verdicts then cover a prefix of each chunk).
-
-        Contexts with a live shared replica (anything a products
-        dispatch built two levels ago) are referenced in place; only
-        the rest are published.  Tasks are grouped by context before
-        chunking so each worker rebuilds a context's derived state at
+        Returns per-key verdicts plus a flag set when the cooperative
+        deadline cut workers short (verdicts then cover a prefix of
+        each chunk).  A task whose ``context_key`` is in ``contexts``
+        scans that partition: one with a live shared replica (anything
+        a products dispatch built two levels ago) is referenced in
+        place, the rest are published.  Any other ``context_key`` is an
+        attribute mask each worker derives from its own shared-column
+        :class:`PartitionCache`.  Tasks are grouped by context before
+        chunking so each worker builds a context's derived state at
         most once.
         """
         publish_started = time.perf_counter()
@@ -991,7 +967,8 @@ class WorkerPool:
             payloads.append({
                 "columns": self._columns_descriptor,
                 "contexts": {context_key: context_refs[context_key]
-                             for _, context_key, _, _, _ in chunk},
+                             for _, context_key, _, _, _ in chunk
+                             if context_key in context_refs},
                 "tasks": chunk,
                 "deadline": wall_deadline,
                 "kernels": self._payload_kernels(),
@@ -1005,30 +982,13 @@ class WorkerPool:
             verdicts.update(result["verdicts"])
         return verdicts, timed_out
 
-    def run_validations(self, tasks: Sequence[Tuple[Hashable, int, str,
-                                                    int, int]],
+    def run_validations(self, tasks: Sequence[ScanTask],
                         deadline: Optional[float] = None
                         ) -> Tuple[Dict[Hashable, bool], bool]:
-        """Ad-hoc context validation (the hybrid escalation waves):
-        ``(key, context_mask, mode, a, b)`` tasks; workers derive the
-        context partition from their own shared-column
-        :class:`PartitionCache`."""
-        wall_deadline = self._wall_deadline(deadline)
-        payloads = [{
-            "columns": self._columns_descriptor,
-            "tasks": list(tasks[start:stop]),
-            "deadline": wall_deadline,
-            "kernels": self._payload_kernels(),
-        } for start, stop in _chunk_slices(
-            len(tasks), self.n_chunks_per_dispatch)]
-        chunk_results = self._dispatch("validations", payloads)
-        self.dispatches[-1]["publish_seconds"] = 0.0
-        verdicts: Dict[Hashable, bool] = {}
-        timed_out = False
-        for result in chunk_results:
-            timed_out |= result["timed_out"]
-            verdicts.update(result["verdicts"])
-        return verdicts, timed_out
+        """:meth:`run_scans` with every context derived by the
+        workers from its attribute mask (the hybrid escalation
+        waves)."""
+        return self.run_scans({}, tasks, deadline)
 
     def run_class_scan(self, mode: str, a: int, b: int,
                        partition: StrippedPartition,
@@ -1036,10 +996,11 @@ class WorkerPool:
                        ) -> Tuple[bool, bool]:
         """One big scan sharded by context class (the single-dependency
         path behind ``check``/``violations`` and incremental
-        revalidation).  Classes are split into contiguous chunks of
-        near-equal grouped rows; each chunk is a valid stripped
-        partition in its own right, so workers run the stock kernels.
-        Returns ``(verdict, timed_out)``."""
+        revalidation), as one :meth:`run_scans` batch: classes are
+        split into contiguous chunks of near-equal grouped rows, and
+        each chunk is a supplied context — a valid stripped partition
+        in its own right, so workers run the stock kernels.  Returns
+        ``(verdict, timed_out)``."""
         offsets = partition.offsets
         n_chunks = max(1, min(self.workers * 2, partition.n_classes))
         targets = np.linspace(0, len(partition.rows), n_chunks + 1)

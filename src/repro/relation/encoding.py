@@ -10,10 +10,11 @@ of its equivalence class in the single-attribute partition.
 Missing values (``None``) sort before everything else (SQL ``NULLS
 FIRST`` under ascending order).  Columns may mix types; a deterministic
 total order is imposed by grouping values by *kind* (missing, boolean,
-number, string, other) and ordering within each kind.  ``±inf`` are
-ordinary numbers (below or above every finite one); NaN is rejected
-with :class:`~repro.errors.DataError`, since it equals nothing, itself
-included, and so has no place in an order.
+number, string, other) and ordering within each kind.  Integers rank
+exactly, whatever their size; ``±inf`` are ordinary numbers (below or
+above every finite one).  NaN, which equals nothing, itself included,
+and non-real numbers have no place in an order: both are rejected with
+:class:`~repro.errors.DataError`.
 """
 
 from __future__ import annotations
@@ -40,32 +41,52 @@ def sort_key(value: Any) -> Tuple[int, Any]:
     ``None`` first, then booleans, then numbers (including numpy
     scalars — ``numbers.Number`` covers them), then strings, then other
     comparable values grouped by type, with ``repr`` as the last
-    resort.  Within numbers, ints and floats compare numerically (so
-    ``1 == 1.0`` share a rank) and ``±inf`` bound the finite ones; NaN
-    raises :class:`~repro.errors.DataError`.
+    resort.  Within numbers, integers key by their exact ``int`` (no
+    rounding through ``float``: ``2**53`` and ``2**53 + 1`` keep two
+    ranks, ``10**400`` does not overflow), and ints and floats compare
+    numerically (so ``1 == 1.0`` share a rank); ``±inf`` bound the
+    finite ones.  NaN and non-real numbers (``complex``) raise
+    :class:`~repro.errors.DataError`.
     """
     if value is None:
         return (_KIND_MISSING, 0)
     if isinstance(value, (bool, np.bool_)):
         return (_KIND_BOOL, bool(value))
-    if isinstance(value, numbers.Number):
-        # Normalise numpy scalars so 1, np.int64(1) and 1.0 share a key.
-        as_float = float(value)
-        try:
-            as_int = int(as_float)
-        except OverflowError:               # ±inf: an ordinary float
-            return (_KIND_NUMBER, as_float)
-        except ValueError:                  # NaN
-            raise DataError(
-                f"{value!r} is not a valid cell value: NaN equals "
-                "nothing, itself included, so it has no place in an "
-                "order") from None
-        return (_KIND_NUMBER, as_int if as_int == as_float else as_float)
     if isinstance(value, str):
         return (_KIND_STRING, value)
+    # the concrete types first: they are the common cells, and an
+    # abstract numbers.* check costs several times more
+    if isinstance(value, (float, np.floating)):
+        return (_KIND_NUMBER, _real_key(value))
+    if isinstance(value, (int, np.integer, numbers.Integral)):
+        return (_KIND_NUMBER, int(value))
+    if isinstance(value, numbers.Number):
+        if (isinstance(value, numbers.Complex)
+                and not isinstance(value, numbers.Real)):
+            raise DataError(
+                f"{value!r} is not a valid cell value: a non-real "
+                "number has no place in an order")
+        return (_KIND_NUMBER, _real_key(value))
     # Same-type values (dates, tuples, ...) compare among themselves;
     # the type name separates incompatible groups deterministically.
     return (_KIND_OTHER, type(value).__name__, value)
+
+
+def _real_key(value: Any) -> Any:
+    """The number key of a non-integer real: the ``int`` it equals
+    when integral (so ``1.0`` and ``1`` share a key), else the float;
+    ``±inf`` stay floats and NaN raises."""
+    as_float = float(value)
+    try:
+        as_int = int(as_float)
+    except OverflowError:                   # ±inf: an ordinary float
+        return as_float
+    except ValueError:                      # NaN
+        raise DataError(
+            f"{value!r} is not a valid cell value: NaN equals "
+            "nothing, itself included, so it has no place in an "
+            "order") from None
+    return as_int if as_int == as_float else as_float
 
 
 def _sorted_distinct(keyed: Sequence[Tuple]) -> List[Tuple]:

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Union
 
 from repro import faults
 from repro.core.fastod import FastOD, FastODConfig
+from repro.core.parser import parse_for
 from repro.deltalog import DeltaBatch, DeltaLog, delta_log_path
 from repro.engine.budget import DeadlineBudget
 from repro.errors import DataError, ReproError
@@ -310,6 +311,14 @@ class JobScheduler:
                     "append jobs need a non-empty 'rows' list")
         # resolve forwards now so the job is pinned to live content
         entry = self._catalog.get(fingerprint)
+        if kind in ("validate", "violations"):
+            # parse and resolve the names against the dataset now, so
+            # a malformed dependency or an unknown attribute fails the
+            # request instead of the job
+            try:
+                parse_for(params["dependency"], entry.relation.schema)
+            except ReproError as error:
+                raise JobError(f"bad {kind}: {error}") from None
         if kind in ("append", "delta"):
             # parse against the entry's arity now, so a bad row fails
             # the request instead of the job.  A delta's convenience

@@ -18,6 +18,7 @@ from repro.engine import (
     SerialExecutor,
     make_executor,
 )
+import repro.parallel.pool as pool_module
 from repro.parallel.pool import WorkerPool
 from repro.partitions.cache import PartitionCache
 from repro.partitions.partition import StrippedPartition
@@ -71,12 +72,13 @@ class TestMakeExecutor:
 
 class TestSerialPoolEquivalence:
     @pytest.mark.parametrize("mode", ["const", "swap", "swap_desc"])
-    def test_validations_agree(self, encoded, mode):
+    def test_validations_agree(self, encoded, mode, monkeypatch):
+        monkeypatch.setattr(pool_module, "PARALLEL_MIN_ROWS", 0)
         tasks = all_mask_tasks(encoded, mode)
         budget = DeadlineBudget.unlimited()
         serial, _ = SerialExecutor(encoded).run_validations(
             tasks, budget)
-        pooled_executor = PoolExecutor(encoded, 2, min_rows=0)
+        pooled_executor = PoolExecutor(encoded, 2)
         try:
             pooled, _ = pooled_executor.run_validations(tasks, budget)
         finally:
@@ -84,7 +86,8 @@ class TestSerialPoolEquivalence:
         assert serial == pooled
         assert len(serial) == len(tasks)
 
-    def test_pointwise_validations_agree(self, encoded):
+    def test_pointwise_validations_agree(self, encoded, monkeypatch):
+        monkeypatch.setattr(pool_module, "PARALLEL_MIN_ROWS", 0)
         arity = encoded.arity
         tasks = []
         for lhs_mask in range(1, 1 << arity):
@@ -96,13 +99,36 @@ class TestSerialPoolEquivalence:
         budget = DeadlineBudget.unlimited()
         serial, _ = SerialExecutor(encoded).run_validations(
             tasks, budget)
-        pooled_executor = PoolExecutor(encoded, 2, min_rows=0)
+        pooled_executor = PoolExecutor(encoded, 2)
         try:
             pooled, _ = pooled_executor.run_validations(tasks, budget)
         finally:
             pooled_executor.close()
         assert serial == pooled
         assert any(serial.values()) and not all(serial.values())
+
+    def test_supplied_and_derived_contexts_in_one_batch(
+            self, encoded, monkeypatch):
+        """A context key present in ``contexts`` scans that partition;
+        any other key is an attribute mask the executor derives."""
+        monkeypatch.setattr(pool_module, "PARALLEL_MIN_ROWS", 0)
+        cache = PartitionCache(encoded)
+        contexts = {"chunk": cache.get(0b1)}
+        tasks = [((mask, a, b), "chunk" if mask == 0b1 else mask,
+                  "swap", a, b)
+                 for mask in (0b1, 0b11, 0b110)
+                 for a, b in ((3, 4),)]
+        budget = DeadlineBudget.unlimited()
+        serial, _ = SerialExecutor(encoded).run_scans(contexts, tasks,
+                                                      budget)
+        with PoolExecutor(encoded, 2) as pooled_executor:
+            pooled, _ = pooled_executor.run_scans(contexts, tasks, budget)
+            stats = pooled_executor.telemetry.snapshot()
+        assert stats["phases"]["scans"]["pool_tasks"] == len(tasks)
+        assert serial == pooled
+        for (mask, a, b), verdict in serial.items():
+            assert verdict == is_compatible_in_classes(
+                encoded.column(a), encoded.column(b), cache.get(mask))
 
     def test_products_agree(self, encoded):
         cache = PartitionCache(encoded)
@@ -194,8 +220,9 @@ class TestTelemetry:
         assert snap["phases"]["wave"]["serial_tasks"] == 5
         assert snap["phases"]["wave"]["pool_tasks"] == 0
 
-    def test_pool_records_split(self, encoded):
-        executor = PoolExecutor(encoded, 2, min_rows=0)
+    def test_pool_records_split(self, encoded, monkeypatch):
+        monkeypatch.setattr(pool_module, "PARALLEL_MIN_ROWS", 0)
+        executor = PoolExecutor(encoded, 2)
         budget = DeadlineBudget.unlimited()
         try:
             executor.run_validations(
@@ -215,9 +242,10 @@ class TestTelemetry:
         assert snap["phases"]["wave"]["tasks"] == 7
         assert snap["phases"]["wave"]["dispatches"] == 2
 
-    def test_subthreshold_batches_stay_serial(self, encoded):
-        executor = PoolExecutor(encoded, 2,
-                                min_rows=encoded.n_rows + 1)
+    def test_subthreshold_batches_stay_serial(self, encoded, monkeypatch):
+        monkeypatch.setattr(pool_module, "PARALLEL_MIN_ROWS",
+                            encoded.n_rows + 1)
+        executor = PoolExecutor(encoded, 2)
         budget = DeadlineBudget.unlimited()
         try:
             executor.run_validations(

@@ -132,6 +132,45 @@ class TestExecutorRecovery:
                                   products[child].offsets)
         assert stats["retries"] >= 1
 
+    def test_worker_kill_derived_contexts_byte_identical(
+            self, encoded, monkeypatch):
+        """Scans whose contexts the workers derive from attribute masks
+        (the hybrid waves) ride the same recovery loop."""
+        import repro.parallel.pool as pool_module
+
+        monkeypatch.setattr(pool_module, "PARALLEL_MIN_ROWS", 0)
+        tasks = [((mask, a, b), mask, "swap", a, b)
+                 for mask in range(1, 1 << 3)
+                 for a, b in ((3, 4),)]
+        budget = DeadlineBudget.unlimited()
+        clean, _ = SerialExecutor(encoded).run_validations(tasks, budget)
+        (verdicts, timed_out), stats = dispatch_until_crash(
+            encoded, lambda ex: ex.run_validations(list(tasks), budget))
+        assert not timed_out
+        assert verdicts == clean
+        assert not stats["degraded"]
+
+    def test_worker_kill_class_scan_reruns_whole(self, encoded):
+        """A class scan's acknowledged results are per-chunk verdicts,
+        not the scan's: the rebuilt pool re-runs every chunk."""
+        context = StrippedPartition.for_attribute(encoded, 2)
+        expected = SerialExecutor(encoded).scan_partition(
+            "swap", 3, 4, context)
+        with WorkerPool(encoded, 2) as pool:
+            pool.run_class_scan("swap", 3, 4, context)
+            n_chunks = pool.dispatches[-1]["n_tasks"]
+        assert n_chunks >= 2
+
+        def scan(ex):
+            verdict = ex.scan_partition("swap", 3, 4, context)
+            return verdict, ex._owned.stats()["n_tasks"]
+
+        (verdict, rerun_tasks), stats = dispatch_until_crash(encoded,
+                                                             scan)
+        assert verdict == expected
+        assert rerun_tasks == n_chunks
+        assert stats["phases"]["class-scan"]["pool_tasks"] == 1
+
     def test_worker_task_fault_quarantines_to_serial(self, encoded):
         """``worker.task`` re-fires in every rebuilt worker (forked
         children start with fresh per-process counters), so the batch

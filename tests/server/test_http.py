@@ -57,6 +57,19 @@ class TestHealthAndRegistration:
         assert any(d["fingerprint"] == entry["fingerprint"]
                    for d in client.datasets())
 
+    def test_integers_past_float_precision(self, client):
+        # 2**53 and 2**53 + 1 are one float but two values, so both
+        # columns are keys; a 10**400 cell is a number, not a 500
+        fp = client.register_rows(
+            ["big", "small"],
+            [[2 ** 53, 1], [2 ** 53 + 1, 2], [1, 3]])["fingerprint"]
+        fds = client.discover(fp)["result"]["fds"]
+        assert "{big}: [] -> small" in fds
+        assert "{small}: [] -> big" in fds
+        entry = client.register_rows(["huge", "tiny"],
+                                     [[10 ** 400, 1], [2, 2]])
+        assert entry["n_rows"] == 2
+
     def test_register_without_source_is_400(self, client):
         with pytest.raises(ServiceClientError) as caught:
             client._post("/datasets", {"name": "empty"})
@@ -164,12 +177,17 @@ class TestValidateViolationsAppend:
         # a discover on the grown content is served from the store
         assert client.discover(new_fp)["cached"] is True
 
-    def test_bad_dependency_fails_job(self, client):
+    def test_bad_dependency_is_400(self, client):
         fp = client.register_rows(
             ["a", "b"], [[1, 10], [2, 20]])["fingerprint"]
-        job = client.validate(fp, "this is not a dependency")
-        assert job["status"] == "failed"
-        assert "error" in job
+        n_jobs = len(client.jobs())
+        for dependency in ("this is not a dependency", "{a}: [] -> ",
+                           "{nope}: [] -> a"):
+            for submit in (client.validate, client.violations):
+                with pytest.raises(ServiceClientError) as caught:
+                    submit(fp, dependency)
+                assert caught.value.status == 400
+        assert len(client.jobs()) == n_jobs     # no job was created
 
 
 class TestRawHttp:

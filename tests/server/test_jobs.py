@@ -140,6 +140,19 @@ class TestValidateAndViolations:
             scheduler.submit("validate", fp)
         assert scheduler.jobs() == []   # no stranded job record
 
+    @pytest.mark.parametrize("kind", ["validate", "violations"])
+    @pytest.mark.parametrize("dependency, message", [
+        ("{nope}: [] -> c2", "unknown attribute 'nope'"),
+        ("[c0] ~ [nope]", "unknown attribute 'nope'"),
+        ("{c0}: [] -> ", "right side"),
+    ])
+    def test_bad_dependency_fails_at_submit(self, scheduler, kind,
+                                            dependency, message):
+        fp = register(scheduler, small())
+        with pytest.raises(JobError, match=message):
+            scheduler.submit(kind, fp, {"dependency": dependency})
+        assert scheduler.jobs() == []
+
     def test_bad_witnesses_fails_at_submit(self, scheduler):
         fp = register(scheduler, small())
         with pytest.raises(JobError, match="witnesses"):

@@ -192,6 +192,40 @@ class TestErrors:
         assert main(["discover", str(path)]) == 0
         assert "{}: a ~ b" in capsys.readouterr().out.splitlines()
 
+    def test_integers_past_float_precision_keep_their_ranks(
+            self, tmp_path, capsys):
+        # 2**53 and 2**53 + 1 are one float: x must still be a key
+        path = tmp_path / "big.csv"
+        path.write_text("x,y\n9007199254740992,1\n"
+                        "9007199254740993,2\n1,3\n")
+        assert main(["discover", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "{x}: [] -> y" in lines
+        assert "{y}: [] -> x" in lines
+
+    def test_integer_beyond_float_range_is_a_number(self, tmp_path,
+                                                    capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"a,b\n1,2\n{10 ** 400},3\n")
+        assert main(["discover", str(path)]) == 0
+        assert "{}: a ~ b" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("command", ["check", "violations"])
+    @pytest.mark.parametrize("dependency", [
+        "{nope}: [] -> c0", "{c0}: nope ~ c1", "[c0] -> [nope]"])
+    def test_unknown_attribute_exits_2(self, csv_file, capsys, command,
+                                       dependency):
+        assert main([command, csv_file, dependency]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: unknown attribute 'nope'; schema has "
+                       "('c0', 'c1', 'c2')\n")
+
+    @pytest.mark.parametrize("command", ["check", "violations"])
+    def test_malformed_dependency_exits_2(self, csv_file, capsys,
+                                          command):
+        assert main([command, csv_file, "{c0}: [] -> "]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 @pytest.fixture
 def stream_files(tmp_path):
