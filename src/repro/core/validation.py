@@ -14,13 +14,12 @@ Two independent layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro import kernels
 from repro.core.mapping import map_list_od
-from repro.kernels import reference as _reference_kernels
 from repro.core.od import (
     CanonicalFD,
     CanonicalOCD,
@@ -30,10 +29,7 @@ from repro.core.od import (
     as_spec,
 )
 from repro.partitions.cache import PartitionCache
-from repro.partitions.partition import (
-    SMALL_KERNEL_THRESHOLD,
-    StrippedPartition,
-)
+from repro.partitions.partition import StrippedPartition
 from repro.relation.encoding import EncodedRelation
 from repro.relation.schema import iter_bits
 from repro.relation.table import Relation
@@ -120,46 +116,17 @@ def find_split(column: np.ndarray, context: StrippedPartition,
                  int(rows[position]), attribute)
 
 
-#: The historical home of the segmented prefix-max swap kernel; the
-#: implementation (with its full derivation) now lives in
-#: :mod:`repro.kernels.reference` so the compiled backend can be held
-#: to the same contract.  Kept as aliases for existing consumers.
-_swap_mask = _reference_kernels.swap_mask
-
-
-def _sorted_swap_views(column_a: np.ndarray, column_b: np.ndarray,
-                       context: StrippedPartition):
-    """(class_ids, A, B) of the grouped rows, sorted by ``(class, A)``
-    (see :func:`repro.kernels.reference.sorted_swap_views`)."""
-    return _reference_kernels.sorted_swap_views(
-        column_a, column_b, context.rows, context.class_ids())
-
-
 def is_compatible_in_classes(column_a: np.ndarray, column_b: np.ndarray,
                              context: StrippedPartition) -> bool:
     """``X: A ~ B`` given Π*_X and the two rank columns.
 
     Within each class: sort by (A, B); while scanning groups of equal A
     in ascending order, any B rank below the maximum B seen in *earlier*
-    groups is a swap.  All classes are checked in one vectorized pass
-    (one composite-key sort + segmented prefix-max, see
-    :func:`_swap_mask`); contexts with few grouped rows take the scalar
-    per-class scan instead, where NumPy dispatch overhead would
-    dominate.
+    groups is a swap.  All classes are checked in one
+    :func:`repro.kernels.swap_flags` pass (see
+    :func:`repro.kernels.reference.swap_mask` for the derivation).
     """
-    n_grouped = len(context.rows)
-    if n_grouped == 0:
-        return True
-    if n_grouped <= kernels.effective_scalar_threshold(
-            SMALL_KERNEL_THRESHOLD):
-        rows = context.rows
-        offsets = context.offsets
-        for index in range(len(offsets) - 1):
-            segment = rows[offsets[index]:offsets[index + 1]]
-            pairs = sorted(zip(column_a[segment].tolist(),
-                               column_b[segment].tolist()))
-            if not _scan_is_swap_free(pairs):
-                return False
+    if len(context.rows) == 0:
         return True
     return not kernels.swap_flags(
         column_a, column_b, context.rows, context.offsets,
@@ -179,26 +146,6 @@ def swap_classes(column_a: np.ndarray, column_b: np.ndarray,
     flags = kernels.swap_flags(column_a, column_b, context.rows,
                                context.offsets, context.class_ids())
     return np.flatnonzero(flags)
-
-
-def _scan_is_swap_free(pairs: Sequence[Tuple[int, int]]) -> bool:
-    max_b_before = None        # max B over strictly smaller A groups
-    current_a = None
-    current_max_b = None
-    first = True
-    for value_a, value_b in pairs:
-        if first or value_a != current_a:
-            if current_max_b is not None and (
-                    max_b_before is None or current_max_b > max_b_before):
-                max_b_before = current_max_b
-            current_a = value_a
-            current_max_b = None
-            first = False
-        if max_b_before is not None and value_b < max_b_before:
-            return False
-        if current_max_b is None or value_b > current_max_b:
-            current_max_b = value_b
-    return True
 
 
 def dominance_holds_ranks(columns: Sequence[np.ndarray], lhs_mask: int,

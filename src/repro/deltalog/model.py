@@ -31,10 +31,14 @@ once and keeps every stage (resolved indices, surviving inserts, the
 post-delete and final relations), so a caller can fingerprint the
 result, log it, and hand the same fold to the incremental engine.
 
-Value equality is Python equality (so ``1`` and ``1.0`` match, as they
-do in a dict); values must be hashable scalars so rows can be indexed
-and survive the log's JSON round-trip.  NaN is rejected: it equals
-nothing, itself included, so no delete could ever name it.
+Values match as the encoder ranks them: by Python equality, except
+that a boolean matches only a boolean.  So ``1`` and ``1.0`` match
+(they share a rank), but ``True`` and ``1`` do not, although
+``True == 1`` in Python (:func:`repro.relation.encoding.sort_key`
+ranks booleans apart from numbers).  Values must be hashable scalars
+so rows can be indexed and survive the log's JSON round-trip.  NaN is
+rejected: it equals nothing, itself included, so no delete could ever
+name it.
 """
 
 from __future__ import annotations
@@ -258,6 +262,12 @@ class DeltaBatch:
         return self.fold(relation).relation
 
 
+def _bool_cells(row: tuple) -> tuple:
+    """Which cells of ``row`` are booleans: the part of a row's value
+    identity Python equality drops (``True == 1``)."""
+    return tuple(isinstance(value, (bool, np.bool_)) for value in row)
+
+
 def _resolve(relation: Relation, batches: Sequence[DeltaBatch]
              ) -> Iterator[Tuple[List[int], List[tuple]]]:
     """Resolve ``batches`` in order against ``relation``, yielding per
@@ -266,9 +276,10 @@ def _resolve(relation: Relation, batches: Sequence[DeltaBatch]
 
     Positions number the relation's rows, then every surviving insert
     in the order it lands.  Only values some batch deletes are
-    indexed, each as a FIFO of its live positions: the relation scan
-    is unavoidable, but keeping other values out of the dict makes it
-    one membership probe per row.
+    indexed, each as a FIFO of its live positions keyed by the row and
+    its :func:`_bool_cells`: the relation scan is unavoidable, but
+    keeping other values out of the dict makes it one membership probe
+    per row.
     """
     arity = relation.arity
     targets = {row for batch in batches
@@ -278,7 +289,8 @@ def _resolve(relation: Relation, batches: Sequence[DeltaBatch]
         columns = [relation.column_at(i) for i in range(arity)]
         for position, row in enumerate(zip(*columns)):
             if row in targets:
-                live.setdefault(row, deque()).append(position)
+                live.setdefault((row, _bool_cells(row)),
+                                deque()).append(position)
     n_positions = relation.n_rows
     for batch in batches:
         deletes: List[int] = []
@@ -291,12 +303,13 @@ def _resolve(relation: Relation, batches: Sequence[DeltaBatch]
             if weight > 0:
                 pending.append(row)
                 continue
-            positions = live.get(row)
+            bools = _bool_cells(row)
+            positions = live.get((row, bools))
             if positions:
                 deletes.append(positions.popleft())
                 continue
             for i in range(len(pending) - 1, -1, -1):
-                if pending[i] == row:
+                if pending[i] == row and _bool_cells(pending[i]) == bools:
                     del pending[i]
                     break
             else:
@@ -307,8 +320,8 @@ def _resolve(relation: Relation, batches: Sequence[DeltaBatch]
         if targets:
             for offset, row in enumerate(pending):
                 if row in targets:
-                    live.setdefault(row, deque()).append(
-                        n_positions + offset)
+                    live.setdefault((row, _bool_cells(row)),
+                                    deque()).append(n_positions + offset)
         n_positions += len(pending)
         deletes.sort()
         yield deletes, pending

@@ -168,22 +168,6 @@ def compiled_available() -> bool:
         return False
 
 
-def effective_scalar_threshold(module_value: int) -> int:
-    """The grouped-row count at or below which callers should take
-    their scalar path.
-
-    An explicitly retuned module global wins (tests and benchmarks
-    monkeypatch ``SMALL_KERNEL_THRESHOLD`` to force one path);
-    otherwise the active backend's measured crossover applies — the
-    compiled kernels amortize so little per call that their scalar
-    gate sits at :data:`thresholds.COMPILED_SCALAR_THRESHOLD` instead
-    of the reference backend's 64.
-    """
-    if module_value != thresholds.REFERENCE_SCALAR_THRESHOLD:
-        return module_value
-    return active_backend().scalar_threshold
-
-
 # ----------------------------------------------------------------------
 # dispatchers (the only call sites the hot paths use)
 # ----------------------------------------------------------------------
@@ -285,7 +269,6 @@ __all__ = [
     "compiled_available",
     "default_backend",
     "densify",
-    "effective_scalar_threshold",
     "partition_product",
     "resolve_backend",
     "set_default_backend",

@@ -160,7 +160,6 @@ class CompiledBackend:
     per-kernel output specifications the parity suite enforces)."""
 
     name = "compiled"
-    scalar_threshold = thresholds.COMPILED_SCALAR_THRESHOLD
 
     def __init__(self):
         self._lib = _load()

@@ -18,8 +18,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.kernels import thresholds
-
 #: Shared frozen empties (see partition.py for the rationale).
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 _EMPTY_ROWS.setflags(write=False)
@@ -127,7 +125,6 @@ class ReferenceBackend:
     """
 
     name = "reference"
-    scalar_threshold = thresholds.REFERENCE_SCALAR_THRESHOLD
 
     @staticmethod
     def partition_product(probe: np.ndarray, rows_y: np.ndarray,

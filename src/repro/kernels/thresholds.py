@@ -1,29 +1,19 @@
 """The one home for the kernel crossover thresholds.
 
-Every size gate the hot path consults — "scalar scan vs vectorized
-kernel" and "serial vs pooled dispatch" — is defined here with its
-provenance, instead of as scattered literals.  The historical module
-globals (``repro.partitions.partition.SMALL_KERNEL_THRESHOLD``,
-``repro.parallel.pool.PARALLEL_MIN_GROUPED_ROWS`` /
+Every size gate the hot path consults — "serial vs pooled dispatch"
+and the compiled swap kernel's routing — is defined here with its
+provenance, instead of as scattered literals.  The pool's module
+globals (``repro.parallel.pool.PARALLEL_MIN_GROUPED_ROWS`` /
 ``PARALLEL_MIN_ROWS``) remain the names hot code *reads at call time*
-— tests and benchmarks retune them by monkeypatching those modules —
-but their values are assigned from the constants below.
+— tests and benchmarks retune them by monkeypatching that module —
+but their values are assigned from the constants below.  There is no
+size gate between kernel implementations: every product and swap
+verdict goes through the :mod:`repro.kernels` dispatcher at any size.
 
 Crossover measurements (``benchmarks/bench_partition_kernels.py``
 micro section, single-core CI-class x86-64 container, NumPy 2.x,
 August 2026):
 
-* **Reference (NumPy) scalar gate — 64 grouped rows.**  The
-  vectorized product/swap kernels pay ~a dozen ufunc dispatches
-  (~15-30 µs) regardless of size; the per-row dict/scan work wins
-  below ~64 grouped rows.  Unchanged from the PR 1 tuning — re-measured
-  and confirmed within noise.
-* **Compiled scalar gate — 16 grouped rows.**  A compiled kernel call
-  costs one ctypes dispatch plus two small array allocations (~2-4 µs
-  total), so the crossover against the Python scalar paths sits far
-  lower: the C kernels win from roughly a dozen grouped rows up, and
-  below that the difference is tens of nanoseconds either way.  16
-  keeps the tiny-class tail on the allocation-free scalar path.
 * **Pool dispatch floors — 16 384 grouped rows / 4 096 relation
   rows.**  Process dispatch costs a fraction of a millisecond per
   chunk plus a segment publish; with the compiled kernels *faster*
@@ -43,14 +33,6 @@ August 2026):
 """
 
 from __future__ import annotations
-
-#: Grouped-row count at or below which the NumPy reference backend
-#: falls back to the scalar (dict/loop) paths.
-REFERENCE_SCALAR_THRESHOLD = 64
-
-#: Grouped-row count at or below which the compiled backend falls back
-#: to the scalar paths.
-COMPILED_SCALAR_THRESHOLD = 16
 
 #: Grouped rows a dispatch's partitions must carry before the pool
 #: executor leaves the coordinator (see repro.parallel.pool).

@@ -19,12 +19,14 @@ encoding used throughout NumPy-backed group-by engines and buys:
 * vectorized construction — :meth:`from_ranks` is one ``argsort`` plus
   one boundary scan (``np.diff``/``np.flatnonzero``), O(n log n) with
   no Python-level per-row work;
-* vectorized refinement — :meth:`product` builds composite
-  ``(other-class, self-class)`` keys for the grouped rows and resolves
-  them with a single sort, instead of per-row dict inserts;
+* one refinement path — :meth:`product` hands the grouped rows to the
+  :mod:`repro.kernels` dispatcher at every size (the NumPy reference
+  backend groups composite ``(other-class, self-class)`` keys with one
+  sort, the compiled backend in one C pass); a product with a superkey
+  side is empty without any kernel call;
 * segmented validation — the split/swap kernels in
   :mod:`repro.core.validation` reduce over ``rows``/``offsets``
-  directly with ``np.maximum.accumulate``-style prefix scans.
+  directly, through the same dispatcher.
 
 The legacy ``classes`` list-of-lists view is kept as a lazily
 materialized property so existing consumers (violation counting,
@@ -40,7 +42,6 @@ import numpy as np
 
 from repro import kernels
 from repro.kernels.reference import strip_sorted_runs as _strip_sorted_runs
-from repro.kernels.thresholds import REFERENCE_SCALAR_THRESHOLD
 from repro.relation.encoding import EncodedRelation
 
 #: Shared sentinels aliased into every empty partition; frozen so an
@@ -50,17 +51,6 @@ _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 _EMPTY_ROWS.setflags(write=False)
 _ZERO_OFFSET = np.zeros(1, dtype=np.int64)
 _ZERO_OFFSET.setflags(write=False)
-
-#: Below this many grouped rows the vectorized kernels fall back to
-#: scalar scans — fixed NumPy dispatch overhead (~a dozen ufunc calls)
-#: beats the per-row work on the tiny classes deep lattice levels
-#: produce.  The canonical value lives in
-#: :mod:`repro.kernels.thresholds`; this module global remains the
-#: call-time gate tests retune by monkeypatching, and while it holds
-#: the stock value the active kernel backend's own (measured) crossover
-#: applies instead — the compiled kernels pay far less per call (see
-#: :func:`repro.kernels.effective_scalar_threshold`).
-SMALL_KERNEL_THRESHOLD = REFERENCE_SCALAR_THRESHOLD
 
 
 class StrippedPartition:
@@ -226,36 +216,19 @@ class StrippedPartition:
         composite key ``(other-class, self-class)``; rows sharing a
         composite key form the refined classes.  One sort of the
         grouped rows (O(||Π*_Y|| log ||Π*_Y||)) replaces the per-row
-        dict inserts of the list-based implementation.
+        dict inserts of the list-based implementation.  A side with no
+        grouped rows makes the product empty: it returns before the
+        n-row probe table or any kernel call.
         """
         if self.n_rows != other.n_rows:
             raise ValueError("partitions cover different relations")
-        probe = self.row_to_class()
-        if len(other.rows) <= kernels.effective_scalar_threshold(
-                SMALL_KERNEL_THRESHOLD):
-            return self._product_small(other, probe)
+        if len(self.rows) == 0 or len(other.rows) == 0:
+            return StrippedPartition.from_flat(
+                _EMPTY_ROWS, _ZERO_OFFSET, self.n_rows)
         rows, offsets = kernels.partition_product(
-            probe, other.rows, other.offsets, other.class_ids(),
-            self.n_classes)
+            self.row_to_class(), other.rows, other.offsets,
+            other.class_ids(), self.n_classes)
         return StrippedPartition.from_flat(rows, offsets, self.n_rows)
-
-    def _product_small(self, other: "StrippedPartition",
-                       probe: np.ndarray) -> "StrippedPartition":
-        """Dict-based refinement for partitions with few grouped rows,
-        where fixed NumPy call overhead exceeds the per-row work."""
-        offsets = other.offsets
-        rows_y = other.rows.tolist()
-        classes: List[List[int]] = []
-        for index in range(len(offsets) - 1):
-            groups: dict = {}
-            for row in rows_y[offsets[index]:offsets[index + 1]]:
-                left_class = probe[row]
-                if left_class >= 0:
-                    groups.setdefault(int(left_class), []).append(row)
-            for grouped in groups.values():
-                if len(grouped) >= 2:
-                    classes.append(grouped)
-        return StrippedPartition(classes, self.n_rows)
 
     # ------------------------------------------------------------------
     # expansion / comparison helpers (mostly for tests and display)

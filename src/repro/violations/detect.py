@@ -26,8 +26,6 @@ from repro.core.validation import (
     CanonicalValidator,
     Split,
     Swap,
-    find_split,
-    find_swap,
     scan_find_swap,
     split_mismatch_mask,
     swap_classes,
@@ -184,11 +182,13 @@ class ViolationDetector:
     (LRU) for detectors that outlive one query — e.g. monitoring many
     rules against a large relation; default is unbounded.
 
+    Each verdict is taken once, from the
+    :class:`repro.core.validation.CanonicalValidator` executor; witnesses
+    and pair counts are computed only for a violated dependency.
     ``workers`` routes big hold-checks through the unified engine's
     pooled executor, which shards them by context class across a
-    shared-memory worker pool (see
-    :class:`repro.core.validation.CanonicalValidator`); witness
-    extraction and pair counting stay on the coordinator.
+    shared-memory worker pool; witness extraction and pair counting
+    stay on the coordinator.
     """
 
     def __init__(self, relation: Relation,
@@ -252,31 +252,29 @@ class ViolationDetector:
 
     def _check_fd(self, fd: CanonicalFD, max_witnesses: int,
                   count_pairs: bool) -> ViolationReport:
-        if fd.is_trivial:
+        if self._validator.fd_holds(fd):
             return ViolationReport(str(fd), holds=True)
         partition = self._context_partition(fd.context)
         column = self._encoded.column(self._index[fd.attribute])
-        witnesses = collect_splits(column, partition, fd.attribute,
-                                   max_witnesses)
-        holds = find_split(column, partition, fd.attribute) is None
-        pairs = (count_split_pairs(column, partition)
-                 if count_pairs and not holds else 0)
-        return ViolationReport(str(fd), holds, pairs, list(witnesses))
+        witnesses = (collect_splits(column, partition, fd.attribute,
+                                    max_witnesses)
+                     if max_witnesses > 0 else [])
+        pairs = count_split_pairs(column, partition) if count_pairs else 0
+        return ViolationReport(str(fd), False, pairs, witnesses)
 
     def _check_ocd(self, ocd: CanonicalOCD, max_witnesses: int,
                    count_pairs: bool) -> ViolationReport:
-        if ocd.is_trivial:
+        if self._validator.ocd_holds(ocd):
             return ViolationReport(str(ocd), holds=True)
         partition = self._context_partition(ocd.context)
         column_a = self._encoded.column(self._index[ocd.left])
         column_b = self._encoded.column(self._index[ocd.right])
-        witnesses = collect_swaps(column_a, column_b, partition,
-                                  ocd.left, ocd.right, max_witnesses)
-        holds = not witnesses and find_swap(
-            column_a, column_b, partition, ocd.left, ocd.right) is None
+        witnesses = (collect_swaps(column_a, column_b, partition,
+                                   ocd.left, ocd.right, max_witnesses)
+                     if max_witnesses > 0 else [])
         pairs = (count_swap_pairs(column_a, column_b, partition)
-                 if count_pairs and not holds else 0)
-        return ViolationReport(str(ocd), holds, pairs, list(witnesses))
+                 if count_pairs else 0)
+        return ViolationReport(str(ocd), False, pairs, witnesses)
 
     # -- composites -----------------------------------------------------
     def _check_composite(self, label: str, parts: Sequence,

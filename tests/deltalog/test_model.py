@@ -9,6 +9,7 @@ and the equivalence of :func:`replay_relation` with sequential
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +118,49 @@ class TestSplit:
     def test_arity_mismatch_raises(self):
         with pytest.raises(DataError):
             DeltaBatch([(1, (1, 2, 3))]).split(rel([(1, 1)]))
+
+
+class TestValueIdentity:
+    """Rows match as the encoder ranks them: ``1`` and ``1.0`` share a
+    rank, a boolean ranks apart from every number (``True == 1`` in
+    Python notwithstanding)."""
+
+    def test_number_delete_leaves_the_bool_row(self):
+        for relation in (rel([(True, 1), (2, 2), (3, 3)]),
+                         Relation.from_columns({
+                             "a": np.array([True, False]),
+                             "b": np.array([1, 2])})):
+            with pytest.raises(DataError, match="no remaining occurrence"):
+                DeltaBatch.deletes([(1, 1)]).fold(relation)
+
+    def test_bool_delete_leaves_the_number_row(self):
+        with pytest.raises(DataError, match="no remaining occurrence"):
+            DeltaBatch.deletes([(True, 1)]).split(rel([(1, 1), (2, 2)]))
+
+    def test_each_delete_takes_its_own_kind(self):
+        relation = rel([(1, True), (True, 1), (1.0, 1), (np.True_, 1)])
+        deletes, _ = DeltaBatch.deletes(
+            [(1, 1.0), (True, 1), (True, 1)]).split(relation)
+        assert deletes == [1, 2, 3]
+
+    def test_pending_cancellation_takes_its_own_kind(self):
+        batch = DeltaBatch([(1, (1, 5)), (1, (True, 5)), (-1, (1, 5))])
+        deletes, inserts = batch.split(rel([(2, 2)]))
+        assert deletes == []
+        assert [type(row[0]) for row in inserts] == [bool]
+        with pytest.raises(DataError, match="no remaining occurrence"):
+            DeltaBatch([(1, (True, 5)), (-1, (1, 5))]).split(rel([(2, 2)]))
+
+    def test_replay_resolves_like_apply(self):
+        relation = rel([(1, 1), (True, 1)])
+        batches = [DeltaBatch.inserts([(True, 1)]),
+                   DeltaBatch.deletes([(True, 1), (True, 1)])]
+        sequential = relation
+        for batch in batches:
+            sequential = batch.apply_to(sequential)
+        replayed = replay_relation(relation, batches)
+        assert list(replayed.rows()) == list(sequential.rows())
+        assert [type(row[0]) for row in replayed.rows()] == [int]
 
 
 class TestFold:

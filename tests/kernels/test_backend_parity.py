@@ -30,7 +30,8 @@ N = 160
 
 #: adversarial rank vectors; each induces a context partition shape
 #: with a distinct failure mode (empty CSR, no classes at all, one
-#: class spanning everything, classes interleaved row-by-row)
+#: class spanning everything, classes interleaved row-by-row, and the
+#: 1- to 3-row relations every kernel sees at any size)
 RANKS = {
     "all-singleton": np.arange(N, dtype=np.int64),
     "one-giant": np.zeros(N, dtype=np.int64),
@@ -38,7 +39,18 @@ RANKS = {
     "two-block": np.repeat(np.array([0, 1], dtype=np.int64), N // 2),
     "random": np.random.default_rng(3).integers(0, 12, N),
     "empty": np.empty(0, dtype=np.int64),
+    "one-row": np.zeros(1, dtype=np.int64),
+    "two-row-tie": np.zeros(2, dtype=np.int64),
+    "three-row": np.array([1, 0, 1], dtype=np.int64),
 }
+
+#: product operands must cover one relation: every ordered pair of
+#: equal-length shapes
+PRODUCT_PAIRS = [
+    pytest.param(left, right, id=f"{right}-{left}")
+    for left in sorted(RANKS) for right in sorted(RANKS)
+    if len(RANKS[left]) == len(RANKS[right])
+]
 
 
 @pytest.fixture(scope="module")
@@ -57,14 +69,10 @@ def _assert_same(got, want, label):
         assert np.array_equal(got_part, want_part), label
 
 
-@pytest.mark.parametrize("left_name", sorted(RANKS))
-@pytest.mark.parametrize("right_name", sorted(RANKS))
+@pytest.mark.parametrize("left_name,right_name", PRODUCT_PAIRS)
 def test_product_parity(left_name, right_name, compiled):
-    left_ranks, right_ranks = RANKS[left_name], RANKS[right_name]
-    if len(left_ranks) != len(right_ranks):
-        pytest.skip("operands must share n_rows")
-    left = StrippedPartition.from_ranks(left_ranks)
-    right = StrippedPartition.from_ranks(right_ranks)
+    left = StrippedPartition.from_ranks(RANKS[left_name])
+    right = StrippedPartition.from_ranks(RANKS[right_name])
     args = (left.row_to_class(), right.rows, right.offsets,
             right.class_ids(), left.n_classes)
     _assert_same(compiled.partition_product(*args),

@@ -1,4 +1,4 @@
-"""Backend resolution, activation, thresholds, and forced fallback.
+"""Backend resolution, activation, and forced fallback.
 
 The fallback test breaks the toolchain on purpose (``REPRO_KERNELS_CC``
 pointing at a nonexistent binary plus a fresh cache directory — the
@@ -16,7 +16,6 @@ import pytest
 
 from repro import kernels
 from repro.kernels import compiled as compiled_module
-from repro.kernels import thresholds
 from repro.kernels.reference import ReferenceBackend
 
 
@@ -63,27 +62,6 @@ def test_activate_none_resolves_default():
     kernels.set_default_backend("reference")
     with kernels.activate(None) as backend:
         assert backend.name == "reference"
-
-
-def test_effective_scalar_threshold_override_wins():
-    with kernels.activate("reference"):
-        # the canonical module value defers to the backend crossover
-        assert kernels.effective_scalar_threshold(
-            thresholds.REFERENCE_SCALAR_THRESHOLD) == \
-            thresholds.REFERENCE_SCALAR_THRESHOLD
-        # a monkeypatched module global (tests force one path with 0 or
-        # a huge value) always wins over the backend
-        assert kernels.effective_scalar_threshold(0) == 0
-        assert kernels.effective_scalar_threshold(10**9) == 10**9
-
-
-def test_effective_scalar_threshold_compiled_crossover():
-    if not kernels.compiled_available():
-        pytest.skip("no C toolchain; compiled backend unavailable")
-    with kernels.activate("compiled"):
-        assert kernels.effective_scalar_threshold(
-            thresholds.REFERENCE_SCALAR_THRESHOLD) == \
-            thresholds.COMPILED_SCALAR_THRESHOLD
 
 
 def test_auto_prefers_compiled_when_available():

@@ -1,11 +1,14 @@
-"""Differential tests for the vectorized partition kernels.
+"""Differential tests for the partition kernels.
 
-The flat-layout engine has two code paths per kernel (vectorized, and
-a scalar fallback below the ``SMALL_KERNEL_THRESHOLD`` grouped-rows threshold); these
-tests pin both against the slow oracles on randomized relations:
+Every product and swap verdict dispatches through :mod:`repro.kernels`
+at any input size, to one of two implementations: the vectorized NumPy
+reference backend and the compiled backend's scalar C loops.  These
+tests pin both against the slow oracles on randomized relations, down
+to the 0-, 1- and 2-row inputs:
 
 * ``StrippedPartition.product``  vs  ``partition_from_columns``
-* the swap scan                  vs  per-class scalar scan and the
+* the swap scan                  vs  the per-class witness scan
+                                     ``scan_find_swap`` and the
                                      list-based ``order_compatible``
                                      oracle (Definition 3)
 * the split scan                 vs  dict-grouping reference
@@ -20,8 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-import repro.core.validation as validation
-import repro.partitions.partition as partition_module
+from repro import kernels
 from repro.core.od import OrderCompatibility, as_spec
 from repro.core.validation import (
     find_split,
@@ -29,6 +31,7 @@ from repro.core.validation import (
     is_compatible_in_classes,
     is_constant_in_classes,
     order_compatible,
+    scan_find_swap,
     swap_classes,
 )
 from repro.partitions.partition import (
@@ -39,14 +42,16 @@ from repro.partitions.partition import (
 from tests.conftest import random_relation, small_relations
 
 
-@pytest.fixture(params=["vectorized", "scalar"])
-def force_path(request, monkeypatch):
-    """Run the test body under both kernel paths regardless of size."""
-    threshold = 0 if request.param == "vectorized" else 10**9
-    monkeypatch.setattr(partition_module, "SMALL_KERNEL_THRESHOLD",
-                        threshold)
-    monkeypatch.setattr(validation, "SMALL_KERNEL_THRESHOLD", threshold)
-    return request.param
+@pytest.fixture(params=["reference", "compiled"],
+                ids=["vectorized", "scalar"])
+def backend(request):
+    """Run the test body under each kernel backend: the vectorized
+    NumPy reference and the compiled scalar C loops (skipped without a
+    C toolchain)."""
+    if request.param == "compiled" and not kernels.compiled_available():
+        pytest.skip("no C toolchain; compiled backend unavailable")
+    with kernels.activate(request.param) as active:
+        yield active.name
 
 
 def _split_halves(encoded):
@@ -59,7 +64,7 @@ def _split_halves(encoded):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("n_rows", [0, 1, 2, 50, 200])
-def test_product_matches_oracle_random(seed, n_rows, force_path):
+def test_product_matches_oracle_random(seed, n_rows, backend):
     relation = random_relation(seed, n_cols=4, n_rows=n_rows, domain=3)
     encoded = relation.encode()
     left_attrs, right_attrs = _split_halves(encoded)
@@ -70,7 +75,7 @@ def test_product_matches_oracle_random(seed, n_rows, force_path):
     assert right.product(left) == combined
 
 
-def test_product_all_singletons(force_path):
+def test_product_all_singletons(backend):
     """Superkey partitions refine everything to nothing."""
     keys = StrippedPartition.from_ranks(np.arange(64))
     blob = StrippedPartition.single_class(64)
@@ -79,7 +84,7 @@ def test_product_all_singletons(force_path):
     assert blob.product(keys).is_superkey()
 
 
-def test_product_single_class_identity(force_path):
+def test_product_single_class_identity(backend):
     column = StrippedPartition.from_ranks(
         np.array([0, 1, 0, 1, 2, 2] * 20))
     everything = StrippedPartition.single_class(120)
@@ -87,7 +92,7 @@ def test_product_single_class_identity(force_path):
     assert column.product(everything) == column
 
 
-def test_product_empty_relation(force_path):
+def test_product_empty_relation(backend):
     empty = StrippedPartition.from_ranks(np.array([], dtype=np.int64))
     assert empty.product(empty).n_rows == 0
     assert empty.product(empty).is_superkey()
@@ -120,20 +125,17 @@ def test_flat_layout_consistent(seed):
 # swap scan vs scalar scan and the list-based oracle
 # ----------------------------------------------------------------------
 def _reference_swap_free(column_a, column_b, context):
-    """The seed's per-class scalar scan (kept as a test oracle)."""
-    for rows in context.classes:
-        pairs = sorted(zip(column_a[rows].tolist(),
-                           column_b[rows].tolist()))
-        if not validation._scan_is_swap_free(pairs):
-            return False
-    return True
+    """Per-class witness scan, class by class (the test oracle)."""
+    return all(
+        scan_find_swap(column_a, column_b, np.asarray(rows), "a", "b")
+        is None for rows in context.classes)
 
 
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("n_rows,domain", [(0, 1), (30, 2), (120, 3),
                                            (120, 8), (200, 2)])
 def test_swap_scan_matches_scalar_reference(seed, n_rows, domain,
-                                            force_path):
+                                            backend):
     relation = random_relation(seed, n_cols=4, n_rows=n_rows,
                                domain=domain)
     encoded = relation.encode()
@@ -176,7 +178,7 @@ def test_swap_scan_matches_list_oracle(relation):
         encoded, OrderCompatibility(lhs, rhs))
 
 
-def test_swap_scan_negated_column(force_path):
+def test_swap_scan_negated_column(backend):
     """Bidirectional extensions negate rank columns; the banded
     prefix-max must survive negative values."""
     rng = np.random.default_rng(7)
@@ -189,7 +191,7 @@ def test_swap_scan_negated_column(force_path):
                                     context) == expected
 
 
-def test_swap_scan_superkey_and_empty(force_path):
+def test_swap_scan_superkey_and_empty(backend):
     superkey = StrippedPartition.from_ranks(np.arange(100))
     column = np.arange(100)
     assert is_compatible_in_classes(column, column[::-1].copy(), superkey)

@@ -120,6 +120,21 @@ class TestDeltaJob:
             assert read_delta_log(delta_log_path(
                 tmp_path / "journal", fp)) == []
 
+    def test_number_delete_does_not_match_a_bool_row(self, tmp_path):
+        with service(tmp_path) as svc:
+            status, entry = svc.register({
+                "columns": ["a", "b"], "name": "bools",
+                "rows": [[True, 1], [2, 2], [3, 3]]})
+            assert status == 201
+            fp = entry["fingerprint"]
+            job = svc.delta(fp, {"deletes": [[1, 1]]})
+            assert job["status"] == "failed"
+            assert "no remaining occurrence" in job["error"]
+            assert read_delta_log(delta_log_path(
+                tmp_path / "journal", fp)) == []
+            assert svc.catalog.get(fp).fingerprint == fp
+            assert svc.catalog.get(fp).relation.n_rows == 3
+
 
 class TestSubmissionEdge:
     """Bad rows fail the request with HTTP 400; no job is created."""

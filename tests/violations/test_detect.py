@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.parallel.pool as pool_module
+from repro import kernels
 from repro.core.od import CanonicalFD, CanonicalOCD
 from repro.partitions.partition import StrippedPartition
 from repro.violations import (
@@ -138,3 +140,65 @@ class TestDetector:
             fd = CanonicalFD(
                 frozenset(n for n in names if n != attribute), attribute)
             assert detector.check(fd).holds == validator.holds(fd)
+
+
+#: 200 rows, ten context classes of 20 on c0: c1 is constant in every
+#: class and c2 rises with it; c3 varies inside every class and c4
+#: falls as c3 rises
+CHECK_ROWS = [(i % 10, i % 10, 2 * (i % 10), i % 7, -(i % 7))
+              for i in range(200)]
+HOLDING = ["{c0}: [] -> c1", "{c0}: c1 ~ c2"]
+VIOLATED = ["{c0}: [] -> c3", "{c0}: c3 ~ c4"]
+#: (dependency, the scan kernel its verdict runs, holds?)
+CHECKS = [(HOLDING[0], "split_mismatch", True),
+          (HOLDING[1], "swap_flags", True),
+          (VIOLATED[0], "split_mismatch", False),
+          (VIOLATED[1], "swap_flags", False)]
+
+
+class TestOneVerdictPerCheck:
+    """A check takes its verdict once, from the validator's executor;
+    witnesses and pair counts follow only a violation."""
+
+    @staticmethod
+    def _count_scan_kernels(monkeypatch):
+        calls = {}
+        for name in ("split_mismatch", "swap_flags"):
+            def counted(*args, _name=name, _kernel=getattr(kernels, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _kernel(*args)
+            monkeypatch.setattr(kernels, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("dependency,kernel,holds", CHECKS)
+    @pytest.mark.parametrize("details", [False, True],
+                             ids=["validate", "violations"])
+    def test_one_verdict_then_details_of_violations(
+            self, monkeypatch, dependency, kernel, holds, details):
+        detector = ViolationDetector(make_relation(5, CHECK_ROWS))
+        calls = self._count_scan_kernels(monkeypatch)
+        report = detector.check(dependency,
+                                max_witnesses=3 if details else 0,
+                                count_pairs=details)
+        assert report.holds is holds
+        explained = details and not holds
+        assert bool(report.witnesses) is explained
+        assert (report.n_violating_pairs > 0) is explained
+        # the verdict is one kernel call; witnesses take one more
+        assert calls == {kernel: 2 if explained else 1}
+
+    def test_pooled_checks_dispatch_and_match_serial(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "PARALLEL_MIN_GROUPED_ROWS", 0)
+        relation = make_relation(5, CHECK_ROWS)
+        dependencies = HOLDING + VIOLATED
+        serial = ViolationDetector(relation)
+        expected = [serial.check(d).to_dict() for d in dependencies]
+        assert [e["holds"] for e in expected] == [True, True, False, False]
+        detector = ViolationDetector(relation, workers=2)
+        try:
+            got = [detector.check(d).to_dict() for d in dependencies]
+            phases = detector.executor_stats()["phases"]
+        finally:
+            detector.close()
+        assert got == expected
+        assert phases["class-scan"]["pool_tasks"] == len(dependencies)
