@@ -131,11 +131,10 @@ class DeltaBatch:
                 raise DataError(
                     f"a delta op must be a (weight, row) pair, "
                     f"got {op!r}") from None
-            weight = int(weight)
-            if weight not in (1, -1):
+            if isinstance(weight, bool) or weight not in (1, -1):
                 raise DataError(
-                    f"delta weights must be +1 or -1, got {weight}")
-            normalized.append((weight, _normalize_row(row, arity)))
+                    f"delta weights must be +1 or -1, got {weight!r}")
+            normalized.append((int(weight), _normalize_row(row, arity)))
         self.ops = normalized
 
     # ------------------------------------------------------------------

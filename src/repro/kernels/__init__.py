@@ -186,9 +186,25 @@ def set_kernel_spans(flag: bool) -> None:
     _KERNEL_SPANS = bool(flag)
 
 
-def _bill(kernel: str, backend_name: str, seconds: float) -> None:
-    _KERNEL_CALLS.inc(kernel=kernel, backend=backend_name)
-    _KERNEL_SECONDS.inc(seconds, kernel=kernel, backend=backend_name)
+def _dispatch(kernel: str, method: str, *args):
+    """Run ``method`` on the active backend, billed to ``kernel``.
+
+    Billing short-circuits when the registry is disabled; the leaf
+    span is recorded only where :func:`set_kernel_spans` turned it on
+    (pool worker tasks)."""
+    backend = active_backend()
+    if not metrics.enabled():
+        return getattr(backend, method)(*args)
+    started = time.perf_counter()
+    out = getattr(backend, method)(*args)
+    ended = time.perf_counter()
+    _KERNEL_CALLS.inc(kernel=kernel, backend=backend.name)
+    _KERNEL_SECONDS.inc(ended - started, kernel=kernel,
+                        backend=backend.name)
+    if _KERNEL_SPANS:
+        trace.record_leaf("kernel", started, ended,
+                          kernel=kernel, backend=backend.name)
+    return out
 
 
 def partition_product(probe: np.ndarray, rows_y: np.ndarray,
@@ -197,68 +213,29 @@ def partition_product(probe: np.ndarray, rows_y: np.ndarray,
     """Π_X · Π_Y refinement on the flat CSR layout (see
     :meth:`repro.kernels.reference.ReferenceBackend.partition_product`
     for the output contract)."""
-    backend = active_backend()
-    if not metrics.enabled():
-        return backend.partition_product(probe, rows_y, offsets_y,
-                                         class_ids_y, n_left)
-    started = time.perf_counter()
-    out = backend.partition_product(probe, rows_y, offsets_y,
-                                    class_ids_y, n_left)
-    ended = time.perf_counter()
-    _bill("product", backend.name, ended - started)
-    if _KERNEL_SPANS:
-        trace.record_leaf("kernel", started, ended,
-                          kernel="product", backend=backend.name)
-    return out
+    return _dispatch("product", "partition_product", probe, rows_y,
+                     offsets_y, class_ids_y, n_left)
 
 
 def swap_flags(col_a: np.ndarray, col_b: np.ndarray, rows: np.ndarray,
                offsets: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
     """Per-class swap flags for ``X: A ~ B`` over one context."""
-    backend = active_backend()
-    if not metrics.enabled():
-        return backend.swap_flags(col_a, col_b, rows, offsets, class_ids)
-    started = time.perf_counter()
-    out = backend.swap_flags(col_a, col_b, rows, offsets, class_ids)
-    ended = time.perf_counter()
-    _bill("swap", backend.name, ended - started)
-    if _KERNEL_SPANS:
-        trace.record_leaf("kernel", started, ended,
-                          kernel="swap", backend=backend.name)
-    return out
+    return _dispatch("swap", "swap_flags", col_a, col_b, rows, offsets,
+                     class_ids)
 
 
 def split_mismatch(column: np.ndarray, rows: np.ndarray,
                    offsets: np.ndarray,
                    class_sizes: np.ndarray) -> np.ndarray:
     """Per-grouped-row constancy mismatch mask for ``X: [] ↦ A``."""
-    backend = active_backend()
-    if not metrics.enabled():
-        return backend.split_mismatch(column, rows, offsets, class_sizes)
-    started = time.perf_counter()
-    out = backend.split_mismatch(column, rows, offsets, class_sizes)
-    ended = time.perf_counter()
-    _bill("split", backend.name, ended - started)
-    if _KERNEL_SPANS:
-        trace.record_leaf("kernel", started, ended,
-                          kernel="split", backend=backend.name)
-    return out
+    return _dispatch("split", "split_mismatch", column, rows, offsets,
+                     class_sizes)
 
 
 def densify(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Rank re-encoding: sorted distinct values + dense inverse
     (byte-identical to ``np.unique(values, return_inverse=True)``)."""
-    backend = active_backend()
-    if not metrics.enabled():
-        return backend.densify(values)
-    started = time.perf_counter()
-    out = backend.densify(values)
-    ended = time.perf_counter()
-    _bill("densify", backend.name, ended - started)
-    if _KERNEL_SPANS:
-        trace.record_leaf("kernel", started, ended,
-                          kernel="densify", backend=backend.name)
-    return out
+    return _dispatch("densify", "densify", values)
 
 
 __all__ = [

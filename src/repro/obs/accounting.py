@@ -3,7 +3,7 @@
 Traces answer *where the wall clock went*; this module answers *what
 it cost*.  A :class:`ResourceAccount` snapshots
 :func:`resource.getrusage` (and the pool's shared-memory byte
-counters) when a job starts, accumulates the worker-side rusage
+counter) when a job starts, accumulates the worker-side rusage
 deltas the pool ships back per chunk, and renders one JSON-ready dict
 when the job finishes::
 
@@ -11,13 +11,13 @@ when the job finishes::
      "max_rss_bytes": ...,
      "coordinator": {...}, "workers": {..., "processes": 2,
                                        "tasks": 14},
-     "shm_bytes": ..., "zero_copy_bytes": ...}
+     "shm_bytes": ...}
 
 Which account is *current* flows through a ``ContextVar`` installed by
 the job scheduler around each job (:class:`track`), exactly like
 per-job trace buffers — and because the scheduler serialises jobs on
-one runner thread, the metrics-counter deltas (shm/zero-copy bytes)
-are exact per job, not approximations.
+one runner thread, the metrics-counter delta (shm bytes) is exact
+per job, not an approximation.
 
 ``getrusage`` notes: ``ru_maxrss`` is a lifetime high-water mark, not
 a delta — workers ship it absolute and the account keeps the max;
@@ -37,10 +37,9 @@ from typing import Dict, Optional
 
 from repro.obs import metrics
 
-#: Metric families whose per-job deltas the account reports (created
-#: by :mod:`repro.parallel.pool` at import; totals are 0 until then).
+#: Metric family whose per-job delta the account reports (created by
+#: :mod:`repro.parallel.pool` at import; the total is 0 until then).
 _SHM_FAMILY = "repro_pool_shm_bytes_total"
-_ZERO_COPY_FAMILY = "repro_pool_zero_copy_bytes_total"
 
 
 def maxrss_bytes(ru_maxrss: int) -> int:
@@ -87,7 +86,6 @@ class ResourceAccount:
         self._utime0 = ru.ru_utime
         self._stime0 = ru.ru_stime
         self._shm0 = _counter_total(_SHM_FAMILY)
-        self._zero_copy0 = _counter_total(_ZERO_COPY_FAMILY)
         self.worker_utime = 0.0
         self.worker_stime = 0.0
         self.worker_maxrss = 0
@@ -141,9 +139,6 @@ class ResourceAccount:
                 },
                 "shm_bytes": int(
                     _counter_total(_SHM_FAMILY) - self._shm0),
-                "zero_copy_bytes": int(
-                    _counter_total(_ZERO_COPY_FAMILY)
-                    - self._zero_copy0),
             }
 
 

@@ -92,10 +92,6 @@ _CRASHES = metrics.counter(
     "repro_pool_crashes_total",
     "Dispatches that failed and tore the pool down, by failure shape",
     ("shape",))
-_ZERO_COPY_BYTES = metrics.counter(
-    "repro_pool_zero_copy_bytes_total",
-    "Column bytes adopted from an already-published shared arena "
-    "instead of being re-copied into a fresh segment")
 
 #: Below this many grouped rows in a dispatch's partitions the callers
 #: fall back to the serial path — process dispatch costs ~fractions of
@@ -436,13 +432,18 @@ def _worker_main(task_queue, result_queue) -> None:
 # coordinator side
 # ----------------------------------------------------------------------
 def _shutdown_static(processes: List, task_queue, block_names: set,
-                     arenas: Optional[List] = None) -> None:
+                     owner_pid: int) -> None:
     """Idempotent teardown shared by shutdown(), GC and atexit.
 
-    ``arenas`` holds the refcounted column arenas this pool adopted
-    (see :mod:`repro.kernels.ingest`); each gets exactly one release —
-    the arena unlinks itself once every holder has let go.
+    Only the process that created the pool (``owner_pid``) owns its
+    workers and segments.  A forked child tearing down its inherited
+    copy forgets them and touches nothing: no sentinel on the shared
+    task queue, no unlink of a segment the owner still serves.
     """
+    if os.getpid() != owner_pid:
+        processes.clear()
+        block_names.clear()
+        return
     try:
         for _ in processes:
             try:
@@ -461,12 +462,6 @@ def _shutdown_static(processes: List, task_queue, block_names: set,
     for name in list(block_names):
         unlink_by_name(name)
         block_names.discard(name)
-    while arenas:
-        arena = arenas.pop()
-        try:
-            arena.release()
-        except Exception:  # pragma: no cover - release is best-effort
-            pass
 
 
 class WorkerPool:
@@ -522,16 +517,14 @@ class WorkerPool:
         #: CPU seconds, publish seconds, wall seconds — the currency of
         #: the hardware-independent benchmark gate
         self.dispatches: List[Dict[str, object]] = []
-        self._columns_arena = None
-        #: adopted column arenas still holding our reference; shared
-        #: with the finalizer so GC/crash teardown releases them too
-        self._adopted_arenas: List = []
+        self._columns_block: Optional[SharedArrayBlock] = None
         self._columns_descriptor = None
         self._closed = False
+        self._owner_pid = os.getpid()
         self._publish_columns()
         self._finalizer = weakref.finalize(
             self, _shutdown_static, self._processes, self._task_queue,
-            self._live_blocks, self._adopted_arenas)
+            self._live_blocks, self._owner_pid)
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -539,33 +532,20 @@ class WorkerPool:
         return self._relation
 
     def _publish_columns(self) -> None:
-        """Make the relation's rank columns reachable by workers by
-        adopting the relation's refcounted shared arena
-        (:meth:`EncodedRelation.shared_arena`) — if another pool over
-        the same relation already published one, this is zero-copy and
-        the two pools share a single segment.  An arena that cannot be
-        built (no shared-memory support) fails the pool with the
-        arena's own error."""
+        """Copy the relation's rank columns into a fresh pool-owned
+        segment (one memcpy per column), replacing and unlinking the
+        previous relation's."""
         relation = self._relation
-        old_arena = self._columns_arena
-        reused = relation.has_live_arena()
-        arena = relation.shared_arena()
-        self._columns_arena = arena
-        self._adopted_arenas.append(arena)
-        self._columns_descriptor = arena.descriptor()
-        if reused:
-            _ZERO_COPY_BYTES.inc(arena.nbytes)
-        else:
-            _SHM_BYTES.inc(arena.nbytes, payload="columns")
-        if old_arena is not None:
-            self._release_arena(old_arena)
-
-    def _release_arena(self, arena) -> None:
-        try:
-            self._adopted_arenas.remove(arena)
-        except ValueError:  # pragma: no cover - already released
-            return
-        arena.release()
+        old = self._columns_block
+        block = SharedArrayBlock.publish(relation.rank_arrays())
+        _SHM_BYTES.inc(block.nbytes, payload="columns")
+        self._live_blocks.add(block.name)
+        self._columns_block = block
+        self._columns_descriptor = (
+            block.name, block.layout, relation.n_rows, relation.arity)
+        if old is not None:
+            self._live_blocks.discard(old.name)
+            old.close_and_unlink()
 
     def rebase(self, relation: EncodedRelation) -> None:
         """Point the pool at a grown relation (the incremental append
@@ -644,9 +624,9 @@ class WorkerPool:
         unlinked segments."""
         self._closed = True
         _shutdown_static(self._processes, self._task_queue,
-                         self._live_blocks, self._adopted_arenas)
+                         self._live_blocks, self._owner_pid)
         self._partition_blocks.clear()
-        self._columns_arena = None
+        self._columns_block = None
 
     def __enter__(self) -> "WorkerPool":
         return self

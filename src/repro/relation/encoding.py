@@ -69,6 +69,14 @@ def sort_key(value: Any) -> Tuple[int, Any]:
         return (_KIND_NUMBER, _real_key(value))
     # Same-type values (dates, tuples, ...) compare among themselves;
     # the type name separates incompatible groups deterministically.
+    # A key must index a dictionary, so a list or object cell is
+    # refused here rather than failing inside the encoder.
+    try:
+        hash(value)
+    except TypeError:
+        raise DataError(
+            f"cell {value!r} is unhashable; rows must hold scalar "
+            "values") from None
     return (_KIND_OTHER, type(value).__name__, value)
 
 
@@ -299,7 +307,7 @@ class EncodedRelation:
     the delta form).
     """
 
-    __slots__ = ("names", "ranks", "n_rows", "keys", "_arena")
+    __slots__ = ("names", "ranks", "n_rows", "keys")
 
     def __init__(self, names: Sequence[str], ranks: List[np.ndarray],
                  keys: Optional[List[ColumnKeys]] = None):
@@ -311,8 +319,6 @@ class EncodedRelation:
         self.ranks: List[np.ndarray] = ranks
         self.n_rows: int = int(len(ranks[0])) if ranks else 0
         self.keys: Optional[List[ColumnKeys]] = keys
-        #: cached shared-memory ColumnArena (see :meth:`shared_arena`)
-        self._arena = None
         for column in ranks:
             if len(column) != self.n_rows:
                 raise ValueError("rank columns have inconsistent lengths")
@@ -348,37 +354,6 @@ class EncodedRelation:
         """Total bytes held by the rank columns (capacity planning for
         shared-memory publication and peak-memory accounting)."""
         return sum(column.nbytes for column in self.ranks)
-
-    def has_live_arena(self) -> bool:
-        """True when a shared-memory arena for this relation's columns
-        is already published (some pool currently holds it)."""
-        return self._arena is not None and not self._arena.closed
-
-    def shared_arena(self):
-        """An **acquired** shared-memory arena over the rank columns.
-
-        The first caller pays one copy into a fresh segment; as long as
-        at least one holder keeps it acquired, further callers adopt
-        the same segment zero-copy (two executors over one relation
-        share one publication).  The arena is handed out with one
-        reference already taken — the caller owns it and must
-        :meth:`~repro.kernels.ingest.ColumnArena.release`; once every
-        holder releases, the segment is unlinked and the next call
-        builds a fresh one.
-        """
-        from repro.kernels.ingest import ColumnArena
-
-        arena = self._arena
-        if arena is not None and not arena.closed:
-            try:
-                return arena.acquire()
-            except ValueError:   # closed between the check and acquire
-                pass
-        arena = ColumnArena.build(self.rank_arrays(), self.n_rows,
-                                  backing="shm")
-        arena.acquire()
-        self._arena = arena
-        return arena
 
     def tuple_ranks(self, row: int, indices: Sequence[int]) -> Tuple[int, ...]:
         """Project one tuple onto ``indices``, returning its ranks."""

@@ -63,7 +63,7 @@ from repro.relation.csvio import read_csv_text
 from repro.relation.fingerprint import fingerprint
 from repro.relation.table import Relation
 from repro.server.catalog import DatasetCatalog, UnknownFingerprintError
-from repro.server.jobs import JobScheduler, UnknownJobError
+from repro.server.jobs import JobScheduler, UnknownJobError, parse_seconds
 from repro.server.journal import JobJournal, JournalError
 from repro.server.store import ResultStore
 
@@ -316,18 +316,33 @@ class ODService:
                 "registration needs exactly one of 'csv', "
                 "'rows' (+'columns'), or 'dataset'")
         if body.get("csv") is not None:
+            if not isinstance(body["csv"], str):
+                raise ServiceError("'csv' must be the CSV file's text")
             return read_csv_text(body["csv"])
         if body.get("rows") is not None:
-            columns = body.get("columns")
+            columns, rows = body.get("columns"), body["rows"]
             if not columns:
                 raise ServiceError(
                     "'rows' registration needs a 'columns' name list")
-            return Relation.from_rows(columns, body["rows"])
-        return make_dataset(
-            body["dataset"],
-            n_rows=int(body.get("n_rows", 1000)),
-            n_attrs=int(body.get("n_attrs", 10)),
-            seed=int(body.get("seed", 42)))
+            if not (isinstance(columns, list) and isinstance(rows, list)
+                    and all(isinstance(row, list) for row in rows)):
+                raise ServiceError(
+                    "'columns' must be a list of names and 'rows' a "
+                    "list of row lists")
+            return Relation.from_rows(columns, rows)
+        if not isinstance(body["dataset"], str):
+            raise ServiceError("'dataset' must be a dataset family name")
+        sizes = {"n_rows": body.get("n_rows", 1000),
+                 "n_attrs": body.get("n_attrs", 10),
+                 "seed": body.get("seed", 42)}
+        for key, value in sizes.items():
+            floor = 0 if key == "seed" else 1
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or value < floor):
+                raise ServiceError(
+                    f"{key!r} must be an integer >= {floor}, "
+                    f"got {value!r}")
+        return make_dataset(body["dataset"], **sizes)
 
     def submit(self, body: Dict) -> Dict[str, object]:
         kind = body.get("kind")
@@ -338,12 +353,13 @@ class ODService:
         params = {key: value for key, value in body.items()
                   if key not in ("kind", "fingerprint", "wait",
                                  "wait_seconds")}
+        wait_seconds = parse_seconds(body.get("wait_seconds"),
+                                     "wait_seconds")
         job = self.scheduler.submit(kind, fingerprint, params)
         if body.get("wait", kind in ("append", "delta")):
-            wait = min(float(body.get("wait_seconds",
-                                      MAX_WAIT_SECONDS)),
-                       MAX_WAIT_SECONDS)
-            self.scheduler.wait(job.id, timeout=wait)
+            self.scheduler.wait(job.id, timeout=min(
+                MAX_WAIT_SECONDS if wait_seconds is None
+                else wait_seconds, MAX_WAIT_SECONDS))
         return job.to_dict()
 
     def append(self, fingerprint: str, body: Dict) -> Dict[str, object]:

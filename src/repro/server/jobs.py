@@ -35,6 +35,7 @@ smoke suite) verify no re-traversal happened.
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -42,7 +43,7 @@ import traceback
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro import faults
+from repro import faults, kernels
 from repro.core.fastod import FastOD, FastODConfig
 from repro.core.parser import parse_for
 from repro.deltalog import DeltaBatch, DeltaLog, delta_log_path
@@ -100,12 +101,15 @@ DEGRADE_WINDOW_SECONDS = 60.0
 #: queued/running jobs are always kept.
 MAX_FINISHED_JOBS = 512
 
-#: FastODConfig fields a job request may set.  Everything else
-#: (timeout) has a dedicated job parameter.
-_CONFIG_FIELDS = (
-    "minimality_pruning", "level_pruning", "key_pruning", "max_level",
-    "workers", "parallel_min_grouped_rows", "kernel_backend",
-)
+#: FastODConfig fields a job request may set, with the type of value
+#: each takes (a flag must be a boolean; the others may be null, which
+#: defers to the default).  Everything else (timeout) has a dedicated
+#: job parameter.
+_CONFIG_FIELDS = {
+    "minimality_pruning": bool, "level_pruning": bool,
+    "key_pruning": bool, "max_level": int, "workers": int,
+    "parallel_min_grouped_rows": int, "kernel_backend": str,
+}
 
 
 class JobError(ReproError):
@@ -125,14 +129,47 @@ def cached_executor_stats() -> Dict[str, object]:
 def config_from_params(params: Optional[Dict]) -> FastODConfig:
     """Build a :class:`FastODConfig` from a request's config dict,
     rejecting unknown knobs (a typo must not silently change the
-    result-store key)."""
+    result-store key) and values of the wrong type (``"no"`` is not
+    ``False``)."""
+    if params is not None and not isinstance(params, dict):
+        raise JobError(f"'config' must be an object, got {params!r}")
     params = dict(params or {})
     unknown = set(params) - set(_CONFIG_FIELDS)
     if unknown:
         raise JobError(
             f"unknown config field(s) {sorted(unknown)}; "
             f"supported: {list(_CONFIG_FIELDS)}")
+    for field, value in params.items():
+        kind = _CONFIG_FIELDS[field]
+        if kind is bool:
+            valid, expected = isinstance(value, bool), "a boolean"
+        elif kind is int:
+            valid = value is None or (type(value) is int and value >= 0)
+            expected = "a non-negative integer or null"
+        else:
+            valid = value is None or value in kernels.BACKEND_NAMES
+            expected = f"one of {list(kernels.BACKEND_NAMES)} or null"
+        if not valid:
+            raise JobError(
+                f"config field {field!r} must be {expected}, "
+                f"got {value!r}")
     return FastODConfig(**params)
+
+
+def parse_seconds(value, name: str) -> Optional[float]:
+    """A request's seconds parameter: ``None``, or a finite
+    non-negative number (a boolean is not one)."""
+    if value is None:
+        return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            seconds = float(value)
+        except OverflowError:
+            seconds = math.inf
+        if math.isfinite(seconds) and seconds >= 0:
+            return seconds
+    raise JobError(f"{name!r} must be a finite non-negative number of "
+                   f"seconds or null, got {value!r}")
 
 
 class Job:
@@ -170,7 +207,7 @@ class Job:
         #: ``None`` until the job ran with observability enabled
         self.profile: Optional[str] = None
         #: per-job resource accounting — coordinator + worker rusage,
-        #: shm/zero-copy bytes, task counts (``GET /jobs/<id>``)
+        #: shm bytes, task counts (``GET /jobs/<id>``)
         self.resources: Optional[Dict] = None
         self._done = threading.Event()
         #: the runner thread sets this while it owns the job so that
@@ -291,6 +328,7 @@ class JobScheduler:
         params = dict(params or {})
         # validate parameters before the job record exists, so a typo
         # fails the request instead of stranding a queued/failed job
+        parse_seconds(params.get("timeout"), "timeout")
         config = (config_from_params(params.get("config"))
                   if kind in ("discover", "append", "delta") else None)
         if kind in ("validate", "violations"):
@@ -559,19 +597,7 @@ class JobScheduler:
                     continue
                 job.status = "running"
                 job.started_at = time.time()
-                timeout = job.params.get(
-                    "timeout", self._default_timeout)
-                job.budget = DeadlineBudget(timeout)
-                if job.cancel_requested:
-                    job.budget.cancel()
             self._journal_event("job_started", job.id)
-            # chaos hooks: widen the started→finished crash window,
-            # and race a cooperative cancel against whatever the
-            # injected faults do to this job's dispatches
-            faults.maybe_sleep("jobs.start.delay")
-            if faults.fire("budget.cancel"):
-                job.cancel_requested = True
-                job.budget.cancel()
             pinned = None
             job._defer_done = True
             buffer = trace.TraceBuffer(trace_id=job.trace_id)
@@ -581,9 +607,27 @@ class JobScheduler:
             # thread — NOT the ambient one, whose fork hook belongs to
             # pool workers
             prof = profiler.SamplingProfiler() if obs_on else None
-            if prof is not None:
-                prof.start()
             try:
+                # inside the job's isolation: a timeout no submission
+                # checked (a job replayed from the journal) fails this
+                # job, never the runner thread
+                budget = DeadlineBudget(parse_seconds(
+                    job.params.get("timeout", self._default_timeout),
+                    "timeout"))
+                with self._lock:
+                    job.budget = budget
+                    if job.cancel_requested:
+                        budget.cancel()
+                # chaos hooks: widen the started→finished crash
+                # window, and race a cooperative cancel against
+                # whatever the injected faults do to this job's
+                # dispatches
+                faults.maybe_sleep("jobs.start.delay")
+                if faults.fire("budget.cancel"):
+                    job.cancel_requested = True
+                    budget.cancel()
+                if prof is not None:
+                    prof.start()
                 # pin the entry for the job's whole run: catalog
                 # eviction fires on HTTP handler threads and must not
                 # close this entry's engines while we use them
@@ -760,4 +804,5 @@ __all__ = [
     "UnknownJobError",
     "cached_executor_stats",
     "config_from_params",
+    "parse_seconds",
 ]

@@ -144,10 +144,73 @@ class TestShutdownHygiene:
         triples = [(3, 1, 2), (5, 1, 4)]
         pool.run_products(parents, triples)
         names = live_block_names(pool)
-        assert names                      # columns + retained partitions
+        # the column segment is a pool segment like the partitions
+        assert pool._columns_descriptor[0] in names
+        assert len(names) > 1             # columns + retained partitions
         pool.shutdown()
         assert_all_unlinked(names)
         assert not pool._processes
+
+    def test_rebase_unlinks_previous_column_segment(self, encoded):
+        bigger = make_dataset("flight", n_rows=450, n_attrs=5,
+                              seed=7).encode()
+        with WorkerPool(encoded, 2) as pool:
+            old_name = pool._columns_descriptor[0]
+            pool.rebase(bigger)
+            new_name = pool._columns_descriptor[0]
+            assert new_name != old_name
+            assert_all_unlinked([old_name])
+            assert live_block_names(pool) == {new_name}
+        assert_all_unlinked([new_name])
+
+    def test_non_owner_process_never_unlinks(self, encoded):
+        import os
+
+        pool = WorkerPool(encoded, 2)
+        try:
+            parents = singleton_partitions(encoded)
+            pool._ensure_shared(parents)    # columns + one partition block
+            names = live_block_names(pool)
+            assert len(names) == 2
+            child = os.fork()
+            if child == 0:      # a forked child tearing down its copy
+                try:
+                    pool.shutdown()
+                finally:
+                    os._exit(0)
+            os.waitpid(child, 0)
+            for name in names:  # the owner still serves every segment
+                attach(name).close()
+            verdicts, _ = pool.run_scans(parents,
+                                         [((0,), 1, "swap", 0, 1)])
+            assert verdicts[(0,)] == is_compatible_in_classes(
+                encoded.column(0), encoded.column(1), parents[1])
+        finally:
+            pool.shutdown()
+        assert_all_unlinked(names)
+
+    def test_two_pools_each_own_a_column_segment(self, encoded):
+        parents = singleton_partitions(encoded)
+        task = [((0,), 1, "swap", 0, 1)]
+        pool_a = WorkerPool(encoded, 2)
+        pool_b = WorkerPool(encoded, 2)
+        try:
+            name_a = pool_a._columns_descriptor[0]
+            name_b = pool_b._columns_descriptor[0]
+            assert name_a != name_b
+            expected, _ = pool_a.run_scans(parents, task)
+            pool_b.run_scans(parents, task)
+            pool_b.shutdown()
+            assert_all_unlinked([name_b])
+            # pool_a's column segment outlives its sibling's teardown
+            verdicts, _ = pool_a.run_scans(
+                singleton_partitions(encoded), task)
+            assert verdicts == expected
+            attach(name_a).close()
+        finally:
+            pool_b.shutdown()
+            pool_a.shutdown()
+        assert_all_unlinked([name_a])
 
     def test_shutdown_is_idempotent(self, encoded):
         pool = WorkerPool(encoded, 2)

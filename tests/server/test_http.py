@@ -212,3 +212,95 @@ class TestRawHttp:
         with pytest.raises(urllib.error.HTTPError) as caught:
             urllib.request.urlopen(request, timeout=30)
         assert caught.value.code == 400
+
+
+def _post_raw(service, path, body):
+    """POST ``body`` and return ``(status, decoded JSON reply)``."""
+    request = urllib.request.Request(
+        service.url + path, data=json.dumps(body).encode(),
+        method="POST", headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
+#: (route, body) pairs the service must refuse with a 400; ``{fp}``
+#: names a registered dataset.  Each reached a 500, was accepted and
+#: misapplied, or failed only later as a job.
+MALFORMED = {
+    "list-cell": ("/datasets", {"columns": ["a", "b"],
+                                "rows": [[1, [2]], [3, 4]]}),
+    "object-cell": ("/datasets", {"columns": ["a", "b"],
+                                  "rows": [[1, {"x": 1}], [3, 4]]}),
+    "rows-not-a-list": ("/datasets", {"columns": ["a"], "rows": 5}),
+    "csv-not-text": ("/datasets", {"csv": 5}),
+    "n_rows-not-a-number": ("/datasets", {"dataset": "flight",
+                                          "n_rows": "x"}),
+    "n_rows-negative": ("/datasets", {"dataset": "flight",
+                                      "n_rows": -5}),
+    "config-not-an-object": ("/jobs", {"kind": "discover",
+                                       "fingerprint": "{fp}",
+                                       "config": 5}),
+    "max_level-not-a-number": ("/jobs", {"kind": "discover",
+                                         "fingerprint": "{fp}",
+                                         "config": {"max_level": "x"}}),
+    "pruning-flag-not-a-bool": ("/jobs", {
+        "kind": "discover", "fingerprint": "{fp}",
+        "config": {"minimality_pruning": "no"}}),
+    "workers-not-a-number": ("/jobs", {"kind": "discover",
+                                       "fingerprint": "{fp}",
+                                       "config": {"workers": "two"}}),
+    "unknown-kernel-backend": ("/jobs", {
+        "kind": "discover", "fingerprint": "{fp}",
+        "config": {"kernel_backend": "gpu"}}),
+    "timeout-not-a-number": ("/jobs", {"kind": "discover",
+                                       "fingerprint": "{fp}",
+                                       "timeout": "soon"}),
+    "timeout-negative": ("/jobs", {"kind": "discover",
+                                   "fingerprint": "{fp}",
+                                   "timeout": -1}),
+    "wait_seconds-not-a-number": ("/jobs", {"kind": "discover",
+                                            "fingerprint": "{fp}",
+                                            "wait": True,
+                                            "wait_seconds": "soon"}),
+    "delta-weight-null": ("/datasets/{fp}/delta",
+                          {"ops": [[None, [7, 7]]]}),
+    "delta-weight-fractional": ("/datasets/{fp}/delta",
+                                {"ops": [[1.5, [7, 7]]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_request_is_400(service, client, case):
+    fp = client.register_rows(
+        ["m0", "m1"], [[1, 2], [3, 4]], name="malformed")["fingerprint"]
+    route, body = MALFORMED[case]
+    body = json.loads(json.dumps(body).replace("{fp}", fp))
+
+    def contents():
+        return ([(d["fingerprint"], d["n_rows"], d["delta_lsn"])
+                 for d in client.datasets()],
+                [job["id"] for job in client.jobs()])
+
+    before = contents()
+    status, reply = _post_raw(service, route.replace("{fp}", fp), body)
+    assert status == 400, reply
+    assert list(reply) == ["error"]
+    assert isinstance(reply["error"], str) and reply["error"]
+    assert contents() == before
+
+
+def test_bad_timeout_leaves_the_job_runner_alive():
+    """A timeout the runner thread could not turn into a budget used
+    to kill it: every later job stayed queued forever."""
+    with ODService(port=0, workers=1) as service:
+        client = ServiceClient(service.url)
+        fp = client.register_rows(
+            ["t0", "t1"], [[1, 2], [2, 1], [3, 3]])["fingerprint"]
+        status, reply = _post_raw(service, "/jobs", {
+            "kind": "discover", "fingerprint": fp, "timeout": "soon"})
+        assert status == 400, reply
+        job = client.discover(fp, wait_seconds=10)
+        assert job["status"] == "done", job

@@ -52,6 +52,42 @@ class TestConfigFromParams:
         with pytest.raises(JobError):
             config_from_params({"timeout_seconds": 1.0})
 
+    @pytest.mark.parametrize("params", [
+        {"minimality_pruning": "no"}, {"level_pruning": None},
+        {"max_level": "x"}, {"max_level": -1}, {"workers": "two"},
+        {"workers": True}, {"parallel_min_grouped_rows": 1.5},
+        {"kernel_backend": "gpu"}])
+    def test_values_of_the_wrong_type_rejected(self, params):
+        with pytest.raises(JobError, match="must be"):
+            config_from_params(params)
+
+    def test_config_must_be_an_object(self):
+        with pytest.raises(JobError, match="must be an object"):
+            config_from_params(5)
+
+
+class TestTimeouts:
+    @pytest.mark.parametrize("timeout", [
+        "soon", -1, float("inf"), float("nan"), True, [1]])
+    def test_bad_timeout_rejected_at_submission(self, scheduler, timeout):
+        fp = register(scheduler, small())
+        with pytest.raises(JobError, match="'timeout'"):
+            scheduler.submit("discover", fp, {"timeout": timeout})
+        assert scheduler.jobs() == []
+
+    def test_replayed_bad_timeout_fails_only_its_job(self, scheduler):
+        # a journal replay re-queues params no submission checked
+        fp = register(scheduler, small())
+        scheduler.ensure_job_id_floor(1)
+        replayed = scheduler.restore_pending({
+            "id": "job-1", "kind": "discover", "fingerprint": fp,
+            "params": {"timeout": "soon"}})
+        assert scheduler.wait(replayed.id, timeout=10).status == "failed"
+        assert "'timeout'" in replayed.error
+        later = scheduler.wait(
+            scheduler.submit("discover", fp).id, timeout=10)
+        assert later.status == "done", later.error
+
 
 class TestDiscoverJobs:
     def test_discover_matches_direct_api(self, scheduler):

@@ -171,7 +171,6 @@ class TestResourceAccounting:
                                 "cpu_system_seconds",
                                 "max_rss_bytes", "processes", "tasks"}
         assert resources["shm_bytes"] >= 0
-        assert resources["zero_copy_bytes"] >= 0
 
     def test_job_trace_id_matches_trace_payload(self, client,
                                                 discovered):
