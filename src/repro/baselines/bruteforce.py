@@ -63,7 +63,8 @@ def all_valid_canonical_ods(relation: Relation,
                 fds.add(CanonicalFD(context, names[attribute]))
         for a, b in combinations(outside, 2):
             if is_compatible_in_classes(encoded.column(a),
-                                        encoded.column(b), partition):
+                                        encoded.column(b), partition,
+                                        encoded.order(a)):
                 ocds.add(CanonicalOCD(context, names[a], names[b]))
     return fds, ocds
 

@@ -117,34 +117,38 @@ def find_split(column: np.ndarray, context: StrippedPartition,
 
 
 def is_compatible_in_classes(column_a: np.ndarray, column_b: np.ndarray,
-                             context: StrippedPartition) -> bool:
+                             context: StrippedPartition,
+                             order_a: Optional[np.ndarray] = None) -> bool:
     """``X: A ~ B`` given Π*_X and the two rank columns.
 
-    Within each class: sort by (A, B); while scanning groups of equal A
-    in ascending order, any B rank below the maximum B seen in *earlier*
-    groups is a swap.  All classes are checked in one
-    :func:`repro.kernels.swap_flags` pass (see
-    :func:`repro.kernels.reference.swap_mask` for the derivation).
+    Within each class, walking rows in ascending A, any B rank below
+    the maximum B seen in *earlier* A groups is a swap.  All classes
+    are checked in one :func:`repro.kernels.swap_flags` pass over
+    ``order_a``, τ_A (:meth:`EncodedRelation.order`; sorted per call
+    when omitted).
     """
     if len(context.rows) == 0:
         return True
     return not kernels.swap_flags(
         column_a, column_b, context.rows, context.offsets,
-        context.class_ids()).any()
+        context.class_ids(), order_a).any()
 
 
 def swap_classes(column_a: np.ndarray, column_b: np.ndarray,
-                 context: StrippedPartition) -> np.ndarray:
+                 context: StrippedPartition,
+                 order_a: Optional[np.ndarray] = None) -> np.ndarray:
     """Ids of the context classes containing at least one swap.
 
-    One vectorized pass over all classes; consumers that need per-class
+    One pass over all classes (``order_a`` as in
+    :func:`is_compatible_in_classes`); consumers that need per-class
     witnesses (e.g. violation reporting) re-scan only the returned
     classes.
     """
     if len(context.rows) == 0:
         return np.empty(0, dtype=np.int64)
     flags = kernels.swap_flags(column_a, column_b, context.rows,
-                               context.offsets, context.class_ids())
+                               context.offsets, context.class_ids(),
+                               order_a)
     return np.flatnonzero(flags)
 
 
@@ -198,7 +202,7 @@ def _single_lhs_dominance(left: np.ndarray, right: np.ndarray) -> bool:
     return True
 
 
-def scan_verdict(mode: str, columns: Sequence[np.ndarray], a: int,
+def scan_verdict(mode: str, relation: EncodedRelation, a: int,
                  b: int, context: Optional[StrippedPartition]) -> bool:
     """One executor scan-task verdict — the single mode dispatch shared
     by the coordinator-side kernels (:mod:`repro.engine.executors`)
@@ -208,12 +212,17 @@ def scan_verdict(mode: str, columns: Sequence[np.ndarray], a: int,
 
     Modes: ``"swap"``, ``"const"``, ``"swap_desc"`` (descending right
     column under rank encoding), ``"pointwise"`` (``a`` is an LHS
-    bitmask, ``b`` a target attribute; ``context`` is ignored).
+    bitmask, ``b`` a target attribute; ``context`` is ignored).  Both
+    swap modes walk the relation's cached τ_A: negating B leaves the
+    order by A alone.
     """
-    if mode == "swap":
-        return is_compatible_in_classes(columns[a], columns[b], context)
-    if mode == "swap_desc":
-        return is_compatible_in_classes(columns[a], -columns[b], context)
+    columns = relation.ranks
+    if mode in ("swap", "swap_desc"):
+        if len(context.rows) == 0:
+            return True         # no classes: skip sorting τ_A at all
+        column_b = columns[b] if mode == "swap" else -columns[b]
+        return is_compatible_in_classes(columns[a], column_b, context,
+                                        relation.order(a))
     if mode == "const":
         return is_constant_in_classes(columns[a], context)
     if mode == "pointwise":
@@ -223,19 +232,17 @@ def scan_verdict(mode: str, columns: Sequence[np.ndarray], a: int,
 
 def find_swap(column_a: np.ndarray, column_b: np.ndarray,
               context: StrippedPartition, left: str,
-              right: str) -> Optional[Swap]:
+              right: str,
+              order_a: Optional[np.ndarray] = None) -> Optional[Swap]:
     """Return a witness pair violating ``X: A ~ B``, or ``None``.
 
     The witness is oriented so that ``row_s ≺_A row_t`` while
-    ``row_t ≺_B row_s``.  Detection runs on the vectorized swap mask;
-    only the first offending class is re-scanned scalar-style to build
-    the same witness pair the original per-class scan produced.
+    ``row_t ≺_B row_s``.  Detection is one swap-kernel pass (``order_a``
+    as in :func:`is_compatible_in_classes`); only the first offending
+    class is re-scanned scalar-style to build the same witness pair the
+    original per-class scan produced.
     """
-    if len(context.rows) == 0:
-        return None
-    flags = kernels.swap_flags(column_a, column_b, context.rows,
-                               context.offsets, context.class_ids())
-    hits = np.flatnonzero(flags)
+    hits = swap_classes(column_a, column_b, context, order_a)
     if not hits.size:
         return None
     guilty_class = int(hits[0])
@@ -395,11 +402,11 @@ class CanonicalValidator:
                               od.attribute)
         if od.is_trivial:
             return None
-        column_a = self._relation.column(self._index(od.left))
-        column_b = self._relation.column(self._index(od.right))
-        return find_swap(column_a, column_b,
+        a = self._index(od.left)
+        return find_swap(self._relation.column(a),
+                         self._relation.column(self._index(od.right)),
                          self._context_partition(od.context),
-                         od.left, od.right)
+                         od.left, od.right, self._relation.order(a))
 
 
 # ----------------------------------------------------------------------

@@ -130,7 +130,7 @@ class SerialExecutor:
         from repro.core.validation import scan_verdict
 
         started = time.perf_counter()
-        columns = self._relation.ranks
+        relation = self._relation
         verdicts: Dict[Hashable, bool] = {}
         with kernels.activate(self.kernel_backend):
             for key, context_key, mode, a, b in tasks:
@@ -143,7 +143,8 @@ class SerialExecutor:
                     if self._cache is None:
                         self._cache = PartitionCache(self._relation)
                     context = self._cache.get(context_key)
-                verdicts[key] = scan_verdict(mode, columns, a, b, context)
+                verdicts[key] = scan_verdict(mode, relation, a, b,
+                                             context)
         self.telemetry.record(phase, len(verdicts), False,
                               time.perf_counter() - started)
         return verdicts, False

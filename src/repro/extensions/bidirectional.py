@@ -170,7 +170,8 @@ def bidirectional_ocd_holds(relation: Relation, context: Sequence[str],
     column_b = encoded.column(index[right])
     if not same_direction:
         column_b = -column_b
-    return is_compatible_in_classes(column_a, column_b, partition)
+    return is_compatible_in_classes(column_a, column_b, partition,
+                                    encoded.order(index[left]))
 
 
 @dataclass

@@ -50,26 +50,50 @@ class BatchEffect:
     matching batch rows (its original row leads) or a fresh group with
     two or more batch rows.  ``batch_gids`` — every batch row's group
     id, in batch order.
+
+    ``new_groups`` is built on first read: only a materialized
+    :class:`DeltaPartition` splices the formed classes in, and most
+    synced groupings have none.
     """
 
     __slots__ = ("mask", "batch_rows", "batch_gids", "join_rows",
-                 "join_gids", "new_groups")
+                 "join_gids", "_formed", "_new_groups")
 
     def __init__(self, mask: int, batch_rows: np.ndarray,
                  batch_gids: np.ndarray, join_rows: np.ndarray,
                  join_gids: np.ndarray,
-                 new_groups: List[Tuple[int, np.ndarray]]):
+                 formed: Tuple[np.ndarray, np.ndarray, np.ndarray,
+                               np.ndarray, np.ndarray]):
+        """``formed`` is ``(gids, leads, rows, starts, stops)``: per
+        newly formed class its gid, the promoted singleton's row (-1
+        for a fresh group) and its batch rows ``rows[start:stop]``."""
         self.mask = mask
         self.batch_rows = batch_rows
         self.batch_gids = batch_gids
         self.join_rows = join_rows
         self.join_gids = join_gids
-        self.new_groups = new_groups
+        self._formed = formed
+        self._new_groups: Optional[List[Tuple[int, np.ndarray]]] = None
+
+    @property
+    def new_groups(self) -> List[Tuple[int, np.ndarray]]:
+        if self._new_groups is None:
+            gids, leads, rows, starts, stops = self._formed
+            groups: List[Tuple[int, np.ndarray]] = []
+            for gid, lead, start, stop in zip(
+                    gids.tolist(), leads.tolist(), starts.tolist(),
+                    stops.tolist()):
+                members = rows[start:stop]
+                if lead >= 0:
+                    members = np.concatenate(([lead], members))
+                groups.append((gid, members))
+            self._new_groups = groups
+        return self._new_groups
 
     @property
     def touches_classes(self) -> bool:
         """True when some class gained rows or came into existence."""
-        return bool(len(self.join_rows)) or bool(self.new_groups)
+        return bool(len(self.join_rows)) or bool(len(self._formed[0]))
 
 
 class GroupTracker:
@@ -208,9 +232,8 @@ class GroupTracker:
         n_groups = max(old_n_groups,
                        int(gids.max()) + 1 if len(gids) else 0)
 
-        # segment the batch by gid once, then classify whole segments:
-        # the only Python-level loop left runs over newly *formed*
-        # classes, not over batch rows
+        # segment the batch by gid once, then classify whole segments
+        # (newly formed classes are listed lazily, see BatchEffect)
         order = np.argsort(gids, kind="stable")
         sorted_gids = gids[order]
         sorted_rows = batch_rows[order]
@@ -232,14 +255,13 @@ class GroupTracker:
 
         promoted = seg_old_sizes == 1
         forming = (seg_old_sizes == 0) & (seg_counts >= 2)
-        new_groups: List[Tuple[int, np.ndarray]] = []
-        for i in np.flatnonzero(promoted | forming):
-            gid = int(seg_gids[i])
-            members = sorted_rows[starts[i]:bounds[i + 1]]
-            if promoted[i]:
-                members = np.concatenate(
-                    ([self.first_row[gid]], members))
-            new_groups.append((gid, members))
+        formed = np.flatnonzero(promoted | forming)
+        formed_gids = seg_gids[formed]
+        # a promoted singleton's original row leads its class; read
+        # before the bookkeeping below (promoted gids are all old)
+        leads = np.full(len(formed), -1, dtype=np.int64)
+        lead_mask = promoted[formed]
+        leads[lead_mask] = self.first_row[formed_gids[lead_mask]]
 
         grouped_delta = int(len(join_rows)
                             + seg_counts[promoted].sum() + promoted.sum()
@@ -266,7 +288,8 @@ class GroupTracker:
         self.n_classes += classes_delta
 
         return BatchEffect(self.mask, batch_rows, gids, join_rows,
-                           join_gids, new_groups)
+                           join_gids, (formed_gids, leads, sorted_rows,
+                                       starts[formed], bounds[formed + 1]))
 
 
 class DeltaPartition:

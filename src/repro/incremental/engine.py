@@ -7,14 +7,14 @@ valid ODs (a violating tuple pair, once present, never goes away).
 
 * **verdicts are monotone** — a refuted candidate (FD or OCD) stays
   refuted forever, so False verdicts are cached and never re-examined;
-* **held ODs are maintained, not re-validated** — every emitted FD is
+* **held ODs are maintained, not re-discovered** — every emitted FD is
   re-checked per batch through O(1) maintained partition measures
   (``e(X \\ A) = e(X)`` off :class:`repro.incremental.delta.GroupTracker`
-  counters), and every emitted OCD carries per-class interval state
-  (:class:`repro.violations.monitor.OcdClassState`, the ODMonitor
-  machinery keyed by stable group ids) fed only the batch rows that
-  landed in its context classes — O(log k) per row instead of a
-  re-scan;
+  counters), and an emitted OCD is re-checked only when the batch
+  touched its context's classes (a swap needs two rows of one class),
+  with one swap scan over the delta-maintained context partition: a
+  single pass over τ_A of the new snapshot
+  (:meth:`repro.relation.encoding.EncodedRelation.order`);
 * **only the load-bearing groupings are kept current** — the tracker
   chains behind the currently-held ODs are synced every batch; every
   other grouping goes stale and catches up in one combined span if a
@@ -72,10 +72,8 @@ from repro.engine.planner import LatticePlanner, TraversalBackend
 from repro.engine.tasks import FdCheckTask, OcdScanTask
 from repro.engine.telemetry import build_timings
 from repro.incremental.delta import BatchEffect, DeltaPartition, GroupTracker
-from repro.relation.encoding import sort_key
 from repro.relation.schema import bit_count
 from repro.relation.table import Relation
-from repro.violations.monitor import OcdClassState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.deltalog import DeltaBatch, DeltaFold
@@ -157,7 +155,6 @@ class IncrementalFastOD:
         self._names = self._encoded.names
         self._arity = self._encoded.arity
         self._full_mask = (1 << self._arity) - 1
-        self._columns = [relation.column_at(i) for i in range(self._arity)]
         keys = self._encoded.keys
         self._col_gids: List[np.ndarray] = [
             keys[a].gid_sorted[self._encoded.ranks[a]]
@@ -166,14 +163,12 @@ class IncrementalFastOD:
         ]
         self._trackers: Dict[int, GroupTracker] = {}
         self._delta_partitions: Dict[int, DeltaPartition] = {}
-        # verdict caches: False is permanent, True carries maintenance
-        # state and a place on the per-batch sync schedule.  A ``None``
-        # state is a lazily-seeded placeholder: the verdict holds for
-        # the current snapshot, and per-class interval state is built
-        # just-in-time before the next insert batch (:meth:`_seed_pending`)
+        # verdict caches: False is permanent, True holds for the
+        # current snapshot and puts its context chain on the per-batch
+        # sync schedule, whose effects say which verdicts to re-check
         self._fd_true: Set[FdKey] = set()
         self._fd_false: Set[FdKey] = set()
-        self._ocd_true: Dict[OcdKey, Optional[OcdClassState]] = {}
+        self._ocd_true: Set[OcdKey] = set()
         self._ocd_false: Set[OcdKey] = set()
         #: witness row pairs behind False verdicts — two physical rows
         #: whose violating/swapped pair refutes the candidate.  A
@@ -187,15 +182,14 @@ class IncrementalFastOD:
         #: verdicts whose witness rows die re-validate on next consult
         self._fd_witness: Dict[FdKey, Tuple[int, int]] = {}
         self._ocd_witness: Dict[OcdKey, Tuple[int, int]] = {}
-        #: OCD keys known True for the current snapshot whose per-class
-        #: state must be rebuilt before use (a retraction re-encoded
-        #: the relation, so the old group-id-keyed state is stale even
-        #: though the verdict itself survived)
+        #: OCD keys known True for the post-retraction snapshot (a
+        #: retraction cannot create a swap) that the next traversal
+        #: re-admits without a scan; admitting one syncs its context
+        #: tracker, so the next batch's effect on it is caught
         self._ocd_reseed: Set[OcdKey] = set()
         self._live_ocds: Set[OcdKey] = set()
         self._needed_masks: List[int] = []
         self._batch_effects: Dict[int, BatchEffect] = {}
-        self._sort_key_cols: Dict[int, List[tuple]] = {}
         self._n_batches = 0
         # an injected WorkerPool is shared with other engines (the
         # service job scheduler runs every job's scans on one pool) and
@@ -317,22 +311,14 @@ class IncrementalFastOD:
         delete+insert batch: the retraction skipped its traversal, so
         one must run here regardless of flips."""
         previous = self._result
-        # lazily-deferred per-class states must exist before the new
-        # rows land: seeding is only sound over a snapshot the verdict
-        # is known to hold for
-        self._seed_pending()
         n_old = self._relation.n_rows
         encoded = relation.encode()
         self._relation = relation
         self._encoded = encoded
-        self._columns = [relation.column_at(i) for i in range(self._arity)]
         for a in range(self._arity):
             self._col_gids[a] = np.concatenate((
                 self._col_gids[a],
                 encoded.keys[a].gid_sorted[encoded.ranks[a][n_old:]]))
-        for a, keys in self._sort_key_cols.items():
-            keys.extend(sort_key(value)
-                        for value in self._columns[a][n_old:])
 
         # keep the load-bearing groupings current and catch the effects
         self._batch_effects = {}
@@ -357,15 +343,14 @@ class IncrementalFastOD:
         Deletes preserve truth: removing rows cannot create a
         violating pair (FD) or a swap (OCD), so held FD keys are kept
         verbatim and held OCD keys move to ``_ocd_reseed`` — still
-        True, but their per-class interval state is keyed by group ids
-        the re-encoded snapshot no longer uses, so it is rebuilt
-        scan-free (:meth:`_seed_state`) on next consult.  False
-        verdicts survive exactly when their recorded witness pair does
-        (:meth:`_salvage_false`): a split or swap is a property of the
-        two rows alone, so if both rows are kept the verdict still
-        holds — demoted OCDs whose violating rows are gone come back.
-        Trackers, delta partitions, and sort keys rebuild lazily from
-        the new snapshot.
+        True, re-admitted without a scan on next consult, which also
+        syncs their context trackers, rebuilt over the re-encoded
+        snapshot.  False verdicts survive exactly when their recorded
+        witness pair does (:meth:`_salvage_false`): a split or swap is
+        a property of the two rows alone, so if both rows are kept the
+        verdict still holds — demoted OCDs whose violating rows are
+        gone come back.  Trackers and delta partitions rebuild lazily
+        from the new snapshot.
 
         ``traverse=False`` is the combined delete+insert path: the
         caller folds insert rows in next and traverses once over the
@@ -390,7 +375,6 @@ class IncrementalFastOD:
         encoded = relation.encode()
         self._relation = relation
         self._encoded = encoded
-        self._columns = [relation.column_at(i) for i in range(self._arity)]
         keys = encoded.keys
         self._col_gids = [
             keys[a].gid_sorted[encoded.ranks[a]]
@@ -399,16 +383,10 @@ class IncrementalFastOD:
         ]
         self._trackers = {}
         self._delta_partitions = {}
-        # per-row sort keys survive a deletion (they are per-value);
-        # rebuilding them through sort_key() is the expensive part
-        self._sort_key_cols = {
-            a: list(map(column_keys.__getitem__, kept))
-            for a, column_keys in self._sort_key_cols.items()
-        }
         self._batch_effects = {}
         if traverse:
             self._ocd_reseed.update(self._ocd_true)
-        self._ocd_true = {}
+        self._ocd_true = set()
         new_index = np.full(n_old, -1, dtype=np.int64)
         new_index[kept] = np.arange(len(kept), dtype=np.int64)
         self._fd_false = self._salvage_false(
@@ -419,7 +397,7 @@ class IncrementalFastOD:
             self._executor.rebase(encoded)
             self._result = self._traverse()
         else:
-            # held OCD state is gone; trim the per-batch schedule to
+            # held OCD keys are gone; trim the per-batch schedule to
             # the FD chains before the insert half syncs it
             self._rebuild_schedule()
 
@@ -453,7 +431,7 @@ class IncrementalFastOD:
 
         Masks on the per-batch schedule advance exactly one batch at a
         time, so their recorded effect *is* that batch — which is what
-        the OCD state maintenance feeds on.
+        :meth:`_demote_ocds` reads to pick the OCDs to re-check.
         """
         tracker = self._tracker(mask)
         target = self._encoded.n_rows
@@ -517,16 +495,19 @@ class IncrementalFastOD:
         return flipped
 
     def _demote_ocds(self) -> List[OcdKey]:
-        """ODMonitor-style per-class checks of the batch against every
-        held OCD; violators are demoted permanently."""
+        """Re-check every held OCD whose context classes the batch
+        touched, with one swap scan over the context; violators are
+        demoted permanently.  A batch whose rows all stay singletons
+        in the context cannot form a swap, so it costs nothing."""
         flipped: List[OcdKey] = []
         for key in list(self._ocd_true):
             ctx_mask, a, b = key
             effect = self._batch_effects.get(ctx_mask)
             if effect is None or not effect.touches_classes:
                 continue
-            if self._feed_state(self._ocd_true[key], effect, a, b):
-                del self._ocd_true[key]
+            if not self._scan_compatible(
+                    a, b, self._delta(ctx_mask).partition):
+                self._ocd_true.discard(key)
                 self._ocd_false.add(key)
                 flipped.append(key)
         return flipped
@@ -548,7 +529,8 @@ class IncrementalFastOD:
         swap = find_swap(self._encoded.column(a),
                          self._encoded.column(b),
                          self._delta(ctx_mask).partition,
-                         self._names[a], self._names[b])
+                         self._names[a], self._names[b],
+                         self._encoded.order(a))
         if swap is not None:
             self._ocd_witness[(ctx_mask, a, b)] = (
                 swap.row_s, swap.row_t)
@@ -572,107 +554,6 @@ class IncrementalFastOD:
             else:
                 del witnesses[key]
         return survivors
-
-    def _seed_pending(self) -> None:
-        """Materialize every lazily-deferred per-class OCD state over
-        the *current* snapshot (which the verdict is exact for).
-
-        Called at the top of the append path, before new rows land.
-        Keys dropped by an intervening retraction never reach this
-        point — mixed update/delete streams skip seeding entirely and
-        re-validate by scan at their single traversal instead.
-        """
-        for key, state in list(self._ocd_true.items()):
-            if state is not None:
-                continue
-            ctx_mask, a, b = key
-            tracker = self._sync(ctx_mask)
-            if tracker.is_superkey():
-                self._ocd_true[key] = OcdClassState()
-            else:
-                self._ocd_true[key] = self._seed_state(
-                    self._delta(ctx_mask), a, b)
-
-    def _sort_keys(self, attribute: int) -> List[tuple]:
-        """Per-row sort keys of one column, built lazily and extended
-        per batch — the comparison currency of the OCD states (raw
-        ranks cannot serve: they shift when batches insert values)."""
-        keys = self._sort_key_cols.get(attribute)
-        if keys is None:
-            keys = [sort_key(v) for v in self._columns[attribute]]
-            self._sort_key_cols[attribute] = keys
-        return keys
-
-    def _feed_state(self, state: OcdClassState, effect: BatchEffect,
-                    a: int, b: int) -> bool:
-        """Insert the batch's class-touching rows; True on violation."""
-        keys_a = self._sort_keys(a)
-        keys_b = self._sort_keys(b)
-
-        def insert(gid: int, row: int) -> bool:
-            a_key = keys_a[row]
-            b_key = keys_b[row]
-            if state.check(gid, a_key, b_key) is not None:
-                return True
-            state.accept(gid, a_key, b_key)
-            return False
-
-        for row, gid in zip(effect.join_rows.tolist(),
-                            effect.join_gids.tolist()):
-            if insert(gid, row):
-                return True
-        for gid, members in effect.new_groups:
-            for row in members.tolist():
-                if insert(int(gid), int(row)):
-                    return True
-        return False
-
-    def _seed_state(self, delta: DeltaPartition, a: int,
-                    b: int) -> OcdClassState:
-        """Per-class interval state over the current grouped rows of a
-        context known (just scanned) to be swap-free.
-
-        Built vectorized: each class is sorted once by ``(A, B)`` rank,
-        and every A-group contributes one entry to the parallel sorted
-        lists directly (rank order and :func:`sort_key` order agree by
-        the encoding invariant), skipping the per-row bisection the
-        online :meth:`OcdClassState.accept` path needs.
-        """
-        state = OcdClassState()
-        partition = delta.partition
-        rows = partition.rows
-        if not len(rows):
-            return state
-        class_ids = partition.class_ids()
-        ranks_a = self._encoded.column(a)[rows]
-        ranks_b = self._encoded.column(b)[rows]
-        order = np.lexsort((ranks_b, ranks_a, class_ids))
-        sorted_rows = rows[order].tolist()
-        sorted_classes = class_ids[order]
-        sorted_a = ranks_a[order]
-        n = len(order)
-        new_group = np.empty(n, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = ((sorted_classes[1:] != sorted_classes[:-1])
-                         | (sorted_a[1:] != sorted_a[:-1]))
-        starts = np.flatnonzero(new_group)
-        ends = np.append(starts[1:], n)
-        group_classes = sorted_classes[starts].tolist()
-        keys_a = self._sort_keys(a)
-        keys_b = self._sort_keys(b)
-        class_gids = delta.class_gids
-        current = -1
-        lists: Tuple[list, list, list] = ([], [], [])
-        for index, start, end in zip(group_classes, starts.tolist(),
-                                     ends.tolist()):
-            if index != current:
-                lists = ([], [], [])
-                state.classes[int(class_gids[index])] = lists
-                current = index
-            lists[0].append(keys_a[sorted_rows[start]])
-            lists[1].append(keys_b[sorted_rows[start]])
-            lists[2].append(keys_b[sorted_rows[end - 1]])
-        return state
 
     # ------------------------------------------------------------------
     # validation against the caches
@@ -710,10 +591,9 @@ class IncrementalFastOD:
     def _ocd_valid(self, ctx_mask: int, a: int, b: int) -> bool:
         """``X \\ {A,B}: A ~ B`` with verdict caching.
 
-        False verdicts are permanent; True verdicts were maintained
+        False verdicts are permanent; True verdicts were re-checked
         against every batch by :meth:`_demote_ocds`, so they are still
-        exact.  Only candidates never seen before pay a full scan — and
-        immediately start carrying per-class state for future batches.
+        exact.  Only candidates never seen before pay a scan.
         """
         key = (ctx_mask, a, b)
         if key in self._ocd_false:
@@ -724,25 +604,16 @@ class IncrementalFastOD:
         tracker = self._sync(ctx_mask)
         if key in self._ocd_reseed:
             # known True for this snapshot (a retraction cannot break
-            # an OCD) — no scan; state seeds lazily (see below)
+            # an OCD) — no scan
             self._ocd_reseed.discard(key)
-            self._ocd_true[key] = None
-            self._live_ocds.add(key)
-            return True
-        if tracker.is_superkey():
-            # no stripped classes to scan (Lemma 13); state starts
-            # empty and fills as batches form classes
-            self._ocd_true[key] = OcdClassState()
-            self._live_ocds.add(key)
-            return True
-        delta = self._delta(ctx_mask)
-        valid = self._scan_compatible(a, b, delta.partition)
+            valid = True
+        elif tracker.is_superkey():
+            valid = True        # no stripped classes to scan (Lemma 13)
+        else:
+            valid = self._scan_compatible(
+                a, b, self._delta(ctx_mask).partition)
         if valid:
-            # per-class state is only consulted by the *append* fast
-            # path, so it seeds lazily right before the next insert
-            # batch lands (:meth:`_seed_pending`) — a delete-bearing
-            # batch that drops the verdict first never pays for it
-            self._ocd_true[key] = None
+            self._ocd_true.add(key)
             self._live_ocds.add(key)
         else:
             self._ocd_false.add(key)
@@ -767,15 +638,12 @@ class IncrementalFastOD:
         # if invalidations ever re-open that part of the lattice, they
         # are simply re-validated from the then-current snapshot
         self._fd_true = emitted_fds
-        self._ocd_true = {
-            key: state for key, state in self._ocd_true.items()
-            if key in self._live_ocds
-        }
+        self._ocd_true &= self._live_ocds
         # reseed entries the sweep never consulted fall out of the
         # lattice the planner walks; dropping them is safe (they would
         # be re-validated from scratch if pruning ever re-opens them)
         # and required — a later *insert* batch could silently break a
-        # verdict nobody is maintaining state for
+        # verdict nobody re-checks
         self._ocd_reseed.clear()
         self._rebuild_schedule()
         return result
@@ -825,7 +693,7 @@ class _CacheBackend(TraversalBackend):
     Nodes carry no partitions (``partition=None`` everywhere): truth
     comes from :meth:`IncrementalFastOD._fd_valid` /
     :meth:`IncrementalFastOD._ocd_valid`, which consult the permanent
-    False caches, the maintained True state, and — only for
+    False caches, the maintained True verdicts, and — only for
     never-seen candidates — the delta-maintained partitions.  The
     planner still owns every candidate-set mutation and the emission
     order, so the per-batch re-traversal is byte-identical to what the

@@ -1,9 +1,10 @@
 """Pluggable kernel backends for the FASTOD hot path.
 
 The four kernels every discovery run lives in — partition product
-(CSR composite-key grouping), swap scan, split scan, and rank
-re-encoding (densify) — are dispatched through this package to one of
-two interchangeable backends:
+(CSR composite-key grouping), swap scan (one walk over τ_A, the rows
+sorted by the left attribute), split scan, and rank re-encoding
+(densify) — are dispatched through this package to one of two
+interchangeable backends:
 
 * ``reference`` — the PR 1 vectorized NumPy kernels
   (:mod:`repro.kernels.reference`); always available, and the semantic
@@ -218,10 +219,18 @@ def partition_product(probe: np.ndarray, rows_y: np.ndarray,
 
 
 def swap_flags(col_a: np.ndarray, col_b: np.ndarray, rows: np.ndarray,
-               offsets: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
-    """Per-class swap flags for ``X: A ~ B`` over one context."""
+               offsets: np.ndarray, class_ids: np.ndarray,
+               order_a: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-class swap flags for ``X: A ~ B`` over one context.
+
+    ``order_a`` is τ_A, the relation's rows sorted by ``col_a``
+    (:meth:`repro.relation.encoding.EncodedRelation.order` caches it
+    per relation); a caller holding bare columns may omit it, and it is
+    sorted here, once per call."""
+    if order_a is None:
+        order_a = np.argsort(col_a)
     return _dispatch("swap", "swap_flags", col_a, col_b, rows, offsets,
-                     class_ids)
+                     class_ids, order_a)
 
 
 def split_mismatch(column: np.ndarray, rows: np.ndarray,

@@ -7,7 +7,10 @@
  *
  * Output contract: every kernel reproduces the reference backend's
  * arrays byte for byte.  The comments on each kernel state why; the
- * backend-parity suite (tests/kernels) enforces it.
+ * backend-parity suite (tests/kernels) enforces it.  The swap kernel
+ * sorts nothing: it takes τ_A, the relation's rows sorted once by the
+ * left attribute, and answers every class of a context in one pass
+ * over it.
  *
  * All arrays are contiguous int64 unless noted; flags/masks are uint8
  * (0/1) so Python can reinterpret them as bool without a copy.
@@ -124,97 +127,78 @@ int64_t repro_product(const int64_t *probe, const int64_t *rows_y,
 /* swap scan: per-class "is there a swap pair?" flags                 */
 /* ------------------------------------------------------------------ */
 
-typedef struct {
-    int64_t a;
-    int64_t b;
-} repro_pair;
-
-static int cmp_pair_a(const void *x, const void *y)
-{
-    const repro_pair *p = x, *q = y;
-    return (p->a > q->a) - (p->a < q->a);
-}
-
 /* Flag every context class containing a swap w.r.t. X: A ~ B.
  *
- * Per class: sort the (A, B) rank pairs by A, then scan groups of
- * equal A in ascending order tracking the maximum B over *earlier*
- * groups; any B below that maximum is a swap (Definition 5).  This is
- * the scalar reference scan per class, so the per-class verdicts are
- * exactly the reference backend's — the sort order of B within an A
- * group is irrelevant because only the group maximum is consulted.
+ * order_a is τ_A (Section 4.6): all n rows of the relation sorted by
+ * A, in any order within equal A.  A scratch row -> class table (-1
+ * for rows outside every class) lets one walk over τ_A visit each
+ * class's rows in ascending A.  Per class the walk keeps the current
+ * A value, that A group's maximum B, and the maximum B over earlier
+ * (strictly smaller) A groups, and flags the class at the first B
+ * below the last (Definition 5).  A row is only ever compared with
+ * earlier groups, so the order within an A group is irrelevant and
+ * the flags equal the reference backend's.  O(n + m); the walk stops
+ * once every class is flagged.
  *
  * Handles arbitrary int64 values (the descending-column scans negate
- * B, so values may be negative).  Early-exits each class on its first
- * swap.  Returns the number of flagged classes, or -1 on allocation
- * failure.
+ * B, so values may be negative).  Returns the number of flagged
+ * classes, or -1 on allocation failure.
  */
+typedef struct {
+    int64_t a;
+    int64_t group_max;
+    int64_t before_max;
+} repro_swap_state;
+
 int64_t repro_swap_flags(const int64_t *col_a, const int64_t *col_b,
+                         const int64_t *order_a, int64_t n,
                          const int64_t *rows, const int64_t *offsets,
                          int64_t n_classes, uint8_t *out_flags)
 {
-    int64_t max_class = 1;
-    for (int64_t c = 0; c < n_classes; c++) {
-        int64_t n = offsets[c + 1] - offsets[c];
-        if (n > max_class)
-            max_class = n;
-    }
-    repro_pair *pairs = malloc((size_t)max_class * sizeof *pairs);
-    if (!pairs)
+    int64_t *class_of = malloc((size_t)(n > 0 ? n : 1) * sizeof *class_of);
+    repro_swap_state *state = malloc(
+        (size_t)(n_classes > 0 ? n_classes : 1) * sizeof *state);
+    if (!class_of || !state) {
+        free(class_of);
+        free(state);
         return -1;
-    int64_t flagged = 0;
-    for (int64_t c = 0; c < n_classes; c++) {
-        int64_t s = offsets[c];
-        int64_t n = offsets[c + 1] - s;
-        out_flags[c] = 0;
-        if (n < 2)
-            continue;
-        for (int64_t i = 0; i < n; i++) {
-            int64_t row = rows[s + i];
-            pairs[i].a = col_a[row];
-            pairs[i].b = col_b[row];
-        }
-        if (n <= 48) {
-            for (int64_t i = 1; i < n; i++) {
-                repro_pair v = pairs[i];
-                int64_t j = i - 1;
-                while (j >= 0 && pairs[j].a > v.a) {
-                    pairs[j + 1] = pairs[j];
-                    j--;
-                }
-                pairs[j + 1] = v;
-            }
-        } else {
-            qsort(pairs, (size_t)n, sizeof *pairs, cmp_pair_a);
-        }
-        int64_t max_before = 0;
-        int has_before = 0;
-        int64_t i = 0;
-        while (i < n && !out_flags[c]) {
-            int64_t a = pairs[i].a;
-            int64_t group_max = pairs[i].b;
-            int64_t j = i;
-            for (; j < n && pairs[j].a == a; j++) {
-                int64_t b = pairs[j].b;
-                if (has_before && b < max_before) {
-                    out_flags[c] = 1;
-                    break;
-                }
-                if (b > group_max)
-                    group_max = b;
-            }
-            if (!has_before || group_max > max_before) {
-                max_before = group_max;
-                has_before = 1;
-            }
-            while (j < n && pairs[j].a == a)
-                j++;
-            i = j;
-        }
-        if (out_flags[c])
-            flagged++;
     }
-    free(pairs);
+    for (int64_t i = 0; i < n; i++)
+        class_of[i] = -1;
+    for (int64_t c = 0; c < n_classes; c++) {
+        out_flags[c] = 0;
+        /* INT64_MIN marks "no B yet": no B lies below it, and the
+         * first row of a class opens its first A group whatever the
+         * initial A value */
+        state[c].a = 0;
+        state[c].group_max = INT64_MIN;
+        state[c].before_max = INT64_MIN;
+        for (int64_t i = offsets[c]; i < offsets[c + 1]; i++)
+            class_of[rows[i]] = c;
+    }
+    int64_t flagged = 0;
+    for (int64_t i = 0; i < n && flagged < n_classes; i++) {
+        int64_t row = order_a[i];
+        int64_t c = class_of[row];
+        if (c < 0 || out_flags[c])
+            continue;
+        repro_swap_state *s = &state[c];
+        int64_t a = col_a[row], b = col_b[row];
+        if (a != s->a) {
+            if (s->group_max > s->before_max)
+                s->before_max = s->group_max;
+            s->a = a;
+            s->group_max = b;
+        } else if (b > s->group_max) {
+            s->group_max = b;
+        }
+        if (b < s->before_max) {
+            out_flags[c] = 1;
+            flagged++;
+        }
+    }
+    free(class_of);
+    free(state);
     return flagged;
 }
 

@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels import thresholds
+from repro.kernels.reference import swap_input_length
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC", "-std=c11", "-fno-math-errno")
@@ -128,7 +128,8 @@ def _load() -> ctypes.CDLL:
         lib.repro_product.restype = i64
         lib.repro_product.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr]
         lib.repro_swap_flags.restype = i64
-        lib.repro_swap_flags.argtypes = [ptr, ptr, ptr, ptr, i64, ptr]
+        lib.repro_swap_flags.argtypes = [ptr, ptr, ptr, i64, ptr, ptr,
+                                         i64, ptr]
         lib.repro_split_mismatch.restype = None
         lib.repro_split_mismatch.argtypes = [ptr, ptr, ptr, i64, ptr]
         lib.repro_densify.restype = i64
@@ -188,26 +189,22 @@ class CompiledBackend:
 
     def swap_flags(self, col_a: np.ndarray, col_b: np.ndarray,
                    rows: np.ndarray, offsets: np.ndarray,
-                   class_ids: np.ndarray) -> np.ndarray:
+                   class_ids: np.ndarray,
+                   order_a: np.ndarray) -> np.ndarray:
+        n = swap_input_length(col_a, col_b, order_a)
         n_classes = len(offsets) - 1
         flags = np.zeros(max(n_classes, 1), dtype=np.uint8)
         if len(rows) == 0 or n_classes == 0:
             return flags[:n_classes].view(bool)
-        if len(rows) > n_classes * thresholds.SWAP_MEAN_CLASS_CROSSOVER:
-            # coarse context (few giant classes): one global argsort
-            # beats per-class qsort — route to the NumPy kernel, whose
-            # output is identical by contract
-            from repro.kernels.reference import ReferenceBackend
-
-            return ReferenceBackend.swap_flags(
-                col_a, col_b, rows, offsets, class_ids)
         col_a = _c(col_a)
         col_b = _c(col_b)
+        order_a = _c(order_a)
         rows = _c(rows)
         offsets = _c(offsets)
         flagged = self._lib.repro_swap_flags(
-            col_a.ctypes.data, col_b.ctypes.data, rows.ctypes.data,
-            offsets.ctypes.data, n_classes, flags.ctypes.data)
+            col_a.ctypes.data, col_b.ctypes.data, order_a.ctypes.data, n,
+            rows.ctypes.data, offsets.ctypes.data, n_classes,
+            flags.ctypes.data)
         if flagged < 0:
             raise MemoryError("repro_swap_flags scratch allocation failed")
         return flags[:n_classes].view(bool)

@@ -10,6 +10,11 @@ checked for byte identity against this one (tests/kernels).
 This backend is always available and is the semantic definition of
 every kernel; the output contracts documented here are what the
 parity suite enforces.
+
+The swap kernel takes τ_A (Section 4.6), the relation's rows sorted
+once by ``A`` (:meth:`repro.relation.encoding.EncodedRelation.order`),
+and walks it instead of sorting each context: both backends answer a
+swap check in one pass over the relation's rows.
 """
 
 from __future__ import annotations
@@ -55,11 +60,12 @@ def strip_sorted_runs(sorted_rows: np.ndarray, sorted_keys: np.ndarray
 
 def swap_mask(class_ids: np.ndarray, values_a: np.ndarray,
               values_b: np.ndarray) -> np.ndarray:
-    """Boolean mask of swap positions over class-then-(A,B)-sorted data.
+    """Boolean mask of swap positions over class-then-A-sorted data.
 
-    Inputs are parallel arrays already ordered by
-    ``(class, A, B)``.  A position is a swap when its B rank lies below
-    the maximum B of *strictly smaller* A groups within the same class.
+    Inputs are parallel arrays with each class contiguous and, within
+    a class, A ascending (any order within equal A).  A position is a
+    swap when its B rank lies below the maximum B of *strictly
+    smaller* A groups within the same class.
     The per-class running max of B is one global
     ``np.maximum.accumulate`` over B values shifted by
     ``class_id * span`` (classes occupy disjoint value bands, so the
@@ -88,21 +94,17 @@ def swap_mask(class_ids: np.ndarray, values_a: np.ndarray,
     return shifted_b < max_b_of_earlier_groups
 
 
-def sorted_swap_views(col_a: np.ndarray, col_b: np.ndarray,
-                      rows: np.ndarray, class_ids: np.ndarray):
-    """(class_ids, A, B) of the grouped rows, sorted by ``(class, A)``.
-
-    :func:`swap_mask` needs equal ``(class, A)`` groups contiguous and
-    classes in ascending-A group order, but is insensitive to the order
-    of B *within* a group — so one composite-key ``argsort``
-    (``class_id * span + A``) replaces a 3-key ``lexsort``, which
-    profiled ~5x slower on discovery workloads.
-    """
-    values_a = col_a[rows]
-    low = int(values_a.min())
-    span = int(values_a.max()) - low + 1
-    order = np.argsort(class_ids * span + (values_a - low))
-    return class_ids[order], values_a[order], col_b[rows][order]
+def swap_input_length(col_a: np.ndarray, col_b: np.ndarray,
+                      order_a: np.ndarray) -> int:
+    """The relation's row count, once ``col_a``, ``col_b`` and
+    ``order_a`` agree on it; a mismatch raises ``ValueError`` before
+    any kernel indexes the arrays."""
+    n = len(order_a)
+    if len(col_a) != n or len(col_b) != n:
+        raise ValueError(
+            f"swap_flags needs col_a, col_b and order_a of one length; "
+            f"got {len(col_a)}, {len(col_b)} and {n}")
+    return n
 
 
 class ReferenceBackend:
@@ -115,9 +117,10 @@ class ReferenceBackend:
       ascending, rows within each class in their original ``rows_y``
       order (the stable composite-key-argsort layout).
     * :meth:`swap_flags` — one bool per context class: does the class
-      contain a swap pair w.r.t. ``A ~ B``?  (Per-class flags rather
-      than a positional mask: the two backends sort within classes
-      differently, but the per-class verdicts are order-free.)
+      contain a swap pair w.r.t. ``A ~ B``?  ``order_a`` is τ_A, every
+      row sorted by ``col_a`` in any order within ties.  (Per-class
+      flags rather than a positional mask: the verdicts do not depend
+      on the order within ties, positions would.)
     * :meth:`split_mismatch` — bool per grouped row (parallel to
       ``rows``): does the row's value differ from its class's first?
     * :meth:`densify` — ``np.unique(values, return_inverse=True)``:
@@ -145,14 +148,22 @@ class ReferenceBackend:
     @staticmethod
     def swap_flags(col_a: np.ndarray, col_b: np.ndarray,
                    rows: np.ndarray, offsets: np.ndarray,
-                   class_ids: np.ndarray) -> np.ndarray:
-        n_classes = len(offsets) - 1
+                   class_ids: np.ndarray,
+                   order_a: np.ndarray) -> np.ndarray:
+        n = swap_input_length(col_a, col_b, order_a)
+        flags = np.zeros(len(offsets) - 1, dtype=bool)
         if len(rows) == 0:
-            return np.zeros(n_classes, dtype=bool)
-        sorted_ids, values_a, values_b = sorted_swap_views(
-            col_a, col_b, rows, class_ids)
-        mask = swap_mask(sorted_ids, values_a, values_b)
-        flags = np.zeros(n_classes, dtype=bool)
+            return flags
+        # the τ_A walk, vectorized: each grouped row's position in τ_A,
+        # and one sort by (class, position) puts every class's rows in
+        # walk order — ascending A (keys are unique, so any sort kind)
+        position = np.empty(n, dtype=np.int64)
+        position[order_a] = np.arange(n, dtype=np.int64)
+        walk = np.argsort(class_ids * n + position[rows])
+        sorted_ids = class_ids[walk]
+        sorted_rows = rows[walk]
+        mask = swap_mask(sorted_ids, col_a[sorted_rows],
+                         col_b[sorted_rows])
         flags[sorted_ids[mask]] = True
         return flags
 

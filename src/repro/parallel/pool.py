@@ -203,12 +203,13 @@ _WORKER_SPAN_CAPACITY = 512
 
 
 class _WorkerState:
-    """Per-process caches: attached segments and partition caches."""
+    """Per-process caches: attached segments, the published relations
+    and their partition caches."""
 
     def __init__(self):
         self.readers: "OrderedDict[str, BlockReader]" = OrderedDict()
         self.caches: "OrderedDict[str, object]" = OrderedDict()
-        self.columns_by_block: "OrderedDict[str, List[np.ndarray]]" = \
+        self.relations: "OrderedDict[str, EncodedRelation]" = \
             OrderedDict()
 
     def reader(self, name: str) -> BlockReader:
@@ -225,43 +226,45 @@ class _WorkerState:
             stale.close()
         return reader
 
-    def columns(self, descriptor) -> List[np.ndarray]:
-        """Rank columns for one published block, copied onto this
-        worker's heap on first use.
+    def relation(self, descriptor) -> EncodedRelation:
+        """The relation of one published column block, its rank
+        columns copied onto this worker's heap on first use.
 
         The copy is deliberate: columns are the random-gather targets
         of every scan kernel, and heap pages (hugepage-backed, hot in
         this process) gather measurably faster than tmpfs-backed
         shared-memory pages.  One memcpy per worker per pool still
         beats pickling columns into every task by orders of magnitude.
+        The relation sorts τ_A per attribute on first use
+        (:meth:`EncodedRelation.order`), so the orders live, and are
+        evicted, with the columns.
         """
-        name, layout, _n_rows, arity = descriptor
-        columns = self.columns_by_block.get(name)
-        if columns is None:
+        name, layout, n_rows, arity = descriptor
+        relation = self.relations.get(name)
+        if relation is None:
             reader = self.reader(name)
-            columns = [np.array(reader.array(layout, a))
-                       for a in range(arity)]
+            relation = EncodedRelation(
+                tuple(f"a{i}" for i in range(arity)),
+                [np.array(reader.array(layout, a)) for a in range(arity)])
+            if relation.n_rows != n_rows:  # pragma: no cover - paranoia
+                raise ValueError("shared column length mismatch")
             # keep the current and (briefly, across a rebase) previous
-            # relation's columns
-            while len(self.columns_by_block) >= 2:
-                self.columns_by_block.popitem(last=False)
-            self.columns_by_block[name] = columns
-        return columns
+            # relation
+            while len(self.relations) >= 2:
+                self.relations.popitem(last=False)
+            self.relations[name] = relation
+        return relation
 
     def partition_cache(self, descriptor):
         """A worker-local :class:`PartitionCache` over the shared
         columns (scan tasks that name their context by mask)."""
         from repro.partitions.cache import PartitionCache
 
-        name, _layout, n_rows, arity = descriptor
+        name = descriptor[0]
         cache = self.caches.get(name)
         if cache is None:
-            columns = self.columns(descriptor)
-            relation = EncodedRelation(
-                tuple(f"a{i}" for i in range(arity)), list(columns))
-            if relation.n_rows != n_rows:  # pragma: no cover - paranoia
-                raise ValueError("shared column length mismatch")
-            cache = PartitionCache(relation, max_entries=128)
+            cache = PartitionCache(self.relation(descriptor),
+                                   max_entries=128)
             # cap at the two most recent relations (pre/post rebase)
             while len(self.caches) >= 2:
                 self.caches.pop(next(iter(self.caches)))
@@ -319,7 +322,7 @@ def _handle_scans(state: _WorkerState, payload: dict) -> dict:
     from repro.core.validation import scan_verdict
 
     descriptor = payload["columns"]
-    columns = state.columns(descriptor)
+    relation = state.relation(descriptor)
     refs: Dict[Hashable, PartitionRef] = payload["contexts"]
     deadline = payload["deadline"]
     # one partition object per context key, so derived state (class
@@ -341,7 +344,8 @@ def _handle_scans(state: _WorkerState, payload: dict) -> dict:
                     if ref is None else
                     _partition_from_ref(state, ref, descriptor[2]))
                 contexts[context_key] = context
-        verdicts.append((key, scan_verdict(mode, columns, a, b, context)))
+        verdicts.append((key, scan_verdict(mode, relation, a, b,
+                                           context)))
     return {"verdicts": verdicts, "timed_out": timed_out}
 
 

@@ -305,9 +305,12 @@ class EncodedRelation:
     folded in by :meth:`append_values`, re-encoding only the new values
     (paper encodings are whole-snapshot; the incremental engine needs
     the delta form).
+
+    :meth:`order` gives τ_A, the rows sorted by one attribute, which
+    every swap check walks; it is sorted on first use per attribute.
     """
 
-    __slots__ = ("names", "ranks", "n_rows", "keys")
+    __slots__ = ("names", "ranks", "n_rows", "keys", "_orders")
 
     def __init__(self, names: Sequence[str], ranks: List[np.ndarray],
                  keys: Optional[List[ColumnKeys]] = None):
@@ -319,6 +322,7 @@ class EncodedRelation:
         self.ranks: List[np.ndarray] = ranks
         self.n_rows: int = int(len(ranks[0])) if ranks else 0
         self.keys: Optional[List[ColumnKeys]] = keys
+        self._orders: Dict[int, np.ndarray] = {}
         for column in ranks:
             if len(column) != self.n_rows:
                 raise ValueError("rank columns have inconsistent lengths")
@@ -342,6 +346,23 @@ class EncodedRelation:
     def column(self, index: int) -> np.ndarray:
         """The rank column of the attribute at ``index``."""
         return self.ranks[index]
+
+    def order(self, index: int) -> np.ndarray:
+        """τ_A for the attribute at ``index`` (Section 4.6): every row
+        index, sorted by that attribute's rank.  Computed on first use
+        and cached, read-only.
+
+        Rows of equal rank come in no particular order — the swap
+        kernels read only each A group's maximum B, so the default
+        (unstable) argsort serves and is several times cheaper than a
+        stable one."""
+        order = self._orders.get(index)
+        if order is None:
+            order = np.argsort(self.ranks[index]).astype(np.int64,
+                                                         copy=False)
+            order.setflags(write=False)
+            self._orders[index] = order
+        return order
 
     def rank_arrays(self) -> Dict[int, np.ndarray]:
         """All rank columns keyed by attribute index — the publication

@@ -74,6 +74,12 @@ MAX_WAIT_SECONDS = 600.0
 #: the content type Prometheus scrapers expect from ``GET /metrics``
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: largest request body the service reads (256 MiB), far above any
+#: registration it serves in practice: a 20000-row dataset posted as
+#: JSON rows is ~2 MB.  A longer ``Content-Length`` gets a 413 before
+#: a byte of the body is read or allocated.
+MAX_BODY_BYTES = 256 * 1024 * 1024
+
 _REQUESTS = metrics.counter(
     "repro_http_requests_total",
     "HTTP requests served, by method, top-level route, and status",
@@ -392,6 +398,8 @@ def _make_handler(service: ODService):
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
@@ -408,10 +416,29 @@ def _make_handler(service: ODService):
         def _read_body(self) -> None:
             """Drain and parse the request body up front — even a
             request that 404s must consume its body, or a keep-alive
-            connection desyncs on the unread bytes."""
+            connection desyncs on the unread bytes.
+
+            A ``Content-Length`` that is not a non-negative integer
+            (400) or exceeds :data:`MAX_BODY_BYTES` (413) is refused
+            unread; the connection closes after the reply, since the
+            body can no longer be told apart from the next request."""
             self._parsed_body: Dict = {}
             self._body_error = None
-            length = int(self.headers.get("Content-Length") or 0)
+            header = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(header)
+            except ValueError:
+                length = -1
+            if length < 0:
+                self.close_connection = True
+                raise ServiceError(
+                    f"Content-Length must be a non-negative integer, "
+                    f"got {header!r}")
+            if length > MAX_BODY_BYTES:
+                self.close_connection = True
+                raise ServiceError(
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit", status=413)
             if length == 0:
                 return
             raw = self.rfile.read(length)

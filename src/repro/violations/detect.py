@@ -154,16 +154,18 @@ def collect_splits(column: np.ndarray, context: StrippedPartition,
 
 def collect_swaps(column_a: np.ndarray, column_b: np.ndarray,
                   context: StrippedPartition, left: str, right: str,
-                  limit: int) -> List[Swap]:
+                  limit: int,
+                  order_a: Optional[np.ndarray] = None) -> List[Swap]:
     """Up to ``limit`` swap witnesses (one per offending class).
 
-    One vectorized pass (:func:`repro.core.validation.swap_classes`)
-    finds the offending classes; the scalar witness scan then runs only
-    on those.
+    One swap-kernel pass (:func:`repro.core.validation.swap_classes`,
+    over τ_A when ``order_a`` is given) finds the offending classes;
+    the scalar witness scan then runs only on those.
     """
     offsets = context.offsets
     witnesses: List[Swap] = []
-    for class_id in swap_classes(column_a, column_b, context)[:limit]:
+    for class_id in swap_classes(column_a, column_b, context,
+                                 order_a)[:limit]:
         class_rows = context.rows[offsets[class_id]:offsets[class_id + 1]]
         witness = scan_find_swap(column_a, column_b, class_rows,
                                  left, right)
@@ -267,10 +269,12 @@ class ViolationDetector:
         if self._validator.ocd_holds(ocd):
             return ViolationReport(str(ocd), holds=True)
         partition = self._context_partition(ocd.context)
-        column_a = self._encoded.column(self._index[ocd.left])
+        a = self._index[ocd.left]
+        column_a = self._encoded.column(a)
         column_b = self._encoded.column(self._index[ocd.right])
         witnesses = (collect_swaps(column_a, column_b, partition,
-                                   ocd.left, ocd.right, max_witnesses)
+                                   ocd.left, ocd.right, max_witnesses,
+                                   self._encoded.order(a))
                      if max_witnesses > 0 else [])
         pairs = (count_swap_pairs(column_a, column_b, partition)
                  if count_pairs else 0)

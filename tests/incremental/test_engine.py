@@ -113,6 +113,54 @@ class TestAppend:
         assert payload["n_rows"] == 4 and payload["n_ods"] > 0
 
 
+#: ``{c}: a ~ b`` is the only held OCD: classes c=0 and c=1 rise on
+#: both a and b, every unconditional pair has a swap, and c=2 is a
+#: singleton
+HELD_OCD_ROWS = [(0, 1, 2), (0, 2, 3), (1, 1, 5), (1, 2, 6), (2, 1, 0)]
+
+
+def _swap_dispatches() -> float:
+    from repro.obs import metrics
+
+    return sum(metrics.REGISTRY.value("repro_kernel_calls_total",
+                                      kernel="swap", backend=backend)
+               for backend in ("reference", "compiled"))
+
+
+class TestHeldOcdRecheck:
+    """A held OCD is re-checked by one swap scan when a batch touches
+    its context's classes, and costs nothing when it does not."""
+
+    @staticmethod
+    def _engine():
+        engine = IncrementalFastOD(
+            Relation.from_rows(["c", "a", "b"], HELD_OCD_ROWS),
+            verify_with_oracle=True)
+        assert [str(od) for od in engine.result.ocds] == ["{c}: a ~ b"]
+        return engine
+
+    def test_swap_in_a_held_context_demotes_it(self):
+        engine = self._engine()
+        before = _swap_dispatches()
+        report = append(engine, [(0, 3, 1)])    # below b=3 of class c=0
+        assert "{c}: a ~ b" in report.invalidated
+        assert _swap_dispatches() > before
+
+    def test_untouched_classes_keep_it_held_without_scanning(self):
+        engine = self._engine()
+        before = _swap_dispatches()
+        report = append(engine, [(3, 1, 7)])    # c=3: a new singleton
+        engine_dispatches = _swap_dispatches() - before
+        # verify_with_oracle ran a from-scratch discovery inside the
+        # batch; the same discovery again gives the oracle's share
+        before = _swap_dispatches()
+        FastOD(engine.relation, engine.config).run()
+        engine_dispatches -= _swap_dispatches() - before
+        assert not report.invalidated and not report.retraversed
+        assert "{c}: a ~ b" in od_strings(engine.result)
+        assert engine_dispatches == 0
+
+
 class TestStreamEquivalence:
     """The acceptance property: identical FD/OCD sets after every batch
     on >= 10 append batches of a synthetic stream."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -290,6 +291,29 @@ def test_malformed_request_is_400(service, client, case):
     assert list(reply) == ["error"]
     assert isinstance(reply["error"], str) and reply["error"]
     assert contents() == before
+
+
+@pytest.mark.parametrize("length,status", [
+    ("abc", 400), ("-5", 400), ("99999999999", 413)])
+def test_bad_content_length_is_refused_unread(service, client, length,
+                                              status):
+    """A Content-Length the server cannot or will not read is a client
+    error, not a 500 from ``int()``, ``read(-5)`` or a MemoryError."""
+    connection = http.client.HTTPConnection(service.host, service.port,
+                                            timeout=30)
+    try:
+        connection.putrequest("POST", "/datasets")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", length)
+        connection.endheaders()
+        response = connection.getresponse()
+        reply = json.loads(response.read())
+        assert response.status == status, reply
+        assert list(reply) == ["error"]
+        assert response.getheader("Connection") == "close"
+    finally:
+        connection.close()
+    assert client.health()["status"] == "ok"
 
 
 def test_bad_timeout_leaves_the_job_runner_alive():
