@@ -29,6 +29,11 @@ Gates the perf claim of the flat-layout partition engine two ways:
    the compiled backend is an optional accelerator, never a
    requirement.
 
+   A batched-swap row sets one cli-wide-shaped scan context (ncvoter
+   5000x12, context {first_name, county_id}) with its 45 (A, B)
+   pairs as one ``swap_verdicts`` call against one ``swap_flags`` call
+   per pair, on each available backend — also reported, not gated.
+
 4. **Backend × workers identity matrix** — runs full discovery at
    workers 0/2/4 under each available backend (with
    ``parallel_min_grouped_rows=0`` so the pool really dispatches) and
@@ -45,6 +50,7 @@ import json
 import math
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 from typing import List
 
@@ -57,7 +63,8 @@ from repro import discover_ods, kernels
 from repro.core.fastod import FastOD, FastODConfig
 from repro.core.validation import is_compatible_in_classes
 from repro.kernels.reference import ReferenceBackend
-from repro.partitions.partition import StrippedPartition
+from repro.partitions.partition import (StrippedPartition,
+                                        partition_from_columns)
 
 BASELINE = Path(__file__).resolve().parent / "seed_exp1_baseline.json"
 DATASETS = ["flight", "ncvoter", "dbtesma"]
@@ -70,6 +77,10 @@ BACKEND_MIN_SPEEDUP = 2.0
 BACKEND_TRIALS = 3
 IDENTITY_WORKERS = (0, 2, 4)
 IDENTITY_ROWS = 3000
+#: the batched-swap row: cli-wide's relation (perfbench's ncvoter
+#: 5000x12) and one of its two-attribute scan contexts
+SWAP_BATCH_SHAPE = ("ncvoter", 5000, 12)
+SWAP_BATCH_CONTEXT = (2, 3)
 
 
 # ----------------------------------------------------------------------
@@ -325,6 +336,57 @@ def bench_backends(reporter: Reporter) -> tuple:
     return records, geomean
 
 
+def bench_swap_batch(reporter: Reporter) -> List[dict]:
+    """One scan context with every (A, B) pair outside it: one batched
+    ``swap_verdicts`` call (row -> class table filled once, each pair
+    stopping at its first swap) against one ``swap_flags`` call per
+    pair, on each available backend.  Reported, not gated."""
+    name, n_rows, n_attrs = SWAP_BATCH_SHAPE
+    encoded = dataset(name, n_rows, n_attrs).encode()
+    context = partition_from_columns(encoded, list(SWAP_BATCH_CONTEXT))
+    class_ids = context.class_ids()
+    pairs = list(combinations(
+        [a for a in range(n_attrs) if a not in SWAP_BATCH_CONTEXT], 2))
+    pair_a = [a for a, _ in pairs]
+    pair_b = [b for _, b in pairs]
+    orders = {a: encoded.order(a) for a in set(pair_a)}
+    columns = encoded.ranks
+    backends = ["reference"]
+    if kernels.compiled_available():
+        backends.append("compiled")
+    records = []
+    for backend_name in backends:
+        backend = kernels.resolve_backend(backend_name)
+
+        def per_pair():
+            return [bool(backend.swap_flags(
+                columns[a], columns[b], context.rows, context.offsets,
+                class_ids, orders[a]).any()) for a, b in pairs]
+
+        def batched():
+            return backend.swap_verdicts(
+                columns, orders, context.rows, context.offsets, pair_a,
+                pair_b, [False] * len(pairs)).tolist()
+
+        assert per_pair() == batched(), \
+            f"{backend_name}: batched swap verdicts differ per pair"
+        per_pair_s = _time_kernel(per_pair)
+        batched_s = _time_kernel(batched)
+        reporter.add(backend=backend_name, n_rows=n_rows,
+                     pairs=len(pairs),
+                     per_pair=f"{per_pair_s * 1e3:.2f}ms",
+                     batched=f"{batched_s * 1e3:.2f}ms",
+                     speedup=f"{per_pair_s / batched_s:.2f}x (not gated)")
+        records.append({
+            "kernel": "swap-batch", "backend": backend_name,
+            "dataset": name, "n_rows": n_rows, "n_attrs": n_attrs,
+            "pairs": len(pairs), "per_pair_seconds": per_pair_s,
+            "batched_seconds": batched_s,
+            "speedup": per_pair_s / batched_s, "gated": False,
+        })
+    return records
+
+
 # ----------------------------------------------------------------------
 # backend x workers identity matrix
 # ----------------------------------------------------------------------
@@ -385,6 +447,14 @@ def main() -> int:
     backend_records, backend_geomean = bench_backends(backend_reporter)
     backend_reporter.finish()
 
+    batch_reporter = Reporter(
+        experiment="swap_batch",
+        title="Batched swap verdicts vs one swap_flags call per pair",
+        columns=["backend", "n_rows", "pairs", "per_pair", "batched",
+                 "speedup"])
+    batch_records = bench_swap_batch(batch_reporter)
+    batch_reporter.finish()
+
     matrix_reporter = Reporter(
         experiment="backend_identity",
         title="FD/OCD identity across backend x worker-count matrix",
@@ -398,6 +468,7 @@ def main() -> int:
     write_bench_json("partitions", kernel_records, section="kernels")
     write_bench_json("partitions", backend_records,
                      section="kernel_backends")
+    write_bench_json("partitions", batch_records, section="swap_batch")
     write_bench_json("partitions", matrix_records,
                      section="backend_identity")
     kernel_ratios = [r["reference_seconds"] / r["seconds"]

@@ -14,7 +14,8 @@ Two independent layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List,
+                    Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -33,6 +34,9 @@ from repro.partitions.partition import StrippedPartition
 from repro.relation.encoding import EncodedRelation
 from repro.relation.schema import iter_bits
 from repro.relation.table import Relation
+
+if TYPE_CHECKING:
+    from repro.parallel.pool import ScanTask
 
 
 # ----------------------------------------------------------------------
@@ -123,15 +127,17 @@ def is_compatible_in_classes(column_a: np.ndarray, column_b: np.ndarray,
 
     Within each class, walking rows in ascending A, any B rank below
     the maximum B seen in *earlier* A groups is a swap.  All classes
-    are checked in one :func:`repro.kernels.swap_flags` pass over
+    are checked in one :func:`repro.kernels.swap_verdicts` walk over
     ``order_a``, τ_A (:meth:`EncodedRelation.order`; sorted per call
-    when omitted).
+    when omitted), which stops at the first swap.
     """
     if len(context.rows) == 0:
         return True
-    return not kernels.swap_flags(
-        column_a, column_b, context.rows, context.offsets,
-        context.class_ids(), order_a).any()
+    if order_a is None:
+        order_a = np.argsort(column_a)
+    return not kernels.swap_verdicts(
+        (column_a, column_b), {0: order_a}, context.rows,
+        context.offsets, (0,), (1,), (False,))[0]
 
 
 def swap_classes(column_a: np.ndarray, column_b: np.ndarray,
@@ -202,32 +208,73 @@ def _single_lhs_dominance(left: np.ndarray, right: np.ndarray) -> bool:
     return True
 
 
-def scan_verdict(mode: str, relation: EncodedRelation, a: int,
-                 b: int, context: Optional[StrippedPartition]) -> bool:
-    """One executor scan-task verdict — the single mode dispatch shared
-    by the coordinator-side kernels (:mod:`repro.engine.executors`)
-    and the worker-side handler (:mod:`repro.parallel.pool`), so a new
-    or mistyped mode fails loudly on *both* paths instead of silently
+def scan_verdicts(relation: EncodedRelation, tasks: Sequence[ScanTask],
+                  context_of: Callable[[Hashable], StrippedPartition],
+                  expired: Callable[[], bool]
+                  ) -> Tuple[Dict[Hashable, bool], bool]:
+    """Verdicts of a batch of executor scan tasks — the single mode
+    dispatch shared by the coordinator (:mod:`repro.engine.executors`)
+    and the pool workers (:mod:`repro.parallel.pool`), so a new or
+    mistyped mode fails loudly on *both* paths instead of silently
     resolving differently per worker count.
 
-    Modes: ``"swap"``, ``"const"``, ``"swap_desc"`` (descending right
-    column under rank encoding), ``"pointwise"`` (``a`` is an LHS
-    bitmask, ``b`` a target attribute; ``context`` is ignored).  Both
-    swap modes walk the relation's cached τ_A: negating B leaves the
-    order by A alone.
+    A task is ``(key, context_key, mode, a, b)``.  Modes: ``"swap"``,
+    ``"swap_desc"`` (descending right column under rank encoding),
+    ``"const"`` (``a`` constant), ``"pointwise"`` (``a`` is an LHS
+    bitmask, ``b`` a target attribute; no context).  Swap tasks are
+    grouped by ``context_key``: each context is resolved once
+    (``context_of``) and answered by one
+    :func:`repro.kernels.swap_verdicts` call over all its (A, B)
+    pairs, each walking the relation's cached τ_A; an empty context
+    holds for every pair without a call.  ``const`` and ``pointwise``
+    tasks run one by one.  ``expired()`` is consulted before each
+    task or context; once it is true the batch stops, and the returned
+    flag is set.
     """
+    groups: Dict[Hashable, List[ScanTask]] = {}
+    singles: List[ScanTask] = []
+    for task in tasks:
+        mode = task[2]
+        if mode in ("swap", "swap_desc"):
+            groups.setdefault(task[1], []).append(task)
+        elif mode in ("const", "pointwise"):
+            singles.append(task)
+        else:
+            raise ValueError(f"unknown scan mode {mode!r}")
     columns = relation.ranks
-    if mode in ("swap", "swap_desc"):
+    verdicts: Dict[Hashable, bool] = {}
+    for key, context_key, mode, a, b in singles:
+        if expired():
+            return verdicts, True
+        if mode == "const":
+            verdicts[key] = is_constant_in_classes(
+                columns[a], context_of(context_key))
+        else:
+            verdicts[key] = dominance_holds_ranks(columns, a, b)
+    for context_key, group in groups.items():
+        if expired():
+            return verdicts, True
+        context = context_of(context_key)
         if len(context.rows) == 0:
-            return True         # no classes: skip sorting τ_A at all
-        column_b = columns[b] if mode == "swap" else -columns[b]
-        return is_compatible_in_classes(columns[a], column_b, context,
-                                        relation.order(a))
-    if mode == "const":
-        return is_constant_in_classes(columns[a], context)
-    if mode == "pointwise":
-        return dominance_holds_ranks(columns, a, b)
-    raise ValueError(f"unknown scan mode {mode!r}")
+            swapped = [False] * len(group)  # no classes: no τ_A either
+        else:
+            pair_a = [task[3] for task in group]
+            swapped = kernels.swap_verdicts(
+                columns, {a: relation.order(a) for a in set(pair_a)},
+                context.rows, context.offsets, pair_a,
+                [task[4] for task in group],
+                [task[2] == "swap_desc" for task in group]).tolist()
+        for task, swap in zip(group, swapped):
+            verdicts[task[0]] = not swap
+    return verdicts, False
+
+
+def scan_verdict(mode: str, relation: EncodedRelation, a: int,
+                 b: int, context: Optional[StrippedPartition]) -> bool:
+    """One scan task's verdict: a one-task :func:`scan_verdicts`."""
+    verdicts, _ = scan_verdicts(relation, [(0, 0, mode, a, b)],
+                                lambda _: context, lambda: False)
+    return verdicts[0]
 
 
 def find_swap(column_a: np.ndarray, column_b: np.ndarray,

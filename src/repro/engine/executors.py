@@ -11,7 +11,10 @@ implementations ship:
 
 * :class:`SerialExecutor` runs every kernel inline on the coordinator,
   consulting the :class:`~repro.engine.budget.DeadlineBudget` between
-  tasks.
+  tasks.  Its scans and the pool workers' share one batch function,
+  :func:`repro.core.validation.scan_verdicts`: the swap tasks of one
+  context are answered by one kernel call, each (A, B) pair's walk
+  stopping at its first swap.
 * :class:`PoolExecutor` wraps a shared-memory
   :class:`~repro.parallel.WorkerPool`.  A batch leaves the coordinator
   only when it has at least two tasks and enough rows to amortize
@@ -123,31 +126,29 @@ class SerialExecutor:
         """Per-key verdicts of ``tasks``, plus a flag set when the
         budget cut the batch short.  A task whose ``context_key`` is
         not in ``contexts`` names its context by attribute mask; the
-        executor derives it from its own :class:`PartitionCache`."""
+        executor derives it from its own :class:`PartitionCache`.
+        Swap tasks sharing a context take one kernel call
+        (:func:`repro.core.validation.scan_verdicts`)."""
         # imported per batch: validation imports this package's
         # siblings, and a wrapper installed on the module's function
         # after import must still be the one called
-        from repro.core.validation import scan_verdict
+        from repro.core.validation import scan_verdicts
+
+        def context_of(context_key: Hashable) -> StrippedPartition:
+            context = contexts.get(context_key)
+            if context is None:
+                if self._cache is None:
+                    self._cache = PartitionCache(self._relation)
+                context = self._cache.get(context_key)
+            return context
 
         started = time.perf_counter()
-        relation = self._relation
-        verdicts: Dict[Hashable, bool] = {}
         with kernels.activate(self.kernel_backend):
-            for key, context_key, mode, a, b in tasks:
-                if budget.hit():
-                    self.telemetry.record(phase, len(verdicts), False,
-                                          time.perf_counter() - started)
-                    return verdicts, True
-                context = contexts.get(context_key)
-                if context is None and mode != "pointwise":
-                    if self._cache is None:
-                        self._cache = PartitionCache(self._relation)
-                    context = self._cache.get(context_key)
-                verdicts[key] = scan_verdict(mode, relation, a, b,
-                                             context)
+            verdicts, timed_out = scan_verdicts(
+                self._relation, tasks, context_of, budget.hit)
         self.telemetry.record(phase, len(verdicts), False,
                               time.perf_counter() - started)
-        return verdicts, False
+        return verdicts, timed_out
 
     def run_validations(self, tasks: Sequence[ScanTask],
                         budget: DeadlineBudget, phase: str = "wave"

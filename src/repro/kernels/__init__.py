@@ -2,9 +2,9 @@
 
 The four kernels every discovery run lives in — partition product
 (CSR composite-key grouping), swap scan (one walk over τ_A, the rows
-sorted by the left attribute), split scan, and rank re-encoding
-(densify) — are dispatched through this package to one of two
-interchangeable backends:
+sorted by the left attribute, per (A, B) pair), split scan, and rank
+re-encoding (densify) — are dispatched through this package to one of
+two interchangeable backends:
 
 * ``reference`` — the PR 1 vectorized NumPy kernels
   (:mod:`repro.kernels.reference`); always available, and the semantic
@@ -26,8 +26,11 @@ Every dispatch is billed to the ``repro_kernel_calls_total`` /
 ``repro_kernel_seconds_total`` counter families (labels ``kernel``,
 ``backend``) of the process-wide :mod:`repro.obs.metrics` registry, so
 ``/metrics`` separates product from swap/split/densify time by
-backend.  The timing wrapper short-circuits when the registry is
-disabled, keeping the observability overhead gate honest.
+backend.  The swap kernel has two entry points under one label:
+:func:`swap_flags` (per-class flags, for witnesses) and
+:func:`swap_verdicts` (every (A, B) pair of one scan context in one
+call, billed once).  The timing wrapper short-circuits when the
+registry is disabled, keeping the observability overhead gate honest.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import threading
 import time
 import warnings
 from contextlib import contextmanager
-from typing import Optional, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -233,6 +236,25 @@ def swap_flags(col_a: np.ndarray, col_b: np.ndarray, rows: np.ndarray,
                      class_ids, order_a)
 
 
+def swap_verdicts(columns: Sequence[np.ndarray],
+                  orders: Mapping[int, np.ndarray], rows: np.ndarray,
+                  offsets: np.ndarray, pair_a: Sequence[int],
+                  pair_b: Sequence[int],
+                  negate: Sequence[bool]) -> np.ndarray:
+    """One bool per (A, B) pair over one context: does any class
+    contain a swap w.r.t. ``X: A ~ B``?
+
+    ``columns`` are the relation's rank columns, ``orders`` maps each
+    A of ``pair_a`` to its τ_A, and ``negate[p]`` reverses B's order
+    (the ``swap_desc`` scans).  The context's row -> class table is
+    built once, and each pair's walk over τ_A stops at its first swap
+    (see :meth:`repro.kernels.reference.ReferenceBackend.swap_verdicts`
+    for the contract).  The call is billed once, whatever the number
+    of pairs."""
+    return _dispatch("swap", "swap_verdicts", columns, orders, rows,
+                     offsets, pair_a, pair_b, negate)
+
+
 def split_mismatch(column: np.ndarray, rows: np.ndarray,
                    offsets: np.ndarray,
                    class_sizes: np.ndarray) -> np.ndarray:
@@ -261,5 +283,6 @@ __all__ = [
     "set_kernel_spans",
     "split_mismatch",
     "swap_flags",
+    "swap_verdicts",
     "thresholds",
 ]

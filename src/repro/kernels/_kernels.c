@@ -7,10 +7,10 @@
  *
  * Output contract: every kernel reproduces the reference backend's
  * arrays byte for byte.  The comments on each kernel state why; the
- * backend-parity suite (tests/kernels) enforces it.  The swap kernel
- * sorts nothing: it takes τ_A, the relation's rows sorted once by the
- * left attribute, and answers every class of a context in one pass
- * over it.
+ * backend-parity suite (tests/kernels) enforces it.  The swap kernels
+ * sort nothing: they take τ_A, the relation's rows sorted once by the
+ * left attribute, and answer a context in one pass over it per
+ * (A, B) pair.
  *
  * All arrays are contiguous int64 unless noted; flags/masks are uint8
  * (0/1) so Python can reinterpret them as bool without a copy.
@@ -124,12 +124,10 @@ int64_t repro_product(const int64_t *probe, const int64_t *rows_y,
 }
 
 /* ------------------------------------------------------------------ */
-/* swap scan: per-class "is there a swap pair?" flags                 */
+/* swap scan: one walk over τ_A per (A, B) pair                       */
 /* ------------------------------------------------------------------ */
 
-/* Flag every context class containing a swap w.r.t. X: A ~ B.
- *
- * order_a is τ_A (Section 4.6): all n rows of the relation sorted by
+/* order_a is τ_A (Section 4.6): all n rows of the relation sorted by
  * A, in any order within equal A.  A scratch row -> class table (-1
  * for rows outside every class) lets one walk over τ_A visit each
  * class's rows in ascending A.  Per class the walk keeps the current
@@ -137,12 +135,18 @@ int64_t repro_product(const int64_t *probe, const int64_t *rows_y,
  * (strictly smaller) A groups, and flags the class at the first B
  * below the last (Definition 5).  A row is only ever compared with
  * earlier groups, so the order within an A group is irrelevant and
- * the flags equal the reference backend's.  O(n + m); the walk stops
- * once every class is flagged.
+ * the flags equal the reference backend's.  O(n + m).
  *
- * Handles arbitrary int64 values (the descending-column scans negate
- * B, so values may be negative).  Returns the number of flagged
- * classes, or -1 on allocation failure.
+ * Two entry points share the table fill and the walk:
+ * repro_swap_flags flags every class of one (A, B) pair, and
+ * repro_swap_verdicts answers many pairs over one context, filling
+ * the table once and stopping each pair at its first swap.
+ *
+ * Both return a negative code, before any scratch write outside its
+ * bounds, for inputs that break the CSR contract: -1 allocation
+ * failure, -2 a context row outside [0, n), -3 offsets that do not
+ * start at 0, decrease, or do not end at m, -4 a τ_A entry outside
+ * [0, n).
  */
 typedef struct {
     int64_t a;
@@ -150,40 +154,70 @@ typedef struct {
     int64_t before_max;
 } repro_swap_state;
 
-int64_t repro_swap_flags(const int64_t *col_a, const int64_t *col_b,
-                         const int64_t *order_a, int64_t n,
-                         const int64_t *rows, const int64_t *offsets,
-                         int64_t n_classes, uint8_t *out_flags)
+/* One (A, B) pair of repro_swap_verdicts.  negate marks a descending
+ * B (the swap_desc scans): the walk reads ~b, which reverses the
+ * order like -b but cannot overflow. */
+typedef struct {
+    const int64_t *col_a;
+    const int64_t *col_b;
+    const int64_t *order_a;
+    int64_t negate;
+} repro_swap_pair;
+
+/* the binding packs each record as four 8-byte words; a host where
+ * that layout does not hold fails the build and falls back to the
+ * reference backend */
+_Static_assert(sizeof(repro_swap_pair) == 4 * sizeof(int64_t),
+               "repro_swap_pair must be four 8-byte fields");
+
+static int64_t fill_class_of(int64_t *class_of, int64_t n,
+                             const int64_t *rows, int64_t m,
+                             const int64_t *offsets, int64_t n_classes)
 {
-    int64_t *class_of = malloc((size_t)(n > 0 ? n : 1) * sizeof *class_of);
-    repro_swap_state *state = malloc(
-        (size_t)(n_classes > 0 ? n_classes : 1) * sizeof *state);
-    if (!class_of || !state) {
-        free(class_of);
-        free(state);
-        return -1;
-    }
     for (int64_t i = 0; i < n; i++)
         class_of[i] = -1;
+    if (offsets[0] != 0 || offsets[n_classes] != m)
+        return -3;
     for (int64_t c = 0; c < n_classes; c++) {
-        out_flags[c] = 0;
+        int64_t s = offsets[c], e = offsets[c + 1];
+        if (e < s || e > m)
+            return -3;
+        for (int64_t i = s; i < e; i++) {
+            if (rows[i] < 0 || rows[i] >= n)
+                return -2;
+            class_of[rows[i]] = c;
+        }
+    }
+    return 0;
+}
+
+/* Walk τ_A for one pair until `limit` classes are flagged; returns
+ * the number flagged (or -4). */
+static int64_t swap_walk(const int64_t *col_a, const int64_t *col_b,
+                         int64_t b_mask, const int64_t *order_a,
+                         int64_t n, const int64_t *class_of,
+                         int64_t n_classes, repro_swap_state *state,
+                         uint8_t *flags, int64_t limit)
+{
+    for (int64_t c = 0; c < n_classes; c++) {
+        flags[c] = 0;
         /* INT64_MIN marks "no B yet": no B lies below it, and the
          * first row of a class opens its first A group whatever the
          * initial A value */
         state[c].a = 0;
         state[c].group_max = INT64_MIN;
         state[c].before_max = INT64_MIN;
-        for (int64_t i = offsets[c]; i < offsets[c + 1]; i++)
-            class_of[rows[i]] = c;
     }
     int64_t flagged = 0;
-    for (int64_t i = 0; i < n && flagged < n_classes; i++) {
+    for (int64_t i = 0; i < n && flagged < limit; i++) {
         int64_t row = order_a[i];
+        if (row < 0 || row >= n)
+            return -4;
         int64_t c = class_of[row];
-        if (c < 0 || out_flags[c])
+        if (c < 0 || flags[c])
             continue;
         repro_swap_state *s = &state[c];
-        int64_t a = col_a[row], b = col_b[row];
+        int64_t a = col_a[row], b = col_b[row] ^ b_mask;
         if (a != s->a) {
             if (s->group_max > s->before_max)
                 s->before_max = s->group_max;
@@ -193,13 +227,68 @@ int64_t repro_swap_flags(const int64_t *col_a, const int64_t *col_b,
             s->group_max = b;
         }
         if (b < s->before_max) {
-            out_flags[c] = 1;
+            flags[c] = 1;
             flagged++;
         }
     }
+    return flagged;
+}
+
+/* Flag every class of the context containing a swap w.r.t. X: A ~ B
+ * (out_flags: n_classes entries).  Returns the number flagged. */
+int64_t repro_swap_flags(const int64_t *col_a, const int64_t *col_b,
+                         const int64_t *order_a, int64_t n,
+                         const int64_t *rows, int64_t m,
+                         const int64_t *offsets, int64_t n_classes,
+                         uint8_t *out_flags)
+{
+    int64_t *class_of = malloc((size_t)(n > 0 ? n : 1) * sizeof *class_of);
+    repro_swap_state *state = malloc(
+        (size_t)(n_classes > 0 ? n_classes : 1) * sizeof *state);
+    int64_t rc = -1;
+    if (class_of && state) {
+        rc = fill_class_of(class_of, n, rows, m, offsets, n_classes);
+        if (rc == 0 && m > 0)
+            rc = swap_walk(col_a, col_b, 0, order_a, n, class_of,
+                           n_classes, state, out_flags, n_classes);
+    }
     free(class_of);
     free(state);
-    return flagged;
+    return rc;
+}
+
+/* out_swapped[p] = 1 iff some class of the context contains a swap
+ * w.r.t. pairs[p].  Returns the number of such pairs. */
+int64_t repro_swap_verdicts(const repro_swap_pair *pairs, int64_t n_pairs,
+                            int64_t n, const int64_t *rows, int64_t m,
+                            const int64_t *offsets, int64_t n_classes,
+                            uint8_t *out_swapped)
+{
+    size_t k = (size_t)(n_classes > 0 ? n_classes : 1);
+    int64_t *class_of = malloc((size_t)(n > 0 ? n : 1) * sizeof *class_of);
+    repro_swap_state *state = malloc(k * sizeof *state);
+    uint8_t *flags = malloc(k);
+    int64_t rc = -1;
+    if (class_of && state && flags)
+        rc = fill_class_of(class_of, n, rows, m, offsets, n_classes);
+    for (int64_t p = 0; p < n_pairs && rc >= 0; p++) {
+        int64_t got = 0;
+        if (m > 0)
+            got = swap_walk(pairs[p].col_a, pairs[p].col_b,
+                            -(int64_t)(pairs[p].negate != 0),
+                            pairs[p].order_a, n, class_of, n_classes,
+                            state, flags, 1);
+        if (got < 0) {
+            rc = got;
+            break;
+        }
+        out_swapped[p] = (uint8_t)got;
+        rc += got;
+    }
+    free(class_of);
+    free(state);
+    free(flags);
+    return rc;
 }
 
 /* ------------------------------------------------------------------ */

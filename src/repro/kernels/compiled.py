@@ -31,12 +31,15 @@ import os
 import shutil
 import subprocess
 import tempfile
+import weakref
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.reference import swap_input_length
+from repro.kernels.reference import (check_swap_pairs,
+                                     swap_contract_error,
+                                     swap_input_length)
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC", "-std=c11", "-fno-math-errno")
@@ -128,8 +131,11 @@ def _load() -> ctypes.CDLL:
         lib.repro_product.restype = i64
         lib.repro_product.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr]
         lib.repro_swap_flags.restype = i64
-        lib.repro_swap_flags.argtypes = [ptr, ptr, ptr, i64, ptr, ptr,
-                                         i64, ptr]
+        lib.repro_swap_flags.argtypes = [ptr, ptr, ptr, i64, ptr, i64,
+                                         ptr, i64, ptr]
+        lib.repro_swap_verdicts.restype = i64
+        lib.repro_swap_verdicts.argtypes = [ptr, i64, i64, ptr, i64, ptr,
+                                            i64, ptr]
         lib.repro_split_mismatch.restype = None
         lib.repro_split_mismatch.argtypes = [ptr, ptr, ptr, i64, ptr]
         lib.repro_densify.restype = i64
@@ -147,6 +153,33 @@ def _load() -> ctypes.CDLL:
 def _c(array: np.ndarray) -> np.ndarray:
     """A C-contiguous int64 view (copying only if needed)."""
     return np.ascontiguousarray(array, dtype=np.int64)
+
+
+#: id(array) -> (weak reference, data address) of the C-contiguous
+#: int64 arrays swap_verdicts has read: a relation's rank columns and
+#: τ_A orders recur in every scan call of its lifetime, and reading an
+#: address through ``ndarray.ctypes`` costs more than a swap walk over
+#: a small context.  An entry serves only while its weak reference
+#: still resolves to the very array asked about.
+_ADDRESSES: Dict[int, Tuple[weakref.ref, int]] = {}
+_MAX_ADDRESSES = 512
+
+
+def _address(array: np.ndarray, held: List[np.ndarray]) -> int:
+    """The data address of ``array`` as contiguous int64; a converted
+    copy is appended to ``held``, which must outlive the C call."""
+    entry = _ADDRESSES.get(id(array))
+    if entry is not None and entry[0]() is array:
+        return entry[1]
+    converted = _c(array)
+    address = converted.ctypes.data
+    if converted is array:
+        if len(_ADDRESSES) >= _MAX_ADDRESSES:
+            _ADDRESSES.clear()
+        _ADDRESSES[id(array)] = (weakref.ref(array), address)
+    else:
+        held.append(converted)
+    return address
 
 
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
@@ -193,9 +226,9 @@ class CompiledBackend:
                    order_a: np.ndarray) -> np.ndarray:
         n = swap_input_length(col_a, col_b, order_a)
         n_classes = len(offsets) - 1
+        if n_classes < 0:
+            raise swap_contract_error(-3)
         flags = np.zeros(max(n_classes, 1), dtype=np.uint8)
-        if len(rows) == 0 or n_classes == 0:
-            return flags[:n_classes].view(bool)
         col_a = _c(col_a)
         col_b = _c(col_b)
         order_a = _c(order_a)
@@ -203,11 +236,41 @@ class CompiledBackend:
         offsets = _c(offsets)
         flagged = self._lib.repro_swap_flags(
             col_a.ctypes.data, col_b.ctypes.data, order_a.ctypes.data, n,
-            rows.ctypes.data, offsets.ctypes.data, n_classes,
+            rows.ctypes.data, len(rows), offsets.ctypes.data, n_classes,
             flags.ctypes.data)
         if flagged < 0:
-            raise MemoryError("repro_swap_flags scratch allocation failed")
+            raise swap_contract_error(flagged)
         return flags[:n_classes].view(bool)
+
+    def swap_verdicts(self, columns: Sequence[np.ndarray],
+                      orders: Mapping[int, np.ndarray], rows: np.ndarray,
+                      offsets: np.ndarray, pair_a: Sequence[int],
+                      pair_b: Sequence[int],
+                      negate: Sequence[bool]) -> np.ndarray:
+        n = check_swap_pairs(columns, orders, pair_a, pair_b, negate)
+        n_classes = len(offsets) - 1
+        if n_classes < 0:
+            raise swap_contract_error(-3)
+        n_pairs = len(pair_a)
+        swapped = np.zeros(max(n_pairs, 1), dtype=np.uint8)
+        # one address per referenced column and τ_A; the C side reads
+        # one (col_a, col_b, order_a, negate) record per pair
+        held: List[np.ndarray] = []
+        columns_at = {i: _address(columns[i], held)
+                      for i in {*pair_a, *pair_b}}
+        orders_at = {i: _address(orders[i], held) for i in set(pair_a)}
+        table = np.array(
+            [(columns_at[a], columns_at[b], orders_at[a], 1 if neg else 0)
+             for a, b, neg in zip(pair_a, pair_b, negate)],
+            dtype=np.uint64)
+        rows = _c(rows)
+        offsets = _c(offsets)
+        found = self._lib.repro_swap_verdicts(
+            table.ctypes.data, n_pairs, n, rows.ctypes.data, len(rows),
+            offsets.ctypes.data, n_classes, swapped.ctypes.data)
+        if found < 0:
+            raise swap_contract_error(found)
+        return swapped[:n_pairs].view(bool)
 
     def split_mismatch(self, column: np.ndarray, rows: np.ndarray,
                        offsets: np.ndarray,

@@ -29,10 +29,10 @@ worker loop.
 
 Determinism: workers run the exact same kernels
 (:meth:`StrippedPartition.product`,
-:func:`is_compatible_in_classes`, ...) on byte-identical inputs, and
-the coordinator merges results keyed by mask/task id and applies them
-in the serial engine's order — so a parallel run's partitions and
-verdicts are byte-identical to ``workers=1``.
+:func:`~repro.core.validation.scan_verdicts`, ...) on byte-identical
+inputs, and the coordinator merges results keyed by mask/task id and
+applies them in the serial engine's order — so a parallel run's
+partitions and verdicts are byte-identical to ``workers=1``.
 
 Lifecycle: worker processes start lazily on the first dispatch (a pool
 created for a run that never crosses the serial-fallback thresholds
@@ -316,37 +316,34 @@ def _handle_products(state: _WorkerState, payload: dict) -> dict:
 
 
 def _handle_scans(state: _WorkerState, payload: dict) -> dict:
-    """The worker half of :meth:`WorkerPool.run_scans`: the same mode
-    dispatch the coordinator runs, so unknown modes fail loudly at any
-    worker count."""
-    from repro.core.validation import scan_verdict
+    """The worker half of :meth:`WorkerPool.run_scans`: the same batch
+    function the coordinator runs
+    (:func:`repro.core.validation.scan_verdicts`), so unknown modes
+    fail loudly at any worker count."""
+    from repro.core.validation import scan_verdicts
 
     descriptor = payload["columns"]
-    relation = state.relation(descriptor)
     refs: Dict[Hashable, PartitionRef] = payload["contexts"]
     deadline = payload["deadline"]
+
     # one partition object per context key, so derived state (class
-    # ids, cached expansions) is shared by every task scanning it
+    # ids, class sizes) is shared by every task scanning it
     contexts: Dict[Hashable, StrippedPartition] = {}
-    verdicts: List[Tuple[Hashable, bool]] = []
-    timed_out = False
-    for key, context_key, mode, a, b in payload["tasks"]:
-        if _past(deadline):
-            timed_out = True
-            break
-        context = None
-        if mode != "pointwise":
-            context = contexts.get(context_key)
-            if context is None:
-                ref = refs.get(context_key)
-                context = (
-                    state.partition_cache(descriptor).get(context_key)
-                    if ref is None else
-                    _partition_from_ref(state, ref, descriptor[2]))
-                contexts[context_key] = context
-        verdicts.append((key, scan_verdict(mode, relation, a, b,
-                                           context)))
-    return {"verdicts": verdicts, "timed_out": timed_out}
+
+    def context_of(context_key: Hashable) -> StrippedPartition:
+        context = contexts.get(context_key)
+        if context is None:
+            ref = refs.get(context_key)
+            context = contexts[context_key] = (
+                state.partition_cache(descriptor).get(context_key)
+                if ref is None else
+                _partition_from_ref(state, ref, descriptor[2]))
+        return context
+
+    verdicts, timed_out = scan_verdicts(
+        state.relation(descriptor), payload["tasks"], context_of,
+        lambda: _past(deadline))
+    return {"verdicts": list(verdicts.items()), "timed_out": timed_out}
 
 
 _HANDLERS = {

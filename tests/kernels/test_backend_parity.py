@@ -7,9 +7,11 @@ for bit* on adversarial partition shapes — empty, all-singleton
 randomized CSR layouts.  ``swap_desc`` candidates negate a rank
 column, so swap parity is also pinned on negated inputs; swap flags
 are also pinned to the scalar per-class scan on coarse and near-empty
-contexts and must not depend on τ_A's order within ties; and densify
-parity covers the compiled kernel's sparse-range and negative-value
-fallback paths.
+contexts and must not depend on τ_A's order within ties; batched swap
+verdicts must equal ``any(swap_flags)`` and the scalar scan per pair;
+and densify parity covers the compiled kernel's sparse-range and
+negative-value fallback paths.  Inputs outside the swap kernels'
+contract raise ``ValueError`` on both backends.
 
 Every test here skips cleanly when no C toolchain is available (the
 fallback behavior itself is covered by test_backend_selection.py).
@@ -213,6 +215,165 @@ def test_swap_rejects_unequal_lengths_before_c(short, compiled,
     for backend in (compiled, REFERENCE):
         with pytest.raises(ValueError, match="one length"):
             backend.swap_flags(*args)
+
+
+#: context shapes of the batched verdict call (n = 300 rows)
+VERDICT_CONTEXTS = {
+    "one-class-all-rows": np.zeros(300, dtype=np.int64),
+    "few-classes": np.arange(300, dtype=np.int64) % 3,
+    "random-classes": np.random.default_rng(29).integers(0, 40, 300),
+    "mostly-singletons": _mostly_singletons(300),
+    "empty": np.arange(300, dtype=np.int64),
+}
+
+
+def _verdict_columns(context: StrippedPartition) -> list:
+    """Rank columns over which the context's pairs mix holding and
+    failing verdicts: c1 rises with c0, c2 falls with it (a
+    ``swap_desc`` pair holds), c3 is noise, c4 is c1 with one swap in
+    the context's first class, c5 has ties on c0's groups."""
+    n = context.n_rows
+    rng = np.random.default_rng(31)
+    c0 = rng.integers(0, 30, n)
+    if context.n_classes:
+        low, high = context.rows[:2]       # two rows of the first class
+        c0[low], c0[high] = 0, 29
+    c1 = c0 // 3
+    c2 = 100 - c0 // 2
+    c3 = rng.integers(0, 30, n)
+    c4 = c1.copy()
+    if context.n_classes:
+        c4[low] = 1000             # smallest A, largest B: a swap
+    c5 = c0 % 4
+    return [c0, c1, c2, c3, c4, c5]
+
+
+#: (a, b, negate): many pairs share A = 0, swap and swap_desc mix, and
+#: (0, 4) fails in the first class between pairs that hold
+VERDICT_PAIRS = [(0, 1, False), (0, 4, False), (0, 2, True),
+                 (0, 1, False), (0, 3, False), (0, 2, False),
+                 (0, 5, True), (0, 1, True), (1, 0, False), (2, 0, True),
+                 (3, 5, False), (5, 3, True), (4, 1, False)]
+
+
+@pytest.mark.parametrize("shape", sorted(VERDICT_CONTEXTS))
+@pytest.mark.parametrize("tau", ["argsort", "shuffled-ties"])
+def test_swap_verdicts_contract(shape, tau, compiled):
+    """Compiled, reference, ``any(swap_flags)`` per pair and the scalar
+    per-class scan agree on every pair of one batched call."""
+    context = StrippedPartition.from_ranks(VERDICT_CONTEXTS[shape])
+    columns = _verdict_columns(context)
+    if tau == "argsort":
+        orders = {a: np.argsort(col) for a, col in enumerate(columns)}
+    else:
+        orders = {a: _tie_shuffled_order(col, 5 + a)
+                  for a, col in enumerate(columns)}
+    pair_a, pair_b, negate = (list(v) for v in zip(*VERDICT_PAIRS))
+    args = (columns, orders, context.rows, context.offsets, pair_a,
+            pair_b, negate)
+    want = []
+    for a, b, neg in VERDICT_PAIRS:
+        col_b = -columns[b] if neg else columns[b]
+        scalar = _scalar_flags(columns[a], col_b, context).any()
+        flag_args = _swap_args(columns[a], col_b, context, orders[a])
+        for backend in (REFERENCE, compiled):
+            assert backend.swap_flags(*flag_args).any() == scalar
+        want.append(scalar)
+    want = np.array(want, dtype=bool)
+    if shape == "empty":
+        assert not want.any()
+    else:
+        # the first-class failure sits between pairs that hold
+        assert want[:4].tolist() == [False, True, False, False]
+    label = f"swap_verdicts({shape}, {tau})"
+    _assert_same(REFERENCE.swap_verdicts(*args), want, label)
+    _assert_same(compiled.swap_verdicts(*args), want, label)
+
+
+def test_swap_verdicts_no_pairs(compiled):
+    context = StrippedPartition.from_ranks(np.arange(10) % 2)
+    columns = [np.arange(10)]
+    for backend in (REFERENCE, compiled):
+        got = backend.swap_verdicts(columns, {}, context.rows,
+                                    context.offsets, [], [], [])
+        _assert_same(got, np.zeros(0, dtype=bool), "no pairs")
+
+
+def _swap_inputs(case: str) -> tuple:
+    """Valid inputs for both swap entry points over a 20-row relation,
+    then broken as ``case`` says: ``(flags_args, verdicts_args)``;
+    ``flags_args`` is ``None`` where the case has no pairs to break in
+    ``swap_flags``."""
+    context = StrippedPartition.from_ranks(np.arange(20) % 4)
+    columns = [np.arange(20) % 5, np.arange(20) % 3]
+    orders = {0: np.argsort(columns[0]), 1: np.argsort(columns[1])}
+    rows, offsets = context.rows.copy(), context.offsets.copy()
+    pair_a, pair_b, negate = [0, 1], [1, 0], [False, True]
+    if case == "row-n":
+        rows[3] = 20
+    elif case == "row-negative":
+        rows[0] = -1
+    elif case == "offsets-not-from-0":
+        offsets[0] = 1
+    elif case == "offsets-decrease":
+        offsets[1], offsets[2] = offsets[2], offsets[1]
+    elif case == "offsets-past-rows":
+        offsets[-1] = len(rows) + 1
+    elif case == "offsets-short-of-rows":
+        offsets[-1] = len(rows) - 1
+    elif case == "offsets-empty":
+        offsets = offsets[:0]
+    elif case == "tau-row-n":           # the walk's first step
+        orders[0] = orders[0].copy()
+        orders[0][0] = 20
+    elif case == "pair-a-arity":
+        pair_a = [0, 2]
+    elif case == "pair-b-negative":
+        pair_b = [1, -1]
+    elif case == "pair-lengths":
+        pair_b = [1]
+    elif case == "negate-length":
+        negate = [False]
+    elif case == "column-lengths":
+        columns[1] = columns[1][:-1]
+    elif case == "order-length":
+        orders[1] = orders[1][:-1]
+    elif case == "order-missing":
+        del orders[1]
+    verdicts_args = (columns, orders, rows, offsets, pair_a, pair_b,
+                     negate)
+    flags_args = None
+    if case in CONTEXT_CASES:
+        flags_args = (columns[0], columns[1], rows, offsets,
+                      context.class_ids(), orders[0])
+    return flags_args, verdicts_args
+
+
+#: broken contexts (both entry points) and broken pairs (the batched one)
+CONTEXT_CASES = ["row-n", "row-negative", "offsets-not-from-0",
+                 "offsets-decrease", "offsets-past-rows",
+                 "offsets-short-of-rows", "offsets-empty", "tau-row-n"]
+PAIR_CASES = ["pair-a-arity", "pair-b-negative", "pair-lengths",
+              "negate-length", "column-lengths", "order-length",
+              "order-missing"]
+
+
+@pytest.mark.parametrize("backend_name", ["reference", "compiled"])
+@pytest.mark.parametrize("case", CONTEXT_CASES + PAIR_CASES)
+def test_swap_kernels_reject_bad_inputs(case, backend_name):
+    """A row outside [0, n), offsets that do not run from 0 up to
+    len(rows), a pair index outside [0, arity) or unequal lengths is a
+    ``ValueError`` on both entry points — in C before any write
+    outside the scratch table."""
+    if backend_name == "compiled" and not kernels.compiled_available():
+        pytest.skip("no C toolchain; compiled backend unavailable")
+    backend = kernels.resolve_backend(backend_name)
+    flags_args, verdicts_args = _swap_inputs(case)
+    with pytest.raises(ValueError):
+        backend.swap_verdicts(*verdicts_args)
+    if flags_args is not None:
+        with pytest.raises(ValueError):
+            backend.swap_flags(*flags_args)
 
 
 @pytest.mark.parametrize("name", sorted(RANKS))

@@ -79,3 +79,54 @@ def test_billing_short_circuits_when_registry_disabled():
         assert _calls("reference") == before  # ...but bills nothing
     finally:
         metrics.set_enabled(True)
+
+
+def _swap_calls() -> float:
+    return sum(metrics.REGISTRY.value("repro_kernel_calls_total",
+                                      kernel="swap", backend=backend)
+               for backend in ("reference", "compiled"))
+
+
+def test_one_swap_call_per_scanned_context(monkeypatch):
+    """A serial discovery bills one swap call per distinct context a
+    scan batch checks with grouped rows — however many (A, B) pairs
+    share it — so fewer calls than scan tasks."""
+    from repro.core.fastod import FastOD, FastODConfig
+    from repro.engine.executors import SerialExecutor
+    from tests.conftest import random_relation
+
+    batches = []          # (swap contexts with grouped rows, tasks)
+    run_scans = SerialExecutor.run_scans
+
+    def recording(self, contexts, tasks, budget, phase="scans"):
+        keys = {task[1] for task in tasks
+                if task[2] in ("swap", "swap_desc")}
+        batches.append((sum(1 for key in keys if len(contexts[key].rows)),
+                        len(tasks)))
+        return run_scans(self, contexts, tasks, budget, phase)
+
+    monkeypatch.setattr(SerialExecutor, "run_scans", recording)
+    relation = random_relation(seed=21, n_cols=6, n_rows=300, domain=5)
+    before = _swap_calls()
+    FastOD(relation, FastODConfig(workers=1)).run()
+    billed = _swap_calls() - before
+    contexts = sum(n_contexts for n_contexts, _ in batches)
+    tasks = sum(n_tasks for _, n_tasks in batches)
+    assert billed == contexts > 0
+    assert contexts < tasks
+
+
+def test_swap_verdicts_bill_once_per_call():
+    from repro.partitions.partition import partition_from_columns
+    from tests.conftest import make_relation
+
+    encoded = make_relation(
+        3, [(i % 3, i % 2, i % 4) for i in range(40)]).encode()
+    context = partition_from_columns(encoded, [0])
+    before = _swap_calls()
+    with kernels.activate("reference"):
+        kernels.swap_verdicts(
+            encoded.ranks, {1: encoded.order(1), 2: encoded.order(2)},
+            context.rows, context.offsets, [1, 2, 1], [2, 1, 2],
+            [False, False, True])
+    assert _swap_calls() == before + 1
