@@ -33,6 +33,9 @@ Gates the perf claim of the flat-layout partition engine two ways:
    5000x12, context {first_name, county_id}) with its 45 (A, B)
    pairs as one ``swap_verdicts`` call against one ``swap_flags`` call
    per pair, on each available backend — also reported, not gated.
+   A level-products row likewise builds one cli-wide-shaped lattice
+   level (ncvoter 5000x12, level 3: 220 products of level-2 parents)
+   as one ``partition_products`` call against one call per product.
 
 4. **Backend × workers identity matrix** — runs full discovery at
    workers 0/2/4 under each available backend (with
@@ -61,6 +64,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.harness import Reporter, dataset, timed, write_bench_json
 from repro import discover_ods, kernels
 from repro.core.fastod import FastOD, FastODConfig
+from repro.core.lattice import parents_for_partition
 from repro.core.validation import is_compatible_in_classes
 from repro.kernels.reference import ReferenceBackend
 from repro.partitions.partition import (StrippedPartition,
@@ -81,6 +85,8 @@ IDENTITY_ROWS = 3000
 #: 5000x12) and one of its two-attribute scan contexts
 SWAP_BATCH_SHAPE = ("ncvoter", 5000, 12)
 SWAP_BATCH_CONTEXT = (2, 3)
+#: the level-products row: the same relation's level 3
+LEVEL_PRODUCTS_LEVEL = 3
 
 
 # ----------------------------------------------------------------------
@@ -281,13 +287,12 @@ def bench_backends(reporter: Reporter) -> tuple:
     compiled = kernels.resolve_backend("compiled")
     records = []
     ratios = []
-    methods = {"product": "partition_product", "swap": "swap_flags",
+    methods = {"product": "partition_products", "swap": "swap_flags",
                "swap-coarse": "swap_flags", "split": "split_mismatch",
                "densify": "densify"}
     for n_rows, n_distinct in [(20_000, 60), (100_000, 300)]:
         context, left, swap_context, col_a, col_b, raw = _backend_inputs(
             n_rows, n_distinct, seed=11)
-        probe = left.row_to_class()
         # τ_A once per column, as EncodedRelation.order caches it
         order_a = np.argsort(col_a)
         # a coarse context, mean class 1000 rows: reported, but kept
@@ -295,8 +300,10 @@ def bench_backends(reporter: Reporter) -> tuple:
         coarse = StrippedPartition.from_ranks(
             np.arange(n_rows, dtype=np.int64) % (n_rows // 1000))
         args_by_kernel = {
-            "product": (probe, context.rows, context.offsets,
-                        context.class_ids(), left.n_classes),
+            # a one-task batch: Π_left · Π_context
+            "product": ([(left.rows, left.offsets),
+                         (context.rows, context.offsets)], [(0, 1)],
+                        n_rows),
             "swap": (col_a, col_b, swap_context.rows,
                      swap_context.offsets, swap_context.class_ids(),
                      order_a),
@@ -387,6 +394,64 @@ def bench_swap_batch(reporter: Reporter) -> List[dict]:
     return records
 
 
+def bench_level_products(reporter: Reporter) -> List[dict]:
+    """One lattice level of cli-wide's relation: every product as one
+    batched ``partition_products`` call (one probe per left parent)
+    against one call per product, on each available backend.
+    Reported, not gated."""
+    name, n_rows, n_attrs = SWAP_BATCH_SHAPE
+    encoded = dataset(name, n_rows, n_attrs).encode()
+    masks = [sum(1 << a for a in attributes) for attributes in
+             combinations(range(n_attrs), LEVEL_PRODUCTS_LEVEL)]
+    pairs = [parents_for_partition(mask) for mask in masks]
+    parent_masks = sorted({mask for pair in pairs for mask in pair})
+    index = {mask: i for i, mask in enumerate(parent_masks)}
+    parents = [partition_from_columns(
+        encoded, [a for a in range(n_attrs) if mask >> a & 1])
+        for mask in parent_masks]
+    flat = [(parent.rows, parent.offsets) for parent in parents]
+    tasks = [(index[left], index[right]) for left, right in pairs]
+    backends = ["reference"]
+    if kernels.compiled_available():
+        backends.append("compiled")
+    records = []
+    for backend_name in backends:
+        backend = kernels.resolve_backend(backend_name)
+
+        def per_product():
+            return [backend.partition_products(
+                [flat[left], flat[right]], [(0, 1)], n_rows)
+                for left, right in tasks]
+
+        def batched():
+            return backend.partition_products(flat, tasks, n_rows)
+
+        rows, offsets, spans = batched()
+        for (r, m, o, k), (one_rows, one_offsets, _) in zip(
+                spans.tolist(), per_product()):
+            assert (np.array_equal(rows[r:r + m], one_rows)
+                    and np.array_equal(offsets[o:o + k + 1],
+                                       one_offsets)), \
+                f"{backend_name}: batched products differ per product"
+        per_product_s = _time_kernel(per_product)
+        batched_s = _time_kernel(batched)
+        reporter.add(backend=backend_name, n_rows=n_rows,
+                     products=len(tasks),
+                     per_product=f"{per_product_s * 1e3:.2f}ms",
+                     batched=f"{batched_s * 1e3:.2f}ms",
+                     speedup=f"{per_product_s / batched_s:.2f}x "
+                             "(not gated)")
+        records.append({
+            "kernel": "level-products", "backend": backend_name,
+            "dataset": name, "n_rows": n_rows, "n_attrs": n_attrs,
+            "level": LEVEL_PRODUCTS_LEVEL, "products": len(tasks),
+            "per_product_seconds": per_product_s,
+            "batched_seconds": batched_s,
+            "speedup": per_product_s / batched_s, "gated": False,
+        })
+    return records
+
+
 # ----------------------------------------------------------------------
 # backend x workers identity matrix
 # ----------------------------------------------------------------------
@@ -455,6 +520,14 @@ def main() -> int:
     batch_records = bench_swap_batch(batch_reporter)
     batch_reporter.finish()
 
+    level_reporter = Reporter(
+        experiment="level_products",
+        title="One lattice level's products: one call vs one per product",
+        columns=["backend", "n_rows", "products", "per_product",
+                 "batched", "speedup"])
+    level_records = bench_level_products(level_reporter)
+    level_reporter.finish()
+
     matrix_reporter = Reporter(
         experiment="backend_identity",
         title="FD/OCD identity across backend x worker-count matrix",
@@ -469,6 +542,8 @@ def main() -> int:
     write_bench_json("partitions", backend_records,
                      section="kernel_backends")
     write_bench_json("partitions", batch_records, section="swap_batch")
+    write_bench_json("partitions", level_records,
+                     section="level_products")
     write_bench_json("partitions", matrix_records,
                      section="backend_identity")
     kernel_ratios = [r["reference_seconds"] / r["seconds"]

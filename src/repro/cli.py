@@ -92,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="bound the partition cache to N composite "
                                "partitions (LRU); default keeps all")
     discover.add_argument("--workers", type=int, default=None, metavar="N",
-                          help="shard level-wise products and validation "
-                               "scans over N worker processes (default: "
+                          help="shard level-wise validation scans over "
+                               "N worker processes (default: "
                                "$REPRO_WORKERS or 1 = serial; results "
                                "are identical either way)")
     _add_kernels_option(discover)

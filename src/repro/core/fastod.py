@@ -24,14 +24,15 @@ executor together, then runs the shared planner.
 
 Since the nodes of one level are independent, the per-level work also
 shards across processes: with ``FastODConfig(workers=N)`` (or
-``REPRO_WORKERS``), partition products and OCD swap scans run on a
-shared-memory :class:`repro.parallel.WorkerPool` through the engine's
-:class:`~repro.engine.PoolExecutor`, while the planner keeps every
+``REPRO_WORKERS``), OCD swap scans run on a shared-memory
+:class:`repro.parallel.WorkerPool` through the engine's
+:class:`~repro.engine.PoolExecutor` (a level's partition products are
+one kernel call on the coordinator), while the planner keeps every
 candidate-set mutation (``cc``/``cs`` updates, Algorithm 4 pruning)
 serial and applies worker verdicts in deterministic task order — so
 parallel results are byte-identical to ``workers=1``.  Levels whose
-partitions hold fewer grouped rows than the serial fallback threshold
-never leave the coordinator.
+scan contexts hold fewer grouped rows than the serial fallback
+threshold never leave the coordinator.
 
 Toggles on :class:`FastODConfig` disable the pruning families to
 reproduce the paper's *FASTOD-No Pruning* ablations (Figures 6).
@@ -76,17 +77,18 @@ class FastODConfig:
         validation scans, and cooperatively inside parallel workers —
         so one huge node cannot overshoot the budget by a whole level.
     workers:
-        Size of the shared-memory worker pool for level-wise products
-        and validation scans.  ``None`` defers to the
+        Size of the shared-memory worker pool for level-wise
+        validation scans.  ``None`` defers to the
         ``REPRO_WORKERS`` environment variable; 1 (the default
         resolution) runs fully serial.  Results are byte-identical
         either way.
     parallel_min_grouped_rows:
-        Serial-fallback threshold: a level dispatches to the pool only
-        when its partitions hold at least this many grouped rows
-        (``None`` = the package default,
+        Serial-fallback threshold: a level's scans dispatch to the
+        pool only when their contexts hold at least this many grouped
+        rows (``None`` = the package default,
         :data:`repro.parallel.PARALLEL_MIN_GROUPED_ROWS`).  Mostly a
-        testing knob — set 0 to force every level through the pool.
+        testing knob — set 0 to force every level's scans through the
+        pool.
     kernel_backend:
         Which partition-kernel implementation to run the hot loops on:
         ``"reference"`` (pure NumPy), ``"compiled"`` (C via ctypes),

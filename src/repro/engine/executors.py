@@ -1,7 +1,10 @@
 """Pluggable executors: where planner-emitted tasks actually run.
 
 An :class:`Executor` resolves two kinds of work: partition products
-(:class:`~repro.engine.tasks.ProductTask`) and scans.  Every scan —
+(:class:`~repro.engine.tasks.ProductTask`) and scans.  Products run on
+the coordinator in every executor: a lattice level's products are one
+:func:`~repro.partitions.partition.level_products` kernel call, with
+the budget consulted once before it.  Every scan —
 FASTOD's OCD/FD checks, the hybrid escalation waves, the
 bidirectional/pointwise sweeps, one validator/detector/incremental
 check — is one task shape, :data:`ScanTask`
@@ -10,19 +13,20 @@ check — is one task shape, :data:`ScanTask`
 implementations ship:
 
 * :class:`SerialExecutor` runs every kernel inline on the coordinator,
-  consulting the :class:`~repro.engine.budget.DeadlineBudget` between
-  tasks.  Its scans and the pool workers' share one batch function,
+  consulting the :class:`~repro.engine.budget.DeadlineBudget` before
+  each level's products and between scan contexts.  Its scans and the
+  pool workers' share one batch function,
   :func:`repro.core.validation.scan_verdicts`: the swap tasks of one
   context are answered by one kernel call, each (A, B) pair's walk
   stopping at its first swap.
 * :class:`PoolExecutor` wraps a shared-memory
-  :class:`~repro.parallel.WorkerPool`.  A batch leaves the coordinator
-  only when it has at least two tasks and enough rows to amortize
-  process dispatch: grouped rows when the caller supplies every
-  context partition, relation rows when workers derive them.  Smaller
-  batches fall through to an internal :class:`SerialExecutor` that
-  shares the same telemetry, and every pooled batch goes through one
-  crash-recovery loop.
+  :class:`~repro.parallel.WorkerPool` for scans.  A scan batch leaves
+  the coordinator only when it has at least two tasks and enough rows
+  to amortize process dispatch: grouped rows when the caller supplies
+  every context partition, relation rows when workers derive them.
+  Products and smaller batches fall through to an internal
+  :class:`SerialExecutor` that shares the same telemetry, and every
+  pooled batch goes through one crash-recovery loop.
 
 Every future backend (async, distributed) is a third implementation of
 this protocol — not another traversal fork.
@@ -43,7 +47,7 @@ from repro.obs import events
 from repro.parallel.pool import (PoolDispatchError, ScanTask, WorkerPool,
                                  resolve_workers)
 from repro.partitions.cache import PartitionCache
-from repro.partitions.partition import StrippedPartition
+from repro.partitions.partition import StrippedPartition, level_products
 from repro.relation.encoding import EncodedRelation
 
 #: Crashed dispatches tolerated per batch before the remaining tasks
@@ -104,20 +108,25 @@ class SerialExecutor:
                      tasks: Sequence[ProductTask],
                      budget: DeadlineBudget
                      ) -> Tuple[Dict[int, StrippedPartition], bool]:
+        """Every product of ``tasks`` (one lattice level) with one
+        kernel call, plus a flag set when the budget had run out
+        before it — then nothing is built, since a half-built level is
+        never traversed."""
         started = time.perf_counter()
         products: Dict[int, StrippedPartition] = {}
-        with kernels.activate(self.kernel_backend):
-            for task in tasks:
-                if budget.hit():
-                    self.telemetry.record(
-                        "products", len(products), False,
-                        time.perf_counter() - started)
-                    return products, True
-                products[task.child] = parents[task.left].product(
-                    parents[task.right])
+        timed_out = budget.hit()
+        if not timed_out:
+            index = {mask: i for i, mask in enumerate(parents)}
+            with kernels.activate(self.kernel_backend):
+                built = level_products(
+                    list(parents.values()),
+                    [(index[task.left], index[task.right])
+                     for task in tasks])
+            products = {task.child: product
+                        for task, product in zip(tasks, built)}
         self.telemetry.record("products", len(products), False,
                               time.perf_counter() - started)
-        return products, False
+        return products, timed_out
 
     def run_scans(self, contexts: Dict[Hashable, StrippedPartition],
                   tasks: Sequence[ScanTask], budget: DeadlineBudget,
@@ -166,7 +175,8 @@ class SerialExecutor:
 
 
 class PoolExecutor:
-    """Shards big task batches over a shared-memory worker pool.
+    """Shards big scan batches over a shared-memory worker pool;
+    products stay on the coordinator.
 
     The pool starts lazily on the first dispatch that crosses the
     serial-fallback thresholds.  ``min_grouped_rows`` overrides the
@@ -285,10 +295,8 @@ class PoolExecutor:
         timed_out)`` from the pool and from the serial twin.  With
         ``harvest``, verdicts a crashed dispatch had acknowledged are
         kept and only the other tasks (keyed by ``task[0]``) re-run.
-        Product batches harvest nothing (their outputs lived in the
-        torn-down segment), and neither does a class-sharded scan,
-        whose partial results are per-chunk verdicts rather than the
-        scan's own.
+        A class-sharded scan harvests nothing: its partial results are
+        per-chunk verdicts rather than the scan's own.
         """
         results: Dict = {}
         remaining = list(tasks)
@@ -327,16 +335,11 @@ class PoolExecutor:
                      tasks: Sequence[ProductTask],
                      budget: DeadlineBudget
                      ) -> Tuple[Dict[int, StrippedPartition], bool]:
-        grouped_rows = sum(len(p.rows) for p in parents.values())
-        if len(tasks) < 2 or grouped_rows < self.grouped_rows_threshold:
-            return self._serial.run_products(parents, tasks, budget)
-        triples = [(t.child, t.left, t.right) for t in tasks]
-        return self._dispatch(
-            "products", tasks,
-            lambda pool, _: pool.run_products(parents, triples,
-                                              budget.deadline),
-            lambda rest: self._serial.run_products(parents, rest, budget),
-            harvest=False)
+        """On the coordinator, as :meth:`SerialExecutor.run_products`:
+        one kernel call builds a level faster than workers rebuild
+        probe tables from shared parents.  The scans that need a
+        product as their context publish it then."""
+        return self._serial.run_products(parents, tasks, budget)
 
     def run_scans(self, contexts: Dict[Hashable, StrippedPartition],
                   tasks: Sequence[ScanTask], budget: DeadlineBudget,

@@ -1,10 +1,11 @@
 """Pluggable kernel backends for the FASTOD hot path.
 
-The four kernels every discovery run lives in — partition product
-(CSR composite-key grouping), swap scan (one walk over τ_A, the rows
-sorted by the left attribute, per (A, B) pair), split scan, and rank
-re-encoding (densify) — are dispatched through this package to one of
-two interchangeable backends:
+The kernels every discovery run lives in — partition products (one
+lattice level per call), swap scan (one walk over τ_A, the rows sorted
+by the left attribute, per (A, B) pair), split scan, rank re-encoding
+(densify) and the stable rank order that builds level 1 and τ_A — are
+dispatched through this package to one of two interchangeable
+backends:
 
 * ``reference`` — the PR 1 vectorized NumPy kernels
   (:mod:`repro.kernels.reference`); always available, and the semantic
@@ -25,9 +26,10 @@ warns once and falls back.
 Every dispatch is billed to the ``repro_kernel_calls_total`` /
 ``repro_kernel_seconds_total`` counter families (labels ``kernel``,
 ``backend``) of the process-wide :mod:`repro.obs.metrics` registry, so
-``/metrics`` separates product from swap/split/densify time by
-backend.  The swap kernel has two entry points under one label:
-:func:`swap_flags` (per-class flags, for witnesses) and
+``/metrics`` separates product from swap/split/densify/order time by
+backend.  :func:`partition_products` builds a whole lattice level and
+is billed once per call.  The swap kernel has two entry points under
+one label: :func:`swap_flags` (per-class flags, for witnesses) and
 :func:`swap_verdicts` (every (A, B) pair of one scan context in one
 call, billed once).  The timing wrapper short-circuits when the
 registry is disabled, keeping the observability overhead gate honest.
@@ -211,14 +213,56 @@ def _dispatch(kernel: str, method: str, *args):
     return out
 
 
+def partition_products(parents: Sequence[Tuple[np.ndarray, np.ndarray]],
+                       tasks: Sequence[Tuple[int, int]], n_rows: int
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``Π_left · Π_right`` for every ``(left, right)`` index pair of
+    ``tasks`` over ``parents``, the flat ``(rows, offsets)`` of
+    partitions of one ``n_rows``-row relation: one lattice level in
+    one call, billed once.  Returns ``(rows, offsets, spans)``, the
+    products packed in task order; ``spans[t]`` is task ``t``'s
+    ``(rows start, rows length, offsets start, class count)``.  Group
+    the tasks by left parent: one row -> class probe serves each run
+    of tasks sharing one (see
+    :meth:`repro.kernels.reference.ReferenceBackend.partition_products`
+    for the contract)."""
+    return _dispatch("product", "partition_products", parents, tasks,
+                     n_rows)
+
+
 def partition_product(probe: np.ndarray, rows_y: np.ndarray,
-                      offsets_y: np.ndarray, class_ids_y: np.ndarray,
-                      n_left: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Π_X · Π_Y refinement on the flat CSR layout (see
-    :meth:`repro.kernels.reference.ReferenceBackend.partition_product`
-    for the output contract)."""
-    return _dispatch("product", "partition_product", probe, rows_y,
-                     offsets_y, class_ids_y, n_left)
+                      offsets_y: np.ndarray, class_ids_y=None,
+                      n_left: Optional[int] = None
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """One product as a one-task :func:`partition_products` batch.
+
+    Π_X comes as its row -> class probe (-1 outside every class, class
+    ids below ``n_left``) and is regrouped into its flat layout here;
+    ``class_ids_y`` is ignored.  Kept for the end-to-end benchmark's
+    probe table, which wraps this name;
+    :meth:`repro.partitions.partition.StrippedPartition.product` is
+    the partition-level view."""
+    probe = np.asarray(probe, dtype=np.int64)
+    grouped = np.flatnonzero(probe >= 0)
+    classes = probe[grouped]
+    if n_left is None:
+        n_left = int(classes.max()) + 1 if len(classes) else 0
+    if len(classes) and classes.max() >= n_left:
+        raise ValueError("product probe classes must lie in "
+                         "[-1, n_left)")
+    rows_x = grouped[np.argsort(classes, kind="stable")]
+    offsets_x = np.concatenate(
+        ([0], np.cumsum(np.bincount(classes, minlength=n_left))))
+    rows, offsets, _ = partition_products(
+        [(rows_x, offsets_x), (rows_y, offsets_y)], [(0, 1)], len(probe))
+    return rows, offsets
+
+
+def rank_order(ranks: np.ndarray) -> np.ndarray:
+    """Every row index sorted by rank, ties in row order: byte-identical
+    to ``np.argsort(ranks, kind="stable")``, and a valid τ_A.  Builds
+    level 1's partitions and the relation's τ_A orders."""
+    return _dispatch("order", "rank_order", ranks)
 
 
 def swap_flags(col_a: np.ndarray, col_b: np.ndarray, rows: np.ndarray,
@@ -278,6 +322,8 @@ __all__ = [
     "default_backend",
     "densify",
     "partition_product",
+    "partition_products",
+    "rank_order",
     "resolve_backend",
     "set_default_backend",
     "set_kernel_spans",

@@ -7,9 +7,11 @@
  *
  * Output contract: every kernel reproduces the reference backend's
  * arrays byte for byte.  The comments on each kernel state why; the
- * backend-parity suite (tests/kernels) enforces it.  The swap kernels
- * sort nothing: they take τ_A, the relation's rows sorted once by the
- * left attribute, and answer a context in one pass over it per
+ * backend-parity suite (tests/kernels) enforces it.  The product
+ * kernel builds a whole lattice level per call and sorts no rows, and
+ * the swap kernels sort nothing either: they take τ_A, the relation's
+ * rows sorted once by the left attribute (counting-sorted by
+ * repro_rank_order), and answer a context in one pass over it per
  * (A, B) pair.
  *
  * All arrays are contiguous int64 unless noted; flags/masks are uint8
@@ -26,101 +28,181 @@ static int cmp_i64(const void *x, const void *y)
 }
 
 /* ------------------------------------------------------------------ */
-/* partition product: Π_X · Π_Y on the flat CSR layout                */
+/* partition products: one lattice level in one call                  */
 /* ------------------------------------------------------------------ */
 
-/* Refine Π_Y's classes by Π_X's row->class probe table.
+/* One parent partition of repro_products, in the flat CSR layout:
+ * rows[offsets[c]:offsets[c + 1]] is class c. */
+typedef struct {
+    const int64_t *rows;
+    int64_t n_grouped;              /* len(rows) */
+    const int64_t *offsets;
+    int64_t n_classes;              /* len(offsets) - 1 */
+} repro_parent;
+
+/* the binding packs each record as four 8-byte words, like
+ * repro_swap_pair below */
+_Static_assert(sizeof(repro_parent) == 4 * sizeof(int64_t),
+               "repro_parent must be four 8-byte fields");
+
+/* Π_left · Π_right for every (left, right) task of one lattice level.
  *
- * The NumPy reference sorts the grouped rows by the composite key
- * (y_class * n_left + left_class) with a stable sort and strips
- * singleton runs.  That layout is: classes ordered by (y_class asc,
- * left_class asc), rows within a class in their original rows_y
- * order.  This kernel reproduces it directly — per y-class counting
- * of the left classes touched, groups emitted in ascending left-class
- * order, rows placed in a second pass over the segment in original
- * order — in O(m + k log k) without the global sort.
+ * The NumPy reference sorts each task's grouped right rows by the
+ * composite key (right_class * n_left + left_class) with a stable sort
+ * and strips singleton runs.  That layout is: classes ordered by
+ * (right class asc, left class asc), rows within a class in their
+ * original right-parent order.  This kernel reproduces it without the
+ * sort — per right class, counting of the left classes touched, groups
+ * emitted in ascending left-class order, rows placed in a second pass
+ * over the class in original order — in O(m + k log k) per task.
  *
- * probe       : row -> left class id, -1 for singleton rows (n_probe
- *               entries; rows_y values index into it)
- * rows_y      : flat grouped rows of Π_Y (m entries)
- * offsets_y   : class boundaries of Π_Y (n_classes_y + 1 entries)
- * n_left      : number of classes of Π_X (probe values < n_left)
- * out_rows    : capacity m
- * out_offsets : capacity m/2 + 2
+ * An n-entry row -> class probe is filled from a left parent's own
+ * rows/offsets and reset by re-walking the same rows, once per run of
+ * consecutive tasks sharing that left parent — a caller that groups
+ * its tasks by left parent fills one probe per parent.  Every task's
+ * product is packed into out_rows/out_offsets in task order, its
+ * offsets starting at 0, and out_spans[4t .. 4t + 3] = (rows start,
+ * rows length, offsets start, class count) locates task t's output.
+ * A task's product holds at most min(||Π_left||, ||Π_right||) rows;
+ * the binding sizes out_rows by that bound summed over tasks and
+ * out_offsets by half of it plus one per task, and rows_cap /
+ * offsets_cap bound every write.
  *
- * Returns the number of refined classes (out_offsets[k] is the total
- * row count), or -1 on allocation failure.
+ * Returns 0, or a negative code before the first write for inputs
+ * that break the contract: -2 a parent row outside [0, n), -3 parent
+ * offsets that do not start at 0, decrease, or do not end at
+ * len(rows), -4 a task index outside [0, n_parents).  -5 (a task
+ * outgrew its bound: a parent lists a row twice) is detected before
+ * the write that would pass it; -1 is an allocation failure.
  */
-int64_t repro_product(const int64_t *probe, const int64_t *rows_y,
-                      const int64_t *offsets_y, int64_t n_classes_y,
-                      int64_t n_left, int64_t *out_rows,
-                      int64_t *out_offsets)
+int64_t repro_products(const repro_parent *parents, int64_t n_parents,
+                       const int64_t *tasks, int64_t n_tasks, int64_t n,
+                       int64_t *out_rows, int64_t rows_cap,
+                       int64_t *out_offsets, int64_t offsets_cap,
+                       int64_t *out_spans)
 {
-    int64_t m = offsets_y[n_classes_y];
-    size_t left_cap = (size_t)(n_left > 0 ? n_left : 1);
+    for (int64_t t = 0; t < 2 * n_tasks; t++)
+        if (tasks[t] < 0 || tasks[t] >= n_parents)
+            return -4;
+    int64_t max_classes = 1, max_grouped = 1;
+    for (int64_t p = 0; p < n_parents; p++) {
+        const repro_parent *parent = &parents[p];
+        int64_t k = parent->n_classes, m = parent->n_grouped;
+        if (k < 0 || parent->offsets[0] != 0 || parent->offsets[k] != m)
+            return -3;
+        for (int64_t c = 0; c < k; c++)
+            if (parent->offsets[c + 1] < parent->offsets[c])
+                return -3;
+        for (int64_t i = 0; i < m; i++)
+            if (parent->rows[i] < 0 || parent->rows[i] >= n)
+                return -2;
+        if (k > max_classes)
+            max_classes = k;
+        if (m > max_grouped)
+            max_grouped = m;
+    }
+
+    int64_t *probe = malloc((size_t)(n > 0 ? n : 1) * sizeof *probe);
     /* count is calloc'd once and reset via the touched list, so a
      * class touching t left classes costs O(t), not O(n_left) */
-    int64_t *count = calloc(left_cap, sizeof *count);
-    int64_t *cursor = malloc(left_cap * sizeof *cursor);
-    int64_t *touched = malloc((size_t)(m > 0 ? m : 1) * sizeof *touched);
-    if (!count || !cursor || !touched) {
-        free(count);
-        free(cursor);
-        free(touched);
-        return -1;
-    }
-    int64_t k = 0;
-    int64_t filled = 0;
-    out_offsets[0] = 0;
-    for (int64_t c = 0; c < n_classes_y; c++) {
-        int64_t s = offsets_y[c], e = offsets_y[c + 1];
-        int64_t nt = 0;
-        for (int64_t i = s; i < e; i++) {
-            int64_t left = probe[rows_y[i]];
-            if (left < 0)
-                continue;
-            if (count[left] == 0)
-                touched[nt++] = left;
-            count[left]++;
+    int64_t *count = calloc((size_t)max_classes, sizeof *count);
+    int64_t *cursor = malloc((size_t)max_classes * sizeof *cursor);
+    int64_t *touched = malloc((size_t)max_grouped * sizeof *touched);
+    int64_t rc = -1;
+    if (!probe || !count || !cursor || !touched)
+        goto done;
+    for (int64_t i = 0; i < n; i++)
+        probe[i] = -1;
+
+    int64_t filled = 0, k = 0;
+    for (int64_t t = 0; t < n_tasks; t++) {
+        const repro_parent *left = &parents[tasks[2 * t]];
+        const repro_parent *right = &parents[tasks[2 * t + 1]];
+        if (t == 0 || tasks[2 * t - 2] != tasks[2 * t]) {
+            for (int64_t c = 0; c < left->n_classes; c++)
+                for (int64_t i = left->offsets[c];
+                     i < left->offsets[c + 1]; i++)
+                    probe[left->rows[i]] = c;
         }
-        if (nt > 1) {
-            if (nt <= 32) {
-                for (int64_t i = 1; i < nt; i++) {
-                    int64_t v = touched[i], j = i - 1;
-                    while (j >= 0 && touched[j] > v) {
-                        touched[j + 1] = touched[j];
-                        j--;
+        int64_t bound = left->n_grouped < right->n_grouped
+            ? left->n_grouped : right->n_grouped;
+        int64_t rows_start = filled, offsets_start = k;
+        if (k >= offsets_cap) {
+            rc = -5;
+            goto done;
+        }
+        out_offsets[k] = 0;
+        for (int64_t c = 0; c < right->n_classes; c++) {
+            int64_t s = right->offsets[c], e = right->offsets[c + 1];
+            int64_t nt = 0;
+            for (int64_t i = s; i < e; i++) {
+                int64_t cls = probe[right->rows[i]];
+                if (cls < 0)
+                    continue;
+                if (count[cls] == 0)
+                    touched[nt++] = cls;
+                count[cls]++;
+            }
+            if (nt > 1) {
+                if (nt <= 32) {
+                    for (int64_t i = 1; i < nt; i++) {
+                        int64_t v = touched[i], j = i - 1;
+                        while (j >= 0 && touched[j] > v) {
+                            touched[j + 1] = touched[j];
+                            j--;
+                        }
+                        touched[j + 1] = v;
                     }
-                    touched[j + 1] = v;
+                } else {
+                    qsort(touched, (size_t)nt, sizeof *touched, cmp_i64);
                 }
-            } else {
-                qsort(touched, (size_t)nt, sizeof *touched, cmp_i64);
+            }
+            int64_t overflow = 0;
+            for (int64_t i = 0; i < nt; i++) {
+                int64_t cls = touched[i];
+                if (count[cls] < 2) {
+                    cursor[cls] = -1;       /* singleton: stripped */
+                    continue;
+                }
+                if (filled + count[cls] - rows_start > bound
+                        || filled + count[cls] > rows_cap
+                        || k + 1 >= offsets_cap) {
+                    overflow = 1;
+                    break;
+                }
+                cursor[cls] = filled;
+                filled += count[cls];
+                out_offsets[++k] = filled - rows_start;
+            }
+            for (int64_t i = 0; i < nt; i++)
+                count[touched[i]] = 0;
+            if (overflow) {
+                rc = -5;
+                goto done;
+            }
+            for (int64_t i = s; i < e; i++) {
+                int64_t cls = probe[right->rows[i]];
+                if (cls >= 0 && cursor[cls] >= 0)
+                    out_rows[cursor[cls]++] = right->rows[i];
             }
         }
-        for (int64_t t = 0; t < nt; t++) {
-            int64_t left = touched[t];
-            if (count[left] >= 2) {
-                cursor[left] = filled;
-                filled += count[left];
-                out_offsets[++k] = filled;
-            } else {
-                cursor[left] = -1;    /* singleton: stripped */
-            }
+        k++;                    /* past this task's last offset */
+        out_spans[4 * t] = rows_start;
+        out_spans[4 * t + 1] = filled - rows_start;
+        out_spans[4 * t + 2] = offsets_start;
+        out_spans[4 * t + 3] = k - offsets_start - 1;
+        if (t + 1 == n_tasks || tasks[2 * t + 2] != tasks[2 * t]) {
+            for (int64_t i = 0; i < left->n_grouped; i++)
+                probe[left->rows[i]] = -1;
         }
-        for (int64_t i = s; i < e; i++) {
-            int64_t left = probe[rows_y[i]];
-            if (left < 0)
-                continue;
-            if (cursor[left] >= 0)
-                out_rows[cursor[left]++] = rows_y[i];
-        }
-        for (int64_t t = 0; t < nt; t++)
-            count[touched[t]] = 0;
     }
+    rc = 0;
+done:
+    free(probe);
     free(count);
     free(cursor);
     free(touched);
-    return k;
+    return rc;
 }
 
 /* ------------------------------------------------------------------ */
@@ -314,8 +396,28 @@ void repro_split_mismatch(const int64_t *column, const int64_t *rows,
 }
 
 /* ------------------------------------------------------------------ */
-/* rank re-encoding: densify a gathered rank column                   */
+/* rank columns: densify and stable order by counting                 */
 /* ------------------------------------------------------------------ */
+
+/* The value range [lo, lo + range) of n > 0 ranks, or a negative
+ * fallback code the caller resolves with NumPy: -1 negative input, -2
+ * a range too wide to table (> 4n + 1024). */
+static int64_t rank_range(const int64_t *values, int64_t n, int64_t *lo)
+{
+    int64_t low = values[0], high = values[0];
+    for (int64_t i = 1; i < n; i++) {
+        if (values[i] < low)
+            low = values[i];
+        if (values[i] > high)
+            high = values[i];
+    }
+    if (low < 0)
+        return -1;
+    if (high - low >= 4 * n + 1024)  /* high - low cannot overflow */
+        return -2;
+    *lo = low;
+    return high - low + 1;
+}
 
 /* np.unique(values, return_inverse=True) for nonnegative, bounded-
  * range int64 ranks: out_survivors gets the sorted distinct values
@@ -325,25 +427,17 @@ void repro_split_mismatch(const int64_t *column, const int64_t *rows,
  *
  * Returns the number of distinct values, or a negative fallback code
  * the caller resolves with np.unique: -1 negative input, -2 value
- * range too wide to table (> 4n + 1024), -3 allocation failure.
+ * range too wide to table, -3 allocation failure.
  */
 int64_t repro_densify(const int64_t *values, int64_t n,
                       int64_t *out_survivors, int64_t *out_dense)
 {
     if (n == 0)
         return 0;
-    int64_t lo = values[0], hi = values[0];
-    for (int64_t i = 1; i < n; i++) {
-        if (values[i] < lo)
-            lo = values[i];
-        if (values[i] > hi)
-            hi = values[i];
-    }
-    if (lo < 0)
-        return -1;
-    int64_t range = hi - lo + 1;
-    if (range > 4 * n + 1024)
-        return -2;
+    int64_t lo = 0;
+    int64_t range = rank_range(values, n, &lo);
+    if (range < 0)
+        return range;
     int64_t *map = calloc((size_t)range, sizeof *map);
     if (!map)
         return -3;
@@ -360,4 +454,32 @@ int64_t repro_densify(const int64_t *values, int64_t n,
         out_dense[i] = map[values[i] - lo] - 1;
     free(map);
     return k;
+}
+
+/* np.argsort(values, kind="stable") for nonnegative, bounded-range
+ * int64 ranks: a counting sort, rows of equal rank in index order.
+ * out_order gets n row indices.  Returns 0, or the fallback codes of
+ * repro_densify (-1 negative input, -2 range too wide, -3 allocation
+ * failure), which the caller resolves with the NumPy sort.
+ */
+int64_t repro_rank_order(const int64_t *values, int64_t n,
+                         int64_t *out_order)
+{
+    if (n == 0)
+        return 0;
+    int64_t lo = 0;
+    int64_t range = rank_range(values, n, &lo);
+    if (range < 0)
+        return range;
+    int64_t *start = calloc((size_t)range + 1, sizeof *start);
+    if (!start)
+        return -3;
+    for (int64_t i = 0; i < n; i++)
+        start[values[i] - lo + 1]++;
+    for (int64_t r = 0; r < range; r++)
+        start[r + 1] += start[r];
+    for (int64_t i = 0; i < n; i++)
+        out_order[start[values[i] - lo]++] = i;
+    free(start);
+    return 0;
 }

@@ -37,7 +37,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.reference import (check_swap_pairs,
+from repro.kernels.reference import (Parent, check_swap_pairs,
+                                     product_bounds,
+                                     product_contract_error,
                                      swap_contract_error,
                                      swap_input_length)
 
@@ -128,8 +130,9 @@ def _load() -> ctypes.CDLL:
         lib = ctypes.CDLL(str(build_library()))
         i64 = ctypes.c_int64
         ptr = ctypes.c_void_p
-        lib.repro_product.restype = i64
-        lib.repro_product.argtypes = [ptr, ptr, ptr, i64, i64, ptr, ptr]
+        lib.repro_products.restype = i64
+        lib.repro_products.argtypes = [ptr, i64, ptr, i64, i64, ptr, i64,
+                                       ptr, i64, ptr]
         lib.repro_swap_flags.restype = i64
         lib.repro_swap_flags.argtypes = [ptr, ptr, ptr, i64, ptr, i64,
                                          ptr, i64, ptr]
@@ -140,6 +143,8 @@ def _load() -> ctypes.CDLL:
         lib.repro_split_mismatch.argtypes = [ptr, ptr, ptr, i64, ptr]
         lib.repro_densify.restype = i64
         lib.repro_densify.argtypes = [ptr, i64, ptr, ptr]
+        lib.repro_rank_order.restype = i64
+        lib.repro_rank_order.argtypes = [ptr, i64, ptr]
     except (OSError, AttributeError, CompiledKernelsUnavailable) as error:
         _LIB = False
         if isinstance(error, CompiledKernelsUnavailable):
@@ -182,12 +187,6 @@ def _address(array: np.ndarray, held: List[np.ndarray]) -> int:
     return address
 
 
-_EMPTY_ROWS = np.empty(0, dtype=np.int64)
-_EMPTY_ROWS.setflags(write=False)
-_ZERO_OFFSET = np.zeros(1, dtype=np.int64)
-_ZERO_OFFSET.setflags(write=False)
-
-
 class CompiledBackend:
     """ctypes bindings satisfying the reference backend's contract
     (see :class:`repro.kernels.reference.ReferenceBackend` for the
@@ -198,27 +197,33 @@ class CompiledBackend:
     def __init__(self):
         self._lib = _load()
 
-    def partition_product(self, probe: np.ndarray, rows_y: np.ndarray,
-                          offsets_y: np.ndarray, class_ids_y: np.ndarray,
-                          n_left: int) -> Tuple[np.ndarray, np.ndarray]:
-        m = len(rows_y)
-        if m == 0:
-            return _EMPTY_ROWS, _ZERO_OFFSET
-        probe = _c(probe)
-        rows_y = _c(rows_y)
-        offsets_y = _c(offsets_y)
-        out_rows = np.empty(m, dtype=np.int64)
-        out_offsets = np.empty(m // 2 + 2, dtype=np.int64)
-        k = self._lib.repro_product(
-            probe.ctypes.data, rows_y.ctypes.data, offsets_y.ctypes.data,
-            len(offsets_y) - 1, int(n_left),
-            out_rows.ctypes.data, out_offsets.ctypes.data)
-        if k < 0:
-            raise MemoryError("repro_product scratch allocation failed")
-        if k == 0:
-            return _EMPTY_ROWS, _ZERO_OFFSET
-        total = int(out_offsets[k])
-        return out_rows[:total].copy(), out_offsets[:k + 1].copy()
+    def partition_products(self, parents: Sequence[Parent],
+                           tasks: Sequence, n_rows: int
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        tasks, bounds = product_bounds(parents, tasks)
+        tasks = _c(tasks)
+        # one (rows, len(rows), offsets, len(offsets) - 1) record per
+        # parent; the C side checks every record before its first write
+        held = [(_c(rows), _c(offsets)) for rows, offsets in parents]
+        table = np.array(
+            [(rows.ctypes.data, len(rows), offsets.ctypes.data,
+              len(offsets) - 1) for rows, offsets in held],
+            dtype=np.int64).reshape(-1, 4)
+        # outputs are packed, so trimming them is a view, not a copy;
+        # only the written pages of the capacity become resident
+        rows_cap = int(bounds.sum())
+        offsets_cap = rows_cap // 2 + len(tasks)
+        out_rows = np.empty(max(rows_cap, 1), dtype=np.int64)
+        out_offsets = np.empty(max(offsets_cap, 1), dtype=np.int64)
+        spans = np.empty((len(tasks), 4), dtype=np.int64)
+        code = self._lib.repro_products(
+            table.ctypes.data, len(parents), tasks.ctypes.data,
+            len(tasks), int(n_rows), out_rows.ctypes.data, rows_cap,
+            out_offsets.ctypes.data, offsets_cap, spans.ctypes.data)
+        if code < 0:
+            raise product_contract_error(code)
+        return (out_rows[:int(spans[:, 1].sum())],
+                out_offsets[:int(spans[:, 3].sum()) + len(tasks)], spans)
 
     def swap_flags(self, col_a: np.ndarray, col_b: np.ndarray,
                    rows: np.ndarray, offsets: np.ndarray,
@@ -286,6 +291,18 @@ class CompiledBackend:
             column.ctypes.data, rows.ctypes.data, offsets.ctypes.data,
             len(offsets) - 1, mask.ctypes.data)
         return mask[:n].view(bool)
+
+    def rank_order(self, ranks: np.ndarray) -> np.ndarray:
+        n = len(ranks)
+        ranks = _c(ranks)
+        order = np.empty(n, dtype=np.int64)
+        if n and self._lib.repro_rank_order(
+                ranks.ctypes.data, n, order.ctypes.data) < 0:
+            # negative ranks or a range too sparse to table (or a
+            # failed scratch allocation): the same rule as densify
+            return np.argsort(ranks, kind="stable").astype(np.int64,
+                                                           copy=False)
+        return order
 
     def densify(self, values: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray]:

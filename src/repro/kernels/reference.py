@@ -11,15 +11,19 @@ This backend is always available and is the semantic definition of
 every kernel; the output contracts documented here are what the
 parity suite enforces.
 
-The swap kernels take τ_A (Section 4.6), the relation's rows sorted
-once by ``A`` (:meth:`repro.relation.encoding.EncodedRelation.order`),
-and walk it instead of sorting each context: both backends answer a
-swap check in one pass over the relation's rows per (A, B) pair.
+The product kernel takes a whole lattice level (Section 4.6): every
+``(left, right)`` parent pair of the level in one call, one row ->
+class probe per left parent.  The swap kernels take τ_A, the
+relation's rows sorted once by ``A``
+(:meth:`repro.relation.encoding.EncodedRelation.order`, the stable
+:meth:`ReferenceBackend.rank_order`), and walk it instead of sorting
+each context: both backends answer a swap check in one pass over the
+relation's rows per (A, B) pair.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -136,6 +140,61 @@ def check_swap_pairs(columns: Sequence[np.ndarray],
     return n
 
 
+#: One parent of a :meth:`ReferenceBackend.partition_products` call:
+#: its flat ``(rows, offsets)``.
+Parent = Tuple[np.ndarray, np.ndarray]
+
+_PRODUCT_CONTRACT = {
+    -2: "product kernel parent rows must lie in [0, n)",
+    -3: ("product kernel parent offsets must start at 0, never "
+         "decrease and end at len(rows)"),
+    -4: "product kernel task indices must lie in [0, n_parents)",
+    -5: ("product kernel parents must not list a row twice (a product "
+         "outgrew min(||Π_X||, ||Π_Y||))"),
+}
+
+
+def product_contract_error(code: int) -> Exception:
+    """The exception for a product kernel's negative return code: a
+    ``ValueError`` naming the broken input contract, or a
+    ``MemoryError`` for a failed scratch allocation (-1)."""
+    if code in _PRODUCT_CONTRACT:
+        return ValueError(_PRODUCT_CONTRACT[code])
+    return MemoryError("product kernel scratch allocation failed")
+
+
+def product_bounds(parents: Sequence[Parent], tasks: Sequence
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(tasks, bounds)``: the ``(left, right)`` parent indices as an
+    ``(n_tasks, 2)`` int64 array, and each task's row bound
+    ``min(||Π_left||, ||Π_right||)``.  A task index outside
+    ``[0, n_parents)`` raises ``ValueError`` before any parent is
+    read."""
+    tasks = np.asarray(tasks, dtype=np.int64).reshape(-1, 2)
+    if tasks.size and (tasks.min() < 0 or tasks.max() >= len(parents)):
+        raise product_contract_error(-4)
+    lengths = np.fromiter((len(rows) for rows, _ in parents),
+                          dtype=np.int64, count=len(parents))
+    return tasks, np.minimum(lengths[tasks[:, 0]], lengths[tasks[:, 1]])
+
+
+def _layout_code(rows: np.ndarray, offsets: np.ndarray, n: int) -> int:
+    """0 for a flat layout over ``n`` rows, else the code the C kernels
+    return for it: -3 offsets that do not start at 0, decrease or miss
+    ``len(rows)``, -2 a row outside ``[0, n)``."""
+    if (len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(rows)
+            or (offsets[1:] < offsets[:-1]).any()):
+        return -3
+    if len(rows) and (rows.min() < 0 or rows.max() >= n):
+        return -2
+    return 0
+
+
+def _class_ids(offsets: np.ndarray) -> np.ndarray:
+    return np.repeat(np.arange(len(offsets) - 1, dtype=np.int64),
+                     np.diff(offsets))
+
+
 _SWAP_CONTRACT = {
     -2: "swap kernel context rows must lie in [0, n)",
     -3: ("swap kernel context offsets must start at 0, never decrease "
@@ -155,11 +214,9 @@ def swap_contract_error(code: int) -> Exception:
 
 def _check_swap_context(rows: np.ndarray, offsets: np.ndarray,
                         n: int) -> None:
-    if (len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(rows)
-            or (offsets[1:] < offsets[:-1]).any()):
-        raise swap_contract_error(-3)
-    if len(rows) and (rows.min() < 0 or rows.max() >= n):
-        raise swap_contract_error(-2)
+    code = _layout_code(rows, offsets, n)
+    if code:
+        raise swap_contract_error(code)
 
 
 def _tau_walk(position: np.ndarray, order_a: np.ndarray,
@@ -183,10 +240,20 @@ class ReferenceBackend:
 
     Output contracts (the parity suite's currency):
 
-    * :meth:`partition_product` — ``(rows, offsets)`` of the refined
-      partition, classes ordered by ``(y-class, left-class)``
-      ascending, rows within each class in their original ``rows_y``
-      order (the stable composite-key-argsort layout).
+    * :meth:`partition_products` — ``Π_left · Π_right`` for every
+      ``(left, right)`` index pair of ``tasks`` over ``parents`` (flat
+      ``(rows, offsets)`` pairs of one ``n_rows``-row relation), as
+      ``(rows, offsets, spans)``.  Each product is packed into
+      ``rows``/``offsets`` in task order, its offsets starting at 0;
+      ``spans[t]`` is task ``t``'s ``(rows start, rows length, offsets
+      start, class count)``.  One row -> class probe serves each run
+      of consecutive tasks sharing a left parent.  A product's
+      classes are ordered by ``(right class, left class)`` ascending,
+      rows within each class in their right-parent order (the stable
+      composite-key-argsort layout), and hold at most
+      ``min(||Π_left||, ||Π_right||)`` rows.
+    * :meth:`rank_order` — ``np.argsort(ranks, kind="stable")``: every
+      row sorted by rank, ties in row order (a valid τ_A).
     * :meth:`swap_flags` — one bool per context class: does the class
       contain a swap pair w.r.t. ``A ~ B``?  ``order_a`` is τ_A, every
       row sorted by ``col_a`` in any order within ties.  (Per-class
@@ -203,29 +270,59 @@ class ReferenceBackend:
     * :meth:`densify` — ``np.unique(values, return_inverse=True)``:
       sorted distinct values plus each value's index among them.
 
-    Both swap kernels raise ``ValueError`` for inputs outside their
-    contract (rows outside ``[0, n)``, offsets that do not start at 0,
-    decrease or miss ``len(rows)``, pair indices outside ``[0, arity)``,
-    unequal lengths) before indexing anything.
+    The product and both swap kernels raise ``ValueError`` for inputs
+    outside their contract (rows outside ``[0, n)``, offsets that do
+    not start at 0, decrease or miss ``len(rows)``, task or pair
+    indices out of range, unequal lengths) before indexing anything.
     """
 
     name = "reference"
 
     @staticmethod
-    def partition_product(probe: np.ndarray, rows_y: np.ndarray,
-                          offsets_y: np.ndarray, class_ids_y: np.ndarray,
-                          n_left: int) -> Tuple[np.ndarray, np.ndarray]:
-        left = probe[rows_y]
-        keep = left >= 0
-        if not keep.all():
-            rows_y = rows_y[keep]
-            left = left[keep]
-            class_ids_y = class_ids_y[keep]
-        if len(rows_y) == 0:
-            return _EMPTY_ROWS, _ZERO_OFFSET
-        key = class_ids_y * n_left + left
-        order = np.argsort(key, kind="stable")
-        return strip_sorted_runs(rows_y[order], key[order])
+    def partition_products(parents: Sequence[Parent], tasks: Sequence,
+                           n_rows: int
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        tasks, bounds = product_bounds(parents, tasks)
+        for rows, offsets in parents:
+            code = _layout_code(rows, offsets, n_rows)
+            if code:
+                raise product_contract_error(code)
+        spans = np.empty((len(tasks), 4), dtype=np.int64)
+        out_rows: List[np.ndarray] = []
+        out_offsets: List[np.ndarray] = []
+        rows_at = offsets_at = 0
+        probe = np.full(n_rows, -1, dtype=np.int64)
+        for t, (left, right) in enumerate(tasks.tolist()):
+            rows_x, offsets_x = parents[left]
+            if t == 0 or tasks[t - 1, 0] != left:
+                probe[rows_x] = _class_ids(offsets_x)
+            rows_y, offsets_y = parents[right]
+            # the composite-key refinement of Π_right by Π_left
+            key = probe[rows_y]
+            keep = key >= 0
+            key += _class_ids(offsets_y) * (len(offsets_x) - 1)
+            rows, offsets = _EMPTY_ROWS, _ZERO_OFFSET
+            if keep.any():
+                order = np.argsort(key[keep], kind="stable")
+                rows, offsets = strip_sorted_runs(rows_y[keep][order],
+                                                  key[keep][order])
+            if len(rows) > bounds[t]:
+                raise product_contract_error(-5)
+            spans[t] = (rows_at, len(rows), offsets_at, len(offsets) - 1)
+            out_rows.append(rows)
+            out_offsets.append(offsets)
+            rows_at += len(rows)
+            offsets_at += len(offsets)
+            if t + 1 == len(tasks) or tasks[t + 1, 0] != left:
+                probe[rows_x] = -1
+        if not out_rows:
+            return _EMPTY_ROWS, _EMPTY_ROWS, spans
+        return np.concatenate(out_rows), np.concatenate(out_offsets), spans
+
+    @staticmethod
+    def rank_order(ranks: np.ndarray) -> np.ndarray:
+        return np.argsort(ranks, kind="stable").astype(np.int64,
+                                                       copy=False)
 
     @staticmethod
     def swap_flags(col_a: np.ndarray, col_b: np.ndarray,
@@ -255,8 +352,7 @@ class ReferenceBackend:
         swapped = np.zeros(len(pair_a), dtype=bool)
         if len(rows) == 0:
             return swapped
-        class_ids = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64),
-                              np.diff(offsets))
+        class_ids = _class_ids(offsets)
         position = np.empty(n, dtype=np.int64)
         pairs_of = {}
         for p, a in enumerate(pair_a):

@@ -1,7 +1,10 @@
 """The one home for the kernel crossover thresholds.
 
-Every size gate the hot path consults — "serial vs pooled dispatch" —
-is defined here with its provenance, instead of as scattered literals.
+Every size gate the hot path consults — "serial vs pooled scan
+dispatch" — is defined here with its provenance, instead of as
+scattered literals.  The floors gate scans only: partition products
+never leave the coordinator, where a lattice level is one kernel
+call.
 The pool's module globals (``repro.parallel.pool.PARALLEL_MIN_GROUPED_ROWS``
 / ``PARALLEL_MIN_ROWS``) remain the names hot code *reads at call
 time* — tests and benchmarks retune them by monkeypatching that module
@@ -9,6 +12,9 @@ time* — tests and benchmarks retune them by monkeypatching that module
 size gate between kernel implementations: every product and swap
 verdict goes through the :mod:`repro.kernels` dispatcher at any size,
 and both swap backends walk τ_A once whatever the context's shape.
+(The rank-order and densify kernels fall back to NumPy for negative
+ranks or a range wider than ``4n + 1024``; that is an input-shape
+rule of the C counting passes, not a tuned crossover.)
 
 Crossover measurements (``benchmarks/bench_partition_kernels.py``
 micro section, single-core CI-class x86-64 container, NumPy 2.x,
@@ -24,7 +30,7 @@ August 2026):
 
 from __future__ import annotations
 
-#: Grouped rows a dispatch's partitions must carry before the pool
+#: Grouped rows a scan batch's contexts must carry before the pool
 #: executor leaves the coordinator (see repro.parallel.pool).
 PARALLEL_MIN_GROUPED_ROWS = 16_384
 

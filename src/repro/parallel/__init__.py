@@ -1,13 +1,14 @@
 """Process-parallel lattice execution (shared-memory worker pool).
 
-FASTOD's per-level work — partition products and validation scans —
-has no cross-node dependencies, so it shards cleanly across worker
-processes.  This package supplies:
+FASTOD's per-level validation scans have no cross-node dependencies,
+so they shard cleanly across worker processes (partition products stay
+on the coordinator, one kernel call per level).  This package
+supplies:
 
 * :class:`repro.parallel.pool.WorkerPool` — a persistent pool bound to
   one encoded relation, with the rank columns published once through
-  ``multiprocessing.shared_memory`` and per-level partitions published
-  per dispatch;
+  ``multiprocessing.shared_memory`` and scan contexts published per
+  dispatch;
 * :func:`repro.parallel.pool.resolve_workers` — the one place the
   ``workers`` knob (``FastODConfig.workers``, CLI ``--workers``, the
   ``REPRO_WORKERS`` environment variable) is interpreted;

@@ -1,38 +1,34 @@
 """A persistent shared-memory worker pool for lattice-level execution.
 
 FASTOD's level-wise sweep visits each lattice node independently within
-a level: partition products and validation scans have no cross-node
-dependencies (Algorithm 1).  :class:`WorkerPool` exploits that by
-sharding a level's node work across long-lived ``multiprocessing``
-worker processes:
+a level: validation scans have no cross-node dependencies
+(Algorithm 1).  :class:`WorkerPool` exploits that by sharding a
+level's scans across long-lived ``multiprocessing`` worker processes.
+Partition products are not sharded: the coordinator builds a whole
+level with one kernel call
+(:func:`~repro.partitions.partition.level_products`), faster than
+workers could rebuild probe tables from shared parents and copy their
+results back.
 
 * the encoded relation's rank columns are published **once** per pool
   (per :meth:`rebase` after appends) via
   :mod:`multiprocessing.shared_memory`; workers read zero-copy NumPy
   views, so task payloads never pickle a column;
-* per dispatch, the partitions a level needs (parents for products,
-  supplied scan contexts) are published as one block and sharded by
-  task chunk; a scan whose context is named by attribute mask instead
-  derives it from the worker's own partition cache over the shared
-  columns;
-* **product results return through shared memory too**: the coordinator
-  pre-allocates a writable block (the result of ``Π_X · Π_Y`` holds at
-  most ``min(||Π*_X||, ||Π*_Y||)`` grouped rows), workers write their
-  flat ``rows``/``offsets`` straight into their task's slot, and only
-  ``(mask, lengths)`` triples travel back on the result queue;
-* scan verdicts are booleans — they ride the queue directly.
+* per dispatch, the supplied scan contexts that have no live replica
+  yet are published as one block and sharded by task chunk; a scan
+  whose context is named by attribute mask instead derives it from the
+  worker's own partition cache over the shared columns;
+* scan verdicts are booleans — they ride the result queue directly.
 
-There are two dispatch kinds, ``"products"`` and ``"scans"``: every
-scan shape (level-wise OCD/FD checks, mask-derived validation waves,
-class-sharded single scans) is a :data:`ScanTask` batch handled by one
-worker loop.
+There is one dispatch kind, ``"scans"``: every scan shape (level-wise
+OCD/FD checks, mask-derived validation waves, class-sharded single
+scans) is a :data:`ScanTask` batch handled by one worker loop.
 
-Determinism: workers run the exact same kernels
-(:meth:`StrippedPartition.product`,
-:func:`~repro.core.validation.scan_verdicts`, ...) on byte-identical
-inputs, and the coordinator merges results keyed by mask/task id and
-applies them in the serial engine's order — so a parallel run's
-partitions and verdicts are byte-identical to ``workers=1``.
+Determinism: workers run the exact same batch function
+(:func:`~repro.core.validation.scan_verdicts`) on byte-identical
+inputs, and the coordinator merges verdicts keyed by task and applies
+them in the serial engine's order — so a parallel run's verdicts are
+byte-identical to ``workers=1``.
 
 Lifecycle: worker processes start lazily on the first dispatch (a pool
 created for a run that never crosses the serial-fallback thresholds
@@ -69,7 +65,7 @@ from repro import kernels
 from repro.kernels import thresholds as kernel_thresholds
 from repro.obs import accounting, metrics, profiler, trace
 from repro.parallel.shm import BlockReader, SharedArrayBlock, unlink_by_name
-from repro.partitions.partition import StrippedPartition
+from repro.partitions.partition import StrippedPartition, level_products
 from repro.relation.encoding import EncodedRelation
 
 _DISPATCHES = metrics.counter(
@@ -93,7 +89,7 @@ _CRASHES = metrics.counter(
     "Dispatches that failed and tore the pool down, by failure shape",
     ("shape",))
 
-#: Below this many grouped rows in a dispatch's partitions the callers
+#: Below this many grouped rows in a scan batch's contexts the callers
 #: fall back to the serial path — process dispatch costs ~fractions of
 #: a millisecond per chunk plus one segment publish, which only
 #: amortizes once the vectorized kernels have real work to chew on.
@@ -109,8 +105,8 @@ PARALLEL_MIN_ROWS = kernel_thresholds.PARALLEL_MIN_ROWS
 #: Task chunks per worker and dispatch.  Two per worker balances the
 #: trade measured on the Exp-1 workloads: more chunks smooth out
 #: uneven node costs but repeat per-chunk context materialization
-#: (shared parents/contexts are rebuilt in every chunk that touches
-#: them), fewer chunks leave stragglers.
+#: (shared contexts are rebuilt in every chunk that touches them),
+#: fewer chunks leave stragglers.
 CHUNKS_PER_WORKER = 2
 
 #: Dispatch telemetry records kept per pool (ring-buffer style) — far
@@ -118,11 +114,11 @@ CHUNKS_PER_WORKER = 2
 #: by an unbounded ``watch`` loop cannot accumulate without limit.
 MAX_DISPATCH_RECORDS = 512
 
-#: Partition blocks retained for worker reuse.  A level's partitions
-#: serve as product parents one level later and as OCD contexts two
-#: levels later, and early levels add small ad-hoc publish blocks
-#: (singletons, the empty context) — six covers every live reference
-#: with headroom; the oldest is unlinked as new levels arrive.
+#: Partition blocks retained for worker reuse.  A scan batch publishes
+#: the contexts it needs that have no live replica yet, and later
+#: batches scanning the same contexts reference them in place — six
+#: covers every live reference with headroom; the oldest is unlinked
+#: as new levels arrive.
 RETAINED_PARTITION_BLOCKS = 6
 
 #: ``(key, context_key, mode, a, b)`` — one scan, the only scan task
@@ -137,8 +133,7 @@ ScanTask = Tuple[Hashable, Hashable, str, int, int]
 #: ``(block name, rows offset, rows len, offsets offset, offsets len)``
 #: in int64 items.  Stored on ``StrippedPartition._shm_ref`` so a
 #: partition is published once and then referenced by every later
-#: dispatch that needs it (products one level up, OCD scans two levels
-#: up) instead of being re-copied per level.
+#: dispatch that scans it instead of being re-copied per batch.
 PartitionRef = Tuple[str, int, int, int, int]
 
 
@@ -285,36 +280,6 @@ def _partition_from_ref(state: _WorkerState, ref: PartitionRef,
         reader.raw(offs_off, offs_len), n_rows)
 
 
-def _handle_products(state: _WorkerState, payload: dict) -> dict:
-    out_name, out_layout = payload["out"]
-    n_rows = payload["n_rows"]
-    deadline = payload["deadline"]
-    out_reader = state.reader(out_name)
-    refs: Dict[int, PartitionRef] = payload["parents"]
-    parents: Dict[int, StrippedPartition] = {}
-
-    def parent(mask: int) -> StrippedPartition:
-        partition = parents.get(mask)
-        if partition is None:
-            partition = _partition_from_ref(state, refs[mask], n_rows)
-            parents[mask] = partition
-        return partition
-
-    done: List[Tuple[int, int, int]] = []
-    timed_out = False
-    for child, left, right in payload["tasks"]:
-        if _past(deadline):
-            timed_out = True
-            break
-        product = parent(left).product(parent(right))
-        rows_view = out_reader.array(out_layout, (child, "r"))
-        offsets_view = out_reader.array(out_layout, (child, "o"))
-        rows_view[:len(product.rows)] = product.rows
-        offsets_view[:len(product.offsets)] = product.offsets
-        done.append((child, len(product.rows), len(product.offsets)))
-    return {"done": done, "timed_out": timed_out}
-
-
 def _handle_scans(state: _WorkerState, payload: dict) -> dict:
     """The worker half of :meth:`WorkerPool.run_scans`: the same batch
     function the coordinator runs
@@ -347,7 +312,6 @@ def _handle_scans(state: _WorkerState, payload: dict) -> dict:
 
 
 _HANDLERS = {
-    "products": _handle_products,
     "scans": _handle_scans,
 }
 
@@ -511,7 +475,7 @@ class WorkerPool:
         self._live_blocks: set = set()
         #: recently published partition blocks, oldest first; partitions
         #: carry ``_shm_ref`` pointers into them so one publication
-        #: serves products one level up and OCD scans two levels up
+        #: serves every later scan batch of the same context
         self._partition_blocks: "OrderedDict[str, SharedArrayBlock]" = \
             OrderedDict()
         #: per-dispatch telemetry: kind, tasks, chunks, per-chunk busy
@@ -848,76 +812,26 @@ class WorkerPool:
                      triples: Sequence[Tuple[int, int, int]],
                      deadline: Optional[float] = None
                      ) -> Tuple[Dict[int, StrippedPartition], bool]:
-        """Compute ``Π_left · Π_right`` for every ``(child, left,
-        right)`` triple, sharded across workers.  Returns the products
-        plus a flag set when the cooperative ``deadline`` cut workers
-        short (the dict then covers a subset of the triples).
+        """``Π_left · Π_right`` for every ``(child, left, right)``
+        triple, built on the coordinator with one kernel call
+        (:func:`~repro.partitions.partition.level_products`) and then
+        published, so a scan batch references the products in place.
+        Returns ``({}, True)`` when ``deadline`` had passed.
 
-        Parents are referenced by their live shared replicas (published
-        in batch only if missing — typically just the level-1
-        singletons, since later parents were themselves produced here).
-        Results come back through a pre-allocated writable block sized
-        by the product bound ``||Π_X·Π_Y|| <= min(||Π_X||, ||Π_Y||)``;
-        the coordinator copies them onto the heap and tags each copy
-        with a ref into the retained block, so the next two levels
-        (products, then OCD scans) reuse the replica without another
-        publish.
-        """
-        # contiguous chunks of (left, right)-sorted tasks keep each
-        # parent's derived probe tables (row_to_class) inside as few
-        # chunks as possible — workers rebuild them per chunk
-        triples = sorted(triples, key=lambda t: (t[1], t[2]))
-        needed = {left for _, left, _ in triples}
-        needed.update(right for _, _, right in triples)
-        publish_started = time.perf_counter()
-        parent_refs = self._ensure_shared(
-            {mask: parents[mask] for mask in needed})
-        capacities: Dict[Hashable, int] = {}
-        for child, left, right in triples:
-            bound = min(len(parents[left].rows), len(parents[right].rows))
-            capacities[(child, "r")] = bound
-            capacities[(child, "o")] = bound // 2 + 2
-        out_block = SharedArrayBlock.allocate(capacities)
-        _SHM_BYTES.inc(out_block.nbytes, payload="products")
-        self._retain(out_block)
-        publish_seconds = time.perf_counter() - publish_started
-        wall_deadline = self._wall_deadline(deadline)
-
-        payloads = []
-        for start, stop in _chunk_slices(
-                len(triples), self.n_chunks_per_dispatch):
-            chunk = list(triples[start:stop])
-            chunk_parents = {mask: parent_refs[mask]
-                             for _, left, right in chunk
-                             for mask in (left, right)}
-            out_keys = [key for child, _, _ in chunk
-                        for key in ((child, "r"), (child, "o"))]
-            payloads.append({
-                "parents": chunk_parents,
-                "out": out_block.descriptor(out_keys),
-                "n_rows": self._relation.n_rows,
-                "tasks": chunk,
-                "deadline": wall_deadline,
-                "kernels": self._payload_kernels(),
-            })
-        chunk_results = self._dispatch("products", payloads)
-        self.dispatches[-1]["publish_seconds"] = publish_seconds
-        products: Dict[int, StrippedPartition] = {}
-        timed_out = False
-        n_rows = self._relation.n_rows
-        for result in chunk_results:
-            timed_out |= result["timed_out"]
-            for child, rows_len, offsets_len in result["done"]:
-                rows_off, _cap = out_block.layout[(child, "r")]
-                offs_off, _ocap = out_block.layout[(child, "o")]
-                rows = np.array(out_block.raw(rows_off, rows_len))
-                offsets = np.array(out_block.raw(offs_off, offsets_len))
-                partition = StrippedPartition.from_flat(
-                    rows, offsets, n_rows)
-                partition._shm_ref = (out_block.name, rows_off, rows_len,
-                                      offs_off, offsets_len)
-                products[child] = partition
-        return products, timed_out
+        Kept only for the end-to-end benchmark's probe table, which
+        looks this name up; executors build products through
+        :meth:`repro.engine.executors.SerialExecutor.run_products`."""
+        if deadline is not None and time.perf_counter() > deadline:
+            return {}, True
+        index = {mask: i for i, mask in enumerate(parents)}
+        with kernels.activate(self._payload_kernels()):
+            built = level_products(
+                list(parents.values()),
+                [(index[left], index[right]) for _, left, right in triples])
+        products = {child: product
+                    for (child, _, _), product in zip(triples, built)}
+        self._ensure_shared(products)
+        return products, False
 
     def run_scans(self, contexts: Dict[Hashable, StrippedPartition],
                   tasks: Sequence[ScanTask],
@@ -929,8 +843,8 @@ class WorkerPool:
         deadline cut workers short (verdicts then cover a prefix of
         each chunk).  A task whose ``context_key`` is in ``contexts``
         scans that partition: one with a live shared replica (anything
-        a products dispatch built two levels ago) is referenced in
-        place, the rest are published.  Any other ``context_key`` is an
+        an earlier batch published) is referenced in place, the rest
+        are published in one block.  Any other ``context_key`` is an
         attribute mask each worker derives from its own shared-column
         :class:`PartitionCache`.  Tasks are grouped by context before
         chunking so each worker builds a context's derived state at

@@ -11,8 +11,8 @@ task queue.
 A block holds any number of named ``int64`` arrays back to back.  The
 *layout* is a plain ``{key: (offset_items, length)}`` dict — keys are
 whatever hashables the caller uses (attribute indices, ``(mask, "r")``
-tuples, ...) — and is what gets pickled into task payloads, so a chunk
-payload can carry just the slice of the layout its tasks touch.
+tuples, ...); task payloads carry a block's name with the offsets
+their tasks read.
 
 Attaching registers the segment with the process-local
 ``resource_tracker``, which on worker exit would unlink segments the
@@ -39,10 +39,6 @@ _TRACKER_LOCK = threading.Lock()
 
 #: Bytes per item; every published array is ``int64``.
 ITEM_BYTES = np.dtype(np.int64).itemsize
-
-#: ``(segment name, layout)`` — everything a worker needs to read a block.
-BlockDescriptor = Tuple[str, Dict[Hashable, Tuple[int, int]]]
-
 
 def attach(name: str) -> shared_memory.SharedMemory:
     """Attach to an existing segment without adopting ownership.
@@ -86,11 +82,10 @@ def unlink_by_name(name: str) -> None:
 class SharedArrayBlock:
     """Owner handle for one segment holding named ``int64`` arrays.
 
-    Build with :meth:`publish` (copy existing arrays in) or
-    :meth:`allocate` (zero-init capacity workers will write into, e.g.
-    product results).  The owner must eventually call
-    :meth:`close_and_unlink`; :class:`repro.parallel.pool.WorkerPool`
-    tracks live blocks and sweeps leftovers on shutdown.
+    Build with :meth:`publish` (copy existing arrays in).  The owner
+    must eventually call :meth:`close_and_unlink`;
+    :class:`repro.parallel.pool.WorkerPool` tracks live blocks and
+    sweeps leftovers on shutdown.
     """
 
     __slots__ = ("name", "layout", "_segment")
@@ -123,29 +118,12 @@ class SharedArrayBlock:
                 del view
         return block
 
-    @classmethod
-    def allocate(cls, capacities: Dict[Hashable, int]) -> "SharedArrayBlock":
-        """Reserve writable capacity per key without initialising it."""
-        layout: Dict[Hashable, Tuple[int, int]] = {}
-        total = 0
-        for key, capacity in capacities.items():
-            layout[key] = (total, capacity)
-            total += capacity
-        return cls(layout, total)
-
     @property
     def nbytes(self) -> int:
         """Payload bytes laid out in this segment (the currency of the
         pool's shm-published byte metrics)."""
         return sum(length
                    for _, length in self.layout.values()) * ITEM_BYTES
-
-    def descriptor(self, keys=None) -> BlockDescriptor:
-        """The picklable handle; ``keys`` restricts the layout to the
-        entries one chunk actually touches."""
-        if keys is None:
-            return (self.name, self.layout)
-        return (self.name, {key: self.layout[key] for key in keys})
 
     def array(self, key: Hashable) -> np.ndarray:
         """A view over one named array (owner side)."""

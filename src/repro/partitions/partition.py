@@ -16,14 +16,17 @@ encoding used throughout NumPy-backed group-by engines and buys:
 
 * O(1) measures — ``n_classes``, ``||Π*||`` and the TANE error
   ``e(X)`` read straight off array lengths;
-* vectorized construction — :meth:`from_ranks` is one ``argsort`` plus
-  one boundary scan (``np.diff``/``np.flatnonzero``), O(n log n) with
-  no Python-level per-row work;
-* one refinement path — :meth:`product` hands the grouped rows to the
-  :mod:`repro.kernels` dispatcher at every size (the NumPy reference
-  backend groups composite ``(other-class, self-class)`` keys with one
-  sort, the compiled backend in one C pass); a product with a superkey
-  side is empty without any kernel call;
+* vectorized construction — :meth:`from_ranks` is one stable rank
+  order (:func:`repro.kernels.rank_order`, a counting sort in the
+  compiled backend) plus one boundary scan (``np.diff``/
+  ``np.flatnonzero``), with no Python-level per-row work;
+* one refinement path — :func:`level_products` builds every product of
+  a lattice level with one :func:`repro.kernels.partition_products`
+  call (the NumPy reference backend groups composite ``(other-class,
+  self-class)`` keys with one sort per product, the compiled backend
+  refines in one C pass per product), and :meth:`product` is its
+  one-task view; a product with a superkey side is empty without any
+  kernel call;
 * segmented validation — the split/swap kernels in
   :mod:`repro.core.validation` reduce over ``rows``/``offsets``
   directly, through the same dispatcher.
@@ -36,7 +39,7 @@ extensions, tests) keep working unchanged; hot paths should prefer
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,16 +110,17 @@ class StrippedPartition:
 
     @classmethod
     def from_ranks(cls, ranks: np.ndarray) -> "StrippedPartition":
-        """Partition by a single rank-encoded column in O(n log n).
+        """Partition by a single rank-encoded column.
 
-        One stable ``argsort`` sorts rows by rank; boundaries fall
-        where consecutive sorted ranks differ.  Runs of length >= 2
-        between boundaries become the stripped classes.
+        One stable rank order (:func:`repro.kernels.rank_order`: a
+        counting sort over dense ranks, O(n)) sorts rows by rank;
+        boundaries fall where consecutive sorted ranks differ.  Runs
+        of length >= 2 between boundaries become the stripped classes.
         """
         n = len(ranks)
         if n == 0:
             return cls.from_flat(_EMPTY_ROWS, _ZERO_OFFSET, 0)
-        order = np.argsort(ranks, kind="stable").astype(np.int64, copy=False)
+        order = kernels.rank_order(ranks)
         sorted_ranks = ranks[order]
         return cls.from_flat(
             *_strip_sorted_runs(order, sorted_ranks), n)
@@ -199,7 +203,8 @@ class StrippedPartition:
     def row_to_class(self) -> np.ndarray:
         """Map row -> class id (or -1 for rows in singleton classes).
 
-        Cached; used as the probe side of :meth:`product`.
+        Cached.  The product kernels build their own probe from
+        ``rows``/``offsets``; this table serves callers that want it.
         """
         if self._row_to_class is None:
             table = np.full(self.n_rows, -1, dtype=np.int64)
@@ -208,27 +213,9 @@ class StrippedPartition:
         return self._row_to_class
 
     def product(self, other: "StrippedPartition") -> "StrippedPartition":
-        """Π_X · Π_Y = Π_{X∪Y}, vectorized over ``||Π*_Y||``.
-
-        This is the TANE-style refinement the paper relies on to
-        compute level ``l`` partitions from two level ``l-1`` parents
-        (Section 4.6).  Each grouped row of ``other`` is tagged with the
-        composite key ``(other-class, self-class)``; rows sharing a
-        composite key form the refined classes.  One sort of the
-        grouped rows (O(||Π*_Y|| log ||Π*_Y||)) replaces the per-row
-        dict inserts of the list-based implementation.  A side with no
-        grouped rows makes the product empty: it returns before the
-        n-row probe table or any kernel call.
-        """
-        if self.n_rows != other.n_rows:
-            raise ValueError("partitions cover different relations")
-        if len(self.rows) == 0 or len(other.rows) == 0:
-            return StrippedPartition.from_flat(
-                _EMPTY_ROWS, _ZERO_OFFSET, self.n_rows)
-        rows, offsets = kernels.partition_product(
-            self.row_to_class(), other.rows, other.offsets,
-            other.class_ids(), self.n_classes)
-        return StrippedPartition.from_flat(rows, offsets, self.n_rows)
+        """Π_X · Π_Y = Π_{X∪Y}: a one-task :func:`level_products`
+        batch (see there for the refinement and its layout)."""
+        return level_products([self, other], [(0, 1)])[0]
 
     # ------------------------------------------------------------------
     # expansion / comparison helpers (mostly for tests and display)
@@ -258,6 +245,46 @@ class StrippedPartition:
     def __repr__(self) -> str:
         return (f"StrippedPartition(classes={self.classes!r}, "
                 f"n_rows={self.n_rows})")
+
+
+def level_products(parents: Sequence[StrippedPartition],
+                   tasks: Sequence[Tuple[int, int]]
+                   ) -> List[StrippedPartition]:
+    """``parents[left] · parents[right]`` for every ``(left, right)``
+    of ``tasks``, with one :func:`repro.kernels.partition_products`
+    call for the whole batch — one lattice level (Section 4.6).
+
+    This is the TANE-style refinement the paper relies on to compute
+    level ``l`` partitions from two level ``l-1`` parents: each
+    grouped row of the right parent is tagged with the composite key
+    ``(right-class, left-class)``, and rows sharing a key form the
+    refined classes (one sort per product in the reference backend,
+    linear counting passes in the compiled one).  A task with a
+    superkey side is empty without reaching the kernel.  The
+    products are views into the call's packed output buffers, so one
+    retained product keeps its level's buffers alive.
+    """
+    n_rows = parents[0].n_rows if parents else 0
+    if any(parent.n_rows != n_rows for parent in parents):
+        raise ValueError("partitions cover different relations")
+    products = [StrippedPartition.from_flat(_EMPTY_ROWS, _ZERO_OFFSET,
+                                            n_rows) for _ in tasks]
+    # grouped by left parent, so the kernel fills one probe per parent
+    live = sorted((t for t, (left, right) in enumerate(tasks)
+                   if len(parents[left].rows) and len(parents[right].rows)),
+                  key=lambda t: tasks[t][0])
+    if not live:
+        return products
+    rows, offsets, spans = kernels.partition_products(
+        [(parent.rows, parent.offsets) for parent in parents],
+        [tasks[t] for t in live], n_rows)
+    for t, (rows_at, n_grouped, offsets_at, n_classes) in zip(
+            live, spans.tolist()):
+        if n_grouped:
+            products[t] = StrippedPartition.from_flat(
+                rows[rows_at:rows_at + n_grouped],
+                offsets[offsets_at:offsets_at + n_classes + 1], n_rows)
+    return products
 
 
 def value_group_sizes(column: np.ndarray, partition: StrippedPartition):
@@ -360,7 +387,8 @@ def partition_from_columns(relation: EncodedRelation,
     """Compute Π*_X from scratch by hashing whole projections.
 
     Used as the slow-but-obviously-correct reference implementation in
-    property tests against :meth:`StrippedPartition.product`.
+    property tests against :meth:`StrippedPartition.product` and
+    :func:`level_products`.
     Deliberately kept as a Python-level hash loop — it is the oracle
     the vectorized kernels are validated against.
     """

@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.relation.encoding import EncodedRelation
 
 
@@ -39,11 +40,13 @@ class SortedPartition:
 
     @classmethod
     def from_ranks(cls, ranks: np.ndarray) -> "SortedPartition":
-        """Build τ from a dense-rank column in O(n log n).
+        """Build τ from a dense-rank column.
 
-        One stable argsort orders rows by rank; slicing at the rank
-        boundaries yields the buckets with rows in original-position
-        order, exactly as the per-row append loop produced them.
+        One stable rank order (:func:`repro.kernels.rank_order`, the
+        sort behind :meth:`EncodedRelation.order`) orders rows by
+        rank; slicing at the rank boundaries yields the buckets with
+        rows in original-position order, exactly as the per-row append
+        loop produced them.
         """
         n = len(ranks)
         if n == 0:
@@ -52,7 +55,7 @@ class SortedPartition:
             partition._ranks.setflags(write=False)
             return partition
         n_buckets = int(ranks.max()) + 1
-        order = np.argsort(ranks, kind="stable")
+        order = kernels.rank_order(ranks)
         sorted_ranks = ranks[order]
         starts = np.searchsorted(sorted_ranks, np.arange(n_buckets))
         stops = np.append(starts[1:], n)

@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.errors import DataError
 
 #: Kind tags used to build a total order across mixed-type columns.
@@ -352,14 +353,15 @@ class EncodedRelation:
         index, sorted by that attribute's rank.  Computed on first use
         and cached, read-only.
 
-        Rows of equal rank come in no particular order — the swap
-        kernels read only each A group's maximum B, so the default
-        (unstable) argsort serves and is several times cheaper than a
-        stable one."""
+        It is the library's one rank sort,
+        :func:`repro.kernels.rank_order` (a counting sort over the
+        dense ranks in the compiled backend), which also builds level
+        1's partitions.  The order is stable, though the swap kernels
+        read only each A group's maximum B, so any order within equal
+        ranks would serve."""
         order = self._orders.get(index)
         if order is None:
-            order = np.argsort(self.ranks[index]).astype(np.int64,
-                                                         copy=False)
+            order = kernels.rank_order(self.ranks[index])
             order.setflags(write=False)
             self._orders[index] = order
         return order
@@ -398,8 +400,6 @@ class EncodedRelation:
         deletion analogue of :meth:`append_values` — the incremental
         engine's retraction path lives on it.
         """
-        from repro import kernels
-
         keep = np.asarray(indices, dtype=np.int64)
         ranks: List[np.ndarray] = []
         keys: Optional[List[ColumnKeys]] = (

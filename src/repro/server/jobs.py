@@ -5,7 +5,7 @@ one at a time on a single runner thread.  That is a deliberate trade,
 not a limitation:
 
 * **one shared** :class:`~repro.parallel.WorkerPool` serves every job
-  (discover products/scans, append-path re-scans, big validate
+  (discover scans, append-path re-scans, big validate
   checks).  A pool is bound to one encoded relation at a time, so the
   runner rebases it per job — safe precisely because execution is
   serialised — and process workers, published columns, and shared

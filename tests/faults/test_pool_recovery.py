@@ -17,7 +17,7 @@ import pytest
 from repro import faults
 from repro.core.fastod import FastOD, FastODConfig
 from repro.datasets import make_dataset
-from repro.engine import DeadlineBudget, PoolExecutor, ProductTask
+from repro.engine import DeadlineBudget, PoolExecutor
 from repro.engine.executors import SerialExecutor
 from repro.faults import FaultPlan
 from repro.parallel.pool import (
@@ -109,28 +109,6 @@ class TestExecutorRecovery:
         assert stats["retries"] >= 1
         assert stats["rebuilds"] >= 1
         assert not stats["degraded"]
-
-    def test_worker_kill_products_byte_identical(self, encoded):
-        import numpy as np
-
-        parents = singleton_partitions(encoded)
-        tasks = [ProductTask((1 << a) | (1 << b), 1 << a, 1 << b)
-                 for a in range(encoded.arity)
-                 for b in range(a + 1, encoded.arity)]
-        budget = DeadlineBudget.unlimited()
-        clean, _ = SerialExecutor(encoded).run_products(
-            dict(parents), list(tasks), budget)
-        (products, timed_out), stats = dispatch_until_crash(
-            encoded,
-            lambda ex: ex.run_products(dict(parents), list(tasks),
-                                       budget))
-        assert not timed_out
-        assert products.keys() == clean.keys()
-        for child, partition in clean.items():
-            assert np.array_equal(partition.rows, products[child].rows)
-            assert np.array_equal(partition.offsets,
-                                  products[child].offsets)
-        assert stats["retries"] >= 1
 
     def test_worker_kill_derived_contexts_byte_identical(
             self, encoded, monkeypatch):

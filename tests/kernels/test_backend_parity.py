@@ -4,14 +4,17 @@ The reference (NumPy) backend is the semantic definition of every
 kernel; the compiled (C/ctypes) backend must reproduce its output *bit
 for bit* on adversarial partition shapes — empty, all-singleton
 (stripped to nothing), one giant class, interleaved ties — as well as
-randomized CSR layouts.  ``swap_desc`` candidates negate a rank
+randomized CSR layouts.  Products are batched, one lattice level per
+call: a batch must equal, byte for byte, its tasks run one at a time,
+and the stable rank order must equal ``np.argsort(kind="stable")``,
+fallbacks included.  ``swap_desc`` candidates negate a rank
 column, so swap parity is also pinned on negated inputs; swap flags
 are also pinned to the scalar per-class scan on coarse and near-empty
 contexts and must not depend on τ_A's order within ties; batched swap
 verdicts must equal ``any(swap_flags)`` and the scalar scan per pair;
 and densify parity covers the compiled kernel's sparse-range and
-negative-value fallback paths.  Inputs outside the swap kernels'
-contract raise ``ValueError`` on both backends.
+negative-value fallback paths.  Inputs outside the product and swap
+kernels' contracts raise ``ValueError`` on both backends.
 
 Every test here skips cleanly when no C toolchain is available (the
 fallback behavior itself is covered by test_backend_selection.py).
@@ -74,15 +77,194 @@ def _assert_same(got, want, label):
         assert np.array_equal(got_part, want_part), label
 
 
+def _flat(partitions):
+    return [(p.rows, p.offsets) for p in partitions]
+
+
 @pytest.mark.parametrize("left_name,right_name", PRODUCT_PAIRS)
 def test_product_parity(left_name, right_name, compiled):
     left = StrippedPartition.from_ranks(RANKS[left_name])
     right = StrippedPartition.from_ranks(RANKS[right_name])
-    args = (left.row_to_class(), right.rows, right.offsets,
-            right.class_ids(), left.n_classes)
-    _assert_same(compiled.partition_product(*args),
-                 REFERENCE.partition_product(*args),
+    args = (_flat([left, right]), [(0, 1)], left.n_rows)
+    _assert_same(compiled.partition_products(*args),
+                 REFERENCE.partition_products(*args),
                  f"product({left_name}, {right_name})")
+
+
+def _small_batch(name):
+    """A 0- to 3-row RANKS shape with a constant and a key column,
+    every ordered pair of the three a task."""
+    ranks = RANKS[name]
+    n = len(ranks)
+    columns = [ranks, np.zeros(n, dtype=np.int64),
+               np.arange(n, dtype=np.int64)]
+    tasks = [(left, right) for left in range(3) for right in range(3)]
+    return columns, tasks
+
+
+def _product_batch(case):
+    """``(rank columns, tasks)`` of one level-shaped product batch over
+    N rows (or a 0- to 3-row relation)."""
+    if case.startswith("small-"):
+        return _small_batch(case[len("small-"):])
+    shapes = ["random", "interleaved-ties", "two-block", "one-giant",
+              "all-singleton"]
+    columns = [RANKS[shape] for shape in shapes]
+    # column 5 pairs rows 2i and 2i + 1, column 6 splits even rows from
+    # odd ones: their product is all singletons
+    columns.append(np.arange(N, dtype=np.int64) // 2)
+    columns.append(np.arange(N, dtype=np.int64) % 2)
+    tasks = {
+        "shared-left": [(0, 1), (0, 2), (0, 3), (0, 5)],
+        "shared-right": [(1, 0), (2, 0), (3, 0), (6, 0)],
+        "superkey-side": [(0, 4), (4, 1), (4, 4), (2, 1)],
+        "all-singleton-result": [(5, 6), (6, 5)],
+        "one-class-every-row": [(3, 3)],
+        "one-task": [(0, 1)],
+        # left parents interleave in task order: each run refills the probe
+        "interleaved-lefts": [(2, 0), (0, 1), (2, 1), (1, 0), (0, 6),
+                              (2, 3)],
+    }[case]
+    return columns, tasks
+
+
+PRODUCT_BATCHES = ["shared-left", "shared-right", "superkey-side",
+                   "all-singleton-result", "one-class-every-row",
+                   "one-task", "interleaved-lefts", "small-empty",
+                   "small-one-row", "small-two-row-tie",
+                   "small-three-row"]
+
+
+@pytest.mark.parametrize("case", PRODUCT_BATCHES)
+def test_product_batch_contract(case, compiled):
+    """Compiled and reference batches agree byte for byte, and every
+    task's slice equals that task run alone and the hashing oracle."""
+    columns, tasks = _product_batch(case)
+    n = len(columns[0])
+    parents = [StrippedPartition.from_ranks(column) for column in columns]
+    args = (_flat(parents), tasks, n)
+    rows, offsets, spans = REFERENCE.partition_products(*args)
+    _assert_same(compiled.partition_products(*args),
+                 (rows, offsets, spans), f"products({case})")
+    assert spans.shape == (len(tasks), 4)
+    for (left, right), (rows_at, n_grouped, offsets_at, n_classes) in zip(
+            tasks, spans.tolist()):
+        got = (rows[rows_at:rows_at + n_grouped],
+               offsets[offsets_at:offsets_at + n_classes + 1])
+        alone, alone_offsets, _ = REFERENCE.partition_products(
+            _flat([parents[left], parents[right]]), [(0, 1)], n)
+        _assert_same(got, (alone, alone_offsets),
+                     f"products({case}) task ({left}, {right})")
+        assert n_grouped <= min(len(parents[left].rows),
+                                len(parents[right].rows))
+        oracle = {}
+        for row in range(n):
+            key = (columns[left][row], columns[right][row])
+            oracle.setdefault(key, []).append(row)
+        assert StrippedPartition.from_flat(*got, n).canonical_form() == \
+            frozenset(frozenset(group) for group in oracle.values()
+                      if len(group) >= 2)
+    if case == "all-singleton-result":
+        assert not len(rows)
+    if case == "one-class-every-row":
+        assert offsets.tolist() == [0, N]
+
+
+def test_products_of_no_tasks(compiled):
+    parents = _flat([StrippedPartition.from_ranks(RANKS["random"])])
+    for backend in (REFERENCE, compiled):
+        rows, offsets, spans = backend.partition_products(parents, [], N)
+        assert not len(rows) and not len(offsets)
+        assert spans.shape == (0, 4)
+
+
+def _product_inputs(case):
+    """Valid ``partition_products`` arguments over a 20-row relation,
+    then broken as ``case`` says."""
+    left = StrippedPartition.from_ranks(np.arange(20) % 4)
+    right = StrippedPartition.from_ranks(np.arange(20) % 3)
+    parents = [[left.rows.copy(), left.offsets.copy()],
+               [right.rows.copy(), right.offsets.copy()]]
+    tasks = [(0, 1), (1, 0)]
+    rows, offsets = parents[1]
+    if case == "row-n":
+        rows[3] = 20
+    elif case == "row-negative":
+        parents[0][0][0] = -1
+    elif case == "offsets-not-from-0":
+        offsets[0] = 1
+    elif case == "offsets-decrease":
+        offsets[1], offsets[2] = offsets[2], offsets[1]
+    elif case == "offsets-past-rows":
+        offsets[-1] = len(rows) + 1
+    elif case == "offsets-short-of-rows":
+        offsets[-1] = len(rows) - 1
+    elif case == "offsets-empty":
+        parents[1][1] = offsets[:0]
+    elif case == "task-past-parents":
+        tasks = [(0, 1), (2, 0)]
+    elif case == "task-negative":
+        tasks = [(0, -1)]
+    elif case == "row-twice":
+        # the right parent lists row 0 four times in one class: its
+        # product with a two-row class outgrows min(4, 2) rows
+        parents = [[np.array([0, 1]), np.array([0, 2])],
+                   [np.array([0, 0, 0, 1]), np.array([0, 4])]]
+    return ([(np.asarray(r, dtype=np.int64), np.asarray(o, dtype=np.int64))
+             for r, o in parents], tasks, 20)
+
+
+PRODUCT_CASES = ["row-n", "row-negative", "offsets-not-from-0",
+                 "offsets-decrease", "offsets-past-rows",
+                 "offsets-short-of-rows", "offsets-empty",
+                 "task-past-parents", "task-negative", "row-twice"]
+
+
+@pytest.mark.parametrize("backend_name", ["reference", "compiled"])
+@pytest.mark.parametrize("case", PRODUCT_CASES)
+def test_product_kernel_rejects_bad_inputs(case, backend_name):
+    """A parent row outside [0, n), offsets that do not run from 0 up
+    to len(rows), a task index outside [0, n_parents) or a row listed
+    twice is a ``ValueError`` — in C before any write outside the
+    output bounds."""
+    if backend_name == "compiled" and not kernels.compiled_available():
+        pytest.skip("no C toolchain; compiled backend unavailable")
+    backend = kernels.resolve_backend(backend_name)
+    with pytest.raises(ValueError, match="product kernel"):
+        backend.partition_products(*_product_inputs(case))
+
+
+def test_product_view_rejects_probe_past_n_left():
+    partition = StrippedPartition.from_ranks(np.arange(20) % 4)
+    probe = partition.row_to_class().copy()
+    probe[0] = partition.n_classes
+    with pytest.raises(ValueError, match="n_left"):
+        kernels.partition_product(probe, partition.rows,
+                                  partition.offsets, None,
+                                  partition.n_classes)
+
+
+#: rank columns of the stable rank order: the counting sort's shapes,
+#: a flight-sized all-distinct column, and the two NumPy fallbacks
+RANK_ORDERS = {
+    "all-equal": np.zeros(1000, dtype=np.int64),
+    "all-distinct": np.random.default_rng(41).permutation(150_000),
+    "ties": np.random.default_rng(43).integers(0, 20, 5000),
+    "sparse-wide-range": np.array([0, 10**12, 5, 10**12, 5],
+                                  dtype=np.int64),
+    "negative": np.array([-5, 3, -5, 0, 7, 3], dtype=np.int64),
+    "zero-rows": np.empty(0, dtype=np.int64),
+    "one-row": np.array([7], dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_ORDERS))
+def test_rank_order_is_stable_argsort(name, compiled):
+    ranks = RANK_ORDERS[name]
+    want = np.argsort(ranks, kind="stable").astype(np.int64)
+    for backend in (REFERENCE, compiled):
+        _assert_same(backend.rank_order(ranks), want,
+                     f"rank_order({name}, {backend.name})")
 
 
 def _swap_args(col_a, col_b, context, order_a=None):

@@ -130,3 +130,43 @@ def test_swap_verdicts_bill_once_per_call():
             context.rows, context.offsets, [1, 2, 1], [2, 1, 2],
             [False, False, True])
     assert _swap_calls() == before + 1
+
+
+def _product_calls() -> float:
+    return sum(metrics.REGISTRY.value("repro_kernel_calls_total",
+                                      kernel="product", backend=backend)
+               for backend in ("reference", "compiled"))
+
+
+def test_one_product_call_per_level(monkeypatch):
+    """A serial discovery bills exactly one product call per lattice
+    level with a task whose parents both have grouped rows, and a pooled
+    one dispatches no products to its workers."""
+    from repro.core.fastod import FastOD, FastODConfig
+    from repro.engine.executors import SerialExecutor
+    from repro.parallel.pool import _DISPATCHES
+    from tests.conftest import random_relation
+
+    levels = []           # per run_products call: a task reaches C?
+    run_products = SerialExecutor.run_products
+
+    def recording(self, parents, tasks, budget):
+        levels.append(any(len(parents[task.left].rows)
+                          and len(parents[task.right].rows)
+                          for task in tasks))
+        return run_products(self, parents, tasks, budget)
+
+    monkeypatch.setattr(SerialExecutor, "run_products", recording)
+    relation = random_relation(seed=21, n_cols=6, n_rows=300, domain=5)
+    before = _product_calls()
+    serial = FastOD(relation, FastODConfig(workers=1)).run()
+    assert _product_calls() - before == sum(levels) > 1
+
+    products_before = _DISPATCHES.value(kind="products")
+    scans_before = _DISPATCHES.value(kind="scans")
+    pooled = FastOD(relation, FastODConfig(
+        workers=2, parallel_min_grouped_rows=0)).run()
+    assert _DISPATCHES.value(kind="products") == products_before
+    assert _DISPATCHES.value(kind="scans") > scans_before
+    assert ([str(od) for od in pooled.ocds]
+            == [str(od) for od in serial.ocds])

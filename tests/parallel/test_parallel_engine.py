@@ -178,13 +178,13 @@ class TestTimeoutPrecision:
         relation = employees()
         calls = {"n": 0}
         # budget checks before level 2's FD/OCD phase boundary:
-        # level 1 FD phase (one per node = arity), the serial products
-        # building level 2 (one per pair), then level 2's FD phase
+        # level 1 FD phase (one per node = arity), the products
+        # building level 2 (one per level), then level 2's FD phase
         # (one per node = pairs); the next check is the boundary one —
         # make it the first to fire.
         arity = relation.arity
         level2_nodes = arity * (arity - 1) // 2
-        boundary_call = arity + 2 * level2_nodes + 1
+        boundary_call = arity + 1 + level2_nodes + 1
 
         def fake_hit(self):
             calls["n"] += 1
