@@ -115,10 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     append.add_argument("--verify", action="store_true",
                         help="assert each batch's result against a "
                              "from-scratch FASTOD run")
-    append.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="shard big append-path validation scans "
-                             "over N worker processes (default: "
-                             "$REPRO_WORKERS or 1 = serial)")
     append.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     _add_kernels_option(append)
@@ -181,9 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help='e.g. "{month}: [] -> quarter" or "[a] -> [b]"')
     check.add_argument("--limit", type=int, default=None)
     check.add_argument("--cache-max-entries", type=int, default=None)
-    check.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="shard big validation scans by context class "
-                            "over N worker processes")
     _add_kernels_option(check)
     _add_profile_option(check)
 
@@ -195,10 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="max witness pairs to print")
     violations.add_argument("--limit", type=int, default=None)
     violations.add_argument("--cache-max-entries", type=int, default=None)
-    violations.add_argument("--workers", type=int, default=None,
-                            metavar="N",
-                            help="shard big validation scans by context "
-                                 "class over N worker processes")
     _add_kernels_option(violations)
     _add_profile_option(violations)
 
@@ -334,7 +323,6 @@ def _cmd_append(args: argparse.Namespace) -> int:
 
     base = read_csv(args.csv, limit=args.limit)
     config = FastODConfig(max_level=args.max_level,
-                          workers=args.workers,
                           kernel_backend=args.kernels)
     started = time.perf_counter()
     engine = IncrementalFastOD(base, config,
@@ -472,9 +460,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     relation = read_csv(args.csv, limit=args.limit)
     dependency = parse_for(args.dependency, relation.schema)
     detector = ViolationDetector(
-        relation,
-        max_cached_partitions=args.cache_max_entries,
-        workers=args.workers)
+        relation, max_cached_partitions=args.cache_max_entries)
     try:
         with _CommandProfiler(args.profile):
             report = detector.check(
@@ -489,9 +475,7 @@ def _cmd_violations(args: argparse.Namespace) -> int:
     relation = read_csv(args.csv, limit=args.limit)
     dependency = parse_for(args.dependency, relation.schema)
     detector = ViolationDetector(
-        relation,
-        max_cached_partitions=args.cache_max_entries,
-        workers=args.workers)
+        relation, max_cached_partitions=args.cache_max_entries)
     try:
         with _CommandProfiler(args.profile):
             report = detector.check(

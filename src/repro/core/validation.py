@@ -345,21 +345,15 @@ class CanonicalValidator:
     validators checking many ad-hoc contexts; ``None`` (default) keeps
     every partition, the historical behavior.
 
-    ``workers`` > 1 (or ``REPRO_WORKERS``) routes big validation scans
-    through the unified engine's pooled executor
-    (:class:`repro.engine.PoolExecutor`), which shards them by context
-    class over a shared-memory worker pool — worthwhile for
-    single-dependency checks on tall relations, where one scan is the
-    whole workload.  Verdicts are identical at any worker count; the
-    pool spins up lazily and only for scans past the size threshold.
-    Call :meth:`close` (or rely on GC) to release the pool.
+    Every verdict is one scan on the coordinator
+    (:class:`repro.engine.SerialExecutor`): a swap check walks τ_A
+    once whatever the context's size, so a worker pool could only
+    repeat that walk per chunk.
     """
 
     def __init__(self, relation: Union[Relation, EncodedRelation],
                  max_cached_partitions: Optional[int] = None,
-                 workers: Optional[int] = None,
-                 cache: Optional[PartitionCache] = None,
-                 pool=None):
+                 cache: Optional[PartitionCache] = None):
         if isinstance(relation, Relation):
             relation = relation.encode()
         self._relation = relation
@@ -376,9 +370,8 @@ class CanonicalValidator:
                 relation, max_entries=max_cached_partitions)
         self._name_to_index = {
             name: i for i, name in enumerate(relation.names)}
-        from repro.engine.executors import make_executor
-        self._executor = make_executor(relation, workers=workers,
-                                       pool=pool)
+        from repro.engine.executors import SerialExecutor
+        self._executor = SerialExecutor(relation)
 
     @property
     def relation(self) -> EncodedRelation:
@@ -401,7 +394,8 @@ class CanonicalValidator:
         return build_timings(self.executor_stats())
 
     def close(self) -> None:
-        """Shut down the worker pool, if one was started."""
+        """Release the executor (nothing to release on the serial
+        one; kept so every engine entry point closes alike)."""
         self._executor.close()
 
     def _index(self, name: str) -> int:

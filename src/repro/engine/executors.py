@@ -20,13 +20,15 @@ implementations ship:
   context are answered by one kernel call, each (A, B) pair's walk
   stopping at its first swap.
 * :class:`PoolExecutor` wraps a shared-memory
-  :class:`~repro.parallel.WorkerPool` for scans.  A scan batch leaves
-  the coordinator only when it has at least two tasks and enough rows
-  to amortize process dispatch: grouped rows when the caller supplies
-  every context partition, relation rows when workers derive them.
-  Products and smaller batches fall through to an internal
-  :class:`SerialExecutor` that shares the same telemetry, and every
-  pooled batch goes through one crash-recovery loop.
+  :class:`~repro.parallel.WorkerPool` for scan batches.  A batch
+  leaves the coordinator only when it has at least two tasks and
+  enough rows to amortize process dispatch: grouped rows when the
+  caller supplies every context partition, relation rows when workers
+  derive them.  Products, smaller batches and single-dependency scans
+  (one τ_A walk, which splitting by class would only repeat per
+  chunk) fall through to an internal :class:`SerialExecutor` that
+  shares the same telemetry, and every pooled batch goes through one
+  crash-recovery loop.
 
 Every future backend (async, distributed) is a third implementation of
 this protocol — not another traversal fork.
@@ -35,8 +37,7 @@ this protocol — not another traversal fork.
 from __future__ import annotations
 
 import time
-from typing import (Callable, Dict, Hashable, List, Optional, Protocol,
-                    Sequence, Tuple)
+from typing import Dict, Hashable, Optional, Protocol, Sequence, Tuple
 
 import repro.parallel.pool as pool_module
 from repro import kernels
@@ -167,7 +168,8 @@ class SerialExecutor:
 
     def scan_partition(self, mode: str, a: int, b: int,
                        partition: StrippedPartition) -> bool:
-        """One whole-partition scan (validator/detector/incremental)."""
+        """One whole-partition scan: the verdict of a single
+        dependency (validator, detector, incremental re-check)."""
         verdicts, _ = self.run_scans(
             {0: partition}, [(0, 0, mode, a, b)],
             DeadlineBudget.unlimited(), "class-scan")
@@ -283,35 +285,28 @@ class PoolExecutor:
             time.sleep(min(RETRY_BACKOFF_BASE * (2 ** (crashes - 1)),
                            RETRY_BACKOFF_CAP))
 
-    def _dispatch(self, phase: str, tasks: Sequence,
-                  send: Callable[[WorkerPool, List], Tuple[Dict, bool]],
-                  fallback: Callable[[List], Tuple[Dict, bool]],
-                  harvest: bool = True) -> Tuple[Dict, bool]:
+    def _dispatch(self, contexts: Dict[Hashable, StrippedPartition],
+                  tasks: Sequence[ScanTask], budget: DeadlineBudget,
+                  phase: str) -> Tuple[Dict[Hashable, bool], bool]:
         """Run ``tasks`` on the pool: crash → harvest → rebuild →
         backoff → quarantine, the one recovery loop of every pooled
-        batch.
-
-        ``send(pool, tasks)`` and ``fallback(tasks)`` return ``(results,
-        timed_out)`` from the pool and from the serial twin.  With
-        ``harvest``, verdicts a crashed dispatch had acknowledged are
-        kept and only the other tasks (keyed by ``task[0]``) re-run.
-        A class-sharded scan harvests nothing: its partial results are
-        per-chunk verdicts rather than the scan's own.
-        """
-        results: Dict = {}
+        batch.  Verdicts a crashed dispatch had acknowledged are kept
+        and only the other tasks re-run; a batch that crashes
+        :data:`MAX_DISPATCH_CRASHES` times finishes on the serial
+        executor."""
+        results: Dict[Hashable, bool] = {}
         remaining = list(tasks)
         started = time.perf_counter()
         crashes = 0
         while remaining and crashes < MAX_DISPATCH_CRASHES:
             try:
                 with kernels.activate(self.kernel_backend):
-                    got, timed_out = send(self._pool(), remaining)
+                    got, timed_out = self._pool().run_scans(
+                        contexts, remaining, budget.deadline)
             except PoolDispatchError as error:
-                if harvest:
-                    for payload in error.partial_results:
-                        results.update(payload.get("verdicts", ()))
-                    remaining = [t for t in remaining
-                                 if t[0] not in results]
+                for payload in error.partial_results:
+                    results.update(payload.get("verdicts", ()))
+                remaining = [t for t in remaining if t[0] not in results]
                 crashes += 1
                 self._recover(crashes, bool(remaining)
                               and crashes < MAX_DISPATCH_CRASHES)
@@ -320,13 +315,13 @@ class PoolExecutor:
             self.telemetry.record(phase, len(results), True,
                                   time.perf_counter() - started)
             return results, timed_out
-        if harvest:
-            self.telemetry.record(phase, len(results), True,
-                                  time.perf_counter() - started)
+        self.telemetry.record(phase, len(results), True,
+                              time.perf_counter() - started)
         if not remaining:
             return results, False
         self.telemetry.mark_degraded()
-        got, timed_out = fallback(remaining)
+        got, timed_out = self._serial.run_scans(contexts, remaining,
+                                                budget, phase)
         results.update(got)
         return results, timed_out
 
@@ -353,12 +348,7 @@ class PoolExecutor:
             floor = pool_module.PARALLEL_MIN_ROWS
         if len(tasks) < 2 or rows < floor:
             return self._serial.run_scans(contexts, tasks, budget, phase)
-        return self._dispatch(
-            phase, tasks,
-            lambda pool, rest: pool.run_scans(contexts, rest,
-                                              budget.deadline),
-            lambda rest: self._serial.run_scans(contexts, rest, budget,
-                                                phase))
+        return self._dispatch(contexts, tasks, budget, phase)
 
     def run_validations(self, tasks: Sequence[ScanTask],
                         budget: DeadlineBudget, phase: str = "wave"
@@ -368,26 +358,13 @@ class PoolExecutor:
 
     def scan_partition(self, mode: str, a: int, b: int,
                        partition: StrippedPartition) -> bool:
-        """One whole-partition scan, class-sharded over the pool
-        (:meth:`WorkerPool.run_class_scan`) when the partition is big
-        enough; a crash re-runs it whole."""
-        if (partition.n_classes < 2
-                or len(partition.rows) < self.grouped_rows_threshold
-                or mode == "pointwise"):
-            return self._serial.scan_partition(mode, a, b, partition)
-
-        def send(pool: WorkerPool, _) -> Tuple[Dict[int, bool], bool]:
-            verdict, timed_out = pool.run_class_scan(mode, a, b,
-                                                     partition)
-            return {0: verdict}, timed_out
-
-        def fallback(_) -> Tuple[Dict[int, bool], bool]:
-            return {0: self._serial.scan_partition(mode, a, b,
-                                                   partition)}, False
-
-        verdicts, _ = self._dispatch("class-scan", [(0, 0, mode, a, b)],
-                                     send, fallback, harvest=False)
-        return verdicts[0]
+        """On the coordinator, as :meth:`SerialExecutor.scan_partition`:
+        one scan walks all of τ_A whatever the context's size, so
+        class chunks on workers would each repeat the walk.  No engine
+        path calls it (the validator, the detector and the incremental
+        engine hold a serial executor); the end-to-end benchmark's
+        probe table looks the name up."""
+        return self._serial.scan_partition(mode, a, b, partition)
 
 
 class Executor(Protocol):
@@ -415,9 +392,6 @@ class Executor(Protocol):
     def run_validations(self, tasks: Sequence[ScanTask],
                         budget: DeadlineBudget, phase: str = "wave"
                         ) -> Tuple[Dict[Hashable, bool], bool]: ...
-
-    def scan_partition(self, mode: str, a: int, b: int,
-                       partition: StrippedPartition) -> bool: ...
 
     def rebase(self, relation: EncodedRelation) -> None: ...
 

@@ -120,8 +120,9 @@ def discover_conditional_ods(relation: Relation, *,
 
     Per-fragment discovery and the global redundancy filter both route
     through the unified engine, so ``workers`` shards big fragments'
-    level work and the global validator's scans over one worker pool
-    policy, and ``timeout_seconds`` is one
+    level work over one worker pool (the global validator's
+    single-dependency scans stay on the coordinator), and
+    ``timeout_seconds`` is one
     :class:`~repro.engine.DeadlineBudget` shared across fragments
     (each fragment run receives the remaining budget; a timed-out
     sweep returns the conditionals confirmed so far flagged
@@ -141,16 +142,15 @@ def discover_conditional_ods(relation: Relation, *,
         with huge contexts are rarely interesting and fragments are
         many.
     workers:
-        Worker-pool size for fragment discovery and global validation
-        (``None`` defers to ``REPRO_WORKERS``; 1 = serial).
+        Worker-pool size for fragment discovery (``None`` defers to
+        ``REPRO_WORKERS``; 1 = serial).
     timeout_seconds:
         Best-effort wall-clock budget for the whole sweep.
     """
     started = time.perf_counter()
     budget = DeadlineBudget(timeout_seconds)
     result = ConditionalDiscoveryResult()
-    global_validator = CanonicalValidator(relation.encode(),
-                                          workers=workers)
+    global_validator = CanonicalValidator(relation.encode())
     attributes = _condition_attributes(relation, max_condition_domain)
     n_workers = resolve_workers(workers)
     # one worker pool for every fragment run, rebased per fragment

@@ -67,7 +67,7 @@ from repro.core.fastod import FastOD, FastODConfig
 from repro.core.validation import find_split, find_swap
 from repro.core.results import DiscoveryResult, diff_results
 from repro.engine.budget import DeadlineBudget
-from repro.engine.executors import make_executor
+from repro.engine.executors import SerialExecutor
 from repro.engine.planner import LatticePlanner, TraversalBackend
 from repro.engine.tasks import FdCheckTask, OcdScanTask
 from repro.engine.telemetry import build_timings
@@ -140,8 +140,7 @@ class IncrementalFastOD:
 
     def __init__(self, relation: Relation,
                  config: Optional[FastODConfig] = None,
-                 verify_with_oracle: bool = False,
-                 pool=None):
+                 verify_with_oracle: bool = False):
         config = config or FastODConfig()
         if config.timeout_seconds is not None:
             raise ValueError(
@@ -191,12 +190,10 @@ class IncrementalFastOD:
         self._needed_masks: List[int] = []
         self._batch_effects: Dict[int, BatchEffect] = {}
         self._n_batches = 0
-        # an injected WorkerPool is shared with other engines (the
-        # service job scheduler runs every job's scans on one pool) and
-        # survives close(); an owned pool dies with this engine
-        self._executor = make_executor(
-            self._encoded, workers=config.workers, pool=pool,
-            min_grouped_rows=config.parallel_min_grouped_rows)
+        # a batch's re-checks are single-dependency scans, one τ_A
+        # walk each: they run on the coordinator at any worker count
+        self._executor = SerialExecutor(
+            self._encoded, kernel_backend=config.kernel_backend)
         self._result = self._traverse()
         if self._verify:
             self._check_against_oracle(self._result)
@@ -226,7 +223,7 @@ class IncrementalFastOD:
         return self._n_batches
 
     def close(self) -> None:
-        """Shut down the append-path worker pool, if one was started."""
+        """Release the engine's executor."""
         self._executor.close()
 
     def executor_stats(self) -> Dict[str, object]:
@@ -234,11 +231,9 @@ class IncrementalFastOD:
         return self._executor.telemetry.snapshot()
 
     def _scan_compatible(self, a: int, b: int, partition) -> bool:
-        """One full swap scan through the engine executor —
-        class-sharded over the worker pool when the context is big
-        enough (``FastODConfig.workers`` / ``REPRO_WORKERS``); the pool
-        persists across batches, following each grown relation via
-        :meth:`repro.engine.PoolExecutor.rebase`."""
+        """One full swap scan through the engine executor, under the
+        config's kernel backend; the executor follows each batch's
+        relation via :meth:`repro.engine.SerialExecutor.rebase`."""
         self._executor.rebase(self._encoded)
         return self._executor.scan_partition("swap", a, b, partition)
 

@@ -2,9 +2,12 @@
 
 Every size gate the hot path consults — "serial vs pooled scan
 dispatch" — is defined here with its provenance, instead of as
-scattered literals.  The floors gate scans only: partition products
+scattered literals.  The floors gate scan batches only (FASTOD's
+level scans, the hybrid and extension waves): partition products
 never leave the coordinator, where a lattice level is one kernel
-call.
+call, and neither does a single-dependency scan (validator, detector,
+incremental re-check), which is one τ_A walk that class chunks on
+workers would each repeat.
 The pool's module globals (``repro.parallel.pool.PARALLEL_MIN_GROUPED_ROWS``
 / ``PARALLEL_MIN_ROWS``) remain the names hot code *reads at call
 time* — tests and benchmarks retune them by monkeypatching that module

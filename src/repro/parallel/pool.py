@@ -20,9 +20,10 @@ results back.
   worker's own partition cache over the shared columns;
 * scan verdicts are booleans — they ride the result queue directly.
 
-There is one dispatch kind, ``"scans"``: every scan shape (level-wise
-OCD/FD checks, mask-derived validation waves, class-sharded single
-scans) is a :data:`ScanTask` batch handled by one worker loop.
+Every dispatch is a :data:`ScanTask` batch (level-wise OCD/FD
+checks, mask-derived validation waves) handled by one worker loop.
+A single-dependency scan never comes here: it is one τ_A walk on the
+coordinator, which splitting by class would only repeat per chunk.
 
 Determinism: workers run the exact same batch function
 (:func:`~repro.core.validation.scan_verdicts`) on byte-identical
@@ -68,6 +69,8 @@ from repro.parallel.shm import BlockReader, SharedArrayBlock, unlink_by_name
 from repro.partitions.partition import StrippedPartition, level_products
 from repro.relation.encoding import EncodedRelation
 
+#: ``kind`` is always ``"scans"``, the one dispatch shape; the label
+#: stays so scraped series keep their names.
 _DISPATCHES = metrics.counter(
     "repro_pool_dispatches_total",
     "Chunked dispatches sent to the worker pool, by task kind",
@@ -311,12 +314,7 @@ def _handle_scans(state: _WorkerState, payload: dict) -> dict:
     return {"verdicts": list(verdicts.items()), "timed_out": timed_out}
 
 
-_HANDLERS = {
-    "scans": _handle_scans,
-}
-
-
-def _run_task_observed(state: _WorkerState, kind: str, payload: dict,
+def _run_task_observed(state: _WorkerState, payload: dict,
                        obs_ctx: dict) -> dict:
     """Run one chunk under worker-local observability.
 
@@ -342,10 +340,10 @@ def _run_task_observed(state: _WorkerState, kind: str, payload: dict,
     kernels.set_kernel_spans(True)
     try:
         with trace.collect(buffer):
-            with trace.span("task", kind=kind, pid=os.getpid(),
+            with trace.span("task", kind="scans", pid=os.getpid(),
                             tasks=len(payload.get("tasks", ()))):
                 with kernels.activate(payload.get("kernels")):
-                    result = _HANDLERS[kind](state, payload)
+                    result = _handle_scans(state, payload)
     finally:
         kernels.set_kernel_spans(False)
     prof.sample_once()
@@ -368,21 +366,20 @@ def _worker_main(task_queue, result_queue) -> None:
         message = task_queue.get()
         if message is None:
             break
-        task_id, kind, payload = message
+        task_id, payload = message
         started = time.process_time()
         try:
             faults.maybe_raise("worker.task",
-                               f"injected failure in {kind!r} handler")
+                               "injected failure in the scan handler")
             obs_ctx = payload.get("obs")
             if obs_ctx is not None:
-                result = _run_task_observed(state, kind, payload,
-                                            obs_ctx)
+                result = _run_task_observed(state, payload, obs_ctx)
             else:
                 # run the chunk under the coordinator-resolved kernel
                 # backend, so verdicts are computed by the same
                 # kernels at every worker count
                 with kernels.activate(payload.get("kernels")):
-                    result = _HANDLERS[kind](state, payload)
+                    result = _handle_scans(state, payload)
         except BaseException:
             result_queue.put(
                 (task_id, "err", traceback.format_exc(), 0.0))
@@ -478,7 +475,7 @@ class WorkerPool:
         #: serves every later scan batch of the same context
         self._partition_blocks: "OrderedDict[str, SharedArrayBlock]" = \
             OrderedDict()
-        #: per-dispatch telemetry: kind, tasks, chunks, per-chunk busy
+        #: per-dispatch telemetry: tasks, chunks, per-chunk busy
         #: CPU seconds, publish seconds, wall seconds — the currency of
         #: the hardware-independent benchmark gate
         self.dispatches: List[Dict[str, object]] = []
@@ -600,7 +597,7 @@ class WorkerPool:
         self.shutdown()
 
     # -- dispatch machinery --------------------------------------------
-    def _submit(self, kind: str, payload: dict) -> int:
+    def _submit(self, payload: dict) -> int:
         task_id = self._next_task_id
         self._next_task_id += 1
         faults.maybe_sleep("pool.queue.delay")
@@ -608,7 +605,7 @@ class WorkerPool:
             # the chunk vanishes off the queue; with a stall_timeout
             # the dispatch surfaces this as WorkerStallError
             return task_id
-        self._task_queue.put((task_id, kind, payload))
+        self._task_queue.put((task_id, payload))
         return task_id
 
     def _check_alive(self) -> None:
@@ -681,8 +678,8 @@ class WorkerPool:
                 results[task_id] = (payload, busy)
         return results
 
-    def _dispatch(self, kind: str,
-                  payloads: Sequence[dict]) -> List[Tuple[dict, float]]:
+    def _dispatch(self, payloads: Sequence[dict]
+                  ) -> List[Tuple[dict, float]]:
         """Run chunk payloads across the pool; any failure — a worker
         crash, a remote exception, or a coordinator-side interrupt —
         tears the pool down before propagating, so no segment leaks.
@@ -691,7 +688,7 @@ class WorkerPool:
         recovery layer re-runs only the lost tasks."""
         self._ensure_started()
         started = time.perf_counter()
-        with trace.span("pool-dispatch", kind=kind,
+        with trace.span("pool-dispatch", kind="scans",
                         chunks=len(payloads)):
             # short-circuit *before* serialization: under REPRO_OBS=0
             # no obs context rides out and no span/rusage export rides
@@ -712,7 +709,7 @@ class WorkerPool:
                 self._check_alive()
                 pending = set()
                 for payload in payloads:
-                    task_id = self._submit(kind, payload)
+                    task_id = self._submit(payload)
                     submit_times[task_id] = time.perf_counter()
                     pending.add(task_id)
                 if faults.fire("pool.worker.kill"):
@@ -741,15 +738,14 @@ class WorkerPool:
         # (queue put/get, pickling, worker pickup latency)
         queue_wait = max(0.0, wall - (max(busy) if busy else 0.0))
         record = {
-            "kind": kind,
             "n_tasks": sum(len(p["tasks"]) for p in payloads),
             "n_chunks": len(payloads),
             "chunk_busy_seconds": busy,
             "wall_seconds": wall,
             "queue_wait_seconds": queue_wait,
         }
-        _DISPATCHES.inc(kind=kind)
-        _DISPATCH_SECONDS.observe(wall, kind=kind)
+        _DISPATCHES.inc(kind="scans")
+        _DISPATCH_SECONDS.observe(wall, kind="scans")
         _QUEUE_WAIT_SECONDS.observe(queue_wait)
         self.dispatches.append(record)
         if len(self.dispatches) > MAX_DISPATCH_RECORDS:
@@ -868,7 +864,7 @@ class WorkerPool:
                 "deadline": wall_deadline,
                 "kernels": self._payload_kernels(),
             })
-        chunk_results = self._dispatch("scans", payloads)
+        chunk_results = self._dispatch(payloads)
         self.dispatches[-1]["publish_seconds"] = publish_seconds
         verdicts: Dict[Hashable, bool] = {}
         timed_out = False
@@ -889,32 +885,14 @@ class WorkerPool:
                        partition: StrippedPartition,
                        deadline: Optional[float] = None
                        ) -> Tuple[bool, bool]:
-        """One big scan sharded by context class (the single-dependency
-        path behind ``check``/``violations`` and incremental
-        revalidation), as one :meth:`run_scans` batch: classes are
-        split into contiguous chunks of near-equal grouped rows, and
-        each chunk is a supplied context — a valid stripped partition
-        in its own right, so workers run the stock kernels.  Returns
-        ``(verdict, timed_out)``."""
-        offsets = partition.offsets
-        n_chunks = max(1, min(self.workers * 2, partition.n_classes))
-        targets = np.linspace(0, len(partition.rows), n_chunks + 1)
-        bounds = np.unique(np.searchsorted(offsets, targets[1:-1]))
-        class_bounds = [0, *[int(b) for b in bounds], partition.n_classes]
-        contexts: Dict[Hashable, StrippedPartition] = {}
-        tasks: List[ScanTask] = []
-        for index in range(len(class_bounds) - 1):
-            lo, hi = class_bounds[index], class_bounds[index + 1]
-            if lo >= hi:
-                continue
-            chunk = StrippedPartition.from_flat(
-                partition.rows[offsets[lo]:offsets[hi]],
-                offsets[lo:hi + 1] - offsets[lo], partition.n_rows)
-            contexts[index] = chunk
-            tasks.append((index, index, mode, a, b))
-        if not tasks:
-            return True, False
-        verdicts, timed_out = self.run_scans(contexts, tasks, deadline)
+        """One scan of ``partition`` as a one-task :meth:`run_scans`
+        batch; returns ``(verdict, timed_out)``.
+
+        Kept only for the end-to-end benchmark's probe table, which
+        looks this name up; executors run a single-dependency scan on
+        the coordinator, where it is one τ_A walk."""
+        verdicts, timed_out = self.run_scans(
+            {0: partition}, [(0, 0, mode, a, b)], deadline)
         return all(verdicts.values()), timed_out
 
     # -- reporting ------------------------------------------------------

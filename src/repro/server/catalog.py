@@ -32,8 +32,8 @@ Thread safety: every public method takes the catalog lock, so HTTP
 handler threads and the job-runner thread can share one catalog.  The
 heavyweight objects handed out (relations, caches, engines) are then
 used *only* by the single job-runner thread — the scheduler serialises
-job execution, which is what makes sharing one partition cache and one
-worker pool safe.
+job execution, which is what makes sharing one partition cache
+safe.
 """
 
 from __future__ import annotations
@@ -250,13 +250,10 @@ class DatasetCatalog:
     # ------------------------------------------------------------------
     # the streaming (append) path
     # ------------------------------------------------------------------
-    def ensure_incremental(self, fp: str, config: FastODConfig,
-                           pool=None):
+    def ensure_incremental(self, fp: str, config: FastODConfig):
         """The entry's delta-maintenance engine, created on first use.
 
-        ``pool`` is the scheduler's shared :class:`WorkerPool`; it is
-        injected so append scans run on the same workers as every
-        other job.  The engine's config is fixed at creation — later
+        The engine's config is fixed at creation — later
         appends reuse it regardless of per-request config (the result
         store key records which config the maintained result answers).
         """
@@ -264,8 +261,8 @@ class DatasetCatalog:
 
         entry = self.get(fp)
         if entry.incremental is None:
-            entry.incremental = IncrementalFastOD(
-                entry.relation, config, pool=pool)
+            entry.incremental = IncrementalFastOD(entry.relation,
+                                                  config)
         return entry.incremental
 
     def rekey_after_delta(self, entry: CatalogEntry, new_fp: str,

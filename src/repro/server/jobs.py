@@ -4,12 +4,14 @@ The service accepts jobs from many HTTP threads at once but runs them
 one at a time on a single runner thread.  That is a deliberate trade,
 not a limitation:
 
-* **one shared** :class:`~repro.parallel.WorkerPool` serves every job
-  (discover scans, append-path re-scans, big validate
-  checks).  A pool is bound to one encoded relation at a time, so the
-  runner rebases it per job — safe precisely because execution is
-  serialised — and process workers, published columns, and shared
-  segments are paid for once per server instead of once per request;
+* **one shared** :class:`~repro.parallel.WorkerPool` serves every
+  discover job's scan batches.  A pool is bound to one encoded
+  relation at a time, so the runner rebases it per discover job — safe
+  precisely because execution is serialised — and process workers,
+  published columns, and shared segments are paid for once per server
+  instead of once per request.  Validate, violations, append and
+  delta jobs never touch it: their scans are single-dependency
+  checks, one τ_A walk each on the runner thread;
 * intra-job parallelism (the level-wise sharding of PR 3/4) already
   uses every core; running two discoveries concurrently would only
   interleave their pool dispatches;
@@ -261,8 +263,8 @@ class Job:
 class JobScheduler:
     """Runs service jobs FIFO on one runner thread and one pool.
 
-    ``workers`` sizes the shared pool (``None`` defers to
-    ``REPRO_WORKERS``; 1 = everything serial, no pool is ever
+    ``workers`` sizes the pool discover jobs share (``None`` defers
+    to ``REPRO_WORKERS``; 1 = everything serial, no pool is ever
     created).  ``default_timeout`` bounds jobs that do not bring their
     own ``timeout`` parameter.
     """
@@ -701,10 +703,7 @@ class JobScheduler:
         dependency = job.params.get("dependency")
         if not dependency:
             raise JobError(f"{job.kind} jobs need a 'dependency'")
-        pool = self._shared_pool(entry.encoded)
-        detector = ViolationDetector(
-            entry.relation, cache=entry.cache,
-            workers=1 if self._degraded else self._workers, pool=pool)
+        detector = ViolationDetector(entry.relation, cache=entry.cache)
         try:
             report = detector.check(
                 dependency, max_witnesses=max_witnesses,
@@ -763,9 +762,8 @@ class JobScheduler:
             raise JobError(f"{job.kind} jobs need at least one row change")
         entry = self._catalog.get(job.fingerprint)
         config = self._job_config(job)
-        pool = self._shared_pool(entry.encoded)
-        engine = self._catalog.ensure_incremental(
-            entry.fingerprint, config, pool=pool)
+        engine = self._catalog.ensure_incremental(entry.fingerprint,
+                                                  config)
         old_fp = entry.fingerprint
         fold = batch.fold(engine.relation)
         if fold.relation.n_rows == 0:

@@ -186,27 +186,22 @@ class ViolationDetector:
 
     Each verdict is taken once, from the
     :class:`repro.core.validation.CanonicalValidator` executor; witnesses
-    and pair counts are computed only for a violated dependency.
-    ``workers`` routes big hold-checks through the unified engine's
-    pooled executor, which shards them by context class across a
-    shared-memory worker pool; witness extraction and pair counting
-    stay on the coordinator.
+    and pair counts are computed only for a violated dependency.  All
+    of it runs on the coordinator.
     """
 
     def __init__(self, relation: Relation,
                  max_cached_partitions: Optional[int] = None,
-                 workers: Optional[int] = None,
-                 cache=None, pool=None):
+                 cache=None):
         self._relation = relation
         self._validator = CanonicalValidator(
             relation.encode(),
-            max_cached_partitions=max_cached_partitions,
-            workers=workers, cache=cache, pool=pool)
+            max_cached_partitions=max_cached_partitions, cache=cache)
         self._encoded = self._validator.relation
         self._index = {name: i for i, name in enumerate(self._encoded.names)}
 
     def close(self) -> None:
-        """Release the validator's worker pool, if one was started."""
+        """Release the validator's executor."""
         self._validator.close()
 
     def executor_stats(self) -> dict:

@@ -93,28 +93,33 @@ class TestIncrementalGolden:
             engine.close()
 
 
+def pool_tasks(stats) -> int:
+    return sum(phase["pool_tasks"] for phase in stats["phases"].values())
+
+
 class TestValidatorDetectorGolden:
+    """Single-dependency checks scan on the coordinator whatever
+    ``REPRO_WORKERS`` says, and match the golden verdicts."""
+
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_validator_verdicts(self, workers):
+    def test_validator_verdicts(self, workers, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", str(workers))
         flight = relation_named("flight")
-        validator = CanonicalValidator(flight.encode(), workers=workers)
-        try:
-            for text, expected in GOLDEN["validator"]["flight"].items():
-                assert validator.holds(parse(text)) == expected, text
-        finally:
-            validator.close()
+        validator = CanonicalValidator(flight.encode())
+        for text, expected in GOLDEN["validator"]["flight"].items():
+            assert validator.holds(parse(text)) == expected, text
+        assert pool_tasks(validator.executor_stats()) == 0
 
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_detector_reports(self, workers):
+    def test_detector_reports(self, workers, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", str(workers))
         flight = relation_named("flight")
-        detector = ViolationDetector(flight, workers=workers)
-        try:
-            for text, expected in GOLDEN["detector"]["flight"].items():
-                report = detector.check(text)
-                assert report.holds == expected["holds"], text
-                assert report.n_violating_pairs == expected["pairs"]
-        finally:
-            detector.close()
+        detector = ViolationDetector(flight)
+        for text, expected in GOLDEN["detector"]["flight"].items():
+            report = detector.check(text)
+            assert report.holds == expected["holds"], text
+            assert report.n_violating_pairs == expected["pairs"]
+        assert pool_tasks(detector.executor_stats()) == 0
 
 
 class TestExtensionsGolden:

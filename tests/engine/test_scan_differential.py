@@ -4,10 +4,11 @@ Every route a scan batch takes must agree with the brute-force
 enumerator (:mod:`repro.baselines.bruteforce`): serial and pooled,
 reference and compiled kernels, contexts the caller supplies (FASTOD's
 levels), contexts the executor derives from an attribute mask (the
-hybrid escalation waves), and one class-sharded partition scan (the
-validator).  Relations are small and adversarial: ties, ``None``,
-mixed int/float cells, 0 and 1 rows.  Both pool dispatch floors are
-patched to 0, so the pooled runs really leave the coordinator.
+hybrid escalation waves), and one single-dependency scan (the
+validator, always on the coordinator).  Relations are small and
+adversarial: ties, ``None``, mixed int/float cells, 0 and 1 rows.
+Both pool dispatch floors are patched to 0, so the pooled runs really
+leave the coordinator.
 """
 
 from __future__ import annotations
@@ -84,26 +85,17 @@ def test_every_scan_route_matches_bruteforce(relation):
         assert hybrid.same_ods(truth), diff_results(hybrid, truth)
     valid_fds, valid_ocds = all_valid_canonical_ods(relation)
     valid = valid_fds | valid_ocds
-    validator = CanonicalValidator(relation, workers=2)
-    try:
-        for od in candidates(relation.names):
-            assert validator.holds(od) == (od in valid), str(od)
-    finally:
-        validator.close()
+    validator = CanonicalValidator(relation)
+    for od in candidates(relation.names):
+        assert validator.holds(od) == (od in valid), str(od)
 
 
 def test_pooled_routes_really_dispatch():
-    """The floors at 0 put every route on the pool: supplied contexts
-    (FASTOD), derived ones (hybrid waves) and class shards."""
+    """The floors at 0 put every batch route on the pool: supplied
+    contexts (FASTOD) and derived ones (hybrid waves)."""
     relation = make_relation(3, [(0, 1, 2), (0, 2, 1), (1, 1, 1),
                                  (1, 2, 2), (2, 0, 0), (2, 0, 1)])
     result = FastOD(relation, FastODConfig(workers=2)).run()
     assert pool_tasks(result.executor_stats, "ocd-scan") > 0
     hybrid = hybrid_discover(relation, sample_size=2, workers=2)
     assert pool_tasks(hybrid.executor_stats, "wave") > 0
-    validator = CanonicalValidator(relation, workers=2)
-    try:
-        validator.holds(CanonicalOCD({"c0"}, "c1", "c2"))
-        assert pool_tasks(validator.executor_stats(), "class-scan") == 1
-    finally:
-        validator.close()

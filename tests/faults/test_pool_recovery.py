@@ -128,27 +128,6 @@ class TestExecutorRecovery:
         assert verdicts == clean
         assert not stats["degraded"]
 
-    def test_worker_kill_class_scan_reruns_whole(self, encoded):
-        """A class scan's acknowledged results are per-chunk verdicts,
-        not the scan's: the rebuilt pool re-runs every chunk."""
-        context = StrippedPartition.for_attribute(encoded, 2)
-        expected = SerialExecutor(encoded).scan_partition(
-            "swap", 3, 4, context)
-        with WorkerPool(encoded, 2) as pool:
-            pool.run_class_scan("swap", 3, 4, context)
-            n_chunks = pool.dispatches[-1]["n_tasks"]
-        assert n_chunks >= 2
-
-        def scan(ex):
-            verdict = ex.scan_partition("swap", 3, 4, context)
-            return verdict, ex._owned.stats()["n_tasks"]
-
-        (verdict, rerun_tasks), stats = dispatch_until_crash(encoded,
-                                                             scan)
-        assert verdict == expected
-        assert rerun_tasks == n_chunks
-        assert stats["phases"]["class-scan"]["pool_tasks"] == 1
-
     def test_worker_task_fault_quarantines_to_serial(self, encoded):
         """``worker.task`` re-fires in every rebuilt worker (forked
         children start with fresh per-process counters), so the batch

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.core.fastod import FastOD, FastODConfig
+from repro.core.fastod import FastOD
 from repro.deltalog import DeltaBatch
 from repro.errors import DataError
 from repro.incremental import IncrementalFastOD
@@ -181,25 +181,6 @@ class TestOracleStreams:
         for batch in batches:
             engine.apply_delta(batch)
         engine.close()
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_workers2_streams_byte_identical_to_serial(self, seed):
-        n_attrs, base, batches = random_stream(seed)
-        histories = []
-        for workers in (1, 2):
-            config = FastODConfig(
-                workers=workers,
-                parallel_min_grouped_rows=1 if workers > 1 else None)
-            engine = IncrementalFastOD(
-                make_relation(n_attrs, base), config,
-                verify_with_oracle=True)
-            history = []
-            for batch in batches:
-                engine.apply_delta(batch)
-                history.append(od_strings(engine.result))
-            engine.close()
-            histories.append(history)
-        assert histories[0] == histories[1]
 
     def test_final_state_matches_from_scratch_run(self):
         n_attrs, base, batches = random_stream(99)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.core.fastod import FastOD, FastODConfig
 from repro.datasets import employees
 from repro.datasets.streaming import drifting_stream, stream_batches
@@ -119,12 +120,15 @@ class TestAppend:
 HELD_OCD_ROWS = [(0, 1, 2), (0, 2, 3), (1, 1, 5), (1, 2, 6), (2, 1, 0)]
 
 
-def _swap_dispatches() -> float:
+def _swap_calls(backend: str) -> float:
     from repro.obs import metrics
 
-    return sum(metrics.REGISTRY.value("repro_kernel_calls_total",
-                                      kernel="swap", backend=backend)
-               for backend in ("reference", "compiled"))
+    return metrics.REGISTRY.value("repro_kernel_calls_total",
+                                  kernel="swap", backend=backend)
+
+
+def _swap_dispatches() -> float:
+    return _swap_calls("reference") + _swap_calls("compiled")
 
 
 class TestHeldOcdRecheck:
@@ -159,6 +163,22 @@ class TestHeldOcdRecheck:
         assert not report.invalidated and not report.retraversed
         assert "{c}: a ~ b" in od_strings(engine.result)
         assert engine_dispatches == 0
+
+    @pytest.mark.skipif(not kernels.compiled_available(),
+                        reason="needs both kernel backends")
+    def test_rechecks_run_on_the_configured_backend(self):
+        """``FastODConfig.kernel_backend`` pins the engine's scans,
+        whatever the process default is."""
+        default = kernels.active_backend_name()
+        pinned = "reference" if default == "compiled" else "compiled"
+        engine = IncrementalFastOD(
+            Relation.from_rows(["c", "a", "b"], HELD_OCD_ROWS),
+            FastODConfig(kernel_backend=pinned))
+        before = {name: _swap_calls(name) for name in (default, pinned)}
+        report = append(engine, [(0, 3, 1)])    # re-checks {c}: a ~ b
+        assert "{c}: a ~ b" in report.invalidated
+        assert _swap_calls(pinned) > before[pinned]
+        assert _swap_calls(default) == before[default]
 
 
 class TestStreamEquivalence:

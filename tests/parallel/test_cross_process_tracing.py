@@ -133,9 +133,9 @@ class TestLeanPayloads:
         submitted = []
         original = TestLeanPayloads._ORIGINAL_SUBMIT
 
-        def spy(self, kind, payload):
+        def spy(self, payload):
             submitted.append(payload)
-            return original(self, kind, payload)
+            return original(self, payload)
 
         monkeypatch.setattr(WorkerPool, "_submit", spy)
         metrics.set_enabled(enabled)
@@ -174,8 +174,8 @@ class TestLeanPayloads:
         seen = []
         original = WorkerPool._dispatch
 
-        def spy(self, kind, payloads):
-            out = original(self, kind, payloads)
+        def spy(self, payloads):
+            out = original(self, payloads)
             seen.extend(out)
             return out
 

@@ -14,7 +14,6 @@ import pytest
 from repro.core.fastod import FastOD, FastODConfig
 from repro.core.hybrid import hybrid_discover
 from repro.core.results import DiscoveryResult
-from repro.core.validation import CanonicalValidator
 from repro.datasets import employees, make_dataset
 from repro.deltalog import DeltaBatch
 from repro.incremental import IncrementalFastOD
@@ -142,30 +141,6 @@ class TestIncrementalIdentity:
                 engine.apply_delta(DeltaBatch.inserts(batch))
         finally:
             engine.close()
-
-
-class TestValidatorWorkers:
-    def test_class_sharded_scans_agree(self, monkeypatch):
-        import repro.parallel.pool as pool_module
-
-        monkeypatch.setattr(pool_module, "PARALLEL_MIN_GROUPED_ROWS", 0)
-        relation = make_dataset("flight", n_rows=400, n_attrs=5, seed=8)
-        serial = CanonicalValidator(relation.encode())
-        pooled = CanonicalValidator(relation.encode(), workers=2)
-        try:
-            result = FastOD(relation).run()
-            dependencies = result.all_ods
-            assert dependencies
-            for od in dependencies:
-                assert pooled.holds(od) is True
-                assert serial.holds(od) is True
-            # and a dependency that (almost surely) fails
-            from repro.core.parser import parse
-            bad = parse("{%s}: [] -> %s" % (relation.names[1],
-                                            relation.names[0]))
-            assert pooled.holds(bad) == serial.holds(bad)
-        finally:
-            pooled.close()
 
 
 class TestTimeoutPrecision:

@@ -8,10 +8,7 @@ import multiprocessing.shared_memory as shared_memory
 import numpy as np
 import pytest
 
-from repro.core.validation import (
-    is_compatible_in_classes,
-    is_constant_in_classes,
-)
+from repro.core.validation import is_compatible_in_classes
 from repro.datasets import make_dataset
 from repro.parallel.pool import WorkerCrashError, WorkerPool
 from repro.parallel.shm import SharedArrayBlock, attach
@@ -93,21 +90,6 @@ class TestPoolOperations:
             expected = is_compatible_in_classes(
                 encoded.column(a), encoded.column(b), parents[1 << a])
             assert verdict == expected
-
-    def test_class_scan_matches_serial(self, encoded):
-        context = StrippedPartition.for_attribute(encoded, 0)
-        with WorkerPool(encoded, 2) as pool:
-            for mode, a, b in (("swap", 1, 2), ("const", 3, 0)):
-                verdict, timed_out = pool.run_class_scan(
-                    mode, a, b, context)
-                if mode == "swap":
-                    expected = is_compatible_in_classes(
-                        encoded.column(a), encoded.column(b), context)
-                else:
-                    expected = is_constant_in_classes(
-                        encoded.column(a), context)
-                assert not timed_out
-                assert verdict == expected
 
     def test_validations_match_serial(self, encoded):
         from repro.partitions.cache import PartitionCache
@@ -248,32 +230,6 @@ class TestShutdownHygiene:
         # refs against unlinked segments
         with pytest.raises(WorkerCrashError):
             pool.run_scans(parents, [((0,), 1, "swap", 0, 1)])
-
-    def test_scan_partition_recovers_from_crash(self, encoded):
-        """Crash recovery lives in the engine's PoolExecutor: every
-        scan_partition consumer must rebuild a pool whose workers died
-        mid-session."""
-        from repro.engine.executors import make_executor
-
-        executor = make_executor(encoded, workers=2, min_grouped_rows=0)
-        # a context with at least two stripped classes, so the gate
-        # actually routes through the pool
-        context = next(
-            p for p in (StrippedPartition.for_attribute(encoded, a)
-                        for a in range(encoded.arity))
-            if p.n_classes >= 2)
-        expected = is_compatible_in_classes(
-            encoded.column(1), encoded.column(2), context)
-        try:
-            assert executor.scan_partition("swap", 1, 2,
-                                           context) == expected
-            executor._owned.shutdown()      # simulate a crash teardown
-            # next scan must rebuild the pool, not die on stale state
-            assert executor.scan_partition("swap", 1, 2,
-                                           context) == expected
-            assert not executor._owned.closed
-        finally:
-            executor.close()
 
     def test_worker_task_error_propagates_traceback(self, encoded):
         from repro.parallel.pool import WorkerTaskError

@@ -1,12 +1,13 @@
 """Concurrent service jobs on ONE injected WorkerPool == direct API.
 
-The service scheduler runs every job — discover, append, validate —
-on a single shared :class:`WorkerPool`, rebasing it between jobs.
-This extends the serial-vs-parallel identity harness one level up:
-an *interleaved job stream* (discover A, append B, discover B,
-append A, ...) executed at ``workers=2`` through the scheduler must
-produce byte-identical FD/OCD sets to running each operation alone
-through the direct API with ``workers=1``.
+The service scheduler runs every discover job on a single shared
+:class:`WorkerPool`, rebasing it between jobs; validate, violations,
+append and delta jobs scan on the runner thread and leave the pool
+alone.  This extends the serial-vs-parallel identity harness one
+level up: an *interleaved job stream* (discover A, append B, discover
+B, append A, ...) executed at ``workers=2`` through the scheduler
+must produce byte-identical FD/OCD sets to running each operation
+alone through the direct API with ``workers=1``.
 
 Thresholds are forced to 0 via the per-job config, so even these
 small relations really dispatch through the pool.
@@ -16,13 +17,16 @@ from __future__ import annotations
 
 import pytest
 
+import repro.parallel.pool as pool_module
 from repro.core.fastod import FastOD, FastODConfig
 from repro.datasets import make_dataset
 from repro.deltalog import DeltaBatch
 from repro.incremental import IncrementalFastOD
+from repro.partitions.partition import StrippedPartition
 from repro.server.catalog import DatasetCatalog
 from repro.server.jobs import JobScheduler
 from repro.server.store import ResultStore
+from repro.violations.detect import ViolationDetector
 
 POOL_CONFIG = {"parallel_min_grouped_rows": 0}
 
@@ -131,6 +135,9 @@ class TestInterleavedJobsIdentity:
             direct_serial(grown))
 
     def test_validate_jobs_share_the_pool(self, scheduler):
+        """Validate jobs run beside the pool a discover started and
+        confirm its FDs; they scan on the runner thread themselves
+        (see :class:`TestSingleDependencyJobs`)."""
         relation = make_dataset("flight", n_rows=400, n_attrs=6,
                                 seed=11)
         fp = scheduler._catalog.register(relation).fingerprint
@@ -148,6 +155,70 @@ class TestInterleavedJobsIdentity:
             assert job.status == "done", job.error
             assert job.payload["report"]["holds"] is True
         assert scheduler.stats()["pool_started"] is True
+
+
+def pool_tasks(executor_stats) -> int:
+    return sum(phase["pool_tasks"]
+               for phase in executor_stats["phases"].values())
+
+
+class TestSingleDependencyJobs:
+    def test_validate_violations_delta_leave_the_pool_alone(
+            self, scheduler, monkeypatch):
+        """With both dispatch floors at 0 and the pool warm, a
+        validate, a violations and a delta job neither dispatch to it
+        nor republish its columns, and answer as the serial API."""
+        monkeypatch.setattr(pool_module, "PARALLEL_MIN_GROUPED_ROWS", 0)
+        monkeypatch.setattr(pool_module, "PARALLEL_MIN_ROWS", 0)
+        relation = make_dataset("flight", n_rows=400, n_attrs=6,
+                                seed=11)
+        # a context of several classes: one a pool could shard
+        assert StrippedPartition.for_attribute(
+            relation.encode(), relation.names.index("month")
+        ).n_classes >= 2
+        fp = scheduler._catalog.register(relation).fingerprint
+        discover = scheduler.submit("discover", fp,
+                                    {"config": dict(POOL_CONFIG)})
+        scheduler.wait(discover.id, timeout=300)
+        assert discover.status == "done", discover.error
+        pool = scheduler._pool
+        assert pool is not None and pool.dispatches
+        dispatches = len(pool.dispatches)
+        column_bytes = pool_module._SHM_BYTES.value(payload="columns")
+
+        ops = [[-1, [int(v) for v in relation.row(0)]],
+               [1, [int(v) for v in relation.row(1)]]]
+        delta = scheduler.submit("delta", fp,
+                                 {"ops": ops,
+                                  "config": dict(POOL_CONFIG)})
+        scheduler.wait(delta.id, timeout=300)
+        assert delta.status == "done", delta.error
+        new_fp = delta.payload["fingerprint"]
+        dependency = "{month}: carrier ~ origin"
+        validate = scheduler.submit("validate", new_fp,
+                                    {"dependency": dependency})
+        violations = scheduler.submit("violations", new_fp,
+                                      {"dependency": dependency})
+        for job in (validate, violations):
+            scheduler.wait(job.id, timeout=300)
+            assert job.status == "done", job.error
+
+        assert len(pool.dispatches) == dispatches
+        assert pool_module._SHM_BYTES.value(
+            payload="columns") == column_bytes
+        for job in (delta, validate, violations):
+            assert pool_tasks(job.executor_stats) == 0, job.kind
+
+        engine = IncrementalFastOD(relation, FastODConfig(
+            workers=1, parallel_min_grouped_rows=0))
+        engine.apply_delta(DeltaBatch(ops))
+        assert od_strings(delta.payload["result"]) == od_strings(
+            engine.result.to_dict())
+        detector = ViolationDetector(engine.relation)
+        assert validate.payload["report"] == detector.check(
+            dependency, max_witnesses=0, count_pairs=False).to_dict()
+        assert violations.payload["report"] == detector.check(
+            dependency, max_witnesses=5).to_dict()
 
 
 class TestPoolLifecycleAcrossJobs:

@@ -131,6 +131,19 @@ class TestServeParser:
         assert args.workers == 2
         assert args.catalog_bytes == 1000
 
+    @pytest.mark.parametrize("command", ["check", "violations",
+                                         "append"])
+    def test_single_dependency_commands_take_no_workers(self, command,
+                                                        capsys):
+        """Their scans run on the coordinator: no pool to size."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                [command, "data.csv", "{}: [] -> c2", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestKeys:
     def test_duplicate_rows_no_key(self, csv_file, capsys):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.parallel.pool as pool_module
 from repro import kernels
 from repro.core.od import CanonicalFD, CanonicalOCD
 from repro.partitions.partition import StrippedPartition
@@ -192,19 +191,3 @@ class TestOneVerdictPerCheck:
         if explained:
             want[witness_kernel] = want.get(witness_kernel, 0) + 1
         assert calls == want
-
-    def test_pooled_checks_dispatch_and_match_serial(self, monkeypatch):
-        monkeypatch.setattr(pool_module, "PARALLEL_MIN_GROUPED_ROWS", 0)
-        relation = make_relation(5, CHECK_ROWS)
-        dependencies = HOLDING + VIOLATED
-        serial = ViolationDetector(relation)
-        expected = [serial.check(d).to_dict() for d in dependencies]
-        assert [e["holds"] for e in expected] == [True, True, False, False]
-        detector = ViolationDetector(relation, workers=2)
-        try:
-            got = [detector.check(d).to_dict() for d in dependencies]
-            phases = detector.executor_stats()["phases"]
-        finally:
-            detector.close()
-        assert got == expected
-        assert phases["class-scan"]["pool_tasks"] == len(dependencies)
