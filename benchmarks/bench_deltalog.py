@@ -1,7 +1,7 @@
 """General deltas: incremental maintenance vs re-discovery, and
 cold-boot WAL replay.
 
-Two experiments over a mixed insert/delete/update workload (the
+Three experiments over a mixed insert/delete/update workload (the
 general Z-set stream the delta log exists for, not the append-only
 case ``bench_incremental.py`` covers):
 
@@ -13,6 +13,12 @@ case ``bench_incremental.py`` covers):
   cold (``read_delta_log`` + one-pass ``replay_relation`` + content
   fingerprint check), the exact work a crashed service re-does at
   boot before it can serve its first request.
+* **fold** — the median ``DeltaBatch.fold`` (resolve, post-delete
+  relation, appended relation: the service's write path before the
+  engine) over the end-to-end benchmark's mixed stream: 40 rolls per
+  batch on flight 20000x8, each roll ~35% a delete, ~25% an update,
+  ~40% an insert, rows moving between the live relation and a
+  reserve.  Reported, not gated.
 
 Gates (exit code 1 on failure):
 
@@ -31,10 +37,13 @@ Emits ``BENCH_deltalog.json`` at the repo root via the harness.
 from __future__ import annotations
 
 import random
+import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
@@ -61,6 +70,13 @@ MIN_SPEEDUP = 2.0
 REPLAY_TARGET_OPS = 10_000
 REPLAY_BATCH_OPS = 40
 REPLAY_BUDGET_SECONDS = 5.0
+
+FOLD_ROWS = 20_000
+FOLD_ATTRS = 8
+#: rows generated beside the live ones, where inserts come from
+FOLD_RESERVE = 10_000
+FOLD_BATCHES = 60
+FOLD_ROLLS = 40
 
 
 def od_strings(result) -> list:
@@ -110,6 +126,75 @@ def mixed_batches(base: Relation, n_batches: int, ops_per_batch: int,
                 live.append(row)
         batches.append(DeltaBatch(ops))
     return batches
+
+
+def rolled_batches(live: list, reserve: list, n_batches: int,
+                   rolls: int, seed: int = 1) -> list:
+    """The end-to-end benchmark's service stream: per roll, below 0.35
+    a delete (a live row parks in the reserve), below 0.60 an update
+    (both), else an insert (a reserve row comes in).  The live
+    relation stays a random subset of one universe, so batches keep
+    their cost along the stream."""
+    rng = random.Random(seed)
+    live, reserve = list(live), list(reserve)
+
+    def take(rows):
+        index = rng.randrange(len(rows))
+        rows[index], rows[-1] = rows[-1], rows[index]
+        return rows.pop()
+
+    batches = []
+    for _ in range(n_batches):
+        ops = []
+        for _ in range(rolls):
+            roll = rng.random()
+            old = take(live) if roll < 0.60 else None
+            if old is not None:
+                ops.append((-1, old))
+            if roll >= 0.35:
+                new = take(reserve)
+                ops.append((1, new))
+                live.append(new)
+            if old is not None:
+                reserve.append(old)
+        batches.append(DeltaBatch(ops))
+    return batches
+
+
+def bench_fold(reporter: Reporter, seed: int = 1):
+    source = python_relation(DATASET, FOLD_ROWS + FOLD_RESERVE, FOLD_ATTRS)
+    rows = list(source.rows())
+    universe = [rows[i] for i in np.random.default_rng(seed).permutation(
+        len(rows)).tolist()]
+    relation = Relation.from_rows(source.names, universe[:FOLD_ROWS])
+    relation.encode()
+    batches = rolled_batches(universe[:FOLD_ROWS], universe[FOLD_ROWS:],
+                             FOLD_BATCHES, FOLD_ROLLS, seed)
+    seconds = []
+    for batch in batches:
+        started = time.perf_counter()
+        fold = batch.fold(relation)
+        seconds.append(time.perf_counter() - started)
+        # what the service does next; untimed here
+        fingerprint(fold.relation)
+        relation = fold.relation
+        del fold
+    quartiles = statistics.quantiles(seconds, n=4)
+    median = statistics.median(seconds)
+    reporter.add(
+        rows=FOLD_ROWS, attrs=FOLD_ATTRS, batches=len(batches),
+        rolls=FOLD_ROLLS, median=f"{median * 1e3:.2f}ms",
+        q1=f"{quartiles[0] * 1e3:.2f}ms", q3=f"{quartiles[2] * 1e3:.2f}ms")
+    return [{
+        "dataset": DATASET,
+        "n_rows": FOLD_ROWS,
+        "n_attrs": FOLD_ATTRS,
+        "n_batches": len(batches),
+        "rolls_per_batch": FOLD_ROLLS,
+        "median_fold_seconds": median,
+        "q1_fold_seconds": quartiles[0],
+        "q3_fold_seconds": quartiles[2],
+    }], median
 
 
 def bench_speedup(reporter: Reporter):
@@ -263,12 +348,23 @@ def main() -> int:
         replay_reporter)
     replay_reporter.finish()
 
+    fold_reporter = Reporter(
+        experiment="delta_fold",
+        title=f"DeltaBatch.fold on {DATASET} {FOLD_ROWS}x{FOLD_ATTRS}, "
+              f"{FOLD_ROLLS}-roll mixed batches (reported, not gated)",
+        columns=["rows", "attrs", "batches", "rolls", "median", "q1",
+                 "q3"])
+    fold_records, fold_median = bench_fold(fold_reporter)
+    fold_reporter.finish()
+
     write_bench_json("deltalog", speedup_records, section="speedup")
     write_bench_json("deltalog", replay_records, section="replay")
+    write_bench_json("deltalog", fold_records, section="fold")
     print(f"mixed-delta speedup over full re-discovery: {speedup:.2f}x "
           f"(gate: >= {MIN_SPEEDUP}x); identical: {identical}; "
           f"replay authentic: {authentic}; within budget: "
-          f"{within_budget}")
+          f"{within_budget}; median fold: {fold_median * 1e3:.2f} ms "
+          f"(not gated)")
     if not identical:
         print("FAIL: incremental results diverged from the oracle")
         return 1

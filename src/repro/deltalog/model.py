@@ -31,14 +31,17 @@ once and keeps every stage (resolved indices, surviving inserts, the
 post-delete and final relations), so a caller can fingerprint the
 result, log it, and hand the same fold to the incremental engine.
 
-Values match as the encoder ranks them: by Python equality, except
-that a boolean matches only a boolean.  So ``1`` and ``1.0`` match
-(they share a rank), but ``True`` and ``1`` do not, although
-``True == 1`` in Python (:func:`repro.relation.encoding.sort_key`
-ranks booleans apart from numbers).  Values must be hashable scalars
-so rows can be indexed and survive the log's JSON round-trip.  NaN is
-rejected: it equals nothing, itself included, so no delete could ever
-name it.
+Values match as the encoder ranks them: two cells match when
+:func:`repro.relation.encoding.sort_key` gives them equal keys, that
+is, when they would share a rank in one column.  So ``1`` and ``1.0``
+match, but ``True`` and ``1`` do not, although ``True == 1`` in Python
+(booleans rank apart from numbers), and ``2**53 + 1`` matches no
+float (integers key exactly).  The resolver works on ranks (Section
+4.6 of the paper): it encodes only the batch's delete targets through
+the relation's column dictionaries and never reads a raw row.  Values
+must be hashable scalars so rows can be keyed and survive the log's
+JSON round-trip.  NaN is rejected: it equals nothing, itself
+included, so no delete could ever name it.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from typing import (
 import numpy as np
 
 from repro.errors import DataError
+from repro.relation.encoding import sort_key
 from repro.relation.table import Relation
 
 #: one delta op: (+1 | -1, row values)
@@ -93,8 +97,9 @@ class DeltaFold(NamedTuple):
     (:meth:`DeltaBatch.fold`).
 
     ``deletes`` are the sorted indices of the ``base`` rows removed,
-    ``kept`` the surviving ones (all of ``base`` when nothing was
-    deleted), ``inserts`` the surviving insert rows in op order.
+    ``kept`` the surviving ones as an ``int64`` array (all of ``base``
+    when nothing was deleted), ``inserts`` the surviving insert rows
+    in op order.
     ``after_deletes`` is ``base`` without ``deletes`` and ``relation``
     is ``after_deletes`` plus ``inserts``: the relation after the
     batch.  Relations derived from an encoded ``base`` carry derived
@@ -104,7 +109,7 @@ class DeltaFold(NamedTuple):
     base: Relation
     deletes: List[int]
     inserts: List[tuple]
-    kept: Sequence[int]
+    kept: np.ndarray
     after_deletes: Relation
     relation: Relation
 
@@ -246,11 +251,10 @@ class DeltaBatch:
         """Resolve this batch against ``relation`` and apply it, once
         (pure: ``relation`` is untouched)."""
         deletes, inserts = self.split(relation)
-        kept: Sequence[int] = range(relation.n_rows)
-        after_deletes = relation
-        if deletes:
-            kept = np.delete(np.arange(relation.n_rows), deletes).tolist()
-            after_deletes = relation.select_rows(kept)
+        after_deletes = relation.drop_rows(deletes) if deletes else relation
+        survives = np.ones(relation.n_rows, dtype=bool)
+        survives[deletes] = False
+        kept = np.flatnonzero(survives)
         final = (after_deletes.append_rows(inserts) if inserts
                  else after_deletes)
         return DeltaFold(relation, deletes, inserts, kept, after_deletes,
@@ -261,10 +265,57 @@ class DeltaBatch:
         return self.fold(relation).relation
 
 
-def _bool_cells(row: tuple) -> tuple:
-    """Which cells of ``row`` are booleans: the part of a row's value
-    identity Python equality drops (``True == 1``)."""
-    return tuple(isinstance(value, (bool, np.bool_)) for value in row)
+def _identity(row: tuple) -> tuple:
+    """A row's value identity: its cells' encoder keys."""
+    return tuple(map(sort_key, row))
+
+
+#: odd 64-bit multiplier of :func:`_row_keys` (the golden ratio's bits)
+_KEY_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _row_keys(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """A fixed-width key of every row's rank tuple (one or more equally
+    long columns): one multiply and one xor per column, wrapping at 64
+    bits.  Equal rank tuples get equal keys; distinct ones rarely
+    collide, so a key match only nominates a row."""
+    keys = np.zeros(len(columns[0]), dtype=np.uint64)
+    for column in columns:
+        keys *= _KEY_MIX
+        keys ^= np.asarray(column, dtype=np.int64).view(np.uint64)
+    return keys
+
+
+def _live_positions(relation: Relation, targets: Set[tuple]
+                    ) -> Dict[tuple, Deque[int]]:
+    """The FIFO of ``relation`` positions holding each target identity.
+
+    Each column's dictionary turns the targets' keys into ranks (a key
+    the column does not hold rules its target out).  Every row's
+    :func:`_row_keys` key is matched against the targets' in one
+    vectorized pass, and each candidate is checked rank for rank."""
+    encoded = relation.encode()
+    ordered = list(targets)
+    per_column = [
+        encoded.keys[a].ranks_of([ident[a] for ident in ordered]).tolist()
+        for a in range(relation.arity)]
+    wanted: Dict[tuple, tuple] = {}
+    for ident, ranks in zip(ordered, zip(*per_column)):
+        if min(ranks) >= 0:
+            wanted[ranks] = ident
+    live: Dict[tuple, Deque[int]] = {}
+    if not wanted:
+        return live
+    target_keys = _row_keys(np.array(list(wanted), dtype=np.int64).T)
+    candidates = np.flatnonzero(
+        np.isin(_row_keys(encoded.ranks), target_keys))
+    for position, ranks in zip(
+            candidates.tolist(),
+            zip(*(column[candidates].tolist() for column in encoded.ranks))):
+        ident = wanted.get(ranks)
+        if ident is not None:
+            live.setdefault(ident, deque()).append(position)
+    return live
 
 
 def _resolve(relation: Relation, batches: Sequence[DeltaBatch]
@@ -274,41 +325,39 @@ def _resolve(relation: Relation, batches: Sequence[DeltaBatch]
     inserts.
 
     Positions number the relation's rows, then every surviving insert
-    in the order it lands.  Only values some batch deletes are
-    indexed, each as a FIFO of its live positions keyed by the row and
-    its :func:`_bool_cells`: the relation scan is unavoidable, but
-    keeping other values out of the dict makes it one membership probe
-    per row.
+    in the order it lands.  Rows match by :func:`_identity`, the
+    encoder's key equality.  Only identities some batch deletes are
+    indexed, each as a FIFO of its live positions; the relation's are
+    found on its rank columns (:func:`_live_positions`, which encodes
+    the relation when it is not yet), so the cost is a few vectorized
+    passes over the relation plus Python work per op and per matching
+    row.  Insert-only batches key nothing.
     """
     arity = relation.arity
-    targets = {row for batch in batches
-               for weight, row in batch.ops if weight < 0}
-    live: Dict[tuple, Deque[int]] = {}
-    if targets:
-        columns = [relation.column_at(i) for i in range(arity)]
-        for position, row in enumerate(zip(*columns)):
-            if row in targets:
-                live.setdefault((row, _bool_cells(row)),
-                                deque()).append(position)
+    deleting = any(weight < 0 for batch in batches for weight, _ in batch.ops)
+    keyed = [[(weight, row, _identity(row) if deleting else None)
+              for weight, row in batch.ops] for batch in batches]
+    targets = {ident for ops in keyed for weight, row, ident in ops
+               if weight < 0 and len(row) == arity}
+    live = _live_positions(relation, targets) if targets else {}
     n_positions = relation.n_rows
-    for batch in batches:
+    for ops in keyed:
         deletes: List[int] = []
-        pending: List[tuple] = []
-        for weight, row in batch.ops:
+        pending: List[Tuple[tuple, tuple]] = []
+        for weight, row, ident in ops:
             if len(row) != arity:
                 raise DataError(
                     f"delta row {row!r} has {len(row)} values; "
                     f"the relation has {arity} attributes")
             if weight > 0:
-                pending.append(row)
+                pending.append((row, ident))
                 continue
-            bools = _bool_cells(row)
-            positions = live.get((row, bools))
+            positions = live.get(ident)
             if positions:
                 deletes.append(positions.popleft())
                 continue
             for i in range(len(pending) - 1, -1, -1):
-                if pending[i] == row and _bool_cells(pending[i]) == bools:
+                if pending[i][1] == ident:
                     del pending[i]
                     break
             else:
@@ -316,14 +365,12 @@ def _resolve(relation: Relation, batches: Sequence[DeltaBatch]
                     f"delta deletes row {row!r}, which has no "
                     "remaining occurrence in the relation or this "
                     "batch's inserts")
-        if targets:
-            for offset, row in enumerate(pending):
-                if row in targets:
-                    live.setdefault((row, _bool_cells(row)),
-                                    deque()).append(n_positions + offset)
+        for offset, (_, ident) in enumerate(pending):
+            if ident in targets:
+                live.setdefault(ident, deque()).append(n_positions + offset)
         n_positions += len(pending)
         deletes.sort()
-        yield deletes, pending
+        yield deletes, [row for row, _ in pending]
 
 
 def replay_relation(relation: Relation,
@@ -332,18 +379,20 @@ def replay_relation(relation: Relation,
 
     Equal to ``for b in batches: relation = b.apply_to(relation)`` (the
     property tests assert it), but a boot-time replay of thousands of
-    logged batches resolves them in one :func:`_resolve` pass and
-    builds the final relation once, never the intermediate ones.
+    logged batches resolves them in one :func:`_resolve` pass, then
+    appends every surviving insert once and drops every dead position
+    once, never building the intermediate relations.  When any batch
+    deletes, the resolver encodes ``relation`` (if it is not yet) and
+    the result carries a derived encoding, so fingerprinting it
+    re-encodes nothing.
     """
-    dead: Set[int] = set()
+    dead: List[int] = []
     inserted: List[tuple] = []
     for deletes, inserts in _resolve(relation, list(batches)):
-        dead.update(deletes)
+        dead.extend(deletes)
         inserted.extend(inserts)
-    rows = [*relation.rows(), *inserted]
-    return Relation.from_rows(
-        relation.names,
-        [row for position, row in enumerate(rows) if position not in dead])
+    grown = relation.append_rows(inserted) if inserted else relation
+    return grown.drop_rows(dead) if dead else grown
 
 
 __all__ = ["DeltaBatch", "DeltaFold", "DeltaOp", "replay_relation"]

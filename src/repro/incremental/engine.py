@@ -62,6 +62,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.core.candidates import LatticeNode
 from repro.core.fastod import FastOD, FastODConfig
 from repro.core.validation import find_split, find_swap
@@ -357,13 +358,15 @@ class IncrementalFastOD:
         # witness backfill happens here, not at falsification time:
         # append-only workloads never pay for it, and the pre-delete
         # snapshot still holds every violating pair a False verdict
-        # was refuted on
-        for fd_key in self._fd_false:
-            if fd_key not in self._fd_witness:
-                self._witness_fd(*fd_key)
-        for ocd_key in self._ocd_false:
-            if ocd_key not in self._ocd_witness:
-                self._witness_ocd(*ocd_key)
+        # was refuted on.  Its kernels run outside the executor, so
+        # they activate the config's backend themselves
+        with kernels.activate(self._config.kernel_backend):
+            for fd_key in self._fd_false:
+                if fd_key not in self._fd_witness:
+                    self._witness_fd(*fd_key)
+            for ocd_key in self._ocd_false:
+                if ocd_key not in self._ocd_witness:
+                    self._witness_ocd(*ocd_key)
         kept = fold.kept
         n_old = self._relation.n_rows
         relation = fold.after_deletes

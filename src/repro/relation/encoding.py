@@ -51,6 +51,13 @@ def sort_key(value: Any) -> Tuple[int, Any]:
     """
     if value is None:
         return (_KIND_MISSING, 0)
+    # exact-type fast paths for the common cells (a bool is not an int
+    # here: its type is bool)
+    cls = type(value)
+    if cls is int:
+        return (_KIND_NUMBER, value)
+    if cls is str:
+        return (_KIND_STRING, value)
     if isinstance(value, (bool, np.bool_)):
         return (_KIND_BOOL, bool(value))
     if isinstance(value, str):
@@ -133,21 +140,26 @@ class ColumnKeys:
     * the **gid** of a value — a stable id assigned at first
       appearance, which never moves.
 
-    ``sorted_keys[r]`` is the sort key holding rank ``r`` and
-    ``gid_sorted[r]`` its stable gid; ``_gid_of`` maps keys to gids.
-    :meth:`extend` folds a batch of raw values in, re-encoding *only*
-    the batch and describing how old ranks shift via a monotone remap
-    (the contract the delta partition kernels rely on: rank order —
-    hence any lexicographic order built from ranks — is preserved).
+    ``gid_sorted[r]`` is the gid holding rank ``r``.  The gid table
+    (``_gid_of`` maps sort keys to gids, ``_key_of`` gids back to
+    keys) is shared by every encoding derived from one
+    :meth:`from_values`, so a derived encoding costs only its
+    ``gid_sorted`` array, and deleting or inserting keys edits that
+    array alone.  :meth:`extend` folds a batch of raw values in,
+    re-encoding *only* the batch and describing how old ranks shift
+    via a monotone remap (the contract the delta partition kernels
+    rely on: rank order — hence any lexicographic order built from
+    ranks — is preserved).
     """
 
-    __slots__ = ("sorted_keys", "gid_sorted", "_gid_of")
+    __slots__ = ("gid_sorted", "_gid_of", "_key_of", "_rank_of_gid")
 
-    def __init__(self, sorted_keys: List[Tuple], gid_sorted: np.ndarray,
-                 gid_of: Dict[Tuple, int]):
-        self.sorted_keys = sorted_keys
+    def __init__(self, gid_sorted: np.ndarray, gid_of: Dict[Tuple, int],
+                 key_of: List[Tuple]):
         self.gid_sorted = gid_sorted
         self._gid_of = gid_of
+        self._key_of = key_of
+        self._rank_of_gid: Optional[np.ndarray] = None
 
     @classmethod
     def from_values(cls, values: Sequence[Any]
@@ -158,120 +170,125 @@ class ColumnKeys:
         gid_of = {key: gid for gid, key in enumerate(order)}
         ranks = np.fromiter((gid_of[key] for key in keyed),
                             dtype=np.int64, count=len(keyed))
-        return ranks, cls(order, np.arange(len(order), dtype=np.int64),
-                          gid_of)
+        return ranks, cls(np.arange(len(order), dtype=np.int64), gid_of,
+                          order)
+
+    @property
+    def sorted_keys(self) -> List[Tuple]:
+        """The sort key holding each rank, in rank order (built on
+        each call)."""
+        return list(map(self._key_of.__getitem__, self.gid_sorted.tolist()))
 
     @property
     def n_distinct(self) -> int:
-        return len(self.sorted_keys)
+        return len(self.gid_sorted)
 
     def rank_of_gid(self) -> np.ndarray:
-        """Inverse of ``gid_sorted``: stable gid -> current rank.
+        """Inverse of ``gid_sorted``: stable gid -> current rank, -1
+        for a gid this branch does not hold (computed on first use and
+        cached, read-only).
 
         Sized by the largest gid present, not the distinct count —
         sibling extensions branched from one snapshot share the gid
         namespace, so a branch's gids need not be contiguous.
         """
-        if not len(self.gid_sorted):
-            return np.empty(0, dtype=np.int64)
-        inverse = np.full(int(self.gid_sorted.max()) + 1, -1,
-                          dtype=np.int64)
-        inverse[self.gid_sorted] = np.arange(len(self.gid_sorted),
-                                             dtype=np.int64)
-        return inverse
+        if self._rank_of_gid is None:
+            inverse = np.full(int(self.gid_sorted.max(initial=-1)) + 1, -1,
+                              dtype=np.int64)
+            inverse[self.gid_sorted] = np.arange(len(self.gid_sorted),
+                                                 dtype=np.int64)
+            inverse.setflags(write=False)
+            self._rank_of_gid = inverse
+        return self._rank_of_gid
+
+    def _ranks_of_gids(self, gids: np.ndarray) -> np.ndarray:
+        """Each gid's rank in this branch, -1 where this branch does
+        not hold it (unknown, or named only by a sibling branch)."""
+        rank_of_gid = self.rank_of_gid()
+        ranks = np.full(len(gids), -1, dtype=np.int64)
+        held = (gids >= 0) & (gids < len(rank_of_gid))
+        ranks[held] = rank_of_gid[gids[held]]
+        return ranks
+
+    def ranks_of(self, keyed: Sequence[Tuple]) -> np.ndarray:
+        """The rank of each :func:`sort_key` key in this column, -1 for
+        a key the column does not hold: looks keys up, adds none."""
+        return self._ranks_of_gids(np.fromiter(
+            (self._gid_of.get(key, -1) for key in keyed),
+            dtype=np.int64, count=len(keyed)))
 
     def extend(self, values: Sequence[Any]
                ) -> Tuple["ColumnKeys", "ColumnExtension"]:
         """Fold a batch of raw values into the dictionary.
 
-        Only the batch is keyed; unseen keys are merge-inserted into
-        the sorted dictionary and the resulting rank shifts of the old
-        domain are returned as a monotone ``remap`` array.  The
-        pre-extension ``ColumnKeys`` stays valid for the old snapshot:
-        the gid table is shared (a key means the same gid in every
-        branch, and fresh gids are minted from the shared counter), so
-        several extensions may branch from one snapshot — a key is
-        *fresh for this branch* whenever it is not in this branch's
-        sorted dictionary yet, even if a sibling already named it.
+        Only the batch is keyed; unseen keys get fresh gids, their
+        ranks are found by binary search over this branch's keys, and
+        the resulting rank shifts of the old domain are returned as a
+        monotone ``remap`` array.  The pre-extension ``ColumnKeys``
+        stays valid for the old snapshot: the gid table is shared (a
+        key means the same gid in every branch, and fresh gids are
+        minted from the shared counter), so several extensions may
+        branch from one snapshot — a key is *fresh for this branch*
+        whenever this branch ranks no such gid (:meth:`rank_of_gid`),
+        even if a sibling already named it.
         """
         keyed = [sort_key(v) for v in values]
-        gid_of = self._gid_of
-        old_distinct = len(self.sorted_keys)
-        # dict hits are members of this branch only while nobody else
-        # has minted into the shared table; once polluted, membership
-        # must be checked against this branch's own keys
-        members = set(self.sorted_keys) \
-            if len(gid_of) > old_distinct else None
-        fresh: List[Tuple] = []
-        fresh_seen: set = set()
-        batch_gids = np.empty(len(keyed), dtype=np.int64)
-        for i, key in enumerate(keyed):
-            gid = gid_of.get(key)
-            if gid is None:
-                gid = len(gid_of)
-                gid_of[key] = gid
-                fresh_seen.add(key)
-                fresh.append(key)
-            elif key not in fresh_seen and (
-                    key not in members if members is not None
-                    else gid >= old_distinct):
-                # named by a sibling branch (or possibly, before this
-                # call, by an earlier batch of one) — new to us
-                fresh_seen.add(key)
-                fresh.append(key)
-            batch_gids[i] = gid
-        if not fresh:
-            remap = np.arange(old_distinct, dtype=np.int64)
-            extended = ColumnKeys(self.sorted_keys, self.gid_sorted, gid_of)
-        else:
-            fresh = _sorted_distinct(fresh)
-            try:
-                positions = np.fromiter(
-                    (bisect_left(self.sorted_keys, key) for key in fresh),
-                    dtype=np.int64, count=len(fresh))
-            except TypeError:
-                # keys of some exotic non-comparable type: rebuild the
-                # merged order the same way from_values would
-                return self._extend_incomparable(fresh, batch_gids,
-                                                 gid_of)
-            # old rank r shifts right by the number of fresh keys
-            # inserted at positions <= r
-            remap = np.arange(old_distinct, dtype=np.int64)
-            remap += np.searchsorted(positions, remap, side="right")
-            # gids were handed out in first-appearance order, which need
-            # not match key order — look each sorted fresh key back up
-            fresh_gids = np.fromiter((gid_of[key] for key in fresh),
-                                     dtype=np.int64, count=len(fresh))
-            gid_sorted = np.insert(self.gid_sorted, positions, fresh_gids)
-            # one linear merge of the two sorted key lists (a per-key
-            # list.insert would cost O(fresh * distinct))
-            merged: List[Tuple] = []
-            previous = 0
-            for position, key in zip(positions.tolist(), fresh):
-                merged.extend(self.sorted_keys[previous:position])
-                merged.append(key)
-                previous = position
-            merged.extend(self.sorted_keys[previous:])
-            extended = ColumnKeys(merged, gid_sorted, gid_of)
-        batch_ranks = extended.rank_of_gid()[batch_gids]
-        return extended, ColumnExtension(remap, batch_ranks, batch_gids)
+        gid_of, key_of = self._gid_of, self._key_of
+        for key in keyed:
+            if key not in gid_of:
+                gid_of[key] = len(key_of)
+                key_of.append(key)
+        batch_gids = np.fromiter(map(gid_of.__getitem__, keyed),
+                                 dtype=np.int64, count=len(keyed))
+        batch_ranks = self._ranks_of_gids(batch_gids)
+        unheld = [key for key, rank in zip(keyed, batch_ranks.tolist())
+                  if rank < 0]
+        old_distinct = len(self.gid_sorted)
+        if not unheld:
+            return self, ColumnExtension(
+                np.arange(old_distinct, dtype=np.int64), batch_ranks,
+                batch_gids)
+        fresh = _sorted_distinct(unheld)
+        try:
+            positions = np.fromiter(
+                (bisect_left(self.gid_sorted, key, key=key_of.__getitem__)
+                 for key in fresh), dtype=np.int64, count=len(fresh))
+        except TypeError:
+            # keys of some exotic non-comparable type: rebuild the
+            # merged order the same way from_values would
+            return self._extend_incomparable(fresh, batch_gids)
+        # fresh key j lands at rank positions[j] + j; the old ranks
+        # fill the other slots, in order
+        fresh_ranks = positions + np.arange(len(fresh))
+        slots = np.ones(old_distinct + len(fresh), dtype=bool)
+        slots[fresh_ranks] = False
+        remap = np.flatnonzero(slots)
+        rank_of_fresh = dict(zip(fresh, fresh_ranks.tolist()))
+        held = batch_ranks >= 0
+        batch_ranks[held] = remap[batch_ranks[held]]
+        batch_ranks[~held] = [rank_of_fresh[key] for key in unheld]
+        gid_sorted = np.insert(self.gid_sorted, positions, np.fromiter(
+            map(gid_of.__getitem__, fresh), dtype=np.int64,
+            count=len(fresh)))
+        return (ColumnKeys(gid_sorted, gid_of, key_of),
+                ColumnExtension(remap, batch_ranks, batch_gids))
 
     def _extend_incomparable(self, fresh: List[Tuple],
-                             batch_gids: np.ndarray, gid_of: Dict
+                             batch_gids: np.ndarray
                              ) -> Tuple["ColumnKeys", "ColumnExtension"]:
         """Slow-path extension for keys the fast merge cannot order:
         re-sort the merged key set exactly as :meth:`from_values`
         would (falling back to ``repr`` order), so incremental and
         from-scratch encodings agree on any hashable value type."""
-        merged = _sorted_distinct(list(self.sorted_keys) + fresh)
+        sorted_keys = self.sorted_keys
+        merged = _sorted_distinct(sorted_keys + fresh)
         position_of = {key: rank for rank, key in enumerate(merged)}
         remap = np.fromiter(
-            (position_of[key] for key in self.sorted_keys),
-            dtype=np.int64, count=len(self.sorted_keys))
-        gid_sorted = np.empty(len(merged), dtype=np.int64)
-        for key, rank in position_of.items():
-            gid_sorted[rank] = gid_of[key]
-        extended = ColumnKeys(merged, gid_sorted, gid_of)
+            (position_of[key] for key in sorted_keys),
+            dtype=np.int64, count=len(sorted_keys))
+        gid_sorted = np.fromiter(map(self._gid_of.__getitem__, merged),
+                                 dtype=np.int64, count=len(merged))
+        extended = ColumnKeys(gid_sorted, self._gid_of, self._key_of)
         batch_ranks = extended.rank_of_gid()[batch_gids]
         return extended, ColumnExtension(remap, batch_ranks, batch_gids)
 
@@ -396,9 +413,8 @@ class EncodedRelation:
         When keys are retained, the selected encoding shares the gid
         table: values whose last occurrence was dropped keep their
         stable gid, so re-inserting one later rides the normal
-        sibling-branch path of :meth:`ColumnKeys.extend`.  This is the
-        deletion analogue of :meth:`append_values` — the incremental
-        engine's retraction path lives on it.
+        sibling-branch path of :meth:`ColumnKeys.extend`.
+        :meth:`drop_rows` is the delete path.
         """
         keep = np.asarray(indices, dtype=np.int64)
         ranks: List[np.ndarray] = []
@@ -409,10 +425,45 @@ class EncodedRelation:
             ranks.append(dense)
             if keys is not None:
                 old = self.keys[a]
-                keys.append(ColumnKeys(
-                    [old.sorted_keys[r] for r in survivors.tolist()],
-                    old.gid_sorted[survivors],
-                    old._gid_of))
+                keys.append(ColumnKeys(old.gid_sorted[survivors],
+                                       old._gid_of, old._key_of))
+        return EncodedRelation(self.names, ranks, keys)
+
+    def drop_rows(self, dropped: np.ndarray) -> "EncodedRelation":
+        """The encoding without the rows at ``dropped`` (distinct
+        indices), derived without touching raw values.
+
+        Each rank column loses those positions.  Its ranks stay dense
+        unless a dropped row held the last copy of one, which one
+        vectorized pass over the kept ranks tells: only then is the
+        column re-densified, by one monotone remap, and the vanished
+        gids cut from its ``gid_sorted``; otherwise its
+        :class:`ColumnKeys` is shared.  The result is byte-identical
+        to encoding the surviving rows from scratch, and, like
+        :meth:`select_rows`, it shares the gid table, so a value whose
+        last occurrence was dropped keeps its stable gid.
+        """
+        keep = np.ones(self.n_rows, dtype=bool)
+        keep[dropped] = False
+        ranks: List[np.ndarray] = []
+        keys: Optional[List[ColumnKeys]] = (
+            None if self.keys is None else [])
+        for a, column in enumerate(self.ranks):
+            kept = column[keep]
+            held = np.zeros(int(column.max(initial=-1)) + 1, dtype=bool)
+            held[kept] = True
+            column_keys = None if keys is None else self.keys[a]
+            if not held.all():
+                # a dropped row held the last copy of a rank: every
+                # rank moves down by the vanished ranks below it
+                kept = (np.cumsum(held, dtype=np.int64) - 1)[kept]
+                if column_keys is not None:
+                    column_keys = ColumnKeys(column_keys.gid_sorted[held],
+                                             column_keys._gid_of,
+                                             column_keys._key_of)
+            ranks.append(kept)
+            if keys is not None:
+                keys.append(column_keys)
         return EncodedRelation(self.names, ranks, keys)
 
     def append_values(self, batch_columns: Sequence[Sequence[Any]]
@@ -442,8 +493,11 @@ class EncodedRelation:
         for column_ranks, column_keys, batch in zip(
                 self.ranks, self.keys, batch_columns):
             extended_keys, extension = column_keys.extend(batch)
+            if extended_keys is not column_keys:
+                # fresh keys shifted the old ranks
+                column_ranks = extension.remap[column_ranks]
             ranks.append(np.concatenate(
-                (extension.remap[column_ranks], extension.batch_ranks)))
+                (column_ranks, extension.batch_ranks)))
             keys.append(extended_keys)
             extensions.append(extension)
         return EncodedRelation(self.names, ranks, keys), extensions

@@ -10,9 +10,26 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import DataError, SchemaError
 from repro.relation.encoding import EncodedRelation
 from repro.relation.schema import Schema
+
+
+def _list_without(items: List[Any], dropped: Sequence[int]) -> List[Any]:
+    """``items`` minus the positions ``dropped`` (sorted, distinct):
+    the slices between them, joined.  Python work is per dropped
+    position, never per kept item.
+
+    >>> _list_without(["a", "b", "c", "d"], [1, 2])
+    ['a', 'd']
+    """
+    bounds = [-1, *dropped, len(items)]
+    kept = []
+    for before, after in zip(bounds, bounds[1:]):
+        kept += items[before + 1:after]
+    return kept
 
 
 class Relation:
@@ -70,6 +87,19 @@ class Relation:
         """Build a relation from a mapping of name -> column values."""
         schema = Schema(columns.keys())
         return cls(schema, [columns[name] for name in schema.names])
+
+    @classmethod
+    def _adopt(cls, schema: Schema, columns: List[List[Any]],
+               encoded: Optional[EncodedRelation] = None) -> "Relation":
+        """A relation over ``columns`` as given: equally long lists
+        that the caller just built and nobody else holds, so unlike
+        the constructor it copies nothing."""
+        relation = cls.__new__(cls)
+        relation._schema = schema
+        relation._columns = columns
+        relation._n_rows = len(columns[0]) if columns else 0
+        relation._encoded = encoded
+        return relation
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -139,21 +169,38 @@ class Relation:
         When this relation has already been encoded, the selection's
         encoding is derived by one vectorized re-densification per
         column (:meth:`repro.relation.encoding.EncodedRelation.select_rows`)
-        instead of re-keying every surviving cell — the deletion
-        analogue of the :meth:`append_rows` fast path.
+        instead of re-keying every surviving cell.  The raw columns
+        are gathered cell by cell; :meth:`drop_rows` is the cheaper
+        path when only a few rows go.
         """
         columns = [list(map(col.__getitem__, indices))
                    for col in self._columns]
-        selected = Relation(self._schema, columns)
-        if self._encoded is not None:
-            selected._encoded = self._encoded.select_rows(indices)
-        return selected
+        return Relation._adopt(
+            self._schema, columns,
+            None if self._encoded is None
+            else self._encoded.select_rows(indices))
 
     def drop_rows(self, indices: Iterable[int]) -> "Relation":
-        """A new relation with the given row indices removed."""
-        banned = set(indices)
-        keep = [i for i in range(self._n_rows) if i not in banned]
-        return self.select_rows(keep)
+        """A new relation with the given row indices removed (indices
+        outside the relation are ignored) — the delete path.
+
+        Each column is rebuilt from slices around the dropped
+        positions (:func:`_list_without`), so the cost is a pointer
+        copy per row plus Python work per dropped row, never per kept
+        one.  When this relation has already been encoded, so is the
+        result:
+        :meth:`repro.relation.encoding.EncodedRelation.drop_rows`
+        derives it from the rank columns.
+        """
+        dropped = np.unique(np.fromiter(indices, dtype=np.int64))
+        dropped = dropped[(dropped >= 0) & (dropped < self._n_rows)]
+        positions = dropped.tolist()
+        columns = [_list_without(column, positions)
+                   for column in self._columns]
+        return Relation._adopt(
+            self._schema, columns,
+            None if self._encoded is None
+            else self._encoded.drop_rows(dropped))
 
     def rename(self, mapping: Dict[str, str]) -> "Relation":
         """A new relation with attributes renamed via ``mapping``."""
@@ -210,10 +257,10 @@ class Relation:
         columns = [
             mine + batch for mine, batch in zip(self._columns, batch_columns)
         ]
-        appended = Relation(self._schema, columns)
+        encoded = None
         if self._encoded is not None and self._encoded.keys is not None:
-            appended._encoded, _ = self._encoded.append_values(batch_columns)
-        return appended
+            encoded, _ = self._encoded.append_values(batch_columns)
+        return Relation._adopt(self._schema, columns, encoded)
 
     def append_relation(self, other: "Relation") -> "Relation":
         """:meth:`append_rows` taking another relation's tuples (schemas

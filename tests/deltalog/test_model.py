@@ -18,6 +18,7 @@ from repro.deltalog import DeltaBatch, replay_relation
 from repro.errors import DataError
 from repro.relation.fingerprint import fingerprint
 from repro.relation.table import Relation
+from tests.deltalog import raw_resolver
 
 
 def rel(rows):
@@ -190,6 +191,51 @@ class TestFold:
         assert fold.relation.encode().ranks[0].tolist() == \
             scratch.encode().ranks[0].tolist()
 
+    def test_fold_reads_no_raw_row(self, monkeypatch):
+        """A mixed batch over an encoded relation is resolved and
+        applied on the rank columns: with every raw-row accessor
+        broken, the fold still equals the raw-value resolver's."""
+        rng = np.random.default_rng(5)
+        rows = [(int(a), ["x", "y", None][int(b)])
+                for a, b in zip(rng.integers(0, 50, 1000),
+                                rng.integers(0, 3, 1000))]
+        relation = rel(rows)
+        relation.encode()
+        batch = DeltaBatch([(-1, rows[10]), (1, (7, "z")),
+                            (-1, (float(rows[500][0]), rows[500][1])),
+                            (1, (True, None)), (-1, (True, None)),
+                            (-1, rows[10]), (1, (3.5, "x"))])
+        expected = next(raw_resolver.resolve(rows, 2, [batch]))
+        expected_rows = raw_resolver.replay(rows, 2, [batch])
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the fold read a raw row")
+
+        for name in ("rows", "row", "column_at"):
+            monkeypatch.setattr(Relation, name, broken)
+        fold = batch.fold(relation)
+        monkeypatch.undo()
+        assert (fold.deletes, fold.inserts) == expected
+        assert raw_resolver.typed(fold.relation.rows()) == \
+            raw_resolver.typed(expected_rows)
+        assert_encoded_like_scratch(fold.after_deletes)
+        assert_encoded_like_scratch(fold.relation)
+
+    def test_colliding_row_keys_are_checked_exactly(self, monkeypatch):
+        """A row key only nominates: with every row's key equal, each
+        candidate is checked rank for rank and the fold still equals
+        the raw-value resolver's."""
+        from repro.deltalog import model
+
+        rows = [(i % 4, "ab"[i % 2]) for i in range(40)]
+        batch = DeltaBatch([(-1, (1, "b")), (-1, (2.0, "a")),
+                            (1, (9, "c")), (-1, (1, "b"))])
+        expected = next(raw_resolver.resolve(rows, 2, [batch]))
+        monkeypatch.setattr(
+            model, "_row_keys",
+            lambda columns: np.zeros(len(columns[0]), dtype=np.uint64))
+        assert batch.split(rel(rows)) == expected
+
     def test_failed_resolution_folds_nothing(self):
         relation = rel([(1, 1)])
         with pytest.raises(DataError):
@@ -215,9 +261,21 @@ class TestApply:
         assert list(out.rows()) == [(1, 1)]
 
 
-rows_strategy = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(0, 3)),
-    min_size=0, max_size=8)
+#: cells that rank apart or together in ways Python equality does not
+#: spell out: ``None``, booleans (``True == 1`` yet they rank apart),
+#: ints and the integral floats equal to them (``1 == 1.0``, ``0 ==
+#: -0.0``), an int no float equals, infinities and short strings
+cells = st.one_of(
+    st.integers(0, 3), st.none(), st.booleans(), st.just(np.True_),
+    st.sampled_from([1.0, -0.0, 2.0 ** 53, 2 ** 53 + 1,
+                     float("inf"), float("-inf")]),
+    st.sampled_from(["", "a", "ab"]))
+
+rows_strategy = st.lists(st.tuples(cells, cells), min_size=0, max_size=8)
+
+#: (type, cell) -> a cell of another type the encoder keys alike
+EQUIVALENT = {(int, 1): 1.0, (float, 1.0): 1, (int, 0): -0.0,
+              (bool, True): np.True_}
 
 
 @st.composite
@@ -231,26 +289,57 @@ def relation_and_batches(draw):
             if live and draw(st.booleans()):
                 victim = live.pop(
                     draw(st.integers(0, len(live) - 1)))
+                if draw(st.booleans()):
+                    # name the row by equal-keyed cells of other types
+                    victim = tuple(EQUIVALENT.get((type(value), value),
+                                                  value)
+                                   for value in victim)
                 ops.append((-1, victim))
             else:
-                row = draw(st.tuples(st.integers(0, 3),
-                                     st.integers(0, 3)))
+                row = draw(st.tuples(cells, cells))
                 ops.append((1, row))
                 live.append(row)
         batches.append(DeltaBatch(ops))
-    return rel(base), batches
+    relation = rel(base)
+    if draw(st.booleans()):
+        relation.encode()
+    return relation, batches
+
+
+def assert_encoded_like_scratch(relation):
+    """The relation's (derived) encoding equals a from-scratch one."""
+    scratch = rel(list(relation.rows())).encode()
+    encoded = relation.encode()
+    assert [c.tolist() for c in encoded.ranks] == \
+        [c.tolist() for c in scratch.ranks]
+    assert [k.sorted_keys for k in encoded.keys] == \
+        [k.sorted_keys for k in scratch.keys]
 
 
 class TestReplayEquivalence:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(relation_and_batches())
     def test_one_pass_replay_matches_sequential_apply(self, case):
+        """After every batch the rank-space fold answers like the
+        raw-value resolver: the same positions and inserts, the same
+        rows with the same types, and the from-scratch encoding."""
         relation, batches = case
         sequential = relation
-        for batch in batches:
-            sequential = batch.apply_to(sequential)
-        fast = replay_relation(relation, batches)
-        assert list(fast.rows()) == list(sequential.rows())
+        for applied, batch in enumerate(batches, start=1):
+            rows = list(sequential.rows())
+            expected = next(raw_resolver.resolve(rows, 2, [batch]))
+            assert batch.split(sequential) == expected
+            fold = batch.fold(sequential)
+            assert (fold.deletes, fold.inserts) == expected
+            sequential = fold.relation
+            oracle_rows = raw_resolver.replay(rows, 2, [batch])
+            assert raw_resolver.typed(sequential.rows()) == \
+                raw_resolver.typed(oracle_rows)
+            assert_encoded_like_scratch(sequential)
+            replayed = replay_relation(relation, batches[:applied])
+            assert raw_resolver.typed(replayed.rows()) == \
+                raw_resolver.typed(oracle_rows)
+            assert fingerprint(replayed) == fingerprint(sequential)
 
     def test_later_batch_can_delete_earlier_batch_insert(self):
         relation = rel([(1, 1)])

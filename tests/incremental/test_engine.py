@@ -120,11 +120,11 @@ class TestAppend:
 HELD_OCD_ROWS = [(0, 1, 2), (0, 2, 3), (1, 1, 5), (1, 2, 6), (2, 1, 0)]
 
 
-def _swap_calls(backend: str) -> float:
+def _swap_calls(backend: str, kernel: str = "swap") -> float:
     from repro.obs import metrics
 
     return metrics.REGISTRY.value("repro_kernel_calls_total",
-                                  kernel="swap", backend=backend)
+                                  kernel=kernel, backend=backend)
 
 
 def _swap_dispatches() -> float:
@@ -179,6 +179,30 @@ class TestHeldOcdRecheck:
         assert "{c}: a ~ b" in report.invalidated
         assert _swap_calls(pinned) > before[pinned]
         assert _swap_calls(default) == before[default]
+
+    @pytest.mark.skipif(not kernels.compiled_available(),
+                        reason="needs both kernel backends")
+    def test_retraction_witnesses_run_on_the_configured_backend(self):
+        """The witness backfill before a retraction (``find_split``,
+        ``find_swap`` and the τ_A they walk) runs on the pinned
+        backend too.  The fold is computed up front, so only the
+        engine's own kernel calls are counted."""
+        default = kernels.active_backend_name()
+        pinned = "reference" if default == "compiled" else "compiled"
+        base, batches = drifting_stream("flight", n_rows=2000, n_attrs=6,
+                                        n_batches=4)
+        engine = IncrementalFastOD(base, FastODConfig(kernel_backend=pinned))
+        for batch in batches:
+            append(engine, batch)
+        fold = DeltaBatch.deletes(
+            list(engine.relation.rows())[:30]).fold(engine.relation)
+        kinds = ("split", "swap", "order")
+        before = {kind: _swap_calls(default, kind) for kind in kinds}
+        pinned_before = _swap_calls(pinned, "split")
+        report = engine.apply_delta(fold)
+        assert report.n_deleted == 30
+        assert _swap_calls(pinned, "split") > pinned_before
+        assert {kind: _swap_calls(default, kind) for kind in kinds} == before
 
 
 class TestStreamEquivalence:

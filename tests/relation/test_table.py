@@ -91,6 +91,18 @@ class TestTransformations:
         assert [r for r in kept.rows()] == [small.row(0), small.row(3)]
         dropped = small.drop_rows([1, 2])
         assert dropped == kept
+        # indices may come unsorted, repeated or out of range, and the
+        # derived encoding equals a from-scratch one
+        big = Relation.from_rows(["a", "b"],
+                                 [(i % 7, str(i)) for i in range(300)])
+        big.encode()
+        gone = [*range(299, 0, -3), 5, 5, -1, 300]
+        survivors = [i for i in range(300) if i not in set(gone)]
+        cut = big.drop_rows(gone)
+        assert cut == big.select_rows(survivors)
+        scratch = Relation.from_rows(["a", "b"], cut.rows()).encode()
+        assert [c.tolist() for c in cut.encode().ranks] == \
+            [c.tolist() for c in scratch.ranks]
 
     def test_rename(self, small):
         renamed = small.rename({"a": "alpha"})

@@ -269,8 +269,9 @@ class TestOneFoldPerJob:
     def test_mixed_delta_resolves_folds_and_hashes_once(
             self, tmp_path, monkeypatch):
         """One mixed delete+insert job: one resolve, one post-delete
-        selection, one append, one fingerprint — the WAL record, the
-        engine and the catalog all share that fold."""
+        selection (a ``drop_rows``; no ``select_rows`` gather), one
+        append, one fingerprint — the WAL record, the engine and the
+        catalog all share that fold."""
         catalog = DatasetCatalog()
         entry = catalog.register(
             Relation.from_rows(COLUMNS, [tuple(r) for r in ROWS]))
@@ -288,6 +289,7 @@ class TestOneFoldPerJob:
 
         count(DeltaBatch, "split", "resolve")
         count(Relation, "select_rows", "select_rows")
+        count(Relation, "drop_rows", "drop_rows")
         count(Relation, "append_rows", "append_rows")
         for module in (importlib.import_module("repro.relation.fingerprint"),
                        jobs_module, catalog_module):
@@ -298,7 +300,7 @@ class TestOneFoldPerJob:
                 "deletes": [[2, 20, 5]], "inserts": [[5, 50, 7]]})
             job.wait(30.0)
         assert job.status == "done", job.error
-        assert calls == {"resolve": 1, "select_rows": 1,
+        assert calls == {"resolve": 1, "drop_rows": 1,
                          "append_rows": 1, "fingerprint": 1}
         monkeypatch.undo()
         engine = entry.incremental
