@@ -2,7 +2,7 @@
 
 Asserts the two claims the engine makes, on an Exp-1-sized instance
 (the paper's tuple scale-up axis, grown to where per-level work
-dominates process dispatch):
+dominates the hand-off to threads):
 
 1. **Byte-identical results** — the FD and OCD sets of every parallel
    configuration equal the ``workers=1`` serial run's, string for
@@ -11,19 +11,21 @@ dominates process dispatch):
    EITHER clears the gate (the same dual-gate precedent as
    ``bench_partition_kernels.py``):
 
-   * **wall clock**: a real 4-worker run against the serial run.
+   * **wall clock**: a real 4-thread run against the serial run.
      Honest only with >= 4 idle cores, so it is reported always but
      can only *pass* hardware that has them.
    * **work-distribution projection** (hardware-independent): the same
-     4-worker sharding is executed through a *single* uncontended
-     worker process (``n_chunks_per_dispatch`` keeps the chunk
-     granularity of a 4-worker pool), giving per-chunk CPU costs free
-     of time-slicing interference.  The projected 4-worker wall clock
-     is then ``run_wall - Σ chunk_busy + Σ LPT-makespan(chunks, 4)``:
-     everything the coordinator did stays serial, and each dispatch's
-     chunks are placed on 4 workers by longest-processing-time-first.
-     This is exactly the quantity a 4-core machine's wall clock
-     converges to, measurable on a 1-core CI box.
+     4-share split of every level's products and scans is executed on
+     a pool of *one* thread (the executor's ``workers=4`` sets the
+     share count, the injected pool's thread count the parallelism),
+     giving per-share busy seconds free of contention, read from the
+     pool's ``dispatches`` records.  The projected 4-thread wall clock
+     is then ``run_wall - Σ share_busy + Σ LPT-makespan(shares, 4)``:
+     everything the calling thread did stays serial, and each batch's
+     shares are placed on 4 threads by longest-processing-time-first.
+     Products and scans both split, so most of a discovery is in the
+     shares.  The projection assumes the shares' Python parts never
+     wait for the GIL, so it is an upper bound on what 4 cores give.
 
 Run directly: ``PYTHONPATH=src python benchmarks/bench_parallel.py``.
 Emits ``BENCH_parallel.json`` at the repo root via the harness and the
@@ -43,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.harness import Reporter, dataset, write_bench_json
 from repro.core.fastod import FastOD, FastODConfig
 from repro.core.results import DiscoveryResult
-from repro.parallel.pool import CHUNKS_PER_WORKER, WorkerPool
+from repro.parallel.pool import WorkerPool
 
 DATASET = "flight"
 N_ROWS = 150_000
@@ -60,13 +62,13 @@ def od_strings(result: DiscoveryResult) -> Tuple[List[str], List[str]]:
             sorted(str(od) for od in result.ocds))
 
 
-def lpt_makespan(chunks: Sequence[float], k: int) -> float:
-    """Longest-processing-time-first makespan of ``chunks`` on ``k``
-    workers — the classic 4/3-approximation, matching the pool's
-    greedy consumption of queued chunks."""
+def lpt_makespan(shares: Sequence[float], k: int) -> float:
+    """Longest-processing-time-first makespan of ``shares`` on ``k``
+    threads — the classic 4/3-approximation, matching the pool's
+    greedy consumption of queued shares."""
     loads = [0.0] * k
-    for chunk in sorted(chunks, reverse=True):
-        loads[loads.index(min(loads))] += chunk
+    for share in sorted(shares, reverse=True):
+        loads[loads.index(min(loads))] += share
     return max(loads)
 
 
@@ -97,7 +99,7 @@ def main() -> int:
                  wall=f"{serial_seconds * 1e3:.0f}ms", speedup="1.00x",
                  identical="yes")
 
-    # real 4-worker wall clock (meaningful with >= 4 idle cores; on a
+    # real 4-thread wall clock (meaningful with >= 4 idle cores; on a
     # 1-core box the number is pure time-slicing noise, so the table
     # says so instead of printing a misleading "0.4x")
     one_core = (os.cpu_count() or 1) == 1
@@ -112,21 +114,19 @@ def main() -> int:
                           else f"{wall_speedup:.2f}x"),
                  identical="yes" if wall_identical else "NO")
 
-    # work-distribution projection: 4-worker sharding through one
-    # uncontended worker, chunks LPT-placed on 4 virtual workers
+    # work-distribution projection: 4-share batches through one
+    # uncontended thread, shares LPT-placed on 4 virtual threads
     projected_identical = True
     projected_seconds = None
     busy = makespan = 0.0
     for _ in range(TRIALS):
-        with WorkerPool(encoded, 1,
-                        n_chunks_per_dispatch=WORKERS * CHUNKS_PER_WORKER
-                        ) as pool:
+        with WorkerPool(encoded, 1) as pool:
             result, run_seconds = timed_run(
                 relation, FastODConfig(workers=WORKERS), pool=pool)
-            trial_busy = sum(sum(d["chunk_busy_seconds"])
+            trial_busy = sum(sum(d["share_busy_seconds"])
                              for d in pool.dispatches)
             trial_makespan = sum(
-                lpt_makespan(d["chunk_busy_seconds"], WORKERS)
+                lpt_makespan(d["share_busy_seconds"], WORKERS)
                 for d in pool.dispatches)
         projected_identical &= od_strings(result) == serial_ods
         trial_projected = run_seconds - trial_busy + trial_makespan
@@ -155,13 +155,15 @@ def main() -> int:
          "mode": "parallel_projected", "workers": WORKERS,
          "seconds": projected_seconds, "speedup": projected_speedup,
          "identical": projected_identical,
-         "worker_busy_seconds": busy, "lpt_makespan_seconds": makespan},
+         "share_busy_seconds": busy, "lpt_makespan_seconds": makespan,
+         "busy_share_of_run": busy / (projected_seconds - makespan
+                                      + busy)},
     ]
     write_bench_json("parallel", records, section="speedup_gate")
 
     wall_label = ("skipped (1 core)" if one_core
                   else f"{wall_speedup:.2f}x")
-    print(f"speedup at {WORKERS} workers vs 1: {wall_label} "
+    print(f"speedup at {WORKERS} threads vs 1: {wall_label} "
           f"(wall clock, {os.cpu_count()} cpu(s)) / "
           f"{projected_speedup:.2f}x (work-distribution projection); "
           f"gate: >= {MIN_SPEEDUP}x on either; "

@@ -22,13 +22,12 @@ stdout stays the machine-parseable result either way.
 Run ``repro-od <subcommand> --help`` for details.
 
 Long-running commands (``watch``, ``serve``) exit cleanly on SIGINT
-*and* SIGTERM: worker pools, shared-memory segments, and the job
-journal are torn down in the command's ``finally`` path and the
-process exits with the conventional code — 130 (128+SIGINT) or 143
-(128+SIGTERM) — never leaving orphan workers or leaked segments
-behind.  SIGTERM is what process supervisors (systemd, Docker,
-Kubernetes) send first, so a supervised ``repro-od serve`` drains
-gracefully on shutdown instead of being killed dirty.
+*and* SIGTERM: thread pools and the job journal are torn down in the
+command's ``finally`` path and the process exits with the conventional
+code — 130 (128+SIGINT) or 143 (128+SIGTERM).  SIGTERM is what
+process supervisors (systemd, Docker, Kubernetes) send first, so a
+supervised ``repro-od serve`` drains gracefully on shutdown instead of
+being killed dirty.
 """
 
 from __future__ import annotations
@@ -92,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="bound the partition cache to N composite "
                                "partitions (LRU); default keeps all")
     discover.add_argument("--workers", type=int, default=None, metavar="N",
-                          help="shard level-wise validation scans over "
-                               "N worker processes (default: "
+                          help="split each lattice level's products "
+                               "and scans across N threads (default: "
                                "$REPRO_WORKERS or 1 = serial; results "
                                "are identical either way)")
     _add_kernels_option(discover)
@@ -142,9 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 picks an ephemeral port and "
                             "prints it; default 8765)")
     serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="size of the ONE shared worker pool every "
-                            "job runs on (default: $REPRO_WORKERS or "
-                            "1 = serial)")
+                       help="threads of the ONE shared pool every "
+                            "discover job runs on (default: "
+                            "$REPRO_WORKERS or 1 = serial)")
     serve.add_argument("--store-dir", default=None, metavar="DIR",
                        help="persist discovery results here (served "
                             "across restarts); default: memory only")
@@ -262,19 +261,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _CommandProfiler:
-    """The ``--profile`` flag: sample the command's stacks while it
-    runs and print collapsed flamegraph lines to stderr on exit
-    (stdout stays the command's machine-parseable output)."""
+    """The ``--profile`` flag: sample the command's stacks (and the
+    pool threads running its shares) while it runs and print collapsed
+    flamegraph lines to stderr on exit (stdout stays the command's
+    machine-parseable output)."""
 
     def __init__(self, enabled: bool):
         self._enabled = enabled
         self._profiler = None
+        self._tracked = None
 
     def __enter__(self) -> "_CommandProfiler":
         if self._enabled:
-            from repro.obs.profiler import SamplingProfiler
+            from repro.obs import profiler
 
-            self._profiler = SamplingProfiler()
+            self._profiler = profiler.SamplingProfiler()
+            self._tracked = profiler.track(self._profiler)
+            self._tracked.__enter__()
             self._profiler.start()
         return self
 
@@ -282,6 +285,7 @@ class _CommandProfiler:
         if self._profiler is None:
             return
         self._profiler.stop()
+        self._tracked.__exit__(exc_type, exc, tb)
         folded = self._profiler.render()
         print("# collapsed stacks (samples):", file=sys.stderr)
         print(folded if folded else "(no samples collected)",
@@ -450,8 +454,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service.serve_forever()
     finally:
         # runs on SIGINT/SIGTERM too (both propagate through
-        # serve_forever as exceptions): drain jobs, shut the shared
-        # pool down, unlink every shm segment, close the journal
+        # serve_forever as exceptions): drain jobs, join the shared
+        # pool's threads, close the journal
         service.close()
     return 0
 
@@ -563,8 +567,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     store = snap["store"]
     print(f"uptime: {snap['uptime_seconds']:.1f}s")
     print(f"scheduler: jobs={scheduler['jobs']} "
-          f"queued={scheduler['queued']} "
-          f"degraded={scheduler['degraded']}")
+          f"queued={scheduler['queued']}")
     print(f"catalog: entries={catalog['entries']} "
           f"resident_bytes={catalog['resident_bytes']} "
           f"evictions={catalog['evictions']}")
@@ -691,7 +694,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         # one SIGINT contract for every long-running command: the
         # interrupted command's finally blocks have already torn down
-        # engines/pools/servers (no orphan workers, no leaked shm),
+        # engines/pools/servers,
         # so all that is left is the final metrics breadcrumb and the
         # conventional exit status
         if long_running:

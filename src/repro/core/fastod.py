@@ -23,16 +23,16 @@ optional :class:`~repro.partitions.cache.PartitionCache`, and an
 executor together, then runs the shared planner.
 
 Since the nodes of one level are independent, the per-level work also
-shards across processes: with ``FastODConfig(workers=N)`` (or
-``REPRO_WORKERS``), OCD swap scans run on a shared-memory
-:class:`repro.parallel.WorkerPool` through the engine's
-:class:`~repro.engine.PoolExecutor` (a level's partition products are
-one kernel call on the coordinator), while the planner keeps every
-candidate-set mutation (``cc``/``cs`` updates, Algorithm 4 pruning)
-serial and applies worker verdicts in deterministic task order — so
-parallel results are byte-identical to ``workers=1``.  Levels whose
-scan contexts hold fewer grouped rows than the serial fallback
-threshold never leave the coordinator.
+splits across threads: with ``FastODConfig(workers=N)`` (or
+``REPRO_WORKERS``), a level's partition products and its FD/OCD scans
+run as shares on an in-process :class:`repro.parallel.WorkerPool`
+through the engine's :class:`~repro.engine.PoolExecutor` (the kernels
+release the GIL), while the planner keeps every candidate-set mutation
+(``cc``/``cs`` updates, Algorithm 4 pruning) on the calling thread and
+applies share verdicts in deterministic task order — so parallel
+results are byte-identical to ``workers=1``.  Batches whose partitions
+hold fewer grouped rows than the dispatch floor never leave the
+calling thread.
 
 Toggles on :class:`FastODConfig` disable the pruning families to
 reproduce the paper's *FASTOD-No Pruning* ablations (Figures 6).
@@ -74,21 +74,19 @@ class FastODConfig:
         ``timed_out=True``.  One :class:`~repro.engine.DeadlineBudget`
         is shared by every layer: it is checked between lattice nodes,
         between the FD and OCD phases of a level, between individual
-        validation scans, and cooperatively inside parallel workers —
+        validation scans, and cooperatively inside parallel shares —
         so one huge node cannot overshoot the budget by a whole level.
     workers:
-        Size of the shared-memory worker pool for level-wise
-        validation scans.  ``None`` defers to the
-        ``REPRO_WORKERS`` environment variable; 1 (the default
-        resolution) runs fully serial.  Results are byte-identical
-        either way.
+        Threads a lattice level's products and scans are split
+        across.  ``None`` defers to the ``REPRO_WORKERS`` environment
+        variable; 1 (the default resolution) runs fully serial.
+        Results are byte-identical either way.
     parallel_min_grouped_rows:
-        Serial-fallback threshold: a level's scans dispatch to the
-        pool only when their contexts hold at least this many grouped
-        rows (``None`` = the package default,
+        Dispatch floor: a level's products or scans go to the thread
+        pool only when their partitions hold at least this many
+        grouped rows (``None`` = the package default,
         :data:`repro.parallel.PARALLEL_MIN_GROUPED_ROWS`).  Mostly a
-        testing knob — set 0 to force every level's scans through the
-        pool.
+        testing knob — set 0 to force every batch through the pool.
     kernel_backend:
         Which partition-kernel implementation to run the hot loops on:
         ``"reference"`` (pure NumPy), ``"compiled"`` (C via ctypes),
@@ -206,8 +204,8 @@ class FastOD:
         try:
             return planner.run()
         finally:
-            # an owned pool dies with the run; injected pools belong
-            # to the caller and survive for the next run
+            # an owned pool's threads end with the run; injected
+            # pools belong to the caller and survive for the next run
             executor.close()
 
 

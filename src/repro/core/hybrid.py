@@ -23,15 +23,16 @@ branches over all attributes.
 
 Escalation waves run through the unified engine
 (:mod:`repro.engine`): each wave's masks are mutually independent, so
-one ``run_validations`` batch resolves them — serially below the
-:data:`~repro.parallel.PARALLEL_MIN_ROWS` threshold, sharded over a
-shared-memory worker pool otherwise (worker-local partition caches
-over the shared rank columns).  The output is identical at any worker
-count.  One :class:`~repro.engine.DeadlineBudget` covers the whole
-run: it is consulted *between* waves and propagated into each wave's
-dispatch, so a timeout never has to wait for the next full wave to
-complete before being noticed; a timed-out run returns the ODs
-confirmed so far flagged ``timed_out=True``.
+one ``run_validations`` batch resolves them.  The calling thread
+derives every wave context from its mask first, then the batch runs
+serially below the :data:`~repro.parallel.PARALLEL_MIN_GROUPED_ROWS`
+floor and is split across the thread pool otherwise.  The output is
+identical at any worker count.  One
+:class:`~repro.engine.DeadlineBudget` covers the whole run: it is
+consulted *between* waves and propagated into each wave's dispatch, so
+a timeout never has to wait for the next full wave to complete before
+being noticed; a timed-out run returns the ODs confirmed so far
+flagged ``timed_out=True``.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ def hybrid_discover(relation: Relation, *, sample_size: int = 100,
     escalation walks the same lattice FASTOD would.
 
     With ``workers`` > 1 (or ``REPRO_WORKERS``) the full-data
-    validations of each escalation wave fan out over the engine's
-    pooled executor; ``timeout_seconds`` bounds the whole run
+    validations of each escalation wave are split across the engine's
+    thread pool; ``timeout_seconds`` bounds the whole run
     (partial results come back flagged ``timed_out``).
     """
     started = time.perf_counter()
@@ -76,9 +77,6 @@ def hybrid_discover(relation: Relation, *, sample_size: int = 100,
                                  timeout_seconds=budget.remaining())
 
     encoded = relation.encode()
-    # the executor reads the PARALLEL_MIN_ROWS gate from
-    # repro.parallel.pool at dispatch time, so tests and benchmarks
-    # can retune it like every other engine consumer
     executor = make_executor(encoded, workers=workers)
 
     def validate_wave(wave: List[int], mode: str, a: int,

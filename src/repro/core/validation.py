@@ -164,9 +164,10 @@ def dominance_holds_ranks(columns: Sequence[np.ndarray], lhs_mask: int,
     every pair dominated on the ``lhs_mask`` attributes is ordered on
     ``B`` (Ginsburg & Hull semantics, §2.1 of the paper).
 
-    The scan-mode kernel behind ``"pointwise"`` executor tasks — rank
-    columns are exactly what the worker pool publishes, so pointwise
-    sweeps shard like any other scan.  Quadratic in rows with an early
+    The scan-mode kernel behind ``"pointwise"`` executor tasks, so
+    pointwise sweeps batch like any other scan (pure Python over NumPy
+    rows, it holds the GIL: pooled pointwise shares interleave rather
+    than overlap).  Quadratic in rows with an early
     exit; an empty LHS requires a constant target, and a
     single-attribute LHS takes a sorted O(n log n) fast path.
     """
@@ -213,10 +214,11 @@ def scan_verdicts(relation: EncodedRelation, tasks: Sequence[ScanTask],
                   expired: Callable[[], bool]
                   ) -> Tuple[Dict[Hashable, bool], bool]:
     """Verdicts of a batch of executor scan tasks — the single mode
-    dispatch shared by the coordinator (:mod:`repro.engine.executors`)
-    and the pool workers (:mod:`repro.parallel.pool`), so a new or
-    mistyped mode fails loudly on *both* paths instead of silently
-    resolving differently per worker count.
+    dispatch shared by the serial executor
+    (:mod:`repro.engine.executors`) and the thread pool's shares
+    (:mod:`repro.parallel.pool`), so a new or mistyped mode fails
+    loudly on *both* paths instead of silently resolving differently
+    per worker count.
 
     A task is ``(key, context_key, mode, a, b)``.  Modes: ``"swap"``,
     ``"swap_desc"`` (descending right column under rank encoding),

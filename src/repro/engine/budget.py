@@ -7,9 +7,9 @@ hybrid escalation loop had none (a budget could only die *inside* a
 wave, and was noticed one full wave later), and the incremental batch
 loop re-implemented the "no timeouts here" rule ad hoc.
 :class:`DeadlineBudget` replaces all three: the coordinator creates one
-per run, every planner/executor layer consults the same instance, and
-worker pools receive :attr:`deadline` for their cooperative in-task
-checks.
+per run, and every planner/executor layer — the thread pool's shares
+included, through :meth:`DeadlineBudget.hit` — consults the same
+instance.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from typing import Optional
 class DeadlineBudget:
     """A best-effort wall-clock budget for one discovery run.
 
-    ``perf_counter`` currency throughout — the same clock
-    :class:`repro.parallel.WorkerPool` translates into wall time for
-    its cooperative worker-side checks.  An unlimited budget
+    ``perf_counter`` currency throughout.  An unlimited budget
     (``timeout_seconds=None``) never hits; :meth:`hit` is a cheap
     attribute test so hot loops can consult it per task.
 
@@ -33,10 +31,9 @@ class DeadlineBudget:
     check exactly as if the wall clock had expired.  This is how the
     service layer's job scheduler cancels a *running* job: the HTTP
     thread cancels the budget, the planner notices between tasks, and
-    the run returns its partial result flagged ``timed_out``.
-    Worker-side cooperative checks key off :attr:`deadline` only, so a
-    cancelled dispatch drains at the next coordinator check rather
-    than mid-chunk.
+    the run returns its partial result flagged ``timed_out``.  A
+    pool share consults :meth:`hit` before each scan context, so a
+    cancel stops a split batch at its next context too.
     """
 
     __slots__ = ("started", "deadline", "cancelled")

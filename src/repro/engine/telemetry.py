@@ -3,7 +3,7 @@
 Every executor carries one :class:`ExecutorTelemetry` and records, per
 planner phase (``products``, ``fd-check``, ``ocd-scan``, ``wave``,
 ``class-scan``, ...), how many typed tasks it resolved, whether each
-batch ran on the coordinator or on the worker pool, and how long the
+batch ran on the calling thread or on the thread pool, and how long the
 batches took.  The snapshot is a plain JSON-ready dict so every entry
 point can expose it uniformly — ``DiscoveryResult.executor_stats``,
 ``repro-od ... --json``, and the validator/detector accessors all
@@ -32,22 +32,12 @@ _PHASE_SECONDS = metrics.histogram(
     "repro_executor_phase_seconds",
     "Wall-clock seconds per dispatched batch, by planner phase",
     ("phase",))
-_RETRIES = metrics.counter(
-    "repro_executor_retries_total",
-    "Crashed pool dispatches re-run after a rebuild")
-_REBUILDS = metrics.counter(
-    "repro_executor_rebuilds_total",
-    "Worker pools rebuilt after a crash/stall teardown")
-_DEGRADED = metrics.counter(
-    "repro_executor_degraded_total",
-    "Batches quarantined to the serial path after repeated crashes")
 
 
 class ExecutorTelemetry:
     """Counters for one executor's lifetime (cheap, always on)."""
 
-    __slots__ = ("backend", "workers", "phases", "peak_residency_bytes",
-                 "retries", "rebuilds", "degraded")
+    __slots__ = ("backend", "workers", "phases", "peak_residency_bytes")
 
     def __init__(self, backend: str, workers: int):
         self.backend = backend
@@ -58,15 +48,6 @@ class ExecutorTelemetry:
         #: largest resident partition footprint observed (bytes); fed by
         #: the planner's per-level residency accounting
         self.peak_residency_bytes = 0
-        #: crashed dispatches re-run after a pool rebuild (the
-        #: fault-tolerance layer's currency: a recovered job reports
-        #: ``retries >= 1`` instead of failing)
-        self.retries = 0
-        #: worker pools rebuilt after a crash/stall teardown
-        self.rebuilds = 0
-        #: True once a batch was quarantined to the serial path after
-        #: repeated crashes (poison-task quarantine)
-        self.degraded = False
 
     def record(self, phase: str, n_tasks: int, pooled: bool,
                seconds: float = 0.0) -> None:
@@ -92,31 +73,12 @@ class ExecutorTelemetry:
         if n_bytes > self.peak_residency_bytes:
             self.peak_residency_bytes = n_bytes
 
-    def record_retry(self) -> None:
-        """Bill one crashed dispatch that will be re-run."""
-        self.retries += 1
-        _RETRIES.inc()
-
-    def record_rebuild(self) -> None:
-        """Bill one pool rebuilt after a crash/stall teardown."""
-        self.rebuilds += 1
-        _REBUILDS.inc()
-
-    def mark_degraded(self) -> None:
-        """Record that a batch fell back to serial quarantine."""
-        if not self.degraded:
-            _DEGRADED.inc()
-        self.degraded = True
-
     def snapshot(self) -> Dict[str, object]:
         """A JSON-ready copy (the ``executor_stats`` currency)."""
         return {
             "backend": self.backend,
             "workers": self.workers,
             "peak_residency_bytes": self.peak_residency_bytes,
-            "retries": self.retries,
-            "rebuilds": self.rebuilds,
-            "degraded": self.degraded,
             "phases": {phase: dict(stats)
                        for phase, stats in self.phases.items()},
         }

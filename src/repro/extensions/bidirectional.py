@@ -10,9 +10,9 @@ building blocks:
   minimal-discovery sweep over bounded context sizes, run level-wise
   through the unified engine (:mod:`repro.engine`): each level's
   constancy and polarity checks are independent, so they batch into
-  executor validations — serial by default, sharded over a
-  shared-memory worker pool with ``workers`` (the ``"swap_desc"``
-  scan mode), and bounded by a shared
+  executor validations — serial by default, split across threads
+  with ``workers`` (the ``"swap_desc"`` scan mode; the calling
+  thread derives every context first), and bounded by a shared
   :class:`~repro.engine.DeadlineBudget` via ``timeout_seconds``.
 
 Under rank encoding, descending order is ascending order of the

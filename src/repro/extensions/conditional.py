@@ -29,10 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.fastod import FastOD, FastODConfig
 from repro.core.od import CanonicalFD, CanonicalOCD
 from repro.core.validation import CanonicalValidator
-import repro.parallel.pool as pool_module
 from repro.engine.budget import DeadlineBudget
 from repro.engine.telemetry import build_timings
-from repro.parallel.pool import WorkerPool, resolve_workers
 from repro.relation.table import Relation
 
 CanonicalOD = Union[CanonicalFD, CanonicalOCD]
@@ -119,9 +117,9 @@ def discover_conditional_ods(relation: Relation, *,
     """Find canonical ODs that hold conditionally but not globally.
 
     Per-fragment discovery and the global redundancy filter both route
-    through the unified engine, so ``workers`` shards big fragments'
-    level work over one worker pool (the global validator's
-    single-dependency scans stay on the coordinator), and
+    through the unified engine, so ``workers`` splits big fragments'
+    level work across threads (the global validator's
+    single-dependency scans stay on the calling thread), and
     ``timeout_seconds`` is one
     :class:`~repro.engine.DeadlineBudget` shared across fragments
     (each fragment run receives the remaining budget; a timed-out
@@ -142,7 +140,7 @@ def discover_conditional_ods(relation: Relation, *,
         with huge contexts are rarely interesting and fragments are
         many.
     workers:
-        Worker-pool size for fragment discovery (``None`` defers to
+        Threads for fragment discovery (``None`` defers to
         ``REPRO_WORKERS``; 1 = serial).
     timeout_seconds:
         Best-effort wall-clock budget for the whole sweep.
@@ -152,12 +150,6 @@ def discover_conditional_ods(relation: Relation, *,
     result = ConditionalDiscoveryResult()
     global_validator = CanonicalValidator(relation.encode())
     attributes = _condition_attributes(relation, max_condition_domain)
-    n_workers = resolve_workers(workers)
-    # one worker pool for every fragment run, rebased per fragment
-    # (a fresh fork+teardown per qualifying fragment would dominate a
-    # many-fragment sweep); workers start lazily, so small fragments
-    # that never cross the dispatch thresholds cost nothing
-    shared_pool: Optional[WorkerPool] = None
     try:
         for condition, rows in _fragments(relation, attributes,
                                           max_conjuncts, min_support):
@@ -167,26 +159,10 @@ def discover_conditional_ods(relation: Relation, *,
             result.n_fragments_examined += 1
             condition_attrs = {attr for attr, _ in condition}
             fragment = relation.select_rows(rows)
-            pool = None
-            # grouped rows never exceed fragment rows, so fragments
-            # below the dispatch threshold can never engage the pool —
-            # don't pay a per-fragment column publish for them
-            if (n_workers >= 2 and len(rows)
-                    >= pool_module.PARALLEL_MIN_GROUPED_ROWS):
-                encoded_fragment = fragment.encode()
-                if shared_pool is not None and shared_pool.closed:
-                    shared_pool = None    # crashed earlier: rebuild
-                if shared_pool is None:
-                    shared_pool = WorkerPool(encoded_fragment,
-                                             n_workers)
-                else:
-                    shared_pool.rebase(encoded_fragment)
-                pool = shared_pool
             fragment_ods = FastOD(
                 fragment, FastODConfig(
                     max_level=max_level, workers=workers,
-                    timeout_seconds=budget.remaining()),
-                pool=pool).run()
+                    timeout_seconds=budget.remaining())).run()
             if fragment_ods.timed_out:
                 result.timed_out = True
                 break
@@ -204,8 +180,6 @@ def discover_conditional_ods(relation: Relation, *,
         result.executor_stats = global_validator.executor_stats()
         result.timings = build_timings(result.executor_stats)
         global_validator.close()
-        if shared_pool is not None:
-            shared_pool.shutdown()
     result.ods.sort(key=lambda c: (-c.support, str(c)))
     result.elapsed_seconds = time.perf_counter() - started
     return result

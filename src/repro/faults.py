@@ -2,32 +2,14 @@
 
 A long-lived service earns trust by *proving* its behavior under
 failure, not by hoping crashes are rare.  This module is the single
-registry of injection points the parallel, server, and storage layers
-consult: each *site* names one failure the production code path must
-survive, and a :class:`FaultPlan` decides — deterministically, from a
-seed — whether a given visit to a site fires.
+registry of injection points the server and storage layers consult:
+each *site* names one failure the production code path must survive,
+and a :class:`FaultPlan` decides — deterministically, from a seed —
+whether a given visit to a site fires.
 
 Sites
 -----
 
-``pool.worker.kill``
-    SIGKILL one worker process right after a dispatch is submitted
-    (coordinator side) — the classic mid-task crash.
-``pool.queue.delay``
-    Sleep before enqueuing a task chunk, simulating a slow/contended
-    queue.
-``pool.queue.drop``
-    Silently drop one task chunk off the queue.  Only observable when
-    the pool runs with a ``stall_timeout`` — the dispatch then fails
-    with a typed :class:`~repro.parallel.pool.WorkerStallError`
-    instead of hanging forever.
-``worker.task``
-    Raise inside a worker's task handler (surfaces as
-    :class:`~repro.parallel.pool.WorkerTaskError` on the
-    coordinator).
-``shm.attach``
-    Fail a worker's shared-memory segment attach (torn/unlinked
-    segment simulation).
 ``store.write``
     Raise ``OSError`` inside the result store's disk write (full
     disk, yanked volume).
@@ -53,17 +35,14 @@ Activation
 Explicitly — ``faults.install(FaultPlan(seed=7, rates={...}))``, or
 the :func:`injected` context manager in tests — or via the
 ``REPRO_FAULT_PLAN`` environment variable holding the plan as JSON
-(``{"seed": 7, "rates": {"pool.worker.kill": 0.5}, "limits": ...,
+(``{"seed": 7, "rates": {"store.write": 0.5}, "limits": ...,
 "delays": ...}``), which is how subprocess tests arm a real
 ``repro-od serve``.  With no plan installed every hook is a single
 ``None`` check — production runs pay nothing.
 
 Determinism: each site draws from its own ``random.Random`` seeded
 with ``f"{seed}:{site}"``, so adding a new site (or reordering calls
-across sites) never perturbs another site's firing sequence.  Worker
-processes forked after :func:`install` inherit the plan; their
-per-site counters are process-local, so ``limits`` bound firings *per
-process*.
+across sites) never perturbs another site's firing sequence.
 """
 
 from __future__ import annotations
@@ -85,11 +64,6 @@ _FIRED = metrics.counter(
 
 #: Every site the library consults, wired where the docstring says.
 SITES = (
-    "pool.worker.kill",
-    "pool.queue.delay",
-    "pool.queue.drop",
-    "worker.task",
-    "shm.attach",
     "store.write",
     "jobs.start.delay",
     "budget.cancel",
@@ -187,7 +161,7 @@ _ENV_CHECKED = False
 
 
 def install(plan: FaultPlan) -> None:
-    """Arm ``plan`` process-wide (workers forked later inherit it)."""
+    """Arm ``plan`` process-wide."""
     global _PLAN, _ENV_CHECKED
     _PLAN = plan
     _ENV_CHECKED = True

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.kernels import thresholds
 from repro.kernels.reference import ReferenceBackend
-from repro.obs import metrics, trace
+from repro.obs import metrics
 
 #: Names :func:`resolve_backend` accepts (``None``/"" mean "default").
 BACKEND_NAMES = ("auto", "reference", "compiled")
@@ -177,39 +177,17 @@ def compiled_available() -> bool:
 # ----------------------------------------------------------------------
 # dispatchers (the only call sites the hot paths use)
 # ----------------------------------------------------------------------
-#: Per-kernel trace spans are recorded only where a dispatch is the
-#: unit of work worth a timeline row — pool worker tasks enable this
-#: around their handler.  The coordinator's serial hot loop keeps the
-#: flag off (phases stay the span granularity there), which is what
-#: holds the serial path inside the ≤5 % overhead budget.
-_KERNEL_SPANS = False
-
-
-def set_kernel_spans(flag: bool) -> None:
-    """Enable/disable per-kernel leaf spans for this process (pool
-    workers toggle it around each task)."""
-    global _KERNEL_SPANS
-    _KERNEL_SPANS = bool(flag)
-
-
 def _dispatch(kernel: str, method: str, *args):
-    """Run ``method`` on the active backend, billed to ``kernel``.
-
-    Billing short-circuits when the registry is disabled; the leaf
-    span is recorded only where :func:`set_kernel_spans` turned it on
-    (pool worker tasks)."""
+    """Run ``method`` on the active backend, billed to ``kernel``
+    (billing short-circuits when the registry is disabled)."""
     backend = active_backend()
     if not metrics.enabled():
         return getattr(backend, method)(*args)
     started = time.perf_counter()
     out = getattr(backend, method)(*args)
-    ended = time.perf_counter()
     _KERNEL_CALLS.inc(kernel=kernel, backend=backend.name)
-    _KERNEL_SECONDS.inc(ended - started, kernel=kernel,
+    _KERNEL_SECONDS.inc(time.perf_counter() - started, kernel=kernel,
                         backend=backend.name)
-    if _KERNEL_SPANS:
-        trace.record_leaf("kernel", started, ended,
-                          kernel=kernel, backend=backend.name)
     return out
 
 
@@ -326,7 +304,6 @@ __all__ = [
     "rank_order",
     "resolve_backend",
     "set_default_backend",
-    "set_kernel_spans",
     "split_mismatch",
     "swap_flags",
     "swap_verdicts",

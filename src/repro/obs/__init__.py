@@ -12,19 +12,19 @@ stack bills into:
   per-job ring buffers; served at ``/jobs/<id>/trace`` and rendered by
   ``repro-od trace``.
 * :mod:`repro.obs.events` — one-line JSON event records for state
-  transitions (degradation pins, pool rebuilds, journal replays,
-  request access logs), stamped with ``trace_id``/``span_id`` when a
+  transitions (journal replays, failed jobs, request access logs),
+  stamped with ``trace_id``/``span_id`` when a
   span is active;
 * :mod:`repro.obs.profiler` — a stdlib-only sampling stack profiler
-  (daemon thread, folded-stack counts, fork re-arm for pool workers);
-  per-job output served at ``/jobs/<id>/profile`` and rendered by
-  ``repro-od profile-job``;
-* :mod:`repro.obs.accounting` — per-job ``getrusage``/shm-byte
-  accounting spanning the coordinator and its pool workers, attached
-  to job records and ``/stats``.
+  (daemon thread, folded-stack counts; the pool threads running a
+  job's shares follow the job's profiler); per-job output served at
+  ``/jobs/<id>/profile`` and rendered by ``repro-od profile-job``;
+* :mod:`repro.obs.accounting` — per-job ``getrusage`` accounting
+  (every thread of the process), attached to job records and
+  ``/stats``.
 
 ``REPRO_OBS=0`` (or :func:`repro.obs.metrics.set_enabled`) disables
-metrics, spans, per-job profiling, and worker-side shipping together;
+metrics, spans and per-job profiling together;
 ``benchmarks/bench_obs_overhead.py`` gates the enabled-vs-disabled
 difference at ≤5 % wall clock.
 """

@@ -1,11 +1,11 @@
 """Structured event log: one JSON object per line.
 
 State transitions that were previously only visible by polling
-``/health`` — scheduler degradation pins, pool rebuilds, journal
-replay summaries, request access logs, the final metrics snapshot on
-signal teardown — are emitted here as machine-parseable lines::
+``/health`` — journal replay summaries, failed jobs, request access
+logs, the final metrics snapshot on signal teardown — are emitted here
+as machine-parseable lines::
 
-    {"event": "scheduler.pool_rebuild", "rebuilds": 2, "ts": ...}
+    {"event": "job.failed", "job": "job-3", "error": "...", "ts": ...}
 
 The default sink is ``sys.stderr`` (stdout belongs to command output;
 the serve smoke suite reads it line-by-line).  Tests and embedders

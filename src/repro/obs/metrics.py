@@ -19,9 +19,8 @@ Design constraints, in order:
    short-circuits before taking the lock.  The ≤5 % overhead budget is
    enforced by ``benchmarks/bench_obs_overhead.py``.
 2. **One registry per process.**  Module-level :data:`REGISTRY` is the
-   default every instrumented module bills to; worker processes get
-   their own (invisible) copy — coordinator metrics describe the
-   coordinator, by construction.
+   default every instrumented module bills to, from any thread — the
+   thread pool's shares included.
 3. **Two renderings of the same truth**: :meth:`MetricsRegistry.
    snapshot` (JSON, served at ``/stats``) and
    :meth:`MetricsRegistry.render_prometheus` (text exposition format,
@@ -46,7 +45,7 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
     0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0)
 
-#: Byte-sized histograms (shm blocks, payload sizes): 1 KiB .. 1 GiB.
+#: Byte-sized histograms (payload sizes): 1 KiB .. 1 GiB.
 BYTE_BUCKETS: Tuple[float, ...] = tuple(
     float(1 << shift) for shift in range(10, 31, 2))
 

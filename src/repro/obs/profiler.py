@@ -10,16 +10,14 @@ classic collapsed/folded flamegraph format::
 
     fastod:run;lattice:process_level;partition:product 42
 
-Two deployment shapes:
-
-* **per-job, coordinator side** — the job scheduler starts one
-  profiler targeting its runner thread per job and renders the counts
-  as ``GET /jobs/{id}/profile`` / ``repro-od profile-job``;
-* **ambient, worker side** — pool workers keep one process-wide
-  profiler running (:func:`ambient`), re-armed automatically after a
-  ``fork`` (sampler threads do not survive into the child), and ship
-  per-task count *deltas* back on the result queue where the
-  coordinator merges them under a ``worker`` root.
+The job scheduler starts one profiler targeting its runner thread
+per job and renders the counts as ``GET /jobs/{id}/profile`` /
+``repro-od profile-job``; ``--profile`` on the CLI does the same for
+the command's main thread.  Installed with :class:`track`, a profiler
+also samples every thread that enters :func:`follow` inside the
+tracked context: the thread pool wraps each share in it, so the
+pool's threads are sampled while they run the job's work (their
+stacks fold in root-first like any other).
 
 Sampling costs one stack walk per tick (~microseconds at the default
 5 ms interval); a stopped/never-started profiler costs nothing.  The
@@ -30,10 +28,12 @@ profile.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import sys
 import threading
-from typing import Dict, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, Optional
 
 #: Default wall-clock seconds between samples: ~200 Hz, coarse enough
 #: to be invisible next to kernel work, fine enough that a one-second
@@ -61,8 +61,7 @@ def _fold_frame(frame) -> str:
 
 def subtract(counts: Dict[str, int],
              baseline: Dict[str, int]) -> Dict[str, int]:
-    """``counts - baseline`` per stack, dropping empty rows (what a
-    worker ships per task from its ambient profiler)."""
+    """``counts - baseline`` per stack, dropping empty rows."""
     delta = {}
     for stack, n in counts.items():
         d = n - baseline.get(stack, 0)
@@ -74,8 +73,7 @@ def subtract(counts: Dict[str, int],
 def merge_counts(into: Dict[str, int], other: Dict[str, int],
                  prefix: Optional[str] = None) -> Dict[str, int]:
     """Fold ``other`` into ``into`` (mutated and returned), optionally
-    re-rooting every stack under ``prefix`` — the coordinator mounts
-    worker stacks under a ``worker`` root this way."""
+    re-rooting every stack under ``prefix``."""
     for stack, n in other.items():
         key = f"{prefix};{stack}" if prefix else stack
         into[key] = into.get(key, 0) + n
@@ -91,12 +89,12 @@ def render_folded(counts: Dict[str, int]) -> str:
 
 
 class SamplingProfiler:
-    """Periodic stack sampler for one target thread.
+    """Periodic stack sampler for one target thread, plus the threads
+    currently following it (:func:`follow`).
 
     ``thread_id`` defaults to the *calling* thread — the common case
-    is "profile me": the job runner profiles itself, a worker profiles
-    its task loop.  The sampler runs on its own daemon thread and
-    never samples itself.
+    is "profile me": the job runner profiles itself.  The sampler runs
+    on its own daemon thread and never samples itself.
     """
 
     def __init__(self, interval: float = DEFAULT_INTERVAL,
@@ -104,6 +102,8 @@ class SamplingProfiler:
         self.interval = float(interval)
         self._target = (thread_id if thread_id is not None
                         else threading.get_ident())
+        #: thread ident -> how many :func:`follow` extents it is in
+        self._followers: Dict[int, int] = {}
         self._counts: Dict[str, int] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -114,22 +114,34 @@ class SamplingProfiler:
         return self._thread is not None and self._thread.is_alive()
 
     def retarget(self, thread_id: Optional[int] = None) -> None:
-        """Point the sampler at another thread (the fork re-arm path:
-        the child's surviving thread has the parent caller's stack but
-        its own ident)."""
+        """Point the sampler at another thread (default: the calling
+        one)."""
         self._target = (thread_id if thread_id is not None
                         else threading.get_ident())
 
-    def sample_once(self) -> None:
-        """Take one synchronous sample of the target thread (callable
-        from any thread, including the target itself)."""
-        frame = sys._current_frames().get(self._target)
-        if frame is None:
-            return
-        stack = _fold_frame(frame)
-        del frame
+    def add_follower(self, thread_id: int) -> None:
         with self._lock:
-            self._counts[stack] = self._counts.get(stack, 0) + 1
+            self._followers[thread_id] = (
+                self._followers.get(thread_id, 0) + 1)
+
+    def drop_follower(self, thread_id: int) -> None:
+        with self._lock:
+            left = self._followers.pop(thread_id, 0) - 1
+            if left > 0:
+                self._followers[thread_id] = left
+
+    def sample_once(self) -> None:
+        """Take one synchronous sample of the target thread and every
+        follower (callable from any thread, including a target)."""
+        frames = sys._current_frames()
+        with self._lock:
+            targets = {self._target, *self._followers}
+        stacks = [_fold_frame(frames[ident]) for ident in targets
+                  if ident in frames]
+        del frames
+        with self._lock:
+            for stack in stacks:
+                self._counts[stack] = self._counts.get(stack, 0) + 1
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):
@@ -166,67 +178,55 @@ class SamplingProfiler:
         return render_folded(self.counts())
 
 
-# ----------------------------------------------------------------------
-# the ambient process profiler (worker side) and its fork re-arm
-# ----------------------------------------------------------------------
-_AMBIENT: Optional[SamplingProfiler] = None
-_AMBIENT_LOCK = threading.Lock()
-_FORK_HOOK_INSTALLED = False
+#: The profiler the current context's work is sampled by (``None``
+#: outside a profiled job or command).
+_CURRENT: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_profiler", default=None)
 
 
-def _rearm_after_fork() -> None:
-    """Runs in the child after a ``fork``: the sampler thread did not
-    survive, and the parent's target ident names a thread that no
-    longer exists — retarget to the surviving thread and restart."""
-    global _AMBIENT
-    profiler = _AMBIENT
+class track:
+    """Install a profiler (or ``None``) as the current context's for
+    the dynamic extent — the job scheduler's per-job wrapper, mirroring
+    ``trace.collect``."""
+
+    __slots__ = ("profiler", "_token")
+
+    def __init__(self, profiler: Optional[SamplingProfiler]):
+        self.profiler = profiler
+
+    def __enter__(self) -> Optional[SamplingProfiler]:
+        self._token = _CURRENT.set(self.profiler)
+        return self.profiler
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        _CURRENT.reset(self._token)
+        return False
+
+
+@contextmanager
+def follow() -> Iterator[None]:
+    """Have the current context's profiler, if any, also sample the
+    calling thread for the extent (the thread pool's shares run in a
+    copy of their caller's context, so they find the job's profiler
+    here)."""
+    profiler = _CURRENT.get()
     if profiler is None:
+        yield
         return
-    profiler._thread = None          # the parent's thread is gone
-    profiler._stop.clear()
-    profiler.clear()
-    profiler.retarget(threading.get_ident())
-    profiler.start()
-
-
-def _install_fork_hook() -> None:
-    global _FORK_HOOK_INSTALLED
-    if _FORK_HOOK_INSTALLED or not hasattr(os, "register_at_fork"):
-        return
-    os.register_at_fork(after_in_child=_rearm_after_fork)
-    _FORK_HOOK_INSTALLED = True
-
-
-def ambient(interval: float = DEFAULT_INTERVAL) -> SamplingProfiler:
-    """The process-wide ambient profiler, started on first use and
-    targeting the calling thread.  Pool workers call this from their
-    task loop; the fork hook re-arms it in any further children."""
-    global _AMBIENT
-    with _AMBIENT_LOCK:
-        if _AMBIENT is None:
-            _install_fork_hook()
-            _AMBIENT = SamplingProfiler(interval=interval)
-        if not _AMBIENT.running:
-            _AMBIENT.retarget(threading.get_ident())
-            _AMBIENT.start()
-    return _AMBIENT
-
-
-def shutdown_ambient() -> None:
-    """Stop the ambient profiler (tests; workers just exit)."""
-    global _AMBIENT
-    with _AMBIENT_LOCK:
-        if _AMBIENT is not None:
-            _AMBIENT.stop()
-            _AMBIENT = None
+    ident = threading.get_ident()
+    profiler.add_follower(ident)
+    try:
+        yield
+    finally:
+        profiler.drop_follower(ident)
 
 
 __all__ = [
     "DEFAULT_INTERVAL",
     "SamplingProfiler",
-    "ambient",
+    "follow",
     "merge_counts",
     "render_folded",
-    "shutdown_ambient",
     "subtract",
+    "track",
 ]

@@ -13,7 +13,9 @@ off; a runaway traversal can never hoard memory).  Which buffer is
 scheduler installs a per-job buffer on its runner thread with
 :class:`collect` and every planner/pool span inside that job lands in
 it; code outside any ``collect`` block records into the process-wide
-:data:`GLOBAL_BUFFER`.
+:data:`GLOBAL_BUFFER`.  The thread pool runs each share inside a copy
+of its caller's context, so the spans of a share land in the caller's
+buffer under the caller's open span.
 
 Granularity is deliberately coarse — levels, phases, dispatches, job
 lifecycles — never per-candidate, so the always-on cost stays inside
@@ -30,7 +32,7 @@ import threading
 import time
 import uuid
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs import metrics
 
@@ -43,8 +45,8 @@ class TraceBuffer:
     """A bounded, thread-safe ring of finished span records.
 
     Every buffer carries a ``trace_id`` — the correlation key that ties
-    span records, ``events.emit`` lines, and worker-shipped span
-    exports to one logical trace (one job, typically).
+    span records and ``events.emit`` lines to one logical trace (one
+    job, typically).
     """
 
     __slots__ = ("capacity", "trace_id", "_spans", "_lock", "_next_id")
@@ -124,9 +126,8 @@ def record_leaf(name: str, start: float, end: float, **fields) -> None:
     """Record one already-timed leaf interval as a span.
 
     Cheaper than :class:`span` for hot call sites (no context-manager
-    frames, no ContextVar set/reset) — what the kernel dispatchers use
-    for per-kernel spans inside worker tasks.  No-ops when the
-    registry is disabled."""
+    frames, no ContextVar set/reset).  No-ops when the registry is
+    disabled."""
     if not metrics.REGISTRY._enabled:
         return
     state = _CURRENT.get()
@@ -135,52 +136,6 @@ def record_leaf(name: str, start: float, end: float, **fields) -> None:
     record.update(id=buffer.next_id(), parent=parent, name=name,
                   start=start, end=end, seconds=end - start)
     buffer.add(record)
-
-
-def splice(buffer: TraceBuffer, spans: Sequence[Dict[str, object]],
-           parent_id: int, window: Tuple[float, float],
-           clock: Optional[Tuple[float, float]] = None) -> None:
-    """Graft exported worker span records into ``buffer`` under
-    ``parent_id``, rebasing the worker's monotonic clock into the
-    coordinator's.
-
-    ``window`` is the coordinator-observed ``(submit, ack)`` interval
-    for the chunk; ``clock`` is the worker-observed ``(enter, exit)``
-    pair bracketing the same work on the *worker's* ``perf_counter``
-    epoch.  The midpoint identity ``offset = ((submit + ack) -
-    (enter + exit)) / 2`` cancels the (assumed symmetric) queue
-    latency, and every rebased timestamp is clamped into the window so
-    worker spans always nest strictly under their dispatch span even
-    when the clocks drift.
-
-    Record ids are remapped through ``buffer.next_id()`` (worker ids
-    restart per chunk and would collide); worker-root spans (parent 0)
-    re-parent onto ``parent_id``.  Worker exports are sorted
-    parents-first (see :meth:`TraceBuffer.export`), so the id map is
-    always populated before a child needs it.
-    """
-    if not spans:
-        return
-    lo, hi = window
-    hi = max(hi, lo)
-    if clock is not None:
-        w0, w1 = clock
-        offset = ((lo + hi) - (w0 + w1)) / 2.0
-    else:
-        offset = 0.0
-    idmap: Dict[int, int] = {0: parent_id}
-    for record in spans:
-        rebased: Dict[str, object] = dict(record)
-        new_id = buffer.next_id()
-        idmap[int(record["id"])] = new_id  # type: ignore[arg-type]
-        start = min(max(float(record["start"]) + offset, lo), hi)
-        end = min(max(float(record["end"]) + offset, start), hi)
-        rebased.update(
-            id=new_id,
-            parent=idmap.get(int(record["parent"]),  # type: ignore
-                             parent_id),
-            start=start, end=end, seconds=end - start)
-        buffer.add(rebased)
 
 
 class span:
@@ -300,5 +255,4 @@ __all__ = [
     "record_leaf",
     "render_timeline",
     "span",
-    "splice",
 ]

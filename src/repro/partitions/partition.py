@@ -68,7 +68,7 @@ class StrippedPartition:
     """
 
     __slots__ = ("rows", "offsets", "n_rows", "_row_to_class", "_classes",
-                 "_class_ids", "_shm_ref")
+                 "_class_ids")
 
     def __init__(self, classes: Sequence[Sequence[int]], n_rows: int):
         if classes:
@@ -86,10 +86,6 @@ class StrippedPartition:
         self._row_to_class: Optional[np.ndarray] = None
         self._classes: Optional[List[List[int]]] = None
         self._class_ids: Optional[np.ndarray] = None
-        #: set by the parallel engine when a replica of this partition
-        #: lives in a shared-memory block workers can read directly
-        #: (see repro.parallel.pool); never consulted by serial code
-        self._shm_ref = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -105,7 +101,6 @@ class StrippedPartition:
         partition._row_to_class = None
         partition._classes = None
         partition._class_ids = None
-        partition._shm_ref = None
         return partition
 
     @classmethod

@@ -380,19 +380,15 @@ class EncodedRelation:
         if order is None:
             order = kernels.rank_order(self.ranks[index])
             order.setflags(write=False)
-            self._orders[index] = order
+            # two threads sorting at once keep whichever order landed
+            # first, so every caller shares one cached array
+            order = self._orders.setdefault(index, order)
         return order
-
-    def rank_arrays(self) -> Dict[int, np.ndarray]:
-        """All rank columns keyed by attribute index — the publication
-        unit of the shared-memory worker pool (each column is copied
-        into the shared block once per pool, never per task)."""
-        return {a: self.ranks[a] for a in range(self.arity)}
 
     @property
     def rank_nbytes(self) -> int:
-        """Total bytes held by the rank columns (capacity planning for
-        shared-memory publication and peak-memory accounting)."""
+        """Total bytes held by the rank columns (peak-memory
+        accounting)."""
         return sum(column.nbytes for column in self.ranks)
 
     def tuple_ranks(self, row: int, indices: Sequence[int]) -> Tuple[int, ...]:

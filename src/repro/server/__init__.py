@@ -1,7 +1,7 @@
 """The discovery service layer: OD profiling as a long-lived system.
 
 Everything below the CLI's one-shot entry points already existed —
-the unified engine, the shared-memory pool, the incremental engine.
+the unified engine, the thread pool, the incremental engine.
 This package turns them into a multi-tenant service:
 
 * :class:`DatasetCatalog` — relations registered under content

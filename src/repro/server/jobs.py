@@ -4,17 +4,17 @@ The service accepts jobs from many HTTP threads at once but runs them
 one at a time on a single runner thread.  That is a deliberate trade,
 not a limitation:
 
-* **one shared** :class:`~repro.parallel.WorkerPool` serves every
-  discover job's scan batches.  A pool is bound to one encoded
-  relation at a time, so the runner rebases it per discover job — safe
-  precisely because execution is serialised — and process workers,
-  published columns, and shared segments are paid for once per server
-  instead of once per request.  Validate, violations, append and
-  delta jobs never touch it: their scans are single-dependency
-  checks, one τ_A walk each on the runner thread;
-* intra-job parallelism (the level-wise sharding of PR 3/4) already
-  uses every core; running two discoveries concurrently would only
-  interleave their pool dispatches;
+* **one shared** :class:`~repro.parallel.WorkerPool` of threads
+  serves every discover job's level products and scan batches.  A
+  pool is bound to one encoded relation at a time, so the runner
+  rebases it per discover job — safe precisely because execution is
+  serialised — and its threads are started once per server instead
+  of once per request.  Validate, violations, append and delta jobs
+  never touch it: their scans are single-dependency checks, one τ_A
+  walk each on the runner thread;
+* intra-job parallelism (a level split into shares across the pool's
+  threads) already uses every core; running two discoveries
+  concurrently would only interleave their shares;
 * serialised execution keeps the byte-identical guarantee trivially:
   an interleaved job stream produces exactly the results of running
   each job alone (``tests/parallel/test_shared_pool_jobs.py`` asserts
@@ -33,6 +33,12 @@ kernels, so cancelling it returns False and the job completes.
 Executor telemetry is surfaced per job — a store-served repeat
 request reports a zero-task snapshot, which is how callers (and the
 smoke suite) verify no re-traversal happened.
+
+A job that fails carries a one-line ``error``, ``"{Type}: {message}"``.
+A :class:`~repro.errors.ReproError` is the library refusing the job's
+input (an absent row to delete, a delta that would empty the
+dataset); any other exception is a fault, whose traceback goes to a
+``job.failed`` event line instead of the job record.
 """
 
 from __future__ import annotations
@@ -84,18 +90,8 @@ CACHED_EXECUTOR_STATS = {
     "backend": "store",
     "workers": 0,
     "peak_residency_bytes": 0,
-    "retries": 0,
-    "rebuilds": 0,
-    "degraded": False,
     "phases": {},
 }
-
-#: Shared-pool rebuilds within :data:`DEGRADE_WINDOW_SECONDS` before
-#: the scheduler stops trusting process workers and pins itself to
-#: serial execution (graceful degradation: slower, but every job
-#: still completes and ``/health`` says why).
-DEGRADE_REBUILD_THRESHOLD = 3
-DEGRADE_WINDOW_SECONDS = 60.0
 
 #: Terminal jobs retained in the ledger.  A long-lived server must
 #: not pin every historical result payload in memory; the oldest
@@ -180,8 +176,8 @@ class Job:
     __slots__ = ("id", "kind", "fingerprint", "params", "status",
                  "cached", "error", "payload", "executor_stats",
                  "submitted_at", "started_at", "finished_at", "budget",
-                 "cancel_requested", "trace", "trace_id", "profile",
-                 "resources", "_done", "_defer_done")
+                 "cancel_requested", "refused", "trace", "trace_id",
+                 "profile", "resources", "_done", "_defer_done")
 
     def __init__(self, job_id: str, kind: str, fingerprint: str,
                  params: Dict):
@@ -199,17 +195,20 @@ class Job:
         self.finished_at: Optional[float] = None
         self.budget: Optional[DeadlineBudget] = None
         self.cancel_requested = False
+        #: True when the job failed on a typed refusal of its input
+        #: (:class:`~repro.errors.DataError` or :class:`JobError`)
+        self.refused = False
         #: span export of this job's run (``GET /jobs/<id>/trace``);
         #: ``None`` until the job actually ran on the runner thread
         self.trace: Optional[List[Dict]] = None
-        #: correlation id tying this job's spans, worker exports, and
-        #: event lines together
+        #: correlation id tying this job's spans and event lines
+        #: together
         self.trace_id = trace.new_trace_id()
         #: collapsed flamegraph text (``GET /jobs/<id>/profile``);
         #: ``None`` until the job ran with observability enabled
         self.profile: Optional[str] = None
-        #: per-job resource accounting — coordinator + worker rusage,
-        #: shm bytes, task counts (``GET /jobs/<id>``)
+        #: per-job resource accounting — CPU and peak RSS of the
+        #: process while the job ran (``GET /jobs/<id>``)
         self.resources: Optional[Dict] = None
         self._done = threading.Event()
         #: the runner thread sets this while it owns the job so that
@@ -292,11 +291,7 @@ class JobScheduler:
         self._lock = threading.Lock()
         self._next_id = 0
         self._closed = False
-        self.pool_rebuilds = 0
         self.journal_errors = 0
-        self._rebuild_times: List[float] = []
-        self._degraded = False
-        self._degraded_reason: Optional[str] = None
         self._runner = threading.Thread(
             target=self._run_loop, name="repro-od-jobs", daemon=True)
         self._runner.start()
@@ -501,22 +496,14 @@ class JobScheduler:
             "queued": self._queue.qsize(),
             "workers": self._workers,
             "pool_started": self._pool is not None,
-            "pool_rebuilds": self.pool_rebuilds,
-            "degraded": self._degraded,
-            "degraded_reason": self._degraded_reason,
             "journal": (str(self._journal.path)
                         if self._journal is not None else None),
             "journal_errors": self.journal_errors,
         }
 
-    @property
-    def degraded(self) -> bool:
-        """True once repeated pool crashes pinned the scheduler to
-        serial execution (see :data:`DEGRADE_REBUILD_THRESHOLD`)."""
-        return self._degraded
-
     def close(self) -> None:
-        """Stop the runner thread and shut the shared pool down."""
+        """Stop the runner thread and join the shared pool's
+        threads."""
         if self._closed:
             return
         self._closed = True
@@ -539,54 +526,15 @@ class JobScheduler:
     # execution (the runner thread only)
     # ------------------------------------------------------------------
     def _shared_pool(self, encoded) -> Optional[WorkerPool]:
-        """The one pool every job shares, rebased onto this job's
-        relation.  ``None`` when the server runs serial — including
-        *degraded* serial, after repeated crash-rebuilds."""
+        """The one pool every discover job shares, rebased onto this
+        job's relation; ``None`` when the server runs serial."""
         if self._workers < 2:
-            return None
-        if self._pool is not None and self._pool.closed:
-            self._pool = None           # a crashed dispatch tore it down
-            self._note_rebuild()
-        if self._degraded:
             return None
         if self._pool is None:
             self._pool = WorkerPool(encoded, self._workers)
         elif self._pool.relation is not encoded:
             self._pool.rebase(encoded)
         return self._pool
-
-    def _note_rebuild(self) -> None:
-        """Count one crash-forced pool rebuild; past the threshold
-        within the window, pin the scheduler to serial execution."""
-        self.pool_rebuilds += 1
-        now = time.time()
-        self._rebuild_times.append(now)
-        self._rebuild_times = [
-            t for t in self._rebuild_times
-            if now - t <= DEGRADE_WINDOW_SECONDS]
-        events.emit("scheduler.pool_rebuild",
-                    rebuilds=self.pool_rebuilds,
-                    recent=len(self._rebuild_times))
-        if (not self._degraded
-                and len(self._rebuild_times)
-                >= DEGRADE_REBUILD_THRESHOLD):
-            self._degraded = True
-            self._degraded_reason = (
-                f"{len(self._rebuild_times)} worker-pool rebuilds "
-                f"within {DEGRADE_WINDOW_SECONDS:.0f}s; execution "
-                f"pinned to serial")
-            events.emit("scheduler.degraded",
-                        reason=self._degraded_reason)
-
-    def _job_config(self, job: Job) -> FastODConfig:
-        """The job's requested config — forced to ``workers=1`` when
-        the scheduler is degraded.  Safe for the result-store key:
-        ``workers`` is a work-shaping knob ``canonical_key`` excludes,
-        so degraded and healthy runs share cache entries."""
-        params = dict(job.params.get("config") or {})
-        if self._degraded:
-            params["workers"] = 1
-        return config_from_params(params)
 
     def _run_loop(self) -> None:
         while True:
@@ -605,9 +553,8 @@ class JobScheduler:
             buffer = trace.TraceBuffer(trace_id=job.trace_id)
             obs_on = metrics.enabled()
             account = accounting.ResourceAccount() if obs_on else None
-            # a dedicated per-job profiler targeting this runner
-            # thread — NOT the ambient one, whose fork hook belongs to
-            # pool workers
+            # a per-job profiler targeting this runner thread; the
+            # pool threads running the job's shares follow it
             prof = profiler.SamplingProfiler() if obs_on else None
             try:
                 # inside the job's isolation: a timeout no submission
@@ -636,26 +583,24 @@ class JobScheduler:
                 pinned = self._catalog.get(job.fingerprint)
                 self._catalog.pin(pinned)
                 handler = getattr(self, f"_run_{job.kind}")
-                with trace.collect(buffer):
-                    with accounting.track(account):
-                        with trace.span("job", kind=job.kind,
-                                        job=job.id):
-                            handler(job)
+                with trace.collect(buffer), profiler.track(prof):
+                    with trace.span("job", kind=job.kind, job=job.id):
+                        handler(job)
             except Exception as error:   # noqa: BLE001 — job isolation
-                job.error = (
-                    f"{type(error).__name__}: {error}\n"
-                    + traceback.format_exc(limit=5))
+                job.error = f"{type(error).__name__}: {error}"
+                if isinstance(error, ReproError):
+                    job.refused = isinstance(error, (DataError, JobError))
+                else:
+                    events.emit("job.failed", job=job.id, kind=job.kind,
+                                error=job.error,
+                                traceback=traceback.format_exc())
                 job._finish("failed")
             finally:
                 job.trace = buffer.export()
                 if prof is not None:
                     prof.stop()
+                    job.profile = prof.render()
                 if account is not None:
-                    counts = prof.counts()
-                    profiler.merge_counts(counts,
-                                          account.worker_profile,
-                                          prefix="worker")
-                    job.profile = profiler.render_folded(counts)
                     job.resources = account.finish()
                 if pinned is not None:
                     self._catalog.unpin(pinned)
@@ -681,7 +626,7 @@ class JobScheduler:
 
     def _run_discover(self, job: Job) -> None:
         entry = self._catalog.get(job.fingerprint)
-        config = self._job_config(job)
+        config = config_from_params(job.params.get("config"))
         result = self._store.get(entry.fingerprint, config)
         if result is not None:          # stored while we were queued
             job.cached = True
@@ -761,7 +706,7 @@ class JobScheduler:
         if not len(batch):
             raise JobError(f"{job.kind} jobs need at least one row change")
         entry = self._catalog.get(job.fingerprint)
-        config = self._job_config(job)
+        config = config_from_params(job.params.get("config"))
         engine = self._catalog.ensure_incremental(entry.fingerprint,
                                                   config)
         old_fp = entry.fingerprint
@@ -793,8 +738,6 @@ class JobScheduler:
 
 __all__ = [
     "CACHED_EXECUTOR_STATS",
-    "DEGRADE_REBUILD_THRESHOLD",
-    "DEGRADE_WINDOW_SECONDS",
     "JOB_KINDS",
     "Job",
     "JobError",

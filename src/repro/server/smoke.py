@@ -15,9 +15,12 @@ client:
    again and discovery matches a direct run on the mutated relation,
 6. poll the job list, then
 
-interrupt the server with SIGINT and assert the hygiene contract:
-exit code 130, **no leaked shared-memory segments**, and **no orphan
-worker processes** (every child alive during the run must be gone).
+interrupt the server with SIGINT and assert exit code 130 and the
+final metrics dump.  The cold discover is split across the shared
+pool, and its job trace must hold ``task`` spans from at least two
+pool threads under the job's root span.  An in-process service then
+checks that no ``repro-worker`` pool thread outlives
+:meth:`~repro.server.http.ODService.close`.
 
 A second phase boots a journaled server, streams a delta, ``kill
 -9``s it mid-flight, reboots on the same ``--journal-dir``, and
@@ -26,8 +29,8 @@ direct run on the mutated relation — the crash-consistency contract
 of the delta WAL, exercised against a real process.
 
 This is the CI gate for the service layer; it runs with
-``REPRO_WORKERS=2`` so the shared pool really exists and really gets
-torn down.  Exit status 0 = green.
+``REPRO_WORKERS=2`` so the shared pool really exists.  Exit status 0 =
+green.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ import signal
 import subprocess
 import sys
 import tempfile
-import time
+import threading
 from pathlib import Path
-from typing import List, Set
+from typing import Dict, List
 
 from repro.core.fastod import FastOD, FastODConfig
 from repro.datasets import make_dataset
@@ -50,51 +53,25 @@ from repro.server.client import ServiceClient
 DATASET = dict(family="flight", n_rows=2000, n_attrs=6, seed=17)
 
 
-def shm_segments() -> Set[str]:
-    shm = Path("/dev/shm")
-    if not shm.is_dir():
-        return set()
-    return {p.name for p in shm.iterdir()}
-
-
-def child_pids(parent: int) -> List[int]:
-    """PIDs whose direct parent is ``parent`` (Linux /proc scan)."""
-    children = []
-    for entry in Path("/proc").iterdir():
-        if not entry.name.isdigit():
+def span_threads_under_root(spans: List[Dict]) -> set:
+    """Names of the threads whose ``task`` spans descend from the
+    trace's root ``job`` span."""
+    by_id = {span["id"]: span for span in spans}
+    threads = set()
+    for span in spans:
+        if span["name"] != "task":
             continue
-        try:
-            stat = (entry / "stat").read_text()
-        except OSError:
-            continue
-        # field 4 (after the parenthesised comm, which may hold
-        # spaces) is ppid
-        ppid = int(stat.rsplit(")", 1)[-1].split()[1])
-        if ppid == parent:
-            children.append(int(entry.name))
-    return children
+        node = span
+        while node["parent"] in by_id:
+            node = by_id[node["parent"]]
+        if node["name"] == "job" and node["parent"] == 0:
+            threads.add(span.get("thread"))
+    return threads
 
 
-def pid_alive(pid: int) -> bool:
-    """True for a live, non-zombie process (a zombie is dead — it
-    merely awaits reaping by init)."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return False
-    return stat.rsplit(")", 1)[-1].split()[0] != "Z"
-
-
-def wait_for_exit(pids: List[int], timeout: float = 10.0) -> List[int]:
-    """PIDs still alive after ``timeout`` (dying workers get a bounded
-    grace period — process teardown is asynchronous)."""
-    deadline = time.monotonic() + timeout
-    remaining = list(pids)
-    while remaining and time.monotonic() < deadline:
-        remaining = [pid for pid in remaining if pid_alive(pid)]
-        if remaining:
-            time.sleep(0.1)
-    return remaining
+def pool_threads() -> List[str]:
+    return [thread.name for thread in threading.enumerate()
+            if thread.name.startswith("repro-worker")]
 
 
 def check(condition: bool, label: str) -> None:
@@ -105,7 +82,6 @@ def check(condition: bool, label: str) -> None:
 
 
 def main() -> int:
-    shm_before = shm_segments()
     env = dict(os.environ)
     env.setdefault("PYTHONPATH", str(
         Path(__file__).resolve().parents[2]))
@@ -117,7 +93,6 @@ def main() -> int:
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=env)
-    workers: List[int] = []
     try:
         ready = server.stdout.readline()
         check("listening on" in ready, f"server ready ({ready.strip()})")
@@ -131,7 +106,7 @@ def main() -> int:
                              f"{fp[:12]}…")
 
         # force pool dispatch (the dataset sits below the grouped-rows
-        # threshold) so the trace check below sees real worker spans —
+        # floor) so the trace check below sees pool-thread spans —
         # work-shaping config never changes the answer
         cold = client.discover(
             fp, config={"workers": 2, "parallel_min_grouped_rows": 0})
@@ -192,11 +167,10 @@ def main() -> int:
         check(client.trace(warm["id"])["spans"] == [],
               "cached job trace is empty (no traversal)")
 
-        task_spans = [s for s in spans if s["name"] == "task"]
-        check(task_spans and all(s["pid"] != server.pid
-                                 for s in task_spans),
-              "worker task spans spliced into the job trace "
-              f"({len(task_spans)} tasks)")
+        threads = span_threads_under_root(spans)
+        check(len(threads) >= 2,
+              "pool task spans from at least 2 threads under the job "
+              f"root ({sorted(threads)})")
         folded = client.profile(cold["id"])
         check(bool(folded.strip()) and all(
             line.rsplit(" ", 1)[1].isdigit()
@@ -209,16 +183,9 @@ def main() -> int:
         check(resources.get("cpu_user_seconds", -1.0) >= 0.0
               and resources.get("max_rss_bytes", 0) > 0,
               "per-job rusage covers CPU and peak RSS")
-        check(resources.get("workers", {}).get("processes", 0) >= 1
-              and resources.get("shm_bytes", 0) > 0,
-              "worker processes and shm bytes billed to the job")
         check(cold_job.get("trace_id") and "resources"
               in stats and "self" in stats["resources"],
               "trace ids and process rusage exposed")
-
-        # the pool exists now — remember the worker pids for the
-        # orphan check
-        workers = child_pids(server.pid)
 
         batch = [[int(v) for v in relation.row(i)] for i in range(20)]
         appended = client.append(fp, batch)
@@ -280,14 +247,34 @@ def main() -> int:
     stderr_tail = server.stderr.read()
     check('"event": "metrics.final"' in stderr_tail,
           "final metrics snapshot dumped on SIGINT teardown")
-    leaked = shm_segments() - shm_before
-    check(not leaked, f"no leaked shm segments {sorted(leaked) or ''}")
-    orphans = wait_for_exit(workers)
-    check(not orphans, f"no orphan worker processes {orphans or ''}")
-
+    pool_teardown_phase()
     crash_recovery_phase(env)
     print("smoke suite green")
     return 0
+
+
+def pool_teardown_phase() -> None:
+    """An in-process service with a 2-thread pool: after one pooled
+    discover, ``close()`` must leave no pool thread alive."""
+    from repro.server.http import ODService
+
+    print("pool teardown phase: in-process service, 2 threads ...")
+    with ODService(port=0, workers=2) as service:
+        relation = make_dataset(
+            DATASET["family"], n_rows=DATASET["n_rows"],
+            n_attrs=DATASET["n_attrs"], seed=DATASET["seed"])
+        fp = service.catalog.register(relation,
+                                      name="teardown").fingerprint
+        job = service.scheduler.submit(
+            "discover", fp,
+            {"config": {"workers": 2, "parallel_min_grouped_rows": 0}})
+        service.scheduler.wait(job.id, timeout=120.0)
+        check(job.status == "done" and bool(pool_threads()),
+              f"pooled discover ran on {len(pool_threads())} pool "
+              "threads")
+    check(not pool_threads(),
+          f"no repro-worker thread alive after close() "
+          f"{pool_threads() or ''}")
 
 
 def crash_recovery_phase(env: dict) -> None:

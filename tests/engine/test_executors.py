@@ -73,7 +73,7 @@ class TestMakeExecutor:
 class TestSerialPoolEquivalence:
     @pytest.mark.parametrize("mode", ["const", "swap", "swap_desc"])
     def test_validations_agree(self, encoded, mode, monkeypatch):
-        monkeypatch.setattr(pool_module, "PARALLEL_MIN_ROWS", 0)
+        monkeypatch.setattr(pool_module, "PARALLEL_MIN_GROUPED_ROWS", 0)
         tasks = all_mask_tasks(encoded, mode)
         budget = DeadlineBudget.unlimited()
         serial, _ = SerialExecutor(encoded).run_validations(
@@ -87,7 +87,7 @@ class TestSerialPoolEquivalence:
         assert len(serial) == len(tasks)
 
     def test_pointwise_validations_agree(self, encoded, monkeypatch):
-        monkeypatch.setattr(pool_module, "PARALLEL_MIN_ROWS", 0)
+        monkeypatch.setattr(pool_module, "PARALLEL_MIN_GROUPED_ROWS", 0)
         arity = encoded.arity
         tasks = []
         for lhs_mask in range(1, 1 << arity):
@@ -111,7 +111,7 @@ class TestSerialPoolEquivalence:
             self, encoded, monkeypatch):
         """A context key present in ``contexts`` scans that partition;
         any other key is an attribute mask the executor derives."""
-        monkeypatch.setattr(pool_module, "PARALLEL_MIN_ROWS", 0)
+        monkeypatch.setattr(pool_module, "PARALLEL_MIN_GROUPED_ROWS", 0)
         cache = PartitionCache(encoded)
         contexts = {"chunk": cache.get(0b1)}
         tasks = [((mask, a, b), "chunk" if mask == 0b1 else mask,
@@ -221,7 +221,7 @@ class TestTelemetry:
         assert snap["phases"]["wave"]["pool_tasks"] == 0
 
     def test_pool_records_split(self, encoded, monkeypatch):
-        monkeypatch.setattr(pool_module, "PARALLEL_MIN_ROWS", 0)
+        monkeypatch.setattr(pool_module, "PARALLEL_MIN_GROUPED_ROWS", 0)
         executor = PoolExecutor(encoded, 2)
         budget = DeadlineBudget.unlimited()
         try:
@@ -243,14 +243,14 @@ class TestTelemetry:
         assert snap["phases"]["wave"]["dispatches"] == 2
 
     def test_subthreshold_batches_stay_serial(self, encoded, monkeypatch):
-        monkeypatch.setattr(pool_module, "PARALLEL_MIN_ROWS",
-                            encoded.n_rows + 1)
+        tasks = all_mask_tasks(encoded, "swap")[:6]
+        # above every grouped row the six contexts could hold
+        monkeypatch.setattr(pool_module, "PARALLEL_MIN_GROUPED_ROWS",
+                            encoded.n_rows * len(tasks) + 1)
         executor = PoolExecutor(encoded, 2)
         budget = DeadlineBudget.unlimited()
         try:
-            executor.run_validations(
-                all_mask_tasks(encoded, "swap")[:6], budget,
-                phase="wave")
+            executor.run_validations(tasks, budget, phase="wave")
         finally:
             executor.close()
         snap = executor.telemetry.snapshot()

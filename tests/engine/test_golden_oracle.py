@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import repro.parallel.pool as pool_module
 from repro.core.fastod import FastOD, FastODConfig
 from repro.core.hybrid import hybrid_discover
 from repro.core.parser import parse
@@ -35,8 +37,18 @@ GOLDEN = json.loads(
     (Path(__file__).parent.parent / "golden"
      / "unified_engine_golden.json").read_text())
 
-#: 0 resolves to serial; 2 and 4 really shard (thresholds forced to 0).
+#: 0 resolves to serial; 2 and 4 really split across threads (the
+#: dispatch floor is forced to 0 below).
 WORKER_COUNTS = [0, 2, 4]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def pooled_dispatch():
+    """Every entry point's batches split, however small the input —
+    the hybrid, incremental and extension runs take no per-run floor
+    (the CI tier-1 runs cover both kernel backends)."""
+    with mock.patch.object(pool_module, "PARALLEL_MIN_GROUPED_ROWS", 0):
+        yield
 
 
 def od_strings(result):

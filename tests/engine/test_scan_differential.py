@@ -47,8 +47,7 @@ def relations(draw):
 
 @pytest.fixture(scope="module", autouse=True)
 def pooled_dispatch():
-    with mock.patch.object(pool_module, "PARALLEL_MIN_GROUPED_ROWS", 0), \
-            mock.patch.object(pool_module, "PARALLEL_MIN_ROWS", 0):
+    with mock.patch.object(pool_module, "PARALLEL_MIN_GROUPED_ROWS", 0):
         yield
 
 

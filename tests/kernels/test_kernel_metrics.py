@@ -141,7 +141,7 @@ def _product_calls() -> float:
 def test_one_product_call_per_level(monkeypatch):
     """A serial discovery bills exactly one product call per lattice
     level with a task whose parents both have grouped rows, and a pooled
-    one dispatches no products to its workers."""
+    one at most one per share of each such level."""
     from repro.core.fastod import FastOD, FastODConfig
     from repro.engine.executors import SerialExecutor
     from repro.parallel.pool import _DISPATCHES
@@ -164,9 +164,11 @@ def test_one_product_call_per_level(monkeypatch):
 
     products_before = _DISPATCHES.value(kind="products")
     scans_before = _DISPATCHES.value(kind="scans")
+    calls_before = _product_calls()
     pooled = FastOD(relation, FastODConfig(
         workers=2, parallel_min_grouped_rows=0)).run()
-    assert _DISPATCHES.value(kind="products") == products_before
+    assert _DISPATCHES.value(kind="products") > products_before
     assert _DISPATCHES.value(kind="scans") > scans_before
+    assert sum(levels) < _product_calls() - calls_before <= 2 * sum(levels)
     assert ([str(od) for od in pooled.ocds]
             == [str(od) for od in serial.ocds])

@@ -1,8 +1,9 @@
 """The sampling profiler: folding, merging, the sampler thread, and
-the ambient (worker-side) instance."""
+the threads that follow a tracked profiler (the pool's shares)."""
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 
@@ -115,18 +116,61 @@ class TestSampler:
         assert prof.counts() == {}
 
 
-class TestAmbient:
-    def test_singleton_and_shutdown(self):
-        first = profiler.ambient(interval=0.05)
-        try:
-            assert first.running
-            assert profiler.ambient() is first
-        finally:
-            profiler.shutdown_ambient()
-        assert not first.running
-        # a fresh instance after shutdown
-        second = profiler.ambient(interval=0.05)
-        try:
-            assert second is not first
-        finally:
-            profiler.shutdown_ambient()
+class TestFollow:
+    def test_follower_thread_is_sampled(self):
+        prof = SamplingProfiler()
+        ready = threading.Event()
+        done = threading.Event()
+
+        def parked_follower():
+            with profiler.follow():
+                ready.set()
+                done.wait(timeout=5.0)
+
+        with profiler.track(prof):
+            context = contextvars.copy_context()
+        thread = threading.Thread(target=context.run,
+                                  args=(parked_follower,), daemon=True)
+        thread.start()
+        assert ready.wait(timeout=5.0)
+        prof.sample_once()
+        done.set()
+        thread.join(timeout=5.0)
+        stacks = prof.counts()
+        assert any("parked_follower" in stack for stack in stacks)
+        assert any(stack.endswith("profiler:sample_once")
+                   for stack in stacks)
+        # the follow extent ended: later samples see the target only
+        prof.clear()
+        prof.sample_once()
+        assert not any("parked_follower" in s for s in prof.counts())
+
+    def test_job_profiler_samples_pool_threads(self, monkeypatch):
+        import repro.core.validation as validation
+        from repro.core.fastod import FastOD, FastODConfig
+        from repro.datasets import make_dataset
+
+        prof = SamplingProfiler()
+        original = validation.scan_verdicts
+
+        def sampled(*args):
+            # one sample from inside a share, on a pool thread
+            prof.sample_once()
+            return original(*args)
+
+        monkeypatch.setattr(validation, "scan_verdicts", sampled)
+        relation = make_dataset("flight", n_rows=300, n_attrs=5, seed=6)
+        with profiler.track(prof):
+            FastOD(relation, FastODConfig(
+                workers=2, parallel_min_grouped_rows=0)).run()
+        stacks = prof.counts()
+        # the pool threads' shares and the waiting calling thread
+        assert any("pool:_share" in stack for stack in stacks)
+        assert any("pool:_run" in stack and "pool:_share" not in stack
+                   for stack in stacks)
+        assert not any("profiler:sample_once" in s and "pool:_share" not in s
+                       and "pool:_run" not in s for s in stacks)
+
+    def test_untracked_follow_is_inert(self):
+        with profiler.follow():
+            pass

@@ -128,75 +128,6 @@ class TestCorrelation:
         assert len(buffer) == 0
 
 
-class TestSplice:
-    @staticmethod
-    def worker_export():
-        """What a worker task ships: a ``task`` root and one kernel
-        leaf, on the worker's own clock (epoch near zero)."""
-        return [
-            {"id": 1, "parent": 0, "name": "task",
-             "start": 0.1, "end": 0.9, "seconds": 0.8},
-            {"id": 2, "parent": 1, "name": "kernel",
-             "start": 0.2, "end": 0.4, "seconds": 0.2},
-        ]
-
-    def test_empty_export_is_noop(self):
-        buf = trace.TraceBuffer()
-        trace.splice(buf, [], parent_id=7, window=(1.0, 2.0))
-        assert len(buf) == 0
-
-    def test_reparents_and_remaps_ids(self):
-        buf = trace.TraceBuffer()
-        with trace.collect(buf):
-            with trace.span("dispatch"):    # consumes buffer id 1
-                pass
-        trace.splice(buf, self.worker_export(), parent_id=7,
-                     window=(10.0, 11.0), clock=(0.0, 1.0))
-        spans = {s["name"]: s for s in buf.export()}
-        task, kernel = spans["task"], spans["kernel"]
-        assert task["parent"] == 7
-        assert kernel["parent"] == task["id"]
-        assert task["id"] != 1          # remapped through buffer ids
-
-    def test_clock_rebase_midpoint(self):
-        buf = trace.TraceBuffer()
-        # worker clock (0, 1) against window (10, 11): offset 10
-        trace.splice(buf, self.worker_export(), parent_id=0,
-                     window=(10.0, 11.0), clock=(0.0, 1.0))
-        task = next(s for s in buf.export() if s["name"] == "task")
-        assert abs(task["start"] - 10.1) < 1e-9
-        assert abs(task["end"] - 10.9) < 1e-9
-
-    def test_skewed_clock_clamps_into_window(self):
-        buf = trace.TraceBuffer()
-        # a wildly skewed worker clock must still land inside the
-        # coordinator-observed (submit, ack) window
-        trace.splice(buf, self.worker_export(), parent_id=0,
-                     window=(10.0, 10.5), clock=(500.0, 501.0))
-        for record in buf.export():
-            assert 10.0 <= record["start"] <= 10.5
-            assert record["start"] <= record["end"] <= 10.5
-            assert record["seconds"] >= 0.0
-
-    def test_no_clock_means_no_offset(self):
-        buf = trace.TraceBuffer()
-        spans = [{"id": 1, "parent": 0, "name": "task",
-                  "start": 1.25, "end": 1.75, "seconds": 0.5}]
-        trace.splice(buf, spans, parent_id=0, window=(1.0, 2.0))
-        (record,) = buf.export()
-        assert record["start"] == 1.25 and record["end"] == 1.75
-
-    def test_unknown_parent_falls_back_to_dispatch(self):
-        buf = trace.TraceBuffer()
-        # a child whose parent fell off the worker's ring re-parents
-        # onto the dispatch span instead of dangling
-        spans = [{"id": 5, "parent": 3, "name": "kernel",
-                  "start": 0.0, "end": 0.1, "seconds": 0.1}]
-        trace.splice(buf, spans, parent_id=9, window=(0.0, 1.0))
-        (record,) = buf.export()
-        assert record["parent"] == 9
-
-
 class TestRenderTimeline:
     def test_empty(self):
         assert trace.render_timeline([]) == "(no spans recorded)"

@@ -3,8 +3,8 @@
 The property the whole parallel subsystem is built around: for any
 relation, any `FastODConfig` ablation, and any worker count, the
 discovered FD/OCD sets (and the per-level candidate counters) equal the
-``workers=1`` run's exactly.  Thresholds are forced to 0 here so even
-tiny relations really dispatch through the pool.
+``workers=1`` run's exactly.  The dispatch floor is forced to 0 here
+so even tiny relations really split across the pool's threads.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class TestHybridIdentity:
                                               monkeypatch):
         import repro.parallel.pool as pool_module
 
-        monkeypatch.setattr(pool_module, "PARALLEL_MIN_ROWS", 0)
+        monkeypatch.setattr(pool_module, "PARALLEL_MIN_GROUPED_ROWS", 0)
         relation = make_dataset("flight", n_rows=600, n_attrs=6, seed=3)
         baseline = FastOD(relation).run()
         serial = hybrid_discover(relation, workers=1)
@@ -179,8 +179,7 @@ class TestTimeoutPrecision:
         assert result.timed_out
 
     def test_workers_honour_cooperative_deadline(self):
-        import time
-
+        from repro.engine import DeadlineBudget
         from repro.parallel.pool import WorkerPool
 
         relation = make_dataset("flight", n_rows=300, n_attrs=5, seed=4)
@@ -192,7 +191,7 @@ class TestTimeoutPrecision:
         with WorkerPool(encoded, 2) as pool:
             verdicts, timed_out = pool.run_scans(
                 {0: context}, tasks,
-                deadline=time.perf_counter() - 10.0)   # already expired
+                DeadlineBudget(0.0).hit)        # already expired
         assert timed_out
         assert verdicts == {}
 

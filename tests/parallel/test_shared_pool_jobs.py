@@ -165,11 +165,10 @@ def pool_tasks(executor_stats) -> int:
 class TestSingleDependencyJobs:
     def test_validate_violations_delta_leave_the_pool_alone(
             self, scheduler, monkeypatch):
-        """With both dispatch floors at 0 and the pool warm, a
-        validate, a violations and a delta job neither dispatch to it
-        nor republish its columns, and answer as the serial API."""
+        """With the dispatch floor at 0 and the pool warm, a validate,
+        a violations and a delta job never dispatch to it, and answer
+        as the serial API."""
         monkeypatch.setattr(pool_module, "PARALLEL_MIN_GROUPED_ROWS", 0)
-        monkeypatch.setattr(pool_module, "PARALLEL_MIN_ROWS", 0)
         relation = make_dataset("flight", n_rows=400, n_attrs=6,
                                 seed=11)
         # a context of several classes: one a pool could shard
@@ -184,7 +183,6 @@ class TestSingleDependencyJobs:
         pool = scheduler._pool
         assert pool is not None and pool.dispatches
         dispatches = len(pool.dispatches)
-        column_bytes = pool_module._SHM_BYTES.value(payload="columns")
 
         ops = [[-1, [int(v) for v in relation.row(0)]],
                [1, [int(v) for v in relation.row(1)]]]
@@ -204,8 +202,6 @@ class TestSingleDependencyJobs:
             assert job.status == "done", job.error
 
         assert len(pool.dispatches) == dispatches
-        assert pool_module._SHM_BYTES.value(
-            payload="columns") == column_bytes
         for job in (delta, validate, violations):
             assert pool_tasks(job.executor_stats) == 0, job.kind
 

@@ -113,12 +113,39 @@ class TestDeltaJob:
                 svc.delta(fp, {"inserts": [[1, 2]]})   # arity
 
     def test_absent_row_delete_fails_the_job(self, tmp_path):
+        """A delta that cannot resolve is a typed refusal: the job
+        fails with one ``DataError: ...`` line (no traceback, no
+        server paths), the blocking request answers 400 with that line
+        and the job id, and the WAL stays untouched."""
+        import json
+        import urllib.error
+        import urllib.request
+
         with service(tmp_path) as svc:
             fp = register(svc)
             job = svc.delta(fp, {"deletes": [[9, 9, 9]]})
             assert job["status"] == "failed"
+            assert job["error"].startswith("DataError: ")
+            assert "\n" not in job["error"]
+            assert "Traceback" not in job["error"]
+            assert ".py" not in job["error"]
+            request = urllib.request.Request(
+                f"{svc.url}/datasets/{fp}/delta",
+                data=json.dumps({"deletes": [[9, 9, 9]]}).encode(),
+                method="POST")
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(request, timeout=30)
+            assert caught.value.code == 400
+            body = json.loads(caught.value.read().decode())
+            assert set(body) == {"error", "job"}
+            assert body["error"].startswith("DataError: ")
+            assert svc.scheduler.job(body["job"]).status == "failed"
+            with pytest.raises(ServiceClientError) as refused:
+                ServiceClient(svc.url).delta(fp, deletes=[[9, 9, 9]])
+            assert refused.value.status == 400
             assert read_delta_log(delta_log_path(
                 tmp_path / "journal", fp)) == []
+            assert svc.catalog.get(fp).fingerprint == fp
 
     def test_number_delete_does_not_match_a_bool_row(self, tmp_path):
         with service(tmp_path) as svc:

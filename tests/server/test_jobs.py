@@ -303,3 +303,46 @@ class TestLifecycle:
         assert stats["jobs"].get("done") == 1
         assert stats["workers"] == 1
         assert stats["pool_started"] is False
+
+
+class TestFailedJobs:
+    """A failed job carries one ``{Type}: {message}`` line; a fault's
+    traceback goes to a ``job.failed`` event line instead."""
+
+    def test_refusal_is_one_typed_line(self, scheduler):
+        fp = register(scheduler, small())
+        job = scheduler.submit("delta", fp, {"deletes": [[9, 9, 9]]})
+        scheduler.wait(job.id, timeout=60)
+        assert job.status == "failed"
+        assert job.refused
+        assert job.error.startswith("DataError: ")
+        assert "\n" not in job.error
+
+    def test_fault_traceback_goes_to_the_event_line(self, scheduler,
+                                                    monkeypatch):
+        import json
+
+        from repro.obs import events
+
+        def broken(job):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(scheduler, "_run_discover", broken)
+        lines = []
+        events.set_sink(lines.append)
+        try:
+            job = scheduler.submit("discover", register(scheduler,
+                                                        small()))
+            scheduler.wait(job.id, timeout=60)
+        finally:
+            events.set_sink(None)
+        assert job.status == "failed"
+        assert not job.refused
+        assert job.error == "RuntimeError: disk on fire"
+        failed = [json.loads(line) for line in lines
+                  if '"job.failed"' in line]
+        assert len(failed) == 1
+        assert failed[0]["job"] == job.id
+        assert failed[0]["error"] == job.error
+        assert "Traceback" in failed[0]["traceback"]
+        assert "disk on fire" in failed[0]["traceback"]

@@ -3,7 +3,7 @@ serve).
 
 Both commands must exit with code 130 (128 + SIGINT) on interrupt and
 143 (128 + SIGTERM) on termination — the latter is what supervisors
-(systemd, Kubernetes) send first — tear their worker pools down
+(systemd, Kubernetes) send first — tear their thread pools down
 through the command's ``finally`` path, and leave no shared-memory
 segments behind.  Regression tests spawn a real subprocess, wait for
 its ready line, signal it, and inspect the exit status plus
@@ -24,10 +24,14 @@ from pathlib import Path
 import pytest
 
 from repro.relation.csvio import write_csv
-from repro.server.smoke import shm_segments
 from tests.conftest import make_relation
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def shm_segments():
+    shm = Path("/dev/shm")
+    return {p.name for p in shm.iterdir()} if shm.is_dir() else set()
 
 
 def spawn_cli(*args, extra_env=None):
@@ -86,8 +90,7 @@ class TestServeSigint:
     def test_serve_exits_130_without_leaks(self):
         before = shm_segments()
         # REPRO_WORKERS=2 forces the scheduler to build the shared
-        # pool (and publish shm columns) on the first job — the
-        # interesting teardown case
+        # thread pool on the first job — the interesting teardown case
         process = spawn_cli("serve", "--port", "0",
                             extra_env={"REPRO_WORKERS": "2"})
         try:
