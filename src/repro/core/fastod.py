@@ -10,7 +10,9 @@ Implements Algorithms 1-4 of the paper:
 * level pruning when both candidate sets empty (`Algorithm 4`,
   Lemma 11),
 * stripped partitions with linear products and the error-rate FD test,
-  plus key pruning (Section 4.6, Lemmas 12-14).
+  plus key pruning (Section 4.6, Lemmas 12-14); a node whose
+  partition an emitted FD implies (Augmentation-I gives
+  Π*_X = Π*_{X\\B}) shares its parent's instead of a product.
 
 The traversal itself lives in :mod:`repro.engine`: a
 :class:`~repro.engine.LatticePlanner` owns level iteration,

@@ -57,12 +57,15 @@ _LEVEL_SECONDS = metrics.histogram(
 
 
 def level_partition_bytes(*levels: Dict[int, LatticeNode]) -> int:
-    """Resident partition bytes across lattice level dicts."""
+    """Resident partition bytes across lattice level dicts, counting a
+    partition that several nodes share (Π*_X = Π*_{X\\B}) once."""
+    seen = set()
     total = 0
     for nodes in levels:
         for node in nodes.values():
             partition = node.partition
-            if partition is not None:
+            if partition is not None and id(partition) not in seen:
+                seen.add(id(partition))
                 total += partition.rows.nbytes + partition.offsets.nbytes
     return total
 
@@ -87,7 +90,8 @@ class TraversalBackend:
         raise NotImplementedError
 
     def fd_emitted(self, task: FdCheckTask) -> None:
-        """Hook: a valid FD was emitted (incremental bookkeeping)."""
+        """Hook: a valid FD was emitted (the partition backend's
+        implied partitions, the incremental engine's bookkeeping)."""
 
     def fd_phase_complete(self, level: int, n_candidates: int,
                           seconds: float = 0.0) -> None:
@@ -321,6 +325,11 @@ class PartitionBackend(TraversalBackend):
     three-level residency window with bounded-cache invalidation on
     release, and superkey shortcuts (Lemmas 12-13) resolved O(1) on
     the coordinator before anything is dispatched.
+
+    A child ``X`` whose ``X \\ B: [] ↦ B`` an emitted FD implies
+    (Augmentation-I: ``Y: [] ↦ B`` with ``Y ⊆ X \\ B``) is not a
+    product at all: refining Π_{X\\B} by ``B`` merges nothing, so it
+    shares the parent's Π*_{X\\B} object.
     """
 
     def __init__(self, relation: EncodedRelation, config,
@@ -331,6 +340,12 @@ class PartitionBackend(TraversalBackend):
         self._executor = executor
         self._budget = budget
         self._cache = cache
+        #: context mask -> bits of the attributes the FDs emitted
+        #: with that context determine
+        self._fds: Dict[int, int] = {}
+        #: mask -> bits determined by an emitted FD whose context is a
+        #: proper subset of the mask (:meth:`_determined_below`)
+        self._below: Dict[int, int] = {}
 
     # -- partition sourcing --------------------------------------------
     def root_node(self) -> LatticeNode:
@@ -356,11 +371,18 @@ class PartitionBackend(TraversalBackend):
         cache = self._cache
         partitions: Dict[int, Optional[StrippedPartition]] = {}
         pending: List[ProductTask] = []
+        n_implied = 0
         for mask in masks:
             partition = cache.peek(mask) if cache is not None else None
             if partition is None:
-                left, right = parents_for_partition(mask)
-                pending.append(ProductTask(mask, left, right))
+                partition = self._implied_partition(mask, current)
+                if partition is None:
+                    left, right = parents_for_partition(mask)
+                    pending.append(ProductTask(mask, left, right))
+                else:
+                    n_implied += 1
+                    if cache is not None:
+                        cache.put(mask, partition)
             partitions[mask] = partition
 
         if pending:
@@ -378,10 +400,46 @@ class PartitionBackend(TraversalBackend):
                 if cache is not None:
                     cache.put(task.child, partition)
 
+        self._executor.telemetry.record("products-implied", n_implied,
+                                        False)
         return {mask: LatticeNode(mask, partition)
                 for mask, partition in partitions.items()}
 
+    def _implied_partition(self, mask: int,
+                           current: Dict[int, LatticeNode]
+                           ) -> Optional[StrippedPartition]:
+        """The resident Π*_{X\\B} for the lowest ``B ∈ X`` that an
+        emitted FD with a context strictly inside ``X \\ B``
+        determines, or ``None`` when no such ``B`` exists.  Every
+        emitted FD passed the partition error test, and a valid
+        ``X \\ B: [] ↦ B`` means exactly Π*_X = Π*_{X\\B}."""
+        for attribute in iter_bits(mask):
+            bit = 1 << attribute
+            if self._determined_below(mask ^ bit) & bit:
+                return current[mask ^ bit].partition
+        return None
+
+    def _determined_below(self, mask: int) -> int:
+        """Bits determined by an emitted FD whose context is a proper
+        subset of ``mask``.  The value for an ``l``-attribute mask is
+        first read when level ``l + 1`` is built, after level ``l``'s
+        FD phase emitted the last FD with an ``l - 1``-attribute
+        context, so every memoized value is final."""
+        found = self._below.get(mask)
+        if found is None:
+            found = 0
+            for attribute in iter_bits(mask):
+                sub = mask ^ (1 << attribute)
+                found |= self._fds.get(sub, 0) | self._determined_below(sub)
+            self._below[mask] = found
+        return found
+
     # -- verdicts -------------------------------------------------------
+    def fd_emitted(self, task: FdCheckTask) -> None:
+        context = task.context_mask
+        self._fds[context] = (self._fds.get(context, 0)
+                              | 1 << task.attribute)
+
     def fd_verdict(self, task: FdCheckTask, node: LatticeNode,
                    previous: Dict[int, LatticeNode]) -> bool:
         """``X \\ A: [] ↦ A`` via the partition error test: the FD

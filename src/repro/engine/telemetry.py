@@ -1,11 +1,17 @@
 """Per-phase executor telemetry.
 
 Every executor carries one :class:`ExecutorTelemetry` and records, per
-planner phase (``products``, ``fd-check``, ``ocd-scan``, ``wave``,
-``class-scan``, ...), how many typed tasks it resolved, whether each
-batch ran on the calling thread or on the thread pool, and how long the
-batches took.  The snapshot is a plain JSON-ready dict so every entry
-point can expose it uniformly — ``DiscoveryResult.executor_stats``,
+planner phase (``products``, ``products-implied``, ``fd-check``,
+``ocd-scan``, ``ocd-keyprune``, ``wave``, ``class-scan``, ...), how
+many typed tasks it resolved, whether each batch ran on the calling
+thread or on the thread pool, and how long the batches took.
+``products`` counts built partition products; ``products-implied``
+counts the lattice children that shared a parent's partition because
+an emitted FD implied it, and ``ocd-keyprune`` the OCD candidates a
+superkey context settled (neither reaches a kernel).
+
+The snapshot is a plain JSON-ready dict so every entry point can
+expose it uniformly — ``DiscoveryResult.executor_stats``,
 ``repro-od ... --json``, and the validator/detector accessors all
 serve the same shape.
 

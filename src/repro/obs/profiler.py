@@ -59,27 +59,6 @@ def _fold_frame(frame) -> str:
     return ";".join(parts)
 
 
-def subtract(counts: Dict[str, int],
-             baseline: Dict[str, int]) -> Dict[str, int]:
-    """``counts - baseline`` per stack, dropping empty rows."""
-    delta = {}
-    for stack, n in counts.items():
-        d = n - baseline.get(stack, 0)
-        if d > 0:
-            delta[stack] = d
-    return delta
-
-
-def merge_counts(into: Dict[str, int], other: Dict[str, int],
-                 prefix: Optional[str] = None) -> Dict[str, int]:
-    """Fold ``other`` into ``into`` (mutated and returned), optionally
-    re-rooting every stack under ``prefix``."""
-    for stack, n in other.items():
-        key = f"{prefix};{stack}" if prefix else stack
-        into[key] = into.get(key, 0) + n
-    return into
-
-
 def render_folded(counts: Dict[str, int]) -> str:
     """Collapsed flamegraph text: one ``stack count`` line per stack,
     heaviest first (ties broken lexically for determinism)."""
@@ -112,12 +91,6 @@ class SamplingProfiler:
     @property
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
-
-    def retarget(self, thread_id: Optional[int] = None) -> None:
-        """Point the sampler at another thread (default: the calling
-        one)."""
-        self._target = (thread_id if thread_id is not None
-                        else threading.get_ident())
 
     def add_follower(self, thread_id: int) -> None:
         with self._lock:
@@ -225,8 +198,6 @@ __all__ = [
     "DEFAULT_INTERVAL",
     "SamplingProfiler",
     "follow",
-    "merge_counts",
     "render_folded",
-    "subtract",
     "track",
 ]

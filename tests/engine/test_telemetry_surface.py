@@ -114,3 +114,7 @@ class TestJsonAndRoundTrip:
         payload = json.loads(capsys.readouterr().out)
         assert "executor" in payload
         assert_shape(payload["executor"])
+        # built products and FD-implied children are billed apart
+        phases = payload["executor"]["phases"]
+        assert phases["products"]["tasks"] > 0
+        assert phases["products-implied"]["tasks"] > 0

@@ -1,4 +1,4 @@
-"""The sampling profiler: folding, merging, the sampler thread, and
+"""The sampling profiler: folding, the sampler thread, and
 the threads that follow a tracked profiler (the pool's shares)."""
 
 from __future__ import annotations
@@ -12,25 +12,6 @@ from repro.obs.profiler import SamplingProfiler
 
 
 class TestFolding:
-    def test_subtract_drops_unchanged_stacks(self):
-        counts = {"a;b": 5, "a;c": 2, "d": 1}
-        baseline = {"a;b": 3, "a;c": 2}
-        assert profiler.subtract(counts, baseline) == {"a;b": 2, "d": 1}
-
-    def test_subtract_never_goes_negative(self):
-        assert profiler.subtract({"a": 1}, {"a": 9}) == {}
-
-    def test_merge_counts_accumulates(self):
-        into = {"a": 1}
-        out = profiler.merge_counts(into, {"a": 2, "b": 3})
-        assert out is into
-        assert into == {"a": 3, "b": 3}
-
-    def test_merge_counts_prefix_reroots(self):
-        into = {}
-        profiler.merge_counts(into, {"x;y": 4}, prefix="worker")
-        assert into == {"worker;x;y": 4}
-
     def test_render_folded_heaviest_first(self):
         text = profiler.render_folded({"a;b": 1, "c": 9, "a;a": 1})
         assert text.splitlines() == ["c 9", "a;a 1", "a;b 1"]
@@ -80,7 +61,7 @@ class TestSampler:
         assert frames[-2].endswith("test_stack_is_root_first")
         assert len(frames) > 2          # callers fold in above it
 
-    def test_retarget_samples_other_thread(self):
+    def test_thread_id_samples_other_thread(self):
         ready = threading.Event()
         done = threading.Event()
         idents = {}
@@ -93,8 +74,7 @@ class TestSampler:
         thread = threading.Thread(target=parked, daemon=True)
         thread.start()
         assert ready.wait(timeout=5.0)
-        prof = SamplingProfiler()
-        prof.retarget(idents["id"])
+        prof = SamplingProfiler(thread_id=idents["id"])
         prof.sample_once()
         done.set()
         thread.join(timeout=5.0)
