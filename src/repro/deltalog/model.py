@@ -27,9 +27,9 @@ Those rules live in one resolver loop (:func:`_resolve`);
 :meth:`DeltaBatch.split`, :meth:`DeltaBatch.fold`,
 :meth:`DeltaBatch.apply_to` and :func:`replay_relation` are views of
 it.  :meth:`DeltaBatch.fold` is the one pure fold: it resolves a batch
-once and keeps every stage (resolved indices, surviving inserts, the
-post-delete and final relations), so a caller can fingerprint the
-result, log it, and hand the same fold to the incremental engine.
+once and keeps the resolved indices, the surviving inserts and the
+final relation, so a caller can fingerprint the result, log it, and
+hand the same fold to the incremental engine.
 
 Values match as the encoder ranks them: two cells match when
 :func:`repro.relation.encoding.sort_key` gives them equal keys, that
@@ -97,20 +97,16 @@ class DeltaFold(NamedTuple):
     (:meth:`DeltaBatch.fold`).
 
     ``deletes`` are the sorted indices of the ``base`` rows removed,
-    ``kept`` the surviving ones as an ``int64`` array (all of ``base``
-    when nothing was deleted), ``inserts`` the surviving insert rows
-    in op order.
-    ``after_deletes`` is ``base`` without ``deletes`` and ``relation``
-    is ``after_deletes`` plus ``inserts``: the relation after the
-    batch.  Relations derived from an encoded ``base`` carry derived
-    encodings, so fingerprinting or adopting them re-encodes nothing.
+    ``inserts`` the surviving insert rows in op order, and
+    ``relation`` is ``base`` without ``deletes`` plus ``inserts``: the
+    relation after the batch.  A relation derived from an encoded
+    ``base`` carries a derived encoding, so fingerprinting or adopting
+    it re-encodes nothing.
     """
 
     base: Relation
     deletes: List[int]
     inserts: List[tuple]
-    kept: np.ndarray
-    after_deletes: Relation
     relation: Relation
 
 
@@ -252,13 +248,9 @@ class DeltaBatch:
         (pure: ``relation`` is untouched)."""
         deletes, inserts = self.split(relation)
         after_deletes = relation.drop_rows(deletes) if deletes else relation
-        survives = np.ones(relation.n_rows, dtype=bool)
-        survives[deletes] = False
-        kept = np.flatnonzero(survives)
         final = (after_deletes.append_rows(inserts) if inserts
                  else after_deletes)
-        return DeltaFold(relation, deletes, inserts, kept, after_deletes,
-                         final)
+        return DeltaFold(relation, deletes, inserts, final)
 
     def apply_to(self, relation: Relation) -> Relation:
         """The relation after this batch (pure; no engine state)."""

@@ -29,6 +29,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro import kernels
 from repro.core.candidates import (
     LatticeNode,
     context_names,
@@ -164,10 +165,11 @@ class LatticePlanner:
         current = backend.first_level()
         before_previous: Dict[int, LatticeNode] = {}
 
+        max_level = config.max_level
         level = 1
-        while current:
-            if config.max_level is not None and level > config.max_level:
-                break
+        # the loop test only stops a cap below 1; any other cap stops
+        # below, before the products of the level above it
+        while current and (max_level is None or level <= max_level):
             stats = LevelStats(level=level, n_nodes=len(current))
             level_started = time.perf_counter()
             with trace.span("level", level=level,
@@ -194,6 +196,8 @@ class LatticePlanner:
             _LEVEL_SECONDS.observe(stats.seconds)
             if timed_out:
                 result.timed_out = True
+                break
+            if level == max_level:
                 break
 
             with trace.span("products", level=level + 1):
@@ -355,10 +359,13 @@ class PartitionBackend(TraversalBackend):
             cc=full_mask, cs=set())
 
     def first_level(self) -> Dict[int, LatticeNode]:
-        return {
-            1 << a: LatticeNode(1 << a, self._attribute_partition(a))
-            for a in range(self._relation.arity)
-        }
+        # level 1's rank sorts run here, not in an executor batch, so
+        # they activate the executor's pinned kernel backend themselves
+        with kernels.activate(self._executor.kernel_backend):
+            return {
+                1 << a: LatticeNode(1 << a, self._attribute_partition(a))
+                for a in range(self._relation.arity)
+            }
 
     def _attribute_partition(self, attribute: int) -> StrippedPartition:
         if self._cache is not None:

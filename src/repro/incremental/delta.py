@@ -15,7 +15,7 @@ an O(n log n) sort for each mask; this module maintains them instead:
 * :class:`DeltaPartition` — a materialized Π*_X kept current by
   splicing each batch into the CSR rows/offsets layout
   (:func:`repro.partitions.partition.merge_batch`) instead of
-  re-sorting, tracking which classes grew.
+  re-sorting.
 
 Stable ids bottom out in the encoding layer: a value's ``gid`` is its
 first-appearance id (:class:`repro.relation.encoding.ColumnKeys`),
@@ -25,7 +25,7 @@ new values between existing ones.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -48,28 +48,21 @@ class BatchEffect:
     were already classes (size >= 2).  ``new_groups`` — ``(gid, rows)``
     per newly *formed* class: either an old singleton promoted by
     matching batch rows (its original row leads) or a fresh group with
-    two or more batch rows.  ``batch_gids`` — every batch row's group
-    id, in batch order.
+    two or more batch rows.
 
     ``new_groups`` is built on first read: only a materialized
     :class:`DeltaPartition` splices the formed classes in, and most
     synced groupings have none.
     """
 
-    __slots__ = ("mask", "batch_rows", "batch_gids", "join_rows",
-                 "join_gids", "_formed", "_new_groups")
+    __slots__ = ("join_rows", "join_gids", "_formed", "_new_groups")
 
-    def __init__(self, mask: int, batch_rows: np.ndarray,
-                 batch_gids: np.ndarray, join_rows: np.ndarray,
-                 join_gids: np.ndarray,
+    def __init__(self, join_rows: np.ndarray, join_gids: np.ndarray,
                  formed: Tuple[np.ndarray, np.ndarray, np.ndarray,
                                np.ndarray, np.ndarray]):
         """``formed`` is ``(gids, leads, rows, starts, stops)``: per
         newly formed class its gid, the promoted singleton's row (-1
         for a fresh group) and its batch rows ``rows[start:stop]``."""
-        self.mask = mask
-        self.batch_rows = batch_rows
-        self.batch_gids = batch_gids
         self.join_rows = join_rows
         self.join_gids = join_gids
         self._formed = formed
@@ -106,14 +99,13 @@ class GroupTracker:
     superkey test stay O(1) without materializing the partition.
     """
 
-    __slots__ = ("mask", "group_of", "sizes", "first_row", "n_groups",
+    __slots__ = ("group_of", "sizes", "first_row", "n_groups",
                  "n_classes", "n_grouped_rows", "_keys_sorted",
                  "_gid_for_key")
 
-    def __init__(self, mask: int, group_of: np.ndarray, n_groups: int,
+    def __init__(self, group_of: np.ndarray, n_groups: int,
                  keys_sorted: Optional[np.ndarray] = None,
                  gid_for_key: Optional[np.ndarray] = None):
-        self.mask = mask
         self.group_of = group_of
         self.n_groups = n_groups
         self.sizes = np.bincount(group_of, minlength=n_groups) \
@@ -134,23 +126,23 @@ class GroupTracker:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_gids(cls, mask: int, gids: np.ndarray) -> "GroupTracker":
+    def from_gids(cls, gids: np.ndarray) -> "GroupTracker":
         """Tracker over a dense, stable gid column.
 
         Covers the two base cases: a single attribute (the encoder's
         value gids) and the empty set (all-zero gids).
         """
         n_groups = int(gids.max()) + 1 if len(gids) else 0
-        return cls(mask, gids.astype(np.int64, copy=True), n_groups)
+        return cls(gids.astype(np.int64, copy=True), n_groups)
 
     @classmethod
-    def combine(cls, mask: int, parent: "GroupTracker",
+    def combine(cls, parent: "GroupTracker",
                 attr_gids: np.ndarray) -> "GroupTracker":
         """Tracker for ``X`` from ``X``-minus-lowest and that
         attribute's value gids (the structural recursion)."""
         keys = (parent.group_of << _PAIR_SHIFT) | attr_gids
         keys_sorted, group_of = np.unique(keys, return_inverse=True)
-        return cls(mask, group_of.astype(np.int64, copy=False),
+        return cls(group_of.astype(np.int64, copy=False),
                    len(keys_sorted), keys_sorted,
                    np.arange(len(keys_sorted), dtype=np.int64))
 
@@ -287,9 +279,9 @@ class GroupTracker:
         self.n_grouped_rows += grouped_delta
         self.n_classes += classes_delta
 
-        return BatchEffect(self.mask, batch_rows, gids, join_rows,
-                           join_gids, (formed_gids, leads, sorted_rows,
-                                       starts[formed], bounds[formed + 1]))
+        return BatchEffect(join_rows, join_gids,
+                           (formed_gids, leads, sorted_rows,
+                            starts[formed], bounds[formed + 1]))
 
 
 class DeltaPartition:
@@ -299,11 +291,10 @@ class DeltaPartition:
     maintained by translating each :class:`BatchEffect` into a
     :func:`merge_batch` splice.  ``class_gids[c]`` is the stable group
     id of CSR class ``c`` (class ids are append-only, mirroring the
-    kernel's contract), and ``last_grew`` flags the classes the latest
-    batch touched — the classes incremental validation re-examines.
+    kernel's contract).
     """
 
-    __slots__ = ("tracker", "partition", "class_gids", "last_grew")
+    __slots__ = ("tracker", "partition", "class_gids")
 
     def __init__(self, tracker: GroupTracker):
         self.tracker = tracker
@@ -318,7 +309,6 @@ class DeltaPartition:
             self.partition = StrippedPartition.from_flat(
                 rows, offsets, tracker.n_rows)
             self.class_gids = tracker.group_of[rows[offsets[:-1]]]
-        self.last_grew = np.zeros(len(self.class_gids), dtype=bool)
 
     def class_of_gid(self) -> np.ndarray:
         """gid -> CSR class id (-1 for singleton/absent gids)."""
@@ -333,10 +323,9 @@ class DeltaPartition:
         if not effect.touches_classes:
             self.partition = StrippedPartition.from_flat(
                 self.partition.rows, self.partition.offsets, n_rows)
-            self.last_grew = np.zeros(len(self.class_gids), dtype=bool)
             return
         join_classes = self.class_of_gid()[effect.join_gids]
-        self.partition, self.last_grew = merge_batch(
+        self.partition = merge_batch(
             self.partition, n_rows, effect.join_rows, join_classes,
             [rows for _, rows in effect.new_groups])
         if effect.new_groups:
@@ -345,12 +334,3 @@ class DeltaPartition:
                  np.fromiter((gid for gid, _ in effect.new_groups),
                              dtype=np.int64,
                              count=len(effect.new_groups))))
-
-    def grown_classes(self) -> Sequence[Tuple[int, np.ndarray]]:
-        """(gid, rows) of every class the last batch touched."""
-        offsets = self.partition.offsets
-        rows = self.partition.rows
-        return [
-            (int(self.class_gids[c]), rows[offsets[c]:offsets[c + 1]])
-            for c in np.flatnonzero(self.last_grew)
-        ]

@@ -1,4 +1,4 @@
-"""Incremental FASTOD: keep the discovered OD set fresh under appends.
+"""Incremental FASTOD: keep the discovered OD set fresh under row changes.
 
 A from-scratch FASTOD run re-sorts every partition and re-scans every
 candidate even though an appended batch can only *shrink* the set of
@@ -6,7 +6,8 @@ valid ODs (a violating tuple pair, once present, never goes away).
 :class:`IncrementalFastOD` exploits that monotonicity:
 
 * **verdicts are monotone** — a refuted candidate (FD or OCD) stays
-  refuted forever, so False verdicts are cached and never re-examined;
+  refuted under appends, so False verdicts are cached and never
+  re-examined;
 * **held ODs are maintained, not re-discovered** — every emitted FD is
   re-checked per batch through O(1) maintained partition measures
   (``e(X \\ A) = e(X)`` off :class:`repro.incremental.delta.GroupTracker`
@@ -30,22 +31,16 @@ valid ODs (a violating tuple pair, once present, never goes away).
 Every row change enters through :meth:`IncrementalFastOD.apply_delta`
 as a weighted :class:`~repro.deltalog.DeltaBatch` (an append is an
 insert-only batch) or as that batch's :class:`~repro.deltalog.DeltaFold`
-— the engine adopts the fold's post-delete and final relations rather
-than re-deriving them, so a caller that already folded a batch (to
-fingerprint and log it first) pays for the fold once.  Deletes are the
-*dual* of appends: removing rows can never create a violating or
-swapped pair, so every **True** verdict survives a retraction, and a
-**False** verdict survives exactly when its *witness* — the concrete
-violating or swapped row pair, recorded lazily just before the first
-retraction that needs it — is untouched by the deletion (a violation
-is a property of its two rows alone).  A delete-only batch retracts and
-re-traverses: held FD keys are kept verbatim, held OCD keys move to a
-scan-free reseed set, witnessed False verdicts are remapped, and only
-witnessless False verdicts re-validate (demoted OCDs whose violating
-rows are gone come back).  A mixed batch folds deletes and inserts
-into the snapshot together and traverses *once* over the final
-relation, trading the reseed trust (only sound pre-insert) for plain
-re-scans of the handful of held OCDs.
+— the engine adopts the fold's final relation rather than re-deriving
+it, so a caller that already folded a batch (to fingerprint and log it
+first) pays for the fold once.  Deletes break the monotonicity: a
+removed row can take the only violating pair of any False verdict with
+it.  So a batch that deletes rows, alone or beside inserts, runs FASTOD
+from scratch over the new relation
+(:meth:`IncrementalFastOD._rediscover`: the shared planner over
+FASTOD's own :class:`~repro.engine.PartitionBackend`) and records
+every verdict it decides as the caches the next append starts from.
+Construction is the same rediscovery.
 
 After every batch the engine's FD/OCD sets are identical to what a
 from-scratch run on the current relation would produce (the
@@ -62,14 +57,13 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro import kernels
 from repro.core.candidates import LatticeNode
 from repro.core.fastod import FastOD, FastODConfig
-from repro.core.validation import find_split, find_swap
 from repro.core.results import DiscoveryResult, diff_results
 from repro.engine.budget import DeadlineBudget
 from repro.engine.executors import SerialExecutor
-from repro.engine.planner import LatticePlanner, TraversalBackend
+from repro.engine.planner import (LatticePlanner, PartitionBackend,
+                                  TraversalBackend)
 from repro.engine.tasks import FdCheckTask, OcdScanTask
 from repro.engine.telemetry import build_timings
 from repro.incremental.delta import BatchEffect, DeltaPartition, GroupTracker
@@ -155,38 +149,19 @@ class IncrementalFastOD:
         self._names = self._encoded.names
         self._arity = self._encoded.arity
         self._full_mask = (1 << self._arity) - 1
-        keys = self._encoded.keys
-        self._col_gids: List[np.ndarray] = [
-            keys[a].gid_sorted[self._encoded.ranks[a]]
-            if len(keys[a].gid_sorted) else np.empty(0, dtype=np.int64)
-            for a in range(self._arity)
-        ]
+        # per-snapshot state, (re)built by every rediscovery: stable
+        # value gids per column, the trackers and delta partitions
+        # built from them, and the verdict caches.  False is permanent
+        # under appends; True holds for the current snapshot and puts
+        # its context chain on the per-batch sync schedule, whose
+        # effects say which verdicts to re-check
+        self._col_gids: List[np.ndarray] = []
         self._trackers: Dict[int, GroupTracker] = {}
         self._delta_partitions: Dict[int, DeltaPartition] = {}
-        # verdict caches: False is permanent, True holds for the
-        # current snapshot and puts its context chain on the per-batch
-        # sync schedule, whose effects say which verdicts to re-check
         self._fd_true: Set[FdKey] = set()
         self._fd_false: Set[FdKey] = set()
         self._ocd_true: Set[OcdKey] = set()
         self._ocd_false: Set[OcdKey] = set()
-        #: witness row pairs behind False verdicts — two physical rows
-        #: whose violating/swapped pair refutes the candidate.  A
-        #: violation is row-local (the pair agrees on the context and
-        #: conflicts on the target regardless of every other row), so
-        #: under a retraction a False verdict whose witness rows both
-        #: survive is still exactly False and skips its re-check.
-        #: Capture is deferred to the first retraction that needs it
-        #: (:meth:`_retract` backfills unwitnessed False keys before
-        #: rows drop) so append-only streams never pay for it;
-        #: verdicts whose witness rows die re-validate on next consult
-        self._fd_witness: Dict[FdKey, Tuple[int, int]] = {}
-        self._ocd_witness: Dict[OcdKey, Tuple[int, int]] = {}
-        #: OCD keys known True for the post-retraction snapshot (a
-        #: retraction cannot create a swap) that the next traversal
-        #: re-admits without a scan; admitting one syncs its context
-        #: tracker, so the next batch's effect on it is caught
-        self._ocd_reseed: Set[OcdKey] = set()
         self._live_ocds: Set[OcdKey] = set()
         self._needed_masks: List[int] = []
         self._batch_effects: Dict[int, BatchEffect] = {}
@@ -195,7 +170,7 @@ class IncrementalFastOD:
         # walk each: they run on the coordinator at any worker count
         self._executor = SerialExecutor(
             self._encoded, kernel_backend=config.kernel_backend)
-        self._result = self._traverse()
+        self._result = self._rediscover()
         if self._verify:
             self._check_against_oracle(self._result)
 
@@ -245,16 +220,10 @@ class IncrementalFastOD:
         :class:`~repro.deltalog.DeltaFold` over :attr:`relation`, and
         refresh the discovered set.
 
-        A delete-only batch retracts and re-traverses against the
-        salvaged verdicts: True FDs kept verbatim, True OCDs reseeded
-        scan-free, False verdicts kept exactly when their witness pair
-        of violating rows survives (some flip back True now that the
-        violating rows are gone, re-promoting demoted OCDs).  An
-        insert-only batch rides the append fast path.  A mixed batch
-        folds both sides into the snapshot first and traverses *once*
-        over the final relation — the intermediate post-delete result
-        is never materialized (held OCDs re-validate by scan there,
-        since reseed trust only holds before the inserts land).
+        An insert-only batch rides the append fast path.  A batch that
+        deletes rows, delete-only or mixed, adopts the fold's final
+        relation and rediscovers from scratch (:meth:`_rediscover`):
+        any False verdict may flip back once rows leave.
         """
         # imported here: discovery-only processes (the CLI) never load
         # the delta log package
@@ -273,15 +242,13 @@ class IncrementalFastOD:
             return BatchReport(
                 self._n_batches, 0, self._encoded.n_rows,
                 seconds=time.perf_counter() - started, result=previous)
-        retraversed = False
         if fold.deletes:
-            # with inserts following, the post-delete snapshot is
-            # never consulted: fold both sides in, traverse once
-            self._retract(fold, traverse=not fold.inserts)
+            self._relation = fold.relation
+            self._encoded = fold.relation.encode()
+            self._result = self._rediscover()
             retraversed = True
-        if fold.inserts:
-            retraversed = self._apply_inserts(
-                fold.relation, force_traverse=retraversed)
+        else:
+            retraversed = self._apply_inserts(fold.relation)
         if self._verify:
             self._check_against_oracle(self._result)
 
@@ -296,17 +263,17 @@ class IncrementalFastOD:
             result=self._result,
             n_deleted=len(fold.deletes))
 
-    def _apply_inserts(self, relation: Relation,
-                       force_traverse: bool = False) -> bool:
+    def _apply_inserts(self, relation: Relation) -> bool:
         """The append fast path: adopt ``relation`` (the snapshot
         grown by rows appended at its end), sync the schedule, demote
         flipped verdicts, re-traverse only if anything flipped.  Sets
-        ``self._result``; returns whether a traversal ran.
-
-        ``force_traverse`` is the second half of a combined
-        delete+insert batch: the retraction skipped its traversal, so
-        one must run here regardless of flips."""
+        ``self._result``; returns whether a traversal ran."""
         previous = self._result
+        # a rediscovery builds no trackers: build the schedule's over
+        # the pre-append snapshot, so that syncing them below records
+        # this batch's effect on every held OCD's context
+        for mask in self._needed_masks:
+            self._tracker(mask)
         n_old = self._relation.n_rows
         encoded = relation.encode()
         self._relation = relation
@@ -324,80 +291,12 @@ class IncrementalFastOD:
         ocd_flipped = self._demote_ocds()
         fd_flipped = self._demote_fds()
 
-        retraversed = (force_traverse or bool(ocd_flipped)
-                       or bool(fd_flipped))
+        retraversed = bool(ocd_flipped) or bool(fd_flipped)
         if retraversed:
             self._result = self._traverse()
         else:
             self._result = self._carry_result(previous)
         return retraversed
-
-    def _retract(self, fold: "DeltaFold", traverse: bool = True) -> None:
-        """Adopt the fold's post-delete snapshot and (by default)
-        re-establish an exact result for it.
-
-        Deletes preserve truth: removing rows cannot create a
-        violating pair (FD) or a swap (OCD), so held FD keys are kept
-        verbatim and held OCD keys move to ``_ocd_reseed`` — still
-        True, re-admitted without a scan on next consult, which also
-        syncs their context trackers, rebuilt over the re-encoded
-        snapshot.  False verdicts survive exactly when their recorded
-        witness pair does (:meth:`_salvage_false`): a split or swap is
-        a property of the two rows alone, so if both rows are kept the
-        verdict still holds — demoted OCDs whose violating rows are
-        gone come back.  Trackers and delta partitions rebuild lazily
-        from the new snapshot.
-
-        ``traverse=False`` is the combined delete+insert path: the
-        caller folds insert rows in next and traverses once over the
-        final snapshot.  Reseed trust ("a retraction cannot break an
-        OCD") is only sound over the *post-delete* snapshot, so in
-        this mode held OCD keys are simply forgotten and re-validated
-        by scan during the final traversal.
-        """
-        # witness backfill happens here, not at falsification time:
-        # append-only workloads never pay for it, and the pre-delete
-        # snapshot still holds every violating pair a False verdict
-        # was refuted on.  Its kernels run outside the executor, so
-        # they activate the config's backend themselves
-        with kernels.activate(self._config.kernel_backend):
-            for fd_key in self._fd_false:
-                if fd_key not in self._fd_witness:
-                    self._witness_fd(*fd_key)
-            for ocd_key in self._ocd_false:
-                if ocd_key not in self._ocd_witness:
-                    self._witness_ocd(*ocd_key)
-        kept = fold.kept
-        n_old = self._relation.n_rows
-        relation = fold.after_deletes
-        encoded = relation.encode()
-        self._relation = relation
-        self._encoded = encoded
-        keys = encoded.keys
-        self._col_gids = [
-            keys[a].gid_sorted[encoded.ranks[a]]
-            if len(keys[a].gid_sorted) else np.empty(0, dtype=np.int64)
-            for a in range(self._arity)
-        ]
-        self._trackers = {}
-        self._delta_partitions = {}
-        self._batch_effects = {}
-        if traverse:
-            self._ocd_reseed.update(self._ocd_true)
-        self._ocd_true = set()
-        new_index = np.full(n_old, -1, dtype=np.int64)
-        new_index[kept] = np.arange(len(kept), dtype=np.int64)
-        self._fd_false = self._salvage_false(
-            self._fd_false, self._fd_witness, new_index)
-        self._ocd_false = self._salvage_false(
-            self._ocd_false, self._ocd_witness, new_index)
-        if traverse:
-            self._executor.rebase(encoded)
-            self._result = self._traverse()
-        else:
-            # held OCD keys are gone; trim the per-batch schedule to
-            # the FD chains before the insert half syncs it
-            self._rebuild_schedule()
 
     # ------------------------------------------------------------------
     # tracked state
@@ -409,17 +308,16 @@ class IncrementalFastOD:
         if tracker is None:
             if mask == 0:
                 tracker = GroupTracker.from_gids(
-                    0, np.zeros(self._encoded.n_rows, dtype=np.int64))
+                    np.zeros(self._encoded.n_rows, dtype=np.int64))
             else:
                 low = mask & -mask
                 attribute = low.bit_length() - 1
                 if mask == low:
                     tracker = GroupTracker.from_gids(
-                        mask, self._col_gids[attribute])
+                        self._col_gids[attribute])
                 else:
                     tracker = GroupTracker.combine(
-                        mask, self._sync(mask ^ low),
-                        self._col_gids[attribute])
+                        self._sync(mask ^ low), self._col_gids[attribute])
             self._trackers[mask] = tracker
         return tracker
 
@@ -494,8 +392,8 @@ class IncrementalFastOD:
 
     def _demote_ocds(self) -> List[OcdKey]:
         """Re-check every held OCD whose context classes the batch
-        touched, with one swap scan over the context; violators are
-        demoted permanently.  A batch whose rows all stay singletons
+        touched, with one swap scan over the context; violators stay
+        demoted under appends.  A batch whose rows all stay singletons
         in the context cannot form a swap, so it costs nothing."""
         flipped: List[OcdKey] = []
         for key in list(self._ocd_true):
@@ -509,49 +407,6 @@ class IncrementalFastOD:
                 self._ocd_false.add(key)
                 flipped.append(key)
         return flipped
-
-    def _witness_fd(self, ctx_mask: int, node_mask: int) -> None:
-        """Record the violating row pair behind a False FD (called
-        lazily from :meth:`_retract`, just before rows drop)."""
-        attr = (node_mask ^ ctx_mask).bit_length() - 1
-        split = find_split(self._encoded.column(attr),
-                           self._delta(ctx_mask).partition,
-                           self._names[attr])
-        if split is not None:
-            self._fd_witness[(ctx_mask, node_mask)] = (
-                split.row_s, split.row_t)
-
-    def _witness_ocd(self, ctx_mask: int, a: int, b: int) -> None:
-        """Record the swapped row pair behind a False OCD (called
-        lazily from :meth:`_retract`, just before rows drop)."""
-        swap = find_swap(self._encoded.column(a),
-                         self._encoded.column(b),
-                         self._delta(ctx_mask).partition,
-                         self._names[a], self._names[b],
-                         self._encoded.order(a))
-        if swap is not None:
-            self._ocd_witness[(ctx_mask, a, b)] = (
-                swap.row_s, swap.row_t)
-
-    @staticmethod
-    def _salvage_false(false_keys: Set, witnesses: Dict,
-                       new_index: np.ndarray) -> Set:
-        """False verdicts surviving a retraction: exactly those whose
-        witness pair survives (remapped to post-delete row indices).
-        Witnessless entries drop out and re-validate on next consult."""
-        survivors = set()
-        for key in false_keys:
-            pair = witnesses.get(key)
-            if pair is None:
-                continue
-            row_s = int(new_index[pair[0]])
-            row_t = int(new_index[pair[1]])
-            if row_s >= 0 and row_t >= 0:
-                witnesses[key] = (row_s, row_t)
-                survivors.add(key)
-            else:
-                del witnesses[key]
-        return survivors
 
     # ------------------------------------------------------------------
     # validation against the caches
@@ -589,9 +444,9 @@ class IncrementalFastOD:
     def _ocd_valid(self, ctx_mask: int, a: int, b: int) -> bool:
         """``X \\ {A,B}: A ~ B`` with verdict caching.
 
-        False verdicts are permanent; True verdicts were re-checked
-        against every batch by :meth:`_demote_ocds`, so they are still
-        exact.  Only candidates never seen before pay a scan.
+        False verdicts are permanent under appends; True verdicts were
+        re-checked against every batch by :meth:`_demote_ocds`, so they
+        are still exact.  Only candidates never seen before pay a scan.
         """
         key = (ctx_mask, a, b)
         if key in self._ocd_false:
@@ -599,13 +454,7 @@ class IncrementalFastOD:
         if key in self._ocd_true:
             self._live_ocds.add(key)
             return True
-        tracker = self._sync(ctx_mask)
-        if key in self._ocd_reseed:
-            # known True for this snapshot (a retraction cannot break
-            # an OCD) — no scan
-            self._ocd_reseed.discard(key)
-            valid = True
-        elif tracker.is_superkey():
+        if self._sync(ctx_mask).is_superkey():
             valid = True        # no stripped classes to scan (Lemma 13)
         else:
             valid = self._scan_compatible(
@@ -618,33 +467,55 @@ class IncrementalFastOD:
         return valid
 
     # ------------------------------------------------------------------
-    # the level-wise sweep (the shared planner against the caches)
+    # the level-wise sweep (the shared planner)
     # ------------------------------------------------------------------
+    def _rediscover(self) -> DiscoveryResult:
+        """FASTOD from scratch over the current snapshot, refilling
+        every verdict cache (construction and every batch that deletes
+        rows).
+
+        The sweep runs over FASTOD's own partition backend on the
+        engine's executor (:class:`_RecordingBackend`), which records
+        each FD and OCD verdict it decides.  Trackers and delta
+        partitions start empty and are built on first use."""
+        encoded = self._encoded
+        keys = encoded.keys
+        self._col_gids = [
+            keys[a].gid_sorted[encoded.ranks[a]]
+            if len(keys[a].gid_sorted) else np.empty(0, dtype=np.int64)
+            for a in range(self._arity)
+        ]
+        self._trackers = {}
+        self._delta_partitions = {}
+        self._batch_effects = {}
+        self._fd_true, self._fd_false = set(), set()
+        self._ocd_true, self._ocd_false = set(), set()
+        self._executor.rebase(encoded)
+        result = self._plan(_RecordingBackend(self))
+        self._rebuild_schedule()
+        return result
+
     def _traverse(self) -> DiscoveryResult:
-        config = self._config
+        """The sweep against the verdict caches (an insert-only batch
+        that flipped a verdict)."""
         emitted_fds: Set[FdKey] = set()
         self._live_ocds = set()
-        planner = LatticePlanner(
-            self._names, config, _CacheBackend(self, emitted_fds),
-            DeadlineBudget.unlimited(),
-            algorithm=("FASTOD-Incremental" if config.minimality_pruning
-                       else "FASTOD-Incremental-NoPruning"),
-            n_rows=self._encoded.n_rows)
-        result = planner.run()
-
+        result = self._plan(_CacheBackend(self, emitted_fds))
         # verdicts the sweep no longer consults stop being maintained;
         # if invalidations ever re-open that part of the lattice, they
         # are simply re-validated from the then-current snapshot
         self._fd_true = emitted_fds
         self._ocd_true &= self._live_ocds
-        # reseed entries the sweep never consulted fall out of the
-        # lattice the planner walks; dropping them is safe (they would
-        # be re-validated from scratch if pruning ever re-opens them)
-        # and required — a later *insert* batch could silently break a
-        # verdict nobody re-checks
-        self._ocd_reseed.clear()
         self._rebuild_schedule()
         return result
+
+    def _plan(self, backend: TraversalBackend) -> DiscoveryResult:
+        config = self._config
+        return LatticePlanner(
+            self._names, config, backend, DeadlineBudget.unlimited(),
+            algorithm=("FASTOD-Incremental" if config.minimality_pruning
+                       else "FASTOD-Incremental-NoPruning"),
+            n_rows=self._encoded.n_rows).run()
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -692,10 +563,10 @@ class _CacheBackend(TraversalBackend):
     comes from :meth:`IncrementalFastOD._fd_valid` /
     :meth:`IncrementalFastOD._ocd_valid`, which consult the permanent
     False caches, the maintained True verdicts, and — only for
-    never-seen candidates — the delta-maintained partitions.  The
-    planner still owns every candidate-set mutation and the emission
-    order, so the per-batch re-traversal is byte-identical to what the
-    old inlined sweep produced.
+    never-seen candidates — the delta-maintained partitions.  It
+    serves only the re-traversals of insert-only batches.  The planner
+    still owns every candidate-set mutation and the emission order, so
+    such a re-traversal is byte-identical to a from-scratch run.
     """
 
     def __init__(self, engine: IncrementalFastOD,
@@ -736,3 +607,32 @@ class _CacheBackend(TraversalBackend):
     def finish(self, result: DiscoveryResult) -> None:
         result.executor_stats = \
             self._engine._executor.telemetry.snapshot()
+
+
+class _RecordingBackend(PartitionBackend):
+    """FASTOD's partition backend on the engine's executor (so
+    ``FastODConfig.kernel_backend`` pins its kernels), recording every
+    verdict it decides into the engine's caches: a rediscovery."""
+
+    def __init__(self, engine: IncrementalFastOD):
+        super().__init__(engine._encoded, engine._config,
+                         engine._executor, DeadlineBudget.unlimited())
+        self._engine = engine
+
+    def fd_verdict(self, task: FdCheckTask, node: LatticeNode,
+                   previous: Dict[int, LatticeNode]) -> bool:
+        valid = super().fd_verdict(task, node, previous)
+        engine = self._engine
+        (engine._fd_true if valid else engine._fd_false).add(
+            (task.context_mask, task.node_mask))
+        return valid
+
+    def ocd_verdicts(self, level: int, tasks: List[OcdScanTask],
+                     before_previous: Dict[int, LatticeNode]):
+        verdicts, timed_out = super().ocd_verdicts(level, tasks,
+                                                   before_previous)
+        engine = self._engine
+        for task, valid in verdicts.items():
+            (engine._ocd_true if valid else engine._ocd_false).add(
+                (task.context_mask, task.a, task.b))
+        return verdicts, timed_out

@@ -308,7 +308,8 @@ def value_group_sizes(column: np.ndarray, partition: StrippedPartition):
 
 def merge_batch(partition: StrippedPartition, n_rows: int,
                 join_rows: np.ndarray, join_classes: np.ndarray,
-                new_classes: Sequence[Sequence[int]]):
+                new_classes: Sequence[Sequence[int]]
+                ) -> StrippedPartition:
     """Merge an appended batch into the CSR rows/offsets layout.
 
     The delta-maintenance kernel for append-only workloads: instead of
@@ -322,13 +323,8 @@ def merge_batch(partition: StrippedPartition, n_rows: int,
     rows that matched it — appended after the existing classes in the
     given order.  ``n_rows`` is the grown relation size.
 
-    Returns ``(merged, grew)``: the merged partition and a boolean
-    array over its classes flagging every class that gained rows
-    (existing classes that were joined, plus all the new ones) — the
-    classes incremental validation has to re-examine.
-
     Old class ids are preserved (class ``i`` of ``partition`` is class
-    ``i`` of ``merged``), which is what lets per-class validation state
+    ``i`` of the merged partition), which is what lets per-class validation state
     keyed by class survive the merge.
     """
     old_sizes = partition.class_sizes
@@ -371,10 +367,7 @@ def merge_batch(partition: StrippedPartition, n_rows: int,
         rows[cursor:cursor + len(new_class)] = new_class
         cursor += len(new_class)
 
-    merged = StrippedPartition.from_flat(rows, offsets, n_rows)
-    grew = np.concatenate(
-        (counts > 0, np.ones(len(new_classes), dtype=bool)))
-    return merged, grew
+    return StrippedPartition.from_flat(rows, offsets, n_rows)
 
 
 def partition_from_columns(relation: EncodedRelation,

@@ -14,6 +14,7 @@ from repro.baselines import (
 )
 from repro.core.od import CanonicalFD
 from repro.core.results import diff_results
+from repro.datasets import employees
 from tests.conftest import make_relation, random_relation, small_relations
 
 
@@ -152,6 +153,24 @@ class TestConfig:
         relation = make_relation(2, [(1, 2), (2, 1)])
         result = FastOD(relation, FastODConfig(max_level=1)).run()
         assert max(s.level for s in result.level_stats) == 1
+
+    @pytest.mark.parametrize("max_level, n_products", [(1, 0), (2, 36)])
+    def test_max_level_builds_nothing_above_the_cap(self, max_level,
+                                                    n_products):
+        """The sweep stops before the products of the level above the
+        cap (level 2 of employees' nine attributes holds 36 nodes), and
+        emits the full run's ODs of the levels it reached."""
+        full = FastOD(employees()).run()
+        capped = FastOD(employees(),
+                        FastODConfig(max_level=max_level)).run()
+        products = capped.executor_stats["phases"].get("products", {})
+        assert products.get("tasks", 0) == n_products
+        assert [s.level for s in capped.level_stats] == \
+            list(range(1, max_level + 1))
+        assert capped.fds == [fd for fd in full.fds
+                              if len(fd.context) < max_level]
+        assert capped.ocds == [od for od in full.ocds
+                               if len(od.context) < max_level - 1]
 
 
 class TestStatistics:

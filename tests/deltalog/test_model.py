@@ -170,16 +170,17 @@ class TestFold:
         fold = DeltaBatch([(-1, (2, 2)), (1, (4, 4))]).fold(relation)
         assert fold.base is relation
         assert fold.deletes == [1] and fold.inserts == [(4, 4)]
-        assert list(fold.kept) == [0, 2]
-        assert list(fold.after_deletes.rows()) == [(1, 1), (3, 3)]
         assert list(fold.relation.rows()) == [(1, 1), (3, 3), (4, 4)]
         assert list(relation.rows()) == [(1, 1), (2, 2), (3, 3)]
 
     def test_insert_only_fold_reuses_the_base(self):
         relation = rel([(1, 1)])
         fold = DeltaBatch.inserts([(2, 2)]).fold(relation)
-        assert fold.after_deletes is relation
-        assert list(fold.kept) == [0]
+        assert fold.deletes == []
+        assert list(fold.relation.rows()) == [(1, 1), (2, 2)]
+        # a batch that cancels out folds to the base itself
+        cancelled = DeltaBatch([(1, (2, 2)), (-1, (2, 2))]).fold(relation)
+        assert cancelled.relation is relation
 
     def test_folded_encodings_match_from_scratch(self):
         relation = rel([(3, 1), (1, 2), (2, 2), (1, 1)])
@@ -218,7 +219,6 @@ class TestFold:
         assert (fold.deletes, fold.inserts) == expected
         assert raw_resolver.typed(fold.relation.rows()) == \
             raw_resolver.typed(expected_rows)
-        assert_encoded_like_scratch(fold.after_deletes)
         assert_encoded_like_scratch(fold.relation)
 
     def test_colliding_row_keys_are_checked_exactly(self, monkeypatch):

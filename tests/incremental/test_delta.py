@@ -29,32 +29,29 @@ def make_relation(columns):
 class TestMergeBatch:
     def test_join_and_new_class(self):
         old = StrippedPartition([[0, 1], [2, 3, 4]], 6)
-        merged, grew = merge_batch(
+        merged = merge_batch(
             old, 9, np.array([6]), np.array([0]), [[7, 8]])
         assert merged.classes == [[0, 1, 6], [2, 3, 4], [7, 8]]
-        assert list(grew) == [True, False, True]
         assert merged.n_rows == 9
 
     def test_promoted_singleton_is_a_new_class(self):
         old = StrippedPartition([[0, 1]], 3)       # row 2 is a singleton
-        merged, grew = merge_batch(
+        merged = merge_batch(
             old, 5, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
             [[2, 3, 4]])
         assert merged.classes == [[0, 1], [2, 3, 4]]
-        assert list(grew) == [False, True]
 
     def test_empty_effect_only_grows_n_rows(self):
         old = StrippedPartition([[0, 1]], 2)
-        merged, grew = merge_batch(
+        merged = merge_batch(
             old, 4, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
             [])
         assert merged.classes == old.classes
         assert merged.n_rows == 4
-        assert not grew.any()
 
     def test_old_class_ids_preserved(self):
         old = StrippedPartition([[0, 1], [2, 3], [4, 5]], 6)
-        merged, _ = merge_batch(
+        merged = merge_batch(
             old, 8, np.array([6, 7]), np.array([2, 0]), [])
         assert merged.classes[0] == [0, 1, 7]
         assert merged.classes[1] == [2, 3]
@@ -84,18 +81,17 @@ def build_family(relation):
                 else np.empty(0, dtype=np.int64)
                 for a in range(n_cols)]
     trackers = {0: GroupTracker.from_gids(
-        0, np.zeros(relation.n_rows, dtype=np.int64))}
+        np.zeros(relation.n_rows, dtype=np.int64))}
     masks = sorted(range(1, 2 ** n_cols),
                    key=lambda m: (bin(m).count("1"), m))
     for mask in masks:
         low = mask & -mask
         attribute = low.bit_length() - 1
         if mask == low:
-            trackers[mask] = GroupTracker.from_gids(mask,
-                                                    col_gids[attribute])
+            trackers[mask] = GroupTracker.from_gids(col_gids[attribute])
         else:
             trackers[mask] = GroupTracker.combine(
-                mask, trackers[mask ^ low], col_gids[attribute])
+                trackers[mask ^ low], col_gids[attribute])
     deltas = {mask: DeltaPartition(t) for mask, t in trackers.items()}
     return col_gids, trackers, deltas, [0] + masks
 
@@ -163,31 +159,6 @@ class TestTrackedFamily:
     def test_matches_from_scratch_partitions(self, case):
         relation, batches = case
         apply_stream(relation, batches)
-
-    def test_grew_flags_only_touched_classes(self):
-        relation = make_relation([[1, 1, 2, 3], [5, 5, 6, 7]])
-        col_gids, trackers, deltas, masks = build_family(relation)
-        appended = relation.append_rows([(3, 7), (4, 9)])
-        encoded = appended.encode()
-        for a in range(2):
-            col_gids[a] = np.concatenate((
-                col_gids[a], encoded.keys[a].gid_sorted[
-                    encoded.ranks[a][2 + 2:]]))
-        mask = 0b11
-        # the pair tracker's parent drops the lowest attribute (c0)
-        parent = trackers[0b10]
-        parent.apply_batch(col_gids[1][4:], None)
-        effect = trackers[mask].apply_batch(col_gids[0][4:], parent)
-        deltas[mask].apply(effect)
-        grown = dict(deltas[mask].grown_classes())
-        # (3, 7) promotes the old singleton row 3; (4, 9) stays alone
-        assert len(grown) == 1
-        (rows,) = grown.values()
-        assert sorted(rows.tolist()) == [3, 4]
-        # the untouched (1, 5) class did not grow
-        untouched = [c for c, flag in enumerate(deltas[mask].last_grew)
-                     if not flag]
-        assert untouched
 
     def test_stable_gids_across_rank_shifts(self):
         # appending a value that sorts *between* existing ones shifts

@@ -182,11 +182,11 @@ class TestHeldOcdRecheck:
 
     @pytest.mark.skipif(not kernels.compiled_available(),
                         reason="needs both kernel backends")
-    def test_retraction_witnesses_run_on_the_configured_backend(self):
-        """The witness backfill before a retraction (``find_split``,
-        ``find_swap`` and the τ_A they walk) runs on the pinned
-        backend too.  The fold is computed up front, so only the
-        engine's own kernel calls are counted."""
+    def test_rediscovery_runs_on_the_configured_backend(self):
+        """A delete batch's rediscovery (level 1's rank sorts, the
+        level products and the swap scans) runs on the pinned backend
+        too.  The fold is computed up front, so only the engine's own
+        kernel calls are counted."""
         default = kernels.active_backend_name()
         pinned = "reference" if default == "compiled" else "compiled"
         base, batches = drifting_stream("flight", n_rows=2000, n_attrs=6,
@@ -196,13 +196,30 @@ class TestHeldOcdRecheck:
             append(engine, batch)
         fold = DeltaBatch.deletes(
             list(engine.relation.rows())[:30]).fold(engine.relation)
-        kinds = ("split", "swap", "order")
-        before = {kind: _swap_calls(default, kind) for kind in kinds}
-        pinned_before = _swap_calls(pinned, "split")
+        kinds = ("product", "swap", "order")
+
+        def calls():
+            return {backend: {kind: _swap_calls(backend, kind)
+                              for kind in kinds}
+                    for backend in (default, pinned)}
+
+        before = calls()
         report = engine.apply_delta(fold)
-        assert report.n_deleted == 30
-        assert _swap_calls(pinned, "split") > pinned_before
-        assert {kind: _swap_calls(default, kind) for kind in kinds} == before
+        after = calls()
+        assert report.n_deleted == 30 and report.retraversed
+        assert all(after[pinned][kind] > before[pinned][kind]
+                   for kind in kinds)
+        assert after[default] == before[default]
+
+    def test_append_after_a_delete_rechecks_it(self):
+        """A rediscovery builds no trackers, so the append after it
+        builds the held OCD's context tracker before the rows land
+        and still sees the batch touch its classes."""
+        engine = self._engine()
+        engine.apply_delta(DeltaBatch.deletes([(2, 1, 0)]))
+        assert "{c}: a ~ b" in od_strings(engine.result)
+        report = append(engine, [(0, 3, 1)])    # below b=3 of class c=0
+        assert "{c}: a ~ b" in report.invalidated
 
 
 class TestStreamEquivalence:
