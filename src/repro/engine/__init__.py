@@ -22,7 +22,6 @@ from repro.engine.executors import (
 from repro.engine.planner import (
     LatticePlanner,
     PartitionBackend,
-    TraversalBackend,
     level_partition_bytes,
 )
 from repro.engine.tasks import FdCheckTask, OcdScanTask, ProductTask
@@ -39,7 +38,6 @@ __all__ = [
     "PoolExecutor",
     "ProductTask",
     "SerialExecutor",
-    "TraversalBackend",
     "level_partition_bytes",
     "make_executor",
 ]

@@ -157,7 +157,7 @@ class SerialExecutor:
     def scan_partition(self, mode: str, a: int, b: int,
                        partition: StrippedPartition) -> bool:
         """One whole-partition scan: the verdict of a single
-        dependency (validator, detector, incremental re-check)."""
+        dependency (the validator and the detector)."""
         verdicts, _ = self.run_scans(
             {0: partition}, [(0, 0, mode, a, b)],
             DeadlineBudget.unlimited(), "class-scan")
@@ -296,9 +296,9 @@ class PoolExecutor:
         """On the calling thread, as
         :meth:`SerialExecutor.scan_partition`: one scan walks all of
         τ_A whatever the context's size, so shares would each repeat
-        the walk.  No engine path calls it (the validator, the
-        detector and the incremental engine hold a serial executor);
-        the end-to-end benchmark's probe table looks the name up."""
+        the walk.  No engine path calls it (the validator and the
+        detector hold a serial executor); the end-to-end benchmark's
+        probe table looks the name up."""
         return self._serial.scan_partition(mode, a, b, partition)
 
 

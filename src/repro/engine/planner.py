@@ -1,10 +1,7 @@
-"""The unified lattice traversal: one planner, pluggable backends.
+"""The lattice traversal: one planner over one partition backend.
 
-Before this module, FASTOD's level-wise sweep (Algorithms 1-4 of the
-paper) was re-implemented by every consumer — the from-scratch engine,
-the incremental engine's cache-replaying traversal, and (in spirit) the
-hybrid escalation.  :class:`LatticePlanner` now owns the one canonical
-copy of the control flow:
+FASTOD's level-wise sweep (Algorithms 1-4 of the paper) is implemented
+once.  :class:`LatticePlanner` owns the control flow:
 
 * level iteration and Apriori level generation (Algorithm 2),
 * candidate-set (``C_c+``/``C_s+``) population and mutation
@@ -15,13 +12,13 @@ copy of the control flow:
 
 and emits typed tasks (:class:`~repro.engine.tasks.FdCheckTask`,
 :class:`~repro.engine.tasks.OcdScanTask`,
-:class:`~repro.engine.tasks.ProductTask`) in a deterministic order.  A
-:class:`TraversalBackend` answers them: :class:`PartitionBackend`
-resolves against stripped partitions through an executor (the
-from-scratch engines, serial or pooled), while the incremental engine
-plugs in a verdict-cache backend.  Emission order and candidate-set
-mutation live in the planner alone, so every backend produces
-byte-identical FD/OCD sets by construction.
+:class:`~repro.engine.tasks.ProductTask`) in a deterministic order.
+:class:`PartitionBackend` answers them against stripped partitions
+through an executor, serial or pooled.  The from-scratch engines use
+it as is; the incremental engine subclasses it to record verdicts and
+to answer the OCD candidates its verdict sets already decide.
+Emission order and candidate-set mutation live in the planner alone,
+so every run produces byte-identical FD/OCD sets by construction.
 """
 
 from __future__ import annotations
@@ -71,72 +68,16 @@ def level_partition_bytes(*levels: Dict[int, LatticeNode]) -> int:
     return total
 
 
-class TraversalBackend:
-    """What a :class:`LatticePlanner` needs answered.
-
-    The planner owns *order* (which tasks exist, and in what sequence
-    verdicts are applied); a backend owns *truth* (how a task is
-    decided) and, when partitions are involved, their storage."""
-
-    def root_node(self) -> LatticeNode:
-        """The level-0 node (empty context)."""
-        raise NotImplementedError
-
-    def first_level(self) -> Dict[int, LatticeNode]:
-        """The singleton nodes of level 1."""
-        raise NotImplementedError
-
-    def fd_verdict(self, task: FdCheckTask, node: LatticeNode,
-                   previous: Dict[int, LatticeNode]) -> bool:
-        raise NotImplementedError
-
-    def fd_emitted(self, task: FdCheckTask) -> None:
-        """Hook: a valid FD was emitted (the partition backend's
-        implied partitions, the incremental engine's bookkeeping)."""
-
-    def fd_phase_complete(self, level: int, n_candidates: int,
-                          seconds: float = 0.0) -> None:
-        """Hook: one level's FD phase finished after checking
-        ``n_candidates`` tasks in ``seconds`` (telemetry — called once
-        per level, not per candidate, because the verdict itself is
-        O(1))."""
-
-    def ocd_verdicts(self, level: int, tasks: List[OcdScanTask],
-                     before_previous: Dict[int, LatticeNode]
-                     ) -> Tuple[Dict[OcdScanTask, bool], bool]:
-        """Batch verdicts keyed by task, plus a timed-out flag.  A task
-        missing from the dict was cut by the deadline (the planner
-        keeps earlier verdicts and flags the run)."""
-        raise NotImplementedError
-
-    def build_level(self, masks: List[int],
-                    current: Dict[int, LatticeNode]
-                    ) -> Optional[Dict[int, LatticeNode]]:
-        """Nodes for the next level, or ``None`` when the deadline
-        expired before its partitions were all built."""
-        raise NotImplementedError
-
-    def resident_bytes(self, *levels: Dict[int, LatticeNode]) -> int:
-        return 0
-
-    def release(self, nodes: Dict[int, LatticeNode]) -> None:
-        """A spent level (two below current) will never be read again."""
-
-    def finish(self, result: DiscoveryResult) -> None:
-        """Attach backend-specific reporting (cache/executor stats)."""
-
-
 class LatticePlanner:
     """Drives one level-wise sweep over the set-containment lattice.
 
-    The planner is backend-agnostic: it never touches a partition or a
-    verdict cache itself.  All ``cc``/``cs`` mutations happen here, in
-    the serial engine's historical order, so a run's output is a pure
-    function of the backend's verdicts.
+    The planner never touches a partition itself.  All ``cc``/``cs``
+    mutations happen here, in the serial engine's historical order, so
+    a run's output is a pure function of the backend's verdicts.
     """
 
     def __init__(self, names: Tuple[str, ...], config,
-                 backend: TraversalBackend, budget: DeadlineBudget,
+                 backend: PartitionBackend, budget: DeadlineBudget,
                  algorithm: str, n_rows: int):
         self._names = names
         self._config = config
@@ -318,17 +259,20 @@ class LatticePlanner:
         return prune_empty_nodes(current)
 
 
-class PartitionBackend(TraversalBackend):
-    """The stripped-partition truth source (the from-scratch engines).
+class PartitionBackend:
+    """What a :class:`LatticePlanner` needs answered, from stripped
+    partitions.
 
-    Owns the partition lifecycle FASTOD historically inlined: level-1
-    partitions sourced through an optional
-    :class:`~repro.partitions.cache.PartitionCache`, level products
-    dispatched to the executor (``cache.peek`` respected, products
-    ``cache.put`` back), OCD contexts resolved two levels down, the
-    three-level residency window with bounded-cache invalidation on
-    release, and superkey shortcuts (Lemmas 12-13) resolved O(1) on
-    the coordinator before anything is dispatched.
+    The planner owns *order* (which tasks exist, and in what sequence
+    verdicts are applied); the backend owns *truth* (how a task is
+    decided) and the partitions' storage.  It owns the partition
+    lifecycle FASTOD historically inlined: level-1 partitions sourced
+    through an optional :class:`~repro.partitions.cache.PartitionCache`,
+    level products dispatched to the executor (``cache.peek``
+    respected, products ``cache.put`` back), OCD contexts resolved two
+    levels down, the three-level residency window with bounded-cache
+    invalidation on release, and superkey shortcuts (Lemmas 12-13)
+    resolved O(1) on the coordinator before anything is dispatched.
 
     A child ``X`` whose ``X \\ B: [] ↦ B`` an emitted FD implies
     (Augmentation-I: ``Y: [] ↦ B`` with ``Y ⊆ X \\ B``) is not a
@@ -375,6 +319,8 @@ class PartitionBackend(TraversalBackend):
     def build_level(self, masks: List[int],
                     current: Dict[int, LatticeNode]
                     ) -> Optional[Dict[int, LatticeNode]]:
+        """Nodes for the next level, or ``None`` when the deadline
+        expired before its partitions were all built."""
         cache = self._cache
         partitions: Dict[int, Optional[StrippedPartition]] = {}
         pending: List[ProductTask] = []
@@ -443,6 +389,8 @@ class PartitionBackend(TraversalBackend):
 
     # -- verdicts -------------------------------------------------------
     def fd_emitted(self, task: FdCheckTask) -> None:
+        """Hook: a valid FD was emitted (it makes the partitions of the
+        lattice children it implies free, :meth:`_implied_partition`)."""
         context = task.context_mask
         self._fds[context] = (self._fds.get(context, 0)
                               | 1 << task.attribute)
@@ -462,9 +410,13 @@ class PartitionBackend(TraversalBackend):
     def ocd_verdicts(self, level: int, tasks: List[OcdScanTask],
                      before_previous: Dict[int, LatticeNode]
                      ) -> Tuple[Dict[OcdScanTask, bool], bool]:
-        """Superkey contexts resolve O(1) on the coordinator
-        (Lemma 13); the rest go to the executor, which shards across
-        the pool when the level is big enough."""
+        """Batch verdicts keyed by task, plus a timed-out flag.  A task
+        missing from the dict was cut by the deadline (the planner
+        keeps earlier verdicts and flags the run).
+
+        Superkey contexts resolve O(1) on the coordinator (Lemma 13);
+        the rest go to the executor, which shards across the pool when
+        the level is big enough."""
         verdicts: Dict[OcdScanTask, bool] = {}
         contexts: Dict[int, StrippedPartition] = {}
         scan_tasks = []
@@ -490,6 +442,8 @@ class PartitionBackend(TraversalBackend):
 
     def fd_phase_complete(self, level: int, n_candidates: int,
                           seconds: float = 0.0) -> None:
+        """Hook: one level's FD phase checked ``n_candidates`` tasks in
+        ``seconds`` (billed once per level: a verdict is O(1))."""
         self._executor.telemetry.record("fd-check", n_candidates,
                                         False, seconds)
 

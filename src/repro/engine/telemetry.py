@@ -2,13 +2,16 @@
 
 Every executor carries one :class:`ExecutorTelemetry` and records, per
 planner phase (``products``, ``products-implied``, ``fd-check``,
-``ocd-scan``, ``ocd-keyprune``, ``wave``, ``class-scan``, ...), how
-many typed tasks it resolved, whether each batch ran on the calling
-thread or on the thread pool, and how long the batches took.
+``ocd-scan``, ``ocd-keyprune``, ``wave``, ``class-scan``, ``recheck``,
+...), how many typed tasks it resolved, whether each batch ran on the
+calling thread or on the thread pool, and how long the batches took.
 ``products`` counts built partition products; ``products-implied``
 counts the lattice children that shared a parent's partition because
 an emitted FD implied it, and ``ocd-keyprune`` the OCD candidates a
-superkey context settled (neither reaches a kernel).
+superkey context settled (neither reaches a kernel).  ``recheck``
+bills an incremental append's re-check of the held ODs: one task per
+held OD for building the contexts (their products and level 1's rank
+sorts), then one per OD the scan batch re-checked.
 
 The snapshot is a plain JSON-ready dict so every entry point can
 expose it uniformly — ``DiscoveryResult.executor_stats``,

@@ -1,18 +1,16 @@
-"""Incremental discovery: delta-maintained partitions and OD sets.
+"""Incremental discovery: the discovered OD set kept fresh under row
+changes.
 
-The append-only counterpart to :mod:`repro.core.fastod`: batches are
-folded into maintained groupings and per-class validation state instead
-of re-running discovery from scratch (see DESIGN.md, "Incremental
+The counterpart to :mod:`repro.core.fastod` for a relation that keeps
+changing: an append re-checks the ODs that held on fresh partitions
+and re-runs the shared planner only when one of them broke; a batch
+that deletes rows re-runs it (see DESIGN.md, "Incremental
 architecture").
 """
 
-from repro.incremental.delta import BatchEffect, DeltaPartition, GroupTracker
 from repro.incremental.engine import BatchReport, IncrementalFastOD
 
 __all__ = [
-    "BatchEffect",
     "BatchReport",
-    "DeltaPartition",
-    "GroupTracker",
     "IncrementalFastOD",
 ]

@@ -185,12 +185,12 @@ class PartitionCache:
     def invalidate(self, masks: Optional[Iterable[int]] = None) -> None:
         """Drop cached partitions (all of them by default).
 
-        The append path's cache hook: once the underlying relation
-        gains rows, every resident partition is stale.  Passing
-        ``masks`` drops only those (ignoring absent ones) for callers
-        that maintain the rest through delta kernels.  Hit/miss
-        counters are preserved; invalidations are not billed as
-        evictions."""
+        Once the underlying relation changes, every resident partition
+        is stale (:meth:`rebase` drops them all).  Passing ``masks``
+        drops only those, ignoring absent ones: FASTOD's bounded-cache
+        residency window releases a spent level's composites this way.
+        Hit/miss counters are preserved; invalidations are not billed
+        as evictions."""
         if masks is None:
             self._pinned = {
                 0: StrippedPartition.single_class(self._relation.n_rows)

@@ -306,70 +306,6 @@ def value_group_sizes(column: np.ndarray, partition: StrippedPartition):
     return group_sizes, sorted_classes[new_group]
 
 
-def merge_batch(partition: StrippedPartition, n_rows: int,
-                join_rows: np.ndarray, join_classes: np.ndarray,
-                new_classes: Sequence[Sequence[int]]
-                ) -> StrippedPartition:
-    """Merge an appended batch into the CSR rows/offsets layout.
-
-    The delta-maintenance kernel for append-only workloads: instead of
-    re-sorting the grown relation, splice the batch into the existing
-    flat layout in one vectorized pass.
-
-    ``join_rows``/``join_classes`` are parallel arrays of row indices
-    landing in *existing* classes (the class ids refer to
-    ``partition``); ``new_classes`` are whole new classes — batch rows
-    grouping among themselves, or an old singleton promoted by batch
-    rows that matched it — appended after the existing classes in the
-    given order.  ``n_rows`` is the grown relation size.
-
-    Old class ids are preserved (class ``i`` of ``partition`` is class
-    ``i`` of the merged partition), which is what lets per-class validation state
-    keyed by class survive the merge.
-    """
-    old_sizes = partition.class_sizes
-    n_old_classes = partition.n_classes
-    join_rows = np.asarray(join_rows, dtype=np.int64)
-    join_classes = np.asarray(join_classes, dtype=np.int64)
-    counts = np.bincount(join_classes, minlength=n_old_classes) \
-        if len(join_classes) else np.zeros(n_old_classes, dtype=np.int64)
-    if len(counts) > n_old_classes:
-        raise ValueError("join class id out of range")
-    fresh_sizes = np.fromiter((len(c) for c in new_classes),
-                              dtype=np.int64, count=len(new_classes))
-    if (fresh_sizes < 2).any():
-        raise ValueError("new classes must have at least 2 rows")
-
-    sizes = np.concatenate((old_sizes + counts, fresh_sizes))
-    offsets = np.concatenate((_ZERO_OFFSET, np.cumsum(sizes)))
-    rows = np.empty(int(offsets[-1]), dtype=np.int64)
-
-    # old rows keep their within-class position, shifted by the growth
-    # of the classes before them
-    if n_old_classes:
-        shifts = offsets[:n_old_classes] - partition.offsets[:-1]
-        positions = np.arange(len(partition.rows), dtype=np.int64)
-        positions += np.repeat(shifts, old_sizes)
-        rows[positions] = partition.rows
-    # joining rows fill each class's tail: class start + old size +
-    # rank among the class's joiners (first-occurrence arithmetic on
-    # the class-sorted join list)
-    if len(join_rows):
-        order = np.argsort(join_classes, kind="stable")
-        sorted_classes = join_classes[order]
-        within = (np.arange(len(order), dtype=np.int64)
-                  - np.searchsorted(sorted_classes, sorted_classes))
-        rows[offsets[sorted_classes] + old_sizes[sorted_classes]
-             + within] = join_rows[order]
-    # brand-new classes fill the tail of the layout
-    cursor = int(offsets[n_old_classes])
-    for new_class in new_classes:
-        rows[cursor:cursor + len(new_class)] = new_class
-        cursor += len(new_class)
-
-    return StrippedPartition.from_flat(rows, offsets, n_rows)
-
-
 def partition_from_columns(relation: EncodedRelation,
                            attributes: Iterable[int]) -> StrippedPartition:
     """Compute Π*_X from scratch by hashing whole projections.

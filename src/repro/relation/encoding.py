@@ -142,14 +142,16 @@ class ColumnKeys:
 
     ``gid_sorted[r]`` is the gid holding rank ``r``.  The gid table
     (``_gid_of`` maps sort keys to gids, ``_key_of`` gids back to
-    keys) is shared by every encoding derived from one
+    keys) is shared by the encodings derived from one
     :meth:`from_values`, so a derived encoding costs only its
     ``gid_sorted`` array, and deleting or inserting keys edits that
-    array alone.  :meth:`extend` folds a batch of raw values in,
-    re-encoding *only* the batch and describing how old ranks shift
-    via a monotone remap (the contract the delta partition kernels
-    rely on: rank order — hence any lexicographic order built from
-    ranks — is preserved).
+    array alone.  Gids are internal to the encoding: they name keys
+    across the branches that share a table, and nothing reads them
+    across batches, so :meth:`EncodedRelation.drop_rows` may give a
+    column a fresh table (:meth:`compacted`).  :meth:`extend` folds a
+    batch of raw values in, re-encoding *only* the batch and
+    describing how old ranks shift via a monotone remap (rank order —
+    hence any lexicographic order built from ranks — is preserved).
     """
 
     __slots__ = ("gid_sorted", "_gid_of", "_key_of", "_rank_of_gid")
@@ -172,6 +174,14 @@ class ColumnKeys:
                             dtype=np.int64, count=len(keyed))
         return ranks, cls(np.arange(len(order), dtype=np.int64), gid_of,
                           order)
+
+    def compacted(self) -> "ColumnKeys":
+        """The same keys under a fresh table holding them alone (gid =
+        rank), for a column whose shared table has outgrown it."""
+        keys = self.sorted_keys
+        return ColumnKeys(np.arange(len(keys), dtype=np.int64),
+                          {key: gid for gid, key in enumerate(keys)},
+                          keys)
 
     @property
     def sorted_keys(self) -> List[Tuple]:
@@ -246,8 +256,7 @@ class ColumnKeys:
         old_distinct = len(self.gid_sorted)
         if not unheld:
             return self, ColumnExtension(
-                np.arange(old_distinct, dtype=np.int64), batch_ranks,
-                batch_gids)
+                np.arange(old_distinct, dtype=np.int64), batch_ranks)
         fresh = _sorted_distinct(unheld)
         try:
             positions = np.fromiter(
@@ -271,7 +280,7 @@ class ColumnKeys:
             map(gid_of.__getitem__, fresh), dtype=np.int64,
             count=len(fresh)))
         return (ColumnKeys(gid_sorted, gid_of, key_of),
-                ColumnExtension(remap, batch_ranks, batch_gids))
+                ColumnExtension(remap, batch_ranks))
 
     def _extend_incomparable(self, fresh: List[Tuple],
                              batch_gids: np.ndarray
@@ -290,25 +299,21 @@ class ColumnKeys:
                                  dtype=np.int64, count=len(merged))
         extended = ColumnKeys(gid_sorted, self._gid_of, self._key_of)
         batch_ranks = extended.rank_of_gid()[batch_gids]
-        return extended, ColumnExtension(remap, batch_ranks, batch_gids)
+        return extended, ColumnExtension(remap, batch_ranks)
 
 
 class ColumnExtension:
     """What one batch did to one column's encoding.
 
     ``remap`` maps old rank -> new rank (monotone increasing);
-    ``batch_ranks`` are the appended rows' ranks in the new domain;
-    ``batch_gids`` their stable first-appearance ids (used by the
-    incremental engine as order-free group identities).
+    ``batch_ranks`` are the appended rows' ranks in the new domain.
     """
 
-    __slots__ = ("remap", "batch_ranks", "batch_gids")
+    __slots__ = ("remap", "batch_ranks")
 
-    def __init__(self, remap: np.ndarray, batch_ranks: np.ndarray,
-                 batch_gids: np.ndarray):
+    def __init__(self, remap: np.ndarray, batch_ranks: np.ndarray):
         self.remap = remap
         self.batch_ranks = batch_ranks
-        self.batch_gids = batch_gids
 
 
 class EncodedRelation:
@@ -321,8 +326,8 @@ class EncodedRelation:
     ``keys`` optionally retains the per-column :class:`ColumnKeys`
     dictionaries, which makes the relation *appendable*: batches are
     folded in by :meth:`append_values`, re-encoding only the new values
-    (paper encodings are whole-snapshot; the incremental engine needs
-    the delta form).
+    (paper encodings are whole-snapshot; a delta fold needs the
+    appendable form).
 
     :meth:`order` gives τ_A, the rows sorted by one attribute, which
     every swap check walks; it is sorted on first use per attribute.
@@ -437,7 +442,11 @@ class EncodedRelation:
         :class:`ColumnKeys` is shared.  The result is byte-identical
         to encoding the surviving rows from scratch, and, like
         :meth:`select_rows`, it shares the gid table, so a value whose
-        last occurrence was dropped keeps its stable gid.
+        last occurrence was dropped keeps its stable gid — until the
+        table holds more than twice the column's distinct keys: then
+        the column gets a fresh, dense table
+        (:meth:`ColumnKeys.compacted`), so churn through novel values
+        cannot grow it without bound.
         """
         keep = np.ones(self.n_rows, dtype=bool)
         keep[dropped] = False
@@ -459,6 +468,8 @@ class EncodedRelation:
                                              column_keys._key_of)
             ranks.append(kept)
             if keys is not None:
+                if len(column_keys._key_of) > 2 * column_keys.n_distinct:
+                    column_keys = column_keys.compacted()
                 keys.append(column_keys)
         return EncodedRelation(self.names, ranks, keys)
 

@@ -46,9 +46,8 @@ class RejectedInsert:
 class FdClassState:
     """Per-class constant tracking for one constancy OD.
 
-    Group keys are any hashable identity for a context class — the
-    monitor uses context-value tuples, the incremental engine uses
-    stable partition group ids."""
+    Class keys are any hashable identity for a context class; the
+    monitor uses context-value tuples."""
 
     __slots__ = ("constants",)
 
@@ -76,9 +75,7 @@ class OcdClassState:
     non-overlapping and ascending with A, so a new point only needs
     comparing with its immediate A-neighbours.
 
-    Class keys are any hashable identity (see :class:`FdClassState`);
-    this is also the per-class check the incremental discovery engine
-    uses to demote previously valid OCDs when a batch lands.
+    Class keys are any hashable identity (see :class:`FdClassState`).
     """
 
     __slots__ = ("classes",)

@@ -132,8 +132,9 @@ def _swap_dispatches() -> float:
 
 
 class TestHeldOcdRecheck:
-    """A held OCD is re-checked by one swap scan when a batch touches
-    its context's classes, and costs nothing when it does not."""
+    """A held OCD is re-checked by one swap scan when an appended row
+    lands in a class of its context, and costs nothing when none
+    does."""
 
     @staticmethod
     def _engine():
@@ -167,18 +168,32 @@ class TestHeldOcdRecheck:
     @pytest.mark.skipif(not kernels.compiled_available(),
                         reason="needs both kernel backends")
     def test_rechecks_run_on_the_configured_backend(self):
-        """``FastODConfig.kernel_backend`` pins the engine's scans,
-        whatever the process default is."""
+        """``FastODConfig.kernel_backend`` pins the append re-check's
+        products (the held FD {a,c}: [] -> b needs Π*_{a,c}), level
+        1's rank sorts and its swap batch, whatever the process
+        default is."""
         default = kernels.active_backend_name()
         pinned = "reference" if default == "compiled" else "compiled"
         engine = IncrementalFastOD(
             Relation.from_rows(["c", "a", "b"], HELD_OCD_ROWS),
             FastODConfig(kernel_backend=pinned))
-        before = {name: _swap_calls(name) for name in (default, pinned)}
+        kinds = ("product", "swap", "order")
+
+        def calls():
+            return {backend: {kind: _swap_calls(backend, kind)
+                              for kind in kinds}
+                    for backend in (default, pinned)}
+
+        before = calls()
+        report = append(engine, [(0, 3, 4)])    # rises in c=0: holds
+        after = calls()
+        assert not report.retraversed
+        assert all(after[pinned][kind] > before[pinned][kind]
+                   for kind in kinds)
+        assert after[default] == before[default]
         report = append(engine, [(0, 3, 1)])    # re-checks {c}: a ~ b
         assert "{c}: a ~ b" in report.invalidated
-        assert _swap_calls(pinned) > before[pinned]
-        assert _swap_calls(default) == before[default]
+        assert calls()[default] == before[default]
 
     @pytest.mark.skipif(not kernels.compiled_available(),
                         reason="needs both kernel backends")
@@ -212,13 +227,22 @@ class TestHeldOcdRecheck:
         assert after[default] == before[default]
 
     def test_append_after_a_delete_rechecks_it(self):
-        """A rediscovery builds no trackers, so the append after it
-        builds the held OCD's context tracker before the rows land
-        and still sees the batch touch its classes."""
+        """The rediscovery of a delete batch leaves the held OCD in
+        the held set, so the append after it re-checks it."""
         engine = self._engine()
         engine.apply_delta(DeltaBatch.deletes([(2, 1, 0)]))
         assert "{c}: a ~ b" in od_strings(engine.result)
         report = append(engine, [(0, 3, 1)])    # below b=3 of class c=0
+        assert "{c}: a ~ b" in report.invalidated
+
+    def test_mixed_batch_forgets_the_held_set(self):
+        """A mixed batch's inserts can break a held OCD that its
+        deletes leave alone: the rediscovery must scan it again, not
+        answer it from the held set."""
+        engine = self._engine()
+        report = engine.apply_delta(
+            DeltaBatch([(-1, (2, 1, 0)), (1, (0, 3, 1))]))
+        assert report.n_deleted == 1 and report.retraversed
         assert "{c}: a ~ b" in report.invalidated
 
 

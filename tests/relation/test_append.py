@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.deltalog import DeltaBatch
 from repro.errors import DataError, SchemaError
 from repro.relation.encoding import ColumnKeys
+from repro.relation.fingerprint import fingerprint
 from repro.relation.table import Relation
 from tests.conftest import make_relation
 
@@ -31,9 +33,9 @@ class TestColumnKeys:
 
     def test_gids_are_stable_first_appearance_ids(self):
         _, keys = ColumnKeys.from_values([10, 30])
-        extended, extension = keys.extend([20])
-        assert extension.batch_gids.tolist() == [2]   # fresh id
-        # 10 and 30 keep gids 0 and 1 even though 30's rank moved
+        extended, _ = keys.extend([20])
+        # 20 gets fresh gid 2; 10 and 30 keep gids 0 and 1 even though
+        # 30's rank moved
         assert extended.gid_sorted.tolist() == [0, 2, 1]
 
     def test_empty_extension(self):
@@ -147,6 +149,39 @@ class TestBranchedAppends:
         b2 = b1.append_rows([(5,)])               # key named by sibling
         assert a1.encode().column(0).tolist() == [0, 2, 1]
         assert b2.encode().column(0).tolist() == [0, 3, 2, 1]
+
+
+class TestKeyTableChurn:
+    def test_table_stays_bounded_under_churn(self):
+        """200 batches that each replace 10 of 1000 unique keys with
+        novel ones: deletes compact a column's table once it holds
+        more than twice the column's distinct keys, and the encoding
+        stays equal to a from-scratch one."""
+        rows = [(i, i % 7) for i in range(1000)]
+        relation = Relation.from_rows(["key", "small"], rows)
+        relation.encode()
+        fresh = 1000
+        for step in range(200):
+            victims = rows[step * 5:step * 5 + 10]
+            batch = DeltaBatch.updates(
+                [(old, (fresh + j, old[1])) for j, old in
+                 enumerate(victims)])
+            rows = [row for row in rows if row not in victims] + [
+                (fresh + j, old[1]) for j, old in enumerate(victims)]
+            fresh += 10
+            relation = batch.apply_to(relation)
+            keys = relation.encode().keys[0]
+            assert len(keys._key_of) <= 2 * keys.n_distinct + 10
+            assert len(keys.rank_of_gid()) <= 2 * keys.n_distinct + 10
+        encoded = relation.encode()
+        scratch = Relation.from_rows(["key", "small"],
+                                     relation.rows()).encode()
+        for a in range(2):
+            assert np.array_equal(encoded.column(a), scratch.column(a))
+            assert (encoded.keys[a].sorted_keys
+                    == scratch.keys[a].sorted_keys)
+        assert fingerprint(encoded) == fingerprint(scratch)
+        assert sorted(relation.rows()) == sorted(rows)
 
 
 class TestExoticValueTypes:
