@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 import time
@@ -43,7 +44,6 @@ from repro.core.fastod import FastOD, FastODConfig
 from repro.core.parser import parse_for
 from repro.datasets.registry import dataset_names, make_dataset
 from repro.errors import DataError, ReproError
-from repro.partitions.cache import PartitionCache
 from repro.relation.csvio import read_csv, write_csv
 from repro.violations.detect import ViolationDetector
 
@@ -67,6 +67,21 @@ def _add_kernels_option(command: argparse.ArgumentParser) -> None:
              "byte-identical results")
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return int(text)
+
+
+def seconds(text: str) -> float:
+    """An argparse type: a finite number of seconds, at least 0."""
+    if not 0 <= float(text) < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite number of seconds >= 0")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-od",
@@ -86,10 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="disable pruning; enumerate every valid OD")
     discover.add_argument("--json", action="store_true",
                           help="emit machine-readable JSON")
-    discover.add_argument("--cache-max-entries", type=int, default=None,
-                          metavar="N",
-                          help="bound the partition cache to N composite "
-                               "partitions (LRU); default keeps all")
     discover.add_argument("--workers", type=int, default=None, metavar="N",
                           help="split each lattice level's products "
                                "and scans across N threads (default: "
@@ -147,15 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store-dir", default=None, metavar="DIR",
                        help="persist discovery results here (served "
                             "across restarts); default: memory only")
-    serve.add_argument("--catalog-bytes", type=int, default=None,
+    serve.add_argument("--catalog-bytes", type=positive_int, default=None,
                        metavar="N",
                        help="LRU byte budget for resident encoded "
                             "relations (default: unbounded)")
-    serve.add_argument("--cache-max-entries", type=int, default=64,
-                       metavar="N",
+    serve.add_argument("--cache-max-entries", type=positive_int,
+                       default=64, metavar="N",
                        help="per-dataset partition cache bound "
                             "(default 64)")
-    serve.add_argument("--timeout", type=float, default=None,
+    serve.add_argument("--timeout", type=seconds, default=None,
                        help="default wall-clock budget in seconds for "
                             "discover jobs (the budget-consulting "
                             "kind; validate/violations/append run to "
@@ -175,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("dependency",
                        help='e.g. "{month}: [] -> quarter" or "[a] -> [b]"')
     check.add_argument("--limit", type=int, default=None)
-    check.add_argument("--cache-max-entries", type=int, default=None)
+    check.add_argument("--cache-max-entries", type=positive_int,
+                       default=None)
     _add_kernels_option(check)
     _add_profile_option(check)
 
@@ -186,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     violations.add_argument("--witnesses", type=int, default=5,
                             help="max witness pairs to print")
     violations.add_argument("--limit", type=int, default=None)
-    violations.add_argument("--cache-max-entries", type=int, default=None)
+    violations.add_argument("--cache-max-entries", type=positive_int,
+                            default=None)
     _add_kernels_option(violations)
     _add_profile_option(violations)
 
@@ -302,15 +315,8 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         workers=args.workers,
         kernel_backend=args.kernels,
     )
-    # wire a cache only when its stats (--json) or its bound were asked
-    # for: an unbounded cache would retain every lattice partition for
-    # the whole run, where plain discovery keeps two levels
-    cache = None
-    if args.json or args.cache_max_entries is not None:
-        cache = PartitionCache(relation.encode(),
-                               max_entries=args.cache_max_entries)
     with _CommandProfiler(args.profile):
-        result = FastOD(relation, config, cache=cache).run()
+        result = FastOD(relation, config).run()
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
         return 0
@@ -461,6 +467,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    """``check`` prints the verdict; ``violations`` also counts the
+    violating pairs and prints up to ``--witnesses`` of them."""
+    full = args.command == "violations"
     relation = read_csv(args.csv, limit=args.limit)
     dependency = parse_for(args.dependency, relation.schema)
     detector = ViolationDetector(
@@ -468,26 +477,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         with _CommandProfiler(args.profile):
             report = detector.check(
-                dependency, max_witnesses=0, count_pairs=False)
+                dependency, max_witnesses=args.witnesses if full else 0,
+                count_pairs=full)
     finally:
         detector.close()
-    print(f"{report.dependency}: {'HOLDS' if report.holds else 'VIOLATED'}")
-    return 0 if report.holds else 1
-
-
-def _cmd_violations(args: argparse.Namespace) -> int:
-    relation = read_csv(args.csv, limit=args.limit)
-    dependency = parse_for(args.dependency, relation.schema)
-    detector = ViolationDetector(
-        relation, max_cached_partitions=args.cache_max_entries)
-    try:
-        with _CommandProfiler(args.profile):
-            report = detector.check(
-                dependency, max_witnesses=args.witnesses,
-                count_pairs=True)
-    finally:
-        detector.close()
-    print(report)
+    print(report if full else
+          f"{report.dependency}: {'HOLDS' if report.holds else 'VIOLATED'}")
     return 0 if report.holds else 1
 
 
@@ -630,7 +625,7 @@ _COMMANDS = {
     "watch": _cmd_watch,
     "serve": _cmd_serve,
     "check": _cmd_check,
-    "violations": _cmd_violations,
+    "violations": _cmd_check,
     "generate": _cmd_generate,
     "profile": _cmd_profile,
     "keys": _cmd_keys,

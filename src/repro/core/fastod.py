@@ -20,9 +20,8 @@ candidate-set mutation, pruning, and the deadline budget, emitting
 typed tasks that a :class:`~repro.engine.PartitionBackend` resolves
 against the flat NumPy stripped partitions of
 :mod:`repro.partitions.partition`.  :class:`FastOD` is the thin
-partition-backed entry point: it wires the relation's encoding, an
-optional :class:`~repro.partitions.cache.PartitionCache`, and an
-executor together, then runs the shared planner.
+partition-backed entry point: it wires the relation's encoding and
+an executor together, then runs the shared planner.
 
 Since the nodes of one level are independent, the per-level work also
 splits across threads: with ``FastODConfig(workers=N)`` (or
@@ -50,7 +49,6 @@ from repro.engine.budget import DeadlineBudget
 from repro.engine.executors import make_executor
 from repro.engine.planner import LatticePlanner, PartitionBackend
 from repro.parallel.pool import WorkerPool
-from repro.partitions.cache import PartitionCache
 from repro.relation.table import Relation
 
 
@@ -166,15 +164,9 @@ class FastOD:
 
     def __init__(self, relation: Relation,
                  config: Optional[FastODConfig] = None,
-                 cache: Optional[PartitionCache] = None,
                  pool: Optional[WorkerPool] = None):
-        self._relation = relation
         self._encoded = relation.encode()
         self._config = config or FastODConfig()
-        if cache is not None and cache.relation is not self._encoded:
-            raise ValueError(
-                "the partition cache must wrap this relation's encoding")
-        self._cache = cache
         if pool is not None and pool.relation is not self._encoded:
             raise ValueError(
                 "the worker pool must wrap this relation's encoding")
@@ -197,7 +189,7 @@ class FastOD:
             min_grouped_rows=config.parallel_min_grouped_rows,
             kernel_backend=config.kernel_backend)
         backend = PartitionBackend(self._encoded, config, executor,
-                                   budget, cache=self._cache)
+                                   budget)
         planner = LatticePlanner(
             self._encoded.names, config, backend, budget,
             algorithm=("FASTOD" if config.minimality_pruning

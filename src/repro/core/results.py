@@ -61,9 +61,6 @@ class DiscoveryResult:
     timed_out: bool = False
     minimal: bool = True
     config: Dict[str, object] = field(default_factory=dict)
-    #: populated when the run was wired to a PartitionCache
-    #: (hits/misses/evictions/residency, see PartitionCache.stats())
-    cache_stats: Optional[Dict[str, object]] = None
     #: per-phase executor telemetry (tasks dispatched, serial-vs-pool
     #: split, peak partition residency) — populated by every entry
     #: point that routes through :mod:`repro.engine`; see
@@ -157,8 +154,6 @@ class DiscoveryResult:
                 for s in self.level_stats
             ],
         }
-        if self.cache_stats is not None:
-            rendered["cache"] = dict(self.cache_stats)
         if self.executor_stats is not None:
             rendered["executor"] = dict(self.executor_stats)
         if self.timings is not None:

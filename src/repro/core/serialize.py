@@ -79,9 +79,6 @@ def result_from_dict(payload: Dict) -> DiscoveryResult:
         minimal=bool(payload.get("minimal", True)),
         config=dict(payload.get("config", {})),
     )
-    cache_stats = payload.get("cache")
-    if cache_stats is not None:
-        result.cache_stats = dict(cache_stats)
     executor_stats = payload.get("executor")
     if executor_stats is not None:
         result.executor_stats = dict(executor_stats)

@@ -40,7 +40,6 @@ from repro.engine.budget import DeadlineBudget
 from repro.engine.tasks import FdCheckTask, OcdScanTask, ProductTask
 from repro.engine.telemetry import build_timings
 from repro.obs import metrics, trace
-from repro.partitions.cache import PartitionCache
 from repro.partitions.partition import StrippedPartition
 from repro.relation.encoding import EncodedRelation
 from repro.relation.schema import iter_bits
@@ -265,14 +264,12 @@ class PartitionBackend:
 
     The planner owns *order* (which tasks exist, and in what sequence
     verdicts are applied); the backend owns *truth* (how a task is
-    decided) and the partitions' storage.  It owns the partition
-    lifecycle FASTOD historically inlined: level-1 partitions sourced
-    through an optional :class:`~repro.partitions.cache.PartitionCache`,
-    level products dispatched to the executor (``cache.peek``
-    respected, products ``cache.put`` back), OCD contexts resolved two
-    levels down, the three-level residency window with bounded-cache
-    invalidation on release, and superkey shortcuts (Lemmas 12-13)
-    resolved O(1) on the coordinator before anything is dispatched.
+    decided) and the partitions' storage: level 1 from the columns,
+    each higher level as products of two parents one level down
+    (Section 4.6, dispatched to the executor), OCD contexts two levels
+    down, the three-level residency window (no cache: nothing reads a
+    released level), and superkey shortcuts (Lemmas 12-13) resolved
+    O(1) on the coordinator before anything is dispatched.
 
     A child ``X`` whose ``X \\ B: [] ↦ B`` an emitted FD implies
     (Augmentation-I: ``Y: [] ↦ B`` with ``Y ⊆ X \\ B``) is not a
@@ -281,13 +278,11 @@ class PartitionBackend:
     """
 
     def __init__(self, relation: EncodedRelation, config,
-                 executor, budget: DeadlineBudget,
-                 cache: Optional[PartitionCache] = None):
+                 executor, budget: DeadlineBudget):
         self._relation = relation
         self._config = config
         self._executor = executor
         self._budget = budget
-        self._cache = cache
         #: context mask -> bits of the attributes the FDs emitted
         #: with that context determine
         self._fds: Dict[int, int] = {}
@@ -307,36 +302,23 @@ class PartitionBackend:
         # they activate the executor's pinned kernel backend themselves
         with kernels.activate(self._executor.kernel_backend):
             return {
-                1 << a: LatticeNode(1 << a, self._attribute_partition(a))
+                1 << a: LatticeNode(1 << a, StrippedPartition.for_attribute(
+                    self._relation, a))
                 for a in range(self._relation.arity)
             }
-
-    def _attribute_partition(self, attribute: int) -> StrippedPartition:
-        if self._cache is not None:
-            return self._cache.get(1 << attribute)
-        return StrippedPartition.for_attribute(self._relation, attribute)
 
     def build_level(self, masks: List[int],
                     current: Dict[int, LatticeNode]
                     ) -> Optional[Dict[int, LatticeNode]]:
         """Nodes for the next level, or ``None`` when the deadline
         expired before its partitions were all built."""
-        cache = self._cache
         partitions: Dict[int, Optional[StrippedPartition]] = {}
         pending: List[ProductTask] = []
-        n_implied = 0
         for mask in masks:
-            partition = cache.peek(mask) if cache is not None else None
-            if partition is None:
-                partition = self._implied_partition(mask, current)
-                if partition is None:
-                    left, right = parents_for_partition(mask)
-                    pending.append(ProductTask(mask, left, right))
-                else:
-                    n_implied += 1
-                    if cache is not None:
-                        cache.put(mask, partition)
-            partitions[mask] = partition
+            partitions[mask] = self._implied_partition(mask, current)
+            if partitions[mask] is None:
+                pending.append(ProductTask(mask,
+                                           *parents_for_partition(mask)))
 
         if pending:
             parent_masks = {task.left for task in pending}
@@ -348,13 +330,10 @@ class PartitionBackend:
             if timed_out:
                 return None    # a half-built level is never traversed
             for task in pending:
-                partition = computed[task.child]
-                partitions[task.child] = partition
-                if cache is not None:
-                    cache.put(task.child, partition)
+                partitions[task.child] = computed[task.child]
 
-        self._executor.telemetry.record("products-implied", n_implied,
-                                        False)
+        self._executor.telemetry.record(
+            "products-implied", len(partitions) - len(pending), False)
         return {mask: LatticeNode(mask, partition)
                 for mask, partition in partitions.items()}
 
@@ -463,18 +442,9 @@ class PartitionBackend:
         return resident
 
     def release(self, nodes: Dict[int, LatticeNode]) -> None:
-        """Drop a spent level's partitions (and, for bounded caches,
-        their composite cache entries — unbounded caches keep retaining
-        everything by contract)."""
-        if not nodes:
-            return
-        if self._cache is not None and self._cache.max_entries is not None:
-            self._cache.invalidate(
-                [mask for mask in nodes if mask & (mask - 1)])
+        """Drop a spent level's partitions."""
         for node in nodes.values():
             node.partition = None
 
     def finish(self, result: DiscoveryResult) -> None:
-        if self._cache is not None:
-            result.cache_stats = self._cache.stats()
         result.executor_stats = self._executor.telemetry.snapshot()

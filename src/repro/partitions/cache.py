@@ -1,8 +1,9 @@
 """A memoizing partition store keyed by attribute-set bitmask.
 
-FASTOD manages partitions level-by-level itself; this cache serves the
-other consumers — validators, the brute-force oracle, the optimizer and
-the violation detector — that need Π*_X for ad-hoc attribute sets.
+FASTOD builds each lattice level from the one below and keeps no
+cache; this one serves the consumers that need Π*_X for ad-hoc
+attribute sets — validators, the violation detector, the executors'
+mask-named scans, the incremental re-check and the service catalog.
 
 Two retention modes:
 
@@ -72,11 +73,6 @@ class PartitionCache:
     def n_rows(self) -> int:
         return self._relation.n_rows
 
-    @property
-    def max_entries(self) -> Optional[int]:
-        """Composite-partition capacity (``None`` = unbounded)."""
-        return self._max_entries
-
     def get(self, mask: int) -> StrippedPartition:
         """Return Π*_X for the attribute-set bitmask ``mask``.
 
@@ -144,66 +140,14 @@ class PartitionCache:
             self._store.move_to_end(mask, last=False)
         return partition
 
-    def peek(self, mask: int) -> Optional[StrippedPartition]:
-        """Resident partition for ``mask`` or ``None`` — never derives.
-
-        Counts a hit or miss and refreshes LRU recency like
-        :meth:`get`, but leaves materialization to the caller (used by
-        consumers that have a cheaper way to build a missing partition
-        than the cache's product chain, e.g. FASTOD's level-wise
-        parent products)."""
-        found = self._lookup(mask, touch=True)
-        if found is not None:
-            self.hits += 1
-            _LOOKUPS.inc(outcome="hit")
-        else:
-            self.misses += 1
-            _LOOKUPS.inc(outcome="miss")
-        return found
-
-    def put(self, mask: int, partition: StrippedPartition) -> None:
-        """Adopt an externally computed partition for ``mask``.
-
-        Single-attribute and empty-set partitions are pinned like their
-        derived counterparts; composites enter at the hot end of the
-        LRU order and may evict."""
-        if partition.n_rows != self._relation.n_rows:
-            raise ValueError(
-                f"partition covers {partition.n_rows} rows but the "
-                f"relation has {self._relation.n_rows}")
-        if mask == 0 or mask & (mask - 1) == 0:
-            self._pinned[mask] = partition
-            return
-        self._store[mask] = partition
-        if self._max_entries is not None:
-            self._store.move_to_end(mask)
-            if len(self._store) > self._max_entries:
-                self._store.popitem(last=False)
-                self.evictions += 1
-                _EVICTIONS.inc()
-
-    def invalidate(self, masks: Optional[Iterable[int]] = None) -> None:
-        """Drop cached partitions (all of them by default).
-
-        Once the underlying relation changes, every resident partition
-        is stale (:meth:`rebase` drops them all).  Passing ``masks``
-        drops only those, ignoring absent ones: FASTOD's bounded-cache
-        residency window releases a spent level's composites this way.
-        Hit/miss counters are preserved; invalidations are not billed
-        as evictions."""
-        if masks is None:
-            self._pinned = {
-                0: StrippedPartition.single_class(self._relation.n_rows)
-            }
-            self._store.clear()
-            return
-        for mask in masks:
-            if mask == 0:
-                self._pinned[0] = StrippedPartition.single_class(
-                    self._relation.n_rows)
-            else:
-                self._pinned.pop(mask, None)
-                self._store.pop(mask, None)
+    def invalidate(self) -> None:
+        """Drop every cached partition (stale once the relation
+        changes).  Hit/miss counters are preserved; invalidations are
+        not billed as evictions."""
+        self._pinned = {
+            0: StrippedPartition.single_class(self._relation.n_rows)
+        }
+        self._store.clear()
 
     def rebase(self, relation: EncodedRelation) -> None:
         """Point the cache at a grown relation, dropping stale entries.

@@ -113,7 +113,7 @@ class CatalogEntry:
     def resident_bytes(self) -> int:
         """The eviction-budget currency: encoded rank column bytes.
         (Partitions ride along; their growth is bounded separately by
-        the entry cache's ``max_entries``.)"""
+        the catalog's ``max_cached_partitions``.)"""
         return self.encoded.rank_nbytes
 
     def close(self) -> None:
@@ -154,9 +154,11 @@ class DatasetCatalog:
 
     def __init__(self, max_resident_bytes: Optional[int] = None,
                  max_cached_partitions: Optional[int] = 64):
-        if max_resident_bytes is not None and max_resident_bytes < 1:
-            raise ValueError(
-                "max_resident_bytes must be a positive integer")
+        for name, bound in (("max_resident_bytes", max_resident_bytes),
+                            ("max_cached_partitions",
+                             max_cached_partitions)):
+            if bound is not None and bound < 1:
+                raise ValueError(f"{name} must be a positive integer")
         self._max_resident_bytes = max_resident_bytes
         self._max_cached_partitions = max_cached_partitions
         #: fingerprint -> entry, least-recently-used first

@@ -265,7 +265,7 @@ class JobScheduler:
     ``workers`` sizes the pool discover jobs share (``None`` defers
     to ``REPRO_WORKERS``; 1 = everything serial, no pool is ever
     created).  ``default_timeout`` bounds jobs that do not bring their
-    own ``timeout`` parameter.
+    own ``timeout`` parameter (refused here if no job could use it).
     """
 
     def __init__(self, catalog: DatasetCatalog, store: ResultStore,
@@ -276,7 +276,8 @@ class JobScheduler:
         self._catalog = catalog
         self._store = store
         self._workers = resolve_workers(workers)
-        self._default_timeout = default_timeout
+        self._default_timeout = parse_seconds(default_timeout,
+                                              "default_timeout")
         self._journal = journal
         #: directory whose ``deltalog/`` subdir holds per-dataset WALs
         #: (``None`` = delta jobs apply in memory only, no durability)
@@ -635,7 +636,7 @@ class JobScheduler:
             self._finish_ok(job)
             return
         pool = self._shared_pool(entry.encoded)
-        result = FastOD(entry.relation, config, cache=entry.cache,
+        result = FastOD(entry.relation, config,
                         pool=pool).run(budget=job.budget)
         stored = self._store.put(entry.fingerprint, config, result)
         job.payload = {"result": result.to_dict(), "stored": stored}

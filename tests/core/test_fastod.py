@@ -3,18 +3,24 @@ invariance (Lemmas 11-13), statistics, budgets, and edge cases."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 
+import repro.parallel.pool as pool_module
 from repro import FastOD, FastODConfig, discover_ods
 from repro.baselines import (
     all_valid_canonical_ods,
     minimal_canonical_ods,
     validate_result_is_sound,
 )
+from repro.cli import main
 from repro.core.od import CanonicalFD
 from repro.core.results import diff_results
-from repro.datasets import employees
+from repro.datasets import employees, make_dataset
+from repro.partitions.cache import PartitionCache
+from repro.relation.csvio import write_csv
 from tests.conftest import make_relation, random_relation, small_relations
 
 
@@ -206,3 +212,26 @@ class TestSoundnessLargerSweep:
         relation = random_relation(seed, cols, rows, domain)
         result = discover_ods(relation)
         assert validate_result_is_sound(relation, result) == []
+
+
+def test_fastod_builds_no_partition_cache(monkeypatch, tmp_path, capsys):
+    """FASTOD derives every lattice level from the one below, so
+    neither the CLI nor a serial or pooled run constructs a cache."""
+    relation = make_dataset("flight", n_rows=300, n_attrs=6, seed=4)
+    path = tmp_path / "flight.csv"
+    write_csv(relation, path)
+    expected = discover_ods(relation)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("FASTOD built a PartitionCache")
+
+    monkeypatch.setattr(PartitionCache, "__init__", refuse)
+    assert main(["discover", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "cache" not in payload
+    assert payload["fds"] == expected.to_dict()["fds"]
+    assert FastOD(relation).run().same_ods(expected)
+    monkeypatch.setattr(pool_module, "PARALLEL_MIN_GROUPED_ROWS", 0)
+    pooled = FastOD(relation, FastODConfig(workers=2)).run()
+    assert pooled.executor_stats["phases"]["products"]["pool_tasks"] > 0
+    assert pooled.same_ods(expected)

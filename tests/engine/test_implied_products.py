@@ -6,7 +6,7 @@ Augmentation-I: once ``Y: [] ↦ B`` is emitted, every child ``X`` with
 the child its parent's object instead of a :class:`ProductTask`.  The
 guard pins that on a relation with planted FDs; the differential
 checks, against the brute-force enumerator, that the reuse never
-changes an answer under any configuration, cache or backend.
+changes an answer under any configuration or backend.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.core.results import diff_results
 from repro.engine.executors import SerialExecutor
 from repro.engine.planner import PartitionBackend, level_partition_bytes
 from repro.engine.telemetry import _TASKS
-from repro.partitions.cache import PartitionCache
 from repro.partitions.partition import StrippedPartition
 from tests.conftest import make_relation
 
@@ -107,13 +106,6 @@ class TestImpliedChildren:
                     assert partition is current[parent]
                     shared += 1
         assert shared >= 3
-
-    def test_cache_holds_the_shared_partition(self):
-        relation = planted()
-        cache = PartitionCache(relation.encode())
-        result = FastOD(relation, cache=cache).run()
-        assert cache.peek(C0 | C1) is cache.get(C0)
-        assert result.same_ods(minimal_canonical_ods(relation))
 
 
 def nbytes(partition: StrippedPartition) -> int:
@@ -214,17 +206,12 @@ CONFIGS = [
 @settings(max_examples=25, deadline=None)
 @given(planted_relations())
 def test_planted_fds_match_bruteforce(backend, relation):
-    truth = minimal_truth(relation)
     for options in CONFIGS:
         config = FastODConfig(kernel_backend=backend, **options)
         result = FastOD(relation, config).run()
         expected = minimal_truth(relation, options.get("max_level"))
         assert result.same_ods(expected), (options,
                                            diff_results(result, expected))
-    cache = PartitionCache(relation.encode(), max_entries=2)
-    bounded = FastOD(relation, FastODConfig(kernel_backend=backend),
-                     cache=cache).run()
-    assert bounded.same_ods(truth), diff_results(bounded, truth)
     everything = FastOD(relation, FastODConfig(
         kernel_backend=backend, minimality_pruning=False)).run()
     valid_fds, valid_ocds = all_valid_canonical_ods(relation)

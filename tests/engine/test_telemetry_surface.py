@@ -93,17 +93,6 @@ class TestJsonAndRoundTrip:
         reloaded = result_from_dict(result_to_dict(result))
         assert reloaded.executor_stats == result.executor_stats
 
-    def test_serialize_round_trips_cache_stats(self):
-        from repro.partitions.cache import PartitionCache
-
-        relation = employees()
-        encoded = relation.encode()
-        cache = PartitionCache(encoded)
-        result = FastOD(relation, FastODConfig(), cache=cache).run()
-        assert result.cache_stats is not None
-        reloaded = result_from_dict(result_to_dict(result))
-        assert reloaded.cache_stats == result.cache_stats
-
     def test_cli_discover_json_carries_executor(self, tmp_path, capsys):
         from repro.cli import main
         from repro.relation.csvio import write_csv

@@ -217,21 +217,6 @@ class TestPeakMemoryAccounting:
         assert ([s.peak_partition_bytes for s in reloaded.level_stats]
                 == [s.peak_partition_bytes for s in result.level_stats])
 
-    def test_bounded_cache_drops_spent_levels(self):
-        from repro.partitions.cache import PartitionCache
-
-        relation = make_dataset("flight", n_rows=200, n_attrs=6, seed=9)
-        encoded = relation.encode()
-        cache = PartitionCache(encoded, max_entries=1000)
-        result = FastOD(relation, FastODConfig(), cache=cache).run()
-        assert len(result.level_stats) >= 4
-        # size-2 contexts are consumed for the last time by level 4's
-        # OCD scans; the engine must have invalidated (at least the
-        # unpruned ones) from the bounded cache afterwards
-        size2 = [m for m in range(1, 1 << encoded.arity)
-                 if bin(m).count("1") == 2]
-        assert any(cache.peek(mask) is None for mask in size2)
-
 
 class TestWorkerResolution:
     def test_explicit_wins(self, monkeypatch):

@@ -166,49 +166,11 @@ class TestLRUMode:
 
 
 class TestCacheHooks:
-    """put/peek adoption and the append-path invalidation hooks."""
+    """Whole-cache invalidation and the append path's rebase."""
 
     def _cache(self, rows=((1, 2), (1, 3), (4, 2))):
         rel = make_relation(2, list(rows))
         return rel.encode(), PartitionCache(rel.encode())
-
-    def test_put_then_get(self):
-        encoded, cache = self._cache()
-        partition = partition_from_columns(encoded, [0, 1])
-        cache.put(0b11, partition)
-        assert cache.get(0b11) is partition
-
-    def test_put_pins_singletons(self):
-        encoded, cache = self._cache()
-        single = partition_from_columns(encoded, [0])
-        cache.put(0b01, single)
-        bounded = PartitionCache(encoded, max_entries=1)
-        bounded.put(0b01, single)
-        bounded.put(0b11, partition_from_columns(encoded, [0, 1]))
-        bounded.get(0b10)            # derivations churn the store
-        assert bounded.get(0b01) is single
-
-    def test_put_respects_lru_bound(self):
-        encoded, cache = self._cache()
-        bounded = PartitionCache(encoded, max_entries=1)
-        first = partition_from_columns(encoded, [0, 1])
-        bounded.put(0b11, first)
-        bounded.put(0b11, first)     # idempotent, no spurious eviction
-        assert bounded.evictions == 0
-
-    def test_put_rejects_wrong_row_count(self):
-        encoded, cache = self._cache()
-        with pytest.raises(ValueError):
-            cache.put(0b11, partition_from_columns(
-                make_relation(2, [(1, 2)]).encode(), [0, 1]))
-
-    def test_peek_never_derives(self):
-        encoded, cache = self._cache()
-        assert cache.peek(0b11) is None
-        assert cache.misses == 1
-        derived = cache.get(0b11)
-        assert cache.peek(0b11) is derived
-        assert cache.hits == 1
 
     def test_invalidate_all(self):
         encoded, cache = self._cache()
@@ -218,14 +180,6 @@ class TestCacheHooks:
         assert len(cache) == 1       # only the empty-set pin remains
         # and everything is re-derivable
         assert cache.get(0b11) == partition_from_columns(encoded, [0, 1])
-
-    def test_invalidate_selected_masks(self):
-        encoded, cache = self._cache()
-        kept = cache.get(0b10)
-        cache.get(0b11)
-        cache.invalidate([0b11, 0b1000])   # absent masks are ignored
-        assert cache.peek(0b11) is None
-        assert cache.get(0b10) is kept
 
     def test_rebase_swaps_relation(self):
         rel = make_relation(2, [(1, 2), (1, 3)])

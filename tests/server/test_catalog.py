@@ -91,6 +91,11 @@ class TestEviction:
         entry = catalog.register(small())
         assert catalog.get(entry.fingerprint) is entry
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_cache_bound_below_one_refused_at_construction(self, bound):
+        with pytest.raises(ValueError, match="max_cached_partitions"):
+            DatasetCatalog(max_cached_partitions=bound)
+
     def test_unbounded_never_evicts(self, catalog):
         for seed in range(1, 9):
             catalog.register(small(seed))

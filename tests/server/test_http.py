@@ -328,3 +328,25 @@ def test_bad_timeout_leaves_the_job_runner_alive():
         assert status == 400, reply
         job = client.discover(fp, wait_seconds=10)
         assert job["status"] == "done", job
+
+
+def test_discover_keeps_the_validate_working_set():
+    """A discover job builds its lattice partitions itself: it neither
+    reads nor evicts the dataset's partition cache, so a validate's
+    context is still resident after it."""
+    dependency = "{year, flight_sk}: month ~ quarter"
+    with ODService(port=0, workers=1) as service:
+        client = ServiceClient(service.url)
+        fp = client.register_dataset("flight", n_rows=2000, n_attrs=8,
+                                     seed=3)["fingerprint"]
+        assert client.validate(fp, dependency)["status"] == "done"
+        before = client.dataset(fp)["partition_cache"]
+        discovered = client.discover(fp)
+        assert discovered["status"] == "done"
+        assert discovered["cached"] is False
+        assert client.dataset(fp)["partition_cache"] == before
+        assert client.validate(fp, dependency)["status"] == "done"
+        after = client.dataset(fp)["partition_cache"]
+        assert after["hits"] == before["hits"] + 1
+        assert (after["misses"], after["evictions"]) == (
+            before["misses"], before["evictions"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.fastod import FastOD, FastODConfig
@@ -87,6 +89,31 @@ class TestTimeouts:
         later = scheduler.wait(
             scheduler.submit("discover", fp).id, timeout=10)
         assert later.status == "done", later.error
+
+    @pytest.mark.parametrize("timeout", [-1.0, float("nan"), "soon"])
+    def test_bad_default_timeout_refused_before_the_runner_starts(
+            self, timeout):
+        def runners():
+            return [thread for thread in threading.enumerate()
+                    if thread.name == "repro-od-jobs"]
+
+        before = runners()
+        with pytest.raises(JobError, match="'default_timeout'"):
+            JobScheduler(DatasetCatalog(), ResultStore(), workers=1,
+                         default_timeout=timeout)
+        assert runners() == before
+
+    def test_service_refuses_a_bad_default_timeout_unbound(self,
+                                                           monkeypatch):
+        import repro.server.http as http_module
+
+        def never_bound(*args, **kwargs):
+            raise AssertionError("the port was bound")
+
+        monkeypatch.setattr(http_module, "ThreadingHTTPServer",
+                            never_bound)
+        with pytest.raises(JobError, match="'default_timeout'"):
+            http_module.ODService(port=0, default_timeout=-1.0)
 
 
 class TestDiscoverJobs:

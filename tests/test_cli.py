@@ -323,26 +323,64 @@ class TestWatch:
 
 
 class TestCacheFlags:
-    def test_discover_json_includes_cache_stats(self, csv_file, capsys):
-        assert main(["discover", csv_file, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "cache" in payload
-        assert payload["cache"]["misses"] >= 1
-        assert payload["cache"]["max_entries"] is None
-
-    def test_discover_bounded_cache(self, csv_file, capsys):
-        assert main(["discover", csv_file, "--json",
-                     "--cache-max-entries", "1"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["cache"]["max_entries"] == 1
-        # results are unaffected by the bound
-        assert "{}: [] -> c2" in payload["fds"]
-
     def test_check_and_violations_accept_bound(self, csv_file):
         assert main(["check", csv_file, "{}: [] -> c2",
                      "--cache-max-entries", "2"]) == 0
         assert main(["violations", csv_file, "{}: [] -> c2",
                      "--cache-max-entries", "2"]) == 0
+
+    def test_discover_takes_no_cache_bound(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["discover", "data.csv",
+                                       "--cache-max-entries", "4"])
+        assert exit_info.value.code == 2
+        assert "--cache-max-entries" in capsys.readouterr().err
+
+
+class TestStartupValues:
+    """A value no run could use exits 2 with a usage line when the
+    arguments are parsed, before any file is read or port bound."""
+
+    @pytest.mark.parametrize("command", ["check", "violations"])
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_check_cache_bound_below_one(self, csv_file, capsys,
+                                         command, bound):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, csv_file, "{}: [] -> c2",
+                  "--cache-max-entries", bound])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "--cache-max-entries" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--cache-max-entries", "0"],
+        ["--catalog-bytes", "0"],
+        ["--catalog-bytes", "-1"],
+        ["--timeout", "-1"],
+        ["--timeout", "nan"],
+        ["--timeout", "inf"],
+    ])
+    def test_serve_values_refused_at_parse(self, capsys, argv):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--port", "0", *argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert argv[0] in err
+
+    def test_serve_accepts_the_edges(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["serve", "--cache-max-entries", "1", "--catalog-bytes", "1",
+             "--timeout", "0"])
+        assert (args.cache_max_entries, args.catalog_bytes,
+                args.timeout) == (1, 1, 0.0)
 
 
 class TestZeroRowInputs:
