@@ -74,6 +74,13 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+def port(text: str) -> int:
+    """An argparse type: a TCP port number, 0 to 65535."""
+    if not 0 <= int(text) <= 65535:
+        raise argparse.ArgumentTypeError(f"{text!r} is not 0-65535")
+    return int(text)
+
+
 def seconds(text: str) -> float:
     """An argparse type: a finite number of seconds, at least 0."""
     if not 0 <= float(text) < math.inf:
@@ -148,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the OD profiling service (HTTP API over the "
              "catalog/store/job scheduler)")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8765,
+    serve.add_argument("--port", type=port, default=8765,
                        help="TCP port (0 picks an ephemeral port and "
                             "prints it; default 8765)")
     serve.add_argument("--workers", type=int, default=None, metavar="N",

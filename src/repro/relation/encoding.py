@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numbers
 from bisect import bisect_left
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +35,12 @@ _KIND_BOOL = 1
 _KIND_NUMBER = 2
 _KIND_STRING = 3
 _KIND_OTHER = 4
+
+#: The exact cell types an integer column may hold: ``int`` and the
+#: signed NumPy integers — not ``bool``/``np.bool_``, which rank apart
+#: from the numbers, nor ``np.timedelta64``.
+_INTEGER_TYPES = frozenset(
+    [int, *(np.dtype(code).type for code in np.typecodes["Integer"])])
 
 
 def sort_key(value: Any) -> Tuple[int, Any]:
@@ -114,6 +121,50 @@ def _sorted_distinct(keyed: Sequence[Tuple]) -> List[Tuple]:
         return sorted(set(keyed), key=repr)
 
 
+def _integer_column(values: Sequence[Any]
+                    ) -> Optional[Tuple[List[Tuple], np.ndarray]]:
+    """The sorted distinct keys and the ranks of a column whose every
+    cell is an ``int`` or a signed NumPy integer within ``int64``, by
+    one ``np.unique`` and no :func:`sort_key` call; ``None`` for any
+    other column."""
+    if not _INTEGER_TYPES.issuperset(map(type, values)):
+        return None
+    try:
+        column = np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:                   # beyond int64: exact ints
+        return None
+    distinct, ranks = np.unique(column, return_inverse=True)
+    return (list(zip(repeat(_KIND_NUMBER), distinct.tolist())),
+            ranks.astype(np.int64, copy=False))
+
+
+def _key_cells(values: Sequence[Any]) -> Tuple[List[Tuple], np.ndarray]:
+    """Key each distinct cell once: the :func:`sort_key` of every
+    distinct ``(type, value)`` pair, in order of first appearance, and
+    each cell's index into that list.
+
+    The type is part of the pair because Python equality merges
+    values the encoder keeps apart (``True == 1``, but a boolean ranks
+    below every number).  Pairs come in the order of their first cell,
+    so the keys, their sort and the first
+    :class:`~repro.errors.DataError` are those of keying cell by cell.
+    """
+    try:
+        distinct = dict.fromkeys(zip(map(type, values), values))
+    except TypeError:
+        # an unhashable cell: key cell by cell, so that sort_key names
+        # the first bad cell in column order
+        cells = list(map(sort_key, values))
+        distinct = dict.fromkeys(cells)
+        keys = list(distinct)
+    else:
+        cells = zip(map(type, values), values)
+        keys = [sort_key(value) for _, value in distinct]
+    index_of = dict(zip(distinct, range(len(distinct))))
+    return keys, np.fromiter(map(index_of.__getitem__, cells),
+                             dtype=np.int64, count=len(values))
+
+
 def rank_encode_column(values: Sequence[Any]) -> np.ndarray:
     """Dense-rank a column: equal values share a rank, order preserved.
 
@@ -122,11 +173,7 @@ def rank_encode_column(values: Sequence[Any]) -> np.ndarray:
     >>> list(rank_encode_column([30, 10, 10, 20]))
     [2, 0, 0, 1]
     """
-    keyed = [sort_key(v) for v in values]
-    order = _sorted_distinct(keyed)
-    rank_of = {key: rank for rank, key in enumerate(order)}
-    return np.fromiter(
-        (rank_of[key] for key in keyed), dtype=np.int64, count=len(keyed))
+    return ColumnKeys.from_values(values)[0]
 
 
 class ColumnKeys:
@@ -166,12 +213,20 @@ class ColumnKeys:
     @classmethod
     def from_values(cls, values: Sequence[Any]
                     ) -> Tuple[np.ndarray, "ColumnKeys"]:
-        """Encode a column from scratch, returning (ranks, keys)."""
-        keyed = [sort_key(v) for v in values]
-        order = _sorted_distinct(keyed)
-        gid_of = {key: gid for gid, key in enumerate(order)}
-        ranks = np.fromiter((gid_of[key] for key in keyed),
-                            dtype=np.int64, count=len(keyed))
+        """Encode a column from scratch, returning (ranks, keys).
+
+        :func:`sort_key` runs once per distinct value, and never on an
+        all-integer column, which one ``np.unique`` ranks."""
+        integer = _integer_column(values)
+        if integer is not None:
+            order, ranks = integer
+            gid_of = dict(zip(order, range(len(order))))
+        else:
+            keys, cells = _key_cells(values)
+            order = _sorted_distinct(keys)
+            gid_of = dict(zip(order, range(len(order))))
+            ranks = np.fromiter(map(gid_of.__getitem__, keys),
+                                dtype=np.int64, count=len(keys))[cells]
         return ranks, cls(np.arange(len(order), dtype=np.int64), gid_of,
                           order)
 
@@ -231,7 +286,8 @@ class ColumnKeys:
                ) -> Tuple["ColumnKeys", "ColumnExtension"]:
         """Fold a batch of raw values into the dictionary.
 
-        Only the batch is keyed; unseen keys get fresh gids, their
+        Only the batch is keyed, once per distinct value; unseen keys
+        get fresh gids (in order of first appearance), their
         ranks are found by binary search over this branch's keys, and
         the resulting rank shifts of the old domain are returned as a
         monotone ``remap`` array.  The pre-extension ``ColumnKeys``
@@ -242,21 +298,21 @@ class ColumnKeys:
         whenever this branch ranks no such gid (:meth:`rank_of_gid`),
         even if a sibling already named it.
         """
-        keyed = [sort_key(v) for v in values]
+        keys, cells = _key_cells(values)
         gid_of, key_of = self._gid_of, self._key_of
-        for key in keyed:
+        for key in keys:
             if key not in gid_of:
                 gid_of[key] = len(key_of)
                 key_of.append(key)
-        batch_gids = np.fromiter(map(gid_of.__getitem__, keyed),
-                                 dtype=np.int64, count=len(keyed))
-        batch_ranks = self._ranks_of_gids(batch_gids)
-        unheld = [key for key, rank in zip(keyed, batch_ranks.tolist())
+        gids = np.fromiter(map(gid_of.__getitem__, keys),
+                           dtype=np.int64, count=len(keys))
+        ranks = self._ranks_of_gids(gids)
+        unheld = [key for key, rank in zip(keys, ranks.tolist())
                   if rank < 0]
         old_distinct = len(self.gid_sorted)
         if not unheld:
             return self, ColumnExtension(
-                np.arange(old_distinct, dtype=np.int64), batch_ranks)
+                np.arange(old_distinct, dtype=np.int64), ranks[cells])
         fresh = _sorted_distinct(unheld)
         try:
             positions = np.fromiter(
@@ -265,7 +321,7 @@ class ColumnKeys:
         except TypeError:
             # keys of some exotic non-comparable type: rebuild the
             # merged order the same way from_values would
-            return self._extend_incomparable(fresh, batch_gids)
+            return self._extend_incomparable(fresh, gids[cells])
         # fresh key j lands at rank positions[j] + j; the old ranks
         # fill the other slots, in order
         fresh_ranks = positions + np.arange(len(fresh))
@@ -273,14 +329,14 @@ class ColumnKeys:
         slots[fresh_ranks] = False
         remap = np.flatnonzero(slots)
         rank_of_fresh = dict(zip(fresh, fresh_ranks.tolist()))
-        held = batch_ranks >= 0
-        batch_ranks[held] = remap[batch_ranks[held]]
-        batch_ranks[~held] = [rank_of_fresh[key] for key in unheld]
+        held = ranks >= 0
+        ranks[held] = remap[ranks[held]]
+        ranks[~held] = [rank_of_fresh[key] for key in unheld]
         gid_sorted = np.insert(self.gid_sorted, positions, np.fromiter(
             map(gid_of.__getitem__, fresh), dtype=np.int64,
             count=len(fresh)))
         return (ColumnKeys(gid_sorted, gid_of, key_of),
-                ColumnExtension(remap, batch_ranks))
+                ColumnExtension(remap, ranks[cells]))
 
     def _extend_incomparable(self, fresh: List[Tuple],
                              batch_gids: np.ndarray

@@ -131,6 +131,15 @@ class ODService:
             self.catalog, self.store, workers=workers,
             default_timeout=default_timeout, journal=self.journal,
             delta_dir=journal_dir)
+        try:
+            self._httpd = ThreadingHTTPServer((host, port),
+                                              _make_handler(self))
+        except BaseException:
+            # a port in use: stop the runner thread the scheduler
+            # started and close the journal before the error surfaces
+            self._release()
+            raise
+        self._httpd.daemon_threads = True
         #: what journal replay restored (surfaced in ``/health``)
         self.recovered: Dict[str, int] = {
             "datasets": 0, "requeued": 0, "crashed": 0,
@@ -138,9 +147,6 @@ class ODService:
         self._started = time.monotonic()
         if self.journal is not None:
             self._replay_journal()
-        handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
         self._closed = False
 
@@ -259,6 +265,10 @@ class ODService:
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
+        self._release()
+
+    def _release(self) -> None:
+        """Drain the scheduler, close the catalog and the journal."""
         self.scheduler.close()
         self.catalog.close()
         if self.journal is not None:

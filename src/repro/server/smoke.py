@@ -20,7 +20,8 @@ final metrics dump.  The cold discover is split across the shared
 pool, and its job trace must hold ``task`` spans from at least two
 pool threads under the job's root span.  An in-process service then
 checks that no ``repro-worker`` pool thread outlives
-:meth:`~repro.server.http.ODService.close`.
+:meth:`~repro.server.http.ODService.close`, and one built on a port
+the suite holds must raise ``OSError`` and leave no job runner thread.
 
 A second phase boots a journaled server, streams a delta, ``kill
 -9``s it mid-flight, reboots on the same ``--journal-dir``, and
@@ -248,6 +249,7 @@ def main() -> int:
     check('"event": "metrics.final"' in stderr_tail,
           "final metrics snapshot dumped on SIGINT teardown")
     pool_teardown_phase()
+    held_port_phase()
     crash_recovery_phase(env)
     print("smoke suite green")
     return 0
@@ -275,6 +277,30 @@ def pool_teardown_phase() -> None:
     check(not pool_threads(),
           f"no repro-worker thread alive after close() "
           f"{pool_threads() or ''}")
+
+
+def held_port_phase() -> None:
+    """An in-process service on a port already bound must raise
+    ``OSError`` and leave no job runner thread behind."""
+    import socket
+
+    from repro.server.http import ODService
+
+    print("held-port phase: in-process service on a bound port ...")
+    raised = False
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        try:
+            with ODService(port=held.getsockname()[1], workers=1):
+                pass
+        except OSError:
+            raised = True
+    runners = [thread.name for thread in threading.enumerate()
+               if thread.name == "repro-od-jobs"]
+    check(raised and not runners,
+          f"OSError on a held port, no repro-od-jobs thread left "
+          f"{runners or ''}")
 
 
 def crash_recovery_phase(env: dict) -> None:

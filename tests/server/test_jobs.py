@@ -115,6 +115,24 @@ class TestTimeouts:
         with pytest.raises(JobError, match="'default_timeout'"):
             http_module.ODService(port=0, default_timeout=-1.0)
 
+    def test_service_on_a_held_port_leaves_no_runner(self, tmp_path):
+        import socket
+
+        from repro.server.http import ODService
+
+        def runners():
+            return [thread for thread in threading.enumerate()
+                    if thread.name == "repro-od-jobs"]
+
+        before = runners(), threading.active_count()
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            with pytest.raises(OSError):
+                ODService(port=held.getsockname()[1], workers=1,
+                          journal_dir=str(tmp_path / "journal"))
+        assert (runners(), threading.active_count()) == before
+
 
 class TestDiscoverJobs:
     def test_discover_matches_direct_api(self, scheduler):

@@ -381,6 +381,26 @@ class TestStartupValues:
              "--timeout", "0"])
         assert (args.cache_max_entries, args.catalog_bytes,
                 args.timeout) == (1, 1, 0.0)
+        for edge in ("0", "65535"):
+            args = build_parser().parse_args(["serve", "--port", edge])
+            assert args.port == int(edge)
+
+    @pytest.mark.parametrize("value", ["70000", "65536", "-1"])
+    def test_serve_port_out_of_range_exits_2(self, capsys, value):
+        import threading
+
+        def runners():
+            return [thread for thread in threading.enumerate()
+                    if thread.name == "repro-od-jobs"]
+
+        before = runners()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--port", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "--port" in err
+        assert runners() == before
 
 
 class TestZeroRowInputs:
