@@ -22,17 +22,21 @@ Gates the perf claim of the flat-layout partition engine two ways:
 3. **Backend level** — times the compiled (C/ctypes) kernel backend
    against the reference (NumPy) backend on the same inputs, kernel by
    kernel, asserting byte-identical outputs per cell and a geomean
-   speedup of at least ``BACKEND_MIN_SPEEDUP`` (2x).  Swap cells get
-   τ_A sorted once per column, as discovery does; a coarse-context
-   swap row (mean class 1000) is reported outside the geomean.  When no C
+   speedup of at least ``BACKEND_MIN_SPEEDUP`` (2x).  Swap cells time
+   one-pair ``swap_verdicts`` calls walked to the class count (every
+   offending class stops, the whole of τ_A is read on a swap-free
+   pair), with τ_A sorted once per column, as discovery does; a
+   coarse-context swap row (mean class 1000) is reported outside the
+   geomean.  When no C
    toolchain is available the section reports ``skipped`` and passes —
    the compiled backend is an optional accelerator, never a
    requirement.
 
    A batched-swap row sets one cli-wide-shaped scan context (ncvoter
    5000x12, context {first_name, county_id}) with its 45 (A, B)
-   pairs as one ``swap_verdicts`` call against one ``swap_flags`` call
-   per pair, on each available backend — also reported, not gated.
+   pairs as one ``swap_verdicts`` call (each pair stopping at its
+   first swap) against one one-pair call per pair walked to the class
+   count, on each available backend — also reported, not gated.
    A level-products row likewise builds one cli-wide-shaped lattice
    level (ncvoter 5000x12, level 3: 220 products of level-2 parents)
    as one ``partition_products`` call against one call per product.
@@ -266,6 +270,15 @@ def _backend_inputs(n_rows: int, n_distinct: int, seed: int):
     return context, left, swap_context, col_a, col_b, raw
 
 
+def _full_walk(col_a: np.ndarray, col_b: np.ndarray,
+               context: StrippedPartition, order_a: np.ndarray) -> tuple:
+    """``swap_verdicts`` arguments for the one pair ``col_a ~ col_b``
+    with a ``limit`` of the class count: the walk goes on until every
+    offending class has stopped."""
+    return ((col_a, col_b), {0: order_a}, context.rows, context.offsets,
+            [0], [1], [False], max(context.n_classes, 1))
+
+
 def _time_kernel(call) -> float:
     best = None
     for _ in range(BACKEND_TRIALS):
@@ -287,8 +300,8 @@ def bench_backends(reporter: Reporter) -> tuple:
     compiled = kernels.resolve_backend("compiled")
     records = []
     ratios = []
-    methods = {"product": "partition_products", "swap": "swap_flags",
-               "swap-coarse": "swap_flags", "split": "split_mismatch",
+    methods = {"product": "partition_products", "swap": "swap_verdicts",
+               "swap-coarse": "swap_verdicts", "split": "split_mismatch",
                "densify": "densify"}
     for n_rows, n_distinct in [(20_000, 60), (100_000, 300)]:
         context, left, swap_context, col_a, col_b, raw = _backend_inputs(
@@ -304,11 +317,8 @@ def bench_backends(reporter: Reporter) -> tuple:
             "product": ([(left.rows, left.offsets),
                          (context.rows, context.offsets)], [(0, 1)],
                         n_rows),
-            "swap": (col_a, col_b, swap_context.rows,
-                     swap_context.offsets, swap_context.class_ids(),
-                     order_a),
-            "swap-coarse": (col_a, col_b, coarse.rows, coarse.offsets,
-                            coarse.class_ids(), order_a),
+            "swap": _full_walk(col_a, col_b, swap_context, order_a),
+            "swap-coarse": _full_walk(col_a, col_b, coarse, order_a),
             "split": (raw, context.rows, context.offsets,
                       context.class_sizes),
             "densify": (raw,),
@@ -346,12 +356,12 @@ def bench_backends(reporter: Reporter) -> tuple:
 def bench_swap_batch(reporter: Reporter) -> List[dict]:
     """One scan context with every (A, B) pair outside it: one batched
     ``swap_verdicts`` call (row -> class table filled once, each pair
-    stopping at its first swap) against one ``swap_flags`` call per
-    pair, on each available backend.  Reported, not gated."""
+    stopping at its first swap) against one one-pair call per pair
+    walked to the class count, on each available backend.  Reported,
+    not gated."""
     name, n_rows, n_attrs = SWAP_BATCH_SHAPE
     encoded = dataset(name, n_rows, n_attrs).encode()
     context = partition_from_columns(encoded, list(SWAP_BATCH_CONTEXT))
-    class_ids = context.class_ids()
     pairs = list(combinations(
         [a for a in range(n_attrs) if a not in SWAP_BATCH_CONTEXT], 2))
     pair_a = [a for a, _ in pairs]
@@ -366,14 +376,14 @@ def bench_swap_batch(reporter: Reporter) -> List[dict]:
         backend = kernels.resolve_backend(backend_name)
 
         def per_pair():
-            return [bool(backend.swap_flags(
-                columns[a], columns[b], context.rows, context.offsets,
-                class_ids, orders[a]).any()) for a, b in pairs]
+            return [bool(backend.swap_verdicts(*_full_walk(
+                columns[a], columns[b], context, orders[a]))[0][0])
+                for a, b in pairs]
 
         def batched():
             return backend.swap_verdicts(
                 columns, orders, context.rows, context.offsets, pair_a,
-                pair_b, [False] * len(pairs)).tolist()
+                pair_b, [False] * len(pairs))[0].tolist()
 
         assert per_pair() == batched(), \
             f"{backend_name}: batched swap verdicts differ per pair"
@@ -514,7 +524,7 @@ def main() -> int:
 
     batch_reporter = Reporter(
         experiment="swap_batch",
-        title="Batched swap verdicts vs one swap_flags call per pair",
+        title="Batched swap verdicts vs one full walk per pair",
         columns=["backend", "n_rows", "pairs", "per_pair", "batched",
                  "speedup"])
     batch_records = bench_swap_batch(batch_reporter)

@@ -99,25 +99,22 @@ def is_constant_in_classes(column: np.ndarray,
     return not split_mismatch_mask(column, context).any()
 
 
-def find_split(column: np.ndarray, context: StrippedPartition,
-               attribute: str) -> Optional[Split]:
-    """Return a witness pair violating ``X: [] ↦ A``, or ``None``.
-
-    Mirrors :func:`is_constant_in_classes`; the first mismatching flat
-    position identifies both the offending class (via ``searchsorted``
-    on the offsets) and the witness row.
-    """
-    rows = context.rows
+def split_witnesses(column: np.ndarray, context: StrippedPartition,
+                    attribute: str, limit: int) -> List[Split]:
+    """Up to ``limit`` witnesses violating ``X: [] ↦ A``, one per
+    offending class in class order: the class's first row and its
+    first row with another A value, located by one split-kernel pass
+    (:func:`split_mismatch_mask`)."""
+    rows, offsets = context.rows, context.offsets
     if len(rows) == 0:
-        return None
+        return []
     different = np.flatnonzero(split_mismatch_mask(column, context))
-    if not different.size:
-        return None
-    position = int(different[0])
-    class_id = int(np.searchsorted(context.offsets, position,
-                                   side="right")) - 1
-    return Split(int(rows[context.offsets[class_id]]),
-                 int(rows[position]), attribute)
+    owners = np.searchsorted(offsets, different, side="right") - 1
+    firsts = np.flatnonzero(np.diff(owners, prepend=-1))[:limit]
+    return [Split(int(rows[offsets[owner]]), int(rows[position]),
+                  attribute)
+            for owner, position in zip(owners[firsts].tolist(),
+                                       different[firsts].tolist())]
 
 
 def is_compatible_in_classes(column_a: np.ndarray, column_b: np.ndarray,
@@ -137,25 +134,7 @@ def is_compatible_in_classes(column_a: np.ndarray, column_b: np.ndarray,
         order_a = np.argsort(column_a)
     return not kernels.swap_verdicts(
         (column_a, column_b), {0: order_a}, context.rows,
-        context.offsets, (0,), (1,), (False,))[0]
-
-
-def swap_classes(column_a: np.ndarray, column_b: np.ndarray,
-                 context: StrippedPartition,
-                 order_a: Optional[np.ndarray] = None) -> np.ndarray:
-    """Ids of the context classes containing at least one swap.
-
-    One pass over all classes (``order_a`` as in
-    :func:`is_compatible_in_classes`); consumers that need per-class
-    witnesses (e.g. violation reporting) re-scan only the returned
-    classes.
-    """
-    if len(context.rows) == 0:
-        return np.empty(0, dtype=np.int64)
-    flags = kernels.swap_flags(column_a, column_b, context.rows,
-                               context.offsets, context.class_ids(),
-                               order_a)
-    return np.flatnonzero(flags)
+        context.offsets, (0,), (1,), (False,))[0][0]
 
 
 def dominance_holds_ranks(columns: Sequence[np.ndarray], lhs_mask: int,
@@ -265,7 +244,7 @@ def scan_verdicts(relation: EncodedRelation, tasks: Sequence[ScanTask],
                 columns, {a: relation.order(a) for a in set(pair_a)},
                 context.rows, context.offsets, pair_a,
                 [task[4] for task in group],
-                [task[2] == "swap_desc" for task in group]).tolist()
+                [task[2] == "swap_desc" for task in group])[0].tolist()
         for task, swap in zip(group, swapped):
             verdicts[task[0]] = not swap
     return verdicts, False
@@ -279,35 +258,45 @@ def scan_verdict(mode: str, relation: EncodedRelation, a: int,
     return verdicts[0]
 
 
-def find_swap(column_a: np.ndarray, column_b: np.ndarray,
-              context: StrippedPartition, left: str,
-              right: str,
-              order_a: Optional[np.ndarray] = None) -> Optional[Swap]:
-    """Return a witness pair violating ``X: A ~ B``, or ``None``.
+def swap_witnesses(column_a: np.ndarray, column_b: np.ndarray,
+                   context: StrippedPartition, left: str, right: str,
+                   limit: int,
+                   order_a: Optional[np.ndarray] = None) -> List[Swap]:
+    """Up to ``limit`` witnesses violating ``X: A ~ B``, one per
+    offending class, in the order the τ_A walk meets them.
 
-    The witness is oriented so that ``row_s ≺_A row_t`` while
-    ``row_t ≺_B row_s``.  Detection is one swap-kernel pass (``order_a``
-    as in :func:`is_compatible_in_classes`); only the first offending
-    class is re-scanned scalar-style to build the same witness pair the
-    original per-class scan produced.
+    One :func:`repro.kernels.swap_verdicts` walk (``order_a`` as in
+    :func:`is_compatible_in_classes`) reports each class's stop row
+    ``t``: its first row in τ_A whose B lies below the largest B of
+    the class's smaller A values.  ``s`` is the lowest-numbered row
+    of that class with a smaller A holding that largest B, so
+    ``s ≺_A t`` and ``t ≺_B s``.
     """
-    hits = swap_classes(column_a, column_b, context, order_a)
-    if not hits.size:
-        return None
-    guilty_class = int(hits[0])
-    start = context.offsets[guilty_class]
-    stop = context.offsets[guilty_class + 1]
-    return scan_find_swap(column_a, column_b,
-                          context.rows[start:stop], left, right)
+    rows, offsets = context.rows, context.offsets
+    if len(rows) == 0:
+        return []
+    if order_a is None:
+        order_a = np.argsort(column_a)
+    _, stops = kernels.swap_verdicts(
+        (column_a, column_b), {0: order_a}, rows, offsets, (0,), (1,),
+        (False,), limit)
+    witnesses: List[Swap] = []
+    for class_id, row_t in stops[0].tolist():
+        if class_id < 0:
+            break
+        members = rows[offsets[class_id]:offsets[class_id + 1]]
+        earlier = members[column_a[members] < column_a[row_t]]
+        values_b = column_b[earlier]
+        row_s = earlier[values_b == values_b.max()].min()
+        witnesses.append(Swap(int(row_s), row_t, left, right))
+    return witnesses
 
 
 def scan_find_swap(column_a: np.ndarray, column_b: np.ndarray,
                    rows: np.ndarray, left: str,
                    right: str) -> Optional[Swap]:
-    """Scalar witness scan over one context class (reference scan).
-
-    Public so per-class consumers (e.g. violation collection) can
-    extract witnesses from classes the vectorized pass flagged."""
+    """Scalar witness scan over one context class: the reference scan
+    the kernel tests compare swap verdicts against."""
     pairs = sorted(
         zip(column_a[rows].tolist(), column_b[rows].tolist(),
             rows.tolist()))
@@ -400,7 +389,9 @@ class CanonicalValidator:
         one; kept so every engine entry point closes alike)."""
         self._executor.close()
 
-    def _index(self, name: str) -> int:
+    def index(self, name: str) -> int:
+        """The column index of attribute ``name`` (``KeyError`` naming
+        the relation's attributes for an unknown one)."""
         try:
             return self._name_to_index[name]
         except KeyError:
@@ -408,10 +399,12 @@ class CanonicalValidator:
                 f"unknown attribute {name!r}; relation has "
                 f"{self._relation.names}") from None
 
-    def _context_partition(self, context) -> StrippedPartition:
+    def context_partition(self, context) -> StrippedPartition:
+        """Π*_X for the attribute names of ``context``, from the
+        validator's partition cache."""
         mask = 0
         for name in context:
-            mask |= 1 << self._index(name)
+            mask |= 1 << self.index(name)
         return self._cache.get(mask)
 
     def holds(self, od: Union[CanonicalFD, CanonicalOCD]) -> bool:
@@ -424,32 +417,33 @@ class CanonicalValidator:
         if fd.is_trivial:
             return True
         return self._executor.scan_partition(
-            "const", self._index(fd.attribute), 0,
-            self._context_partition(fd.context))
+            "const", self.index(fd.attribute), 0,
+            self.context_partition(fd.context))
 
     def ocd_holds(self, ocd: CanonicalOCD) -> bool:
         if ocd.is_trivial:
             return True
         return self._executor.scan_partition(
-            "swap", self._index(ocd.left), self._index(ocd.right),
-            self._context_partition(ocd.context))
+            "swap", self.index(ocd.left), self.index(ocd.right),
+            self.context_partition(ocd.context))
 
     def witness(self, od: Union[CanonicalFD, CanonicalOCD]
                 ) -> Optional[Union[Split, Swap]]:
         """A violating tuple pair, or ``None`` when the OD holds."""
-        if isinstance(od, CanonicalFD):
-            if od.is_trivial:
-                return None
-            column = self._relation.column(self._index(od.attribute))
-            return find_split(column, self._context_partition(od.context),
-                              od.attribute)
         if od.is_trivial:
             return None
-        a = self._index(od.left)
-        return find_swap(self._relation.column(a),
-                         self._relation.column(self._index(od.right)),
-                         self._context_partition(od.context),
-                         od.left, od.right, self._relation.order(a))
+        context = self.context_partition(od.context)
+        if isinstance(od, CanonicalFD):
+            found = split_witnesses(
+                self._relation.column(self.index(od.attribute)), context,
+                od.attribute, 1)
+        else:
+            a = self.index(od.left)
+            found = swap_witnesses(
+                self._relation.column(a),
+                self._relation.column(self.index(od.right)), context,
+                od.left, od.right, 1, self._relation.order(a))
+        return found[0] if found else None
 
 
 # ----------------------------------------------------------------------

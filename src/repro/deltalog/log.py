@@ -6,7 +6,7 @@ stable across re-keying).  Every record is one
 :class:`~repro.deltalog.model.DeltaBatch` plus the content
 fingerprints before/after it applied, under the shared record
 discipline of :mod:`repro.deltalog.records`: LSN-prefixed,
-CRC-guarded, one ``write`` + ``flush`` + ``fsync`` per record, clean
+CRC-guarded, one ``write`` + ``fsync`` per record, clean
 prefix trusted on reopen, torn tail truncated before the next append.
 
 The same log is three things at once (the DBSP/Z-set unified-WAL
@@ -32,6 +32,7 @@ from typing import Dict, List, NamedTuple, Optional, Union
 from repro import faults
 from repro.deltalog.model import DeltaBatch
 from repro.deltalog.records import (
+    append_record,
     encode_record,
     read_records,
     trusted_length,
@@ -131,7 +132,7 @@ class DeltaLog:
         records = read_records(self.path)
         self._lsn = records[-1]["lsn"] if records else 0
         trusted = trusted_length(records)
-        self._handle = open(self.path, "ab")
+        self._handle = open(self.path, "ab", buffering=0)
         if self._handle.tell() > trusted:
             self._handle.truncate(trusted)
             self._handle.seek(trusted)
@@ -179,9 +180,7 @@ class DeltaLog:
             with trace.span("deltalog.append", lsn=self._lsn + 1,
                             ops=len(batch)):
                 try:
-                    self._handle.write(encoded)
-                    self._handle.flush()
-                    os.fsync(self._handle.fileno())
+                    append_record(self._handle, encoded)
                 except OSError as error:
                     _ERRORS.inc()
                     raise DeltaLogError(
@@ -195,8 +194,6 @@ class DeltaLog:
 
     def records(self) -> List[DeltaRecord]:
         """Replay this log's current clean prefix (for verification)."""
-        with self._lock:
-            self._handle.flush()
         return read_delta_log(self.path)
 
     def close(self) -> None:

@@ -14,16 +14,17 @@ final line can ever be torn.
 
 Both durable logs — the job journal (:mod:`repro.server.journal`) and
 the per-dataset delta WAL (:mod:`repro.deltalog.log`) — are built on
-these two functions, so the torn-write fuzz tests exercise one record
+these functions, so the torn-write fuzz tests exercise one record
 discipline, not two diverging copies.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import zlib
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import BinaryIO, Dict, List, Union
 
 
 def encode_record(lsn: int, payload: Dict) -> bytes:
@@ -32,6 +33,31 @@ def encode_record(lsn: int, payload: Dict) -> bytes:
                       separators=(",", ":")).encode("utf-8")
     crc = zlib.crc32(body) & 0xFFFFFFFF
     return b"%d %08x %s\n" % (lsn, crc, body)
+
+
+def append_record(handle: BinaryIO, record: bytes) -> None:
+    """Write one encoded record through ``handle`` and fsync it.
+
+    ``handle`` is unbuffered (``open(path, "ab", buffering=0)``), so a
+    failed write leaves no bytes waiting in a buffer for the next
+    flush.  An append that fails leaves no bytes in the file either:
+    it is cut back to where the record began before the ``OSError``
+    propagates, so the next record, which takes the same LSN, starts a
+    clean line.
+    """
+    start = handle.tell()
+    try:
+        written = handle.write(record)
+        if written != len(record):
+            raise OSError(f"short write: {written} of {len(record)} "
+                          f"bytes")
+        os.fsync(handle.fileno())
+    except OSError:
+        try:
+            handle.truncate(start)
+        except OSError:
+            pass            # the stray bytes end the trusted prefix
+        raise
 
 
 def read_records(path: Union[str, Path]) -> List[Dict]:
@@ -83,4 +109,5 @@ def trusted_length(records: List[Dict]) -> int:
                for record in records)
 
 
-__all__ = ["encode_record", "read_records", "trusted_length"]
+__all__ = ["append_record", "encode_record", "read_records",
+           "trusted_length"]

@@ -28,10 +28,9 @@ Every dispatch is billed to the ``repro_kernel_calls_total`` /
 ``backend``) of the process-wide :mod:`repro.obs.metrics` registry, so
 ``/metrics`` separates product from swap/split/densify/order time by
 backend.  :func:`partition_products` builds a whole lattice level and
-is billed once per call.  The swap kernel has two entry points under
-one label: :func:`swap_flags` (per-class flags, for witnesses) and
-:func:`swap_verdicts` (every (A, B) pair of one scan context in one
-call, billed once).  The timing wrapper short-circuits when the
+is billed once per call, and so is :func:`swap_verdicts`, which
+answers every (A, B) pair of one scan context and reports where each
+pair's walk stopped.  The timing wrapper short-circuits when the
 registry is disabled, keeping the observability overhead gate honest.
 """
 
@@ -243,38 +242,46 @@ def rank_order(ranks: np.ndarray) -> np.ndarray:
     return _dispatch("order", "rank_order", ranks)
 
 
-def swap_flags(col_a: np.ndarray, col_b: np.ndarray, rows: np.ndarray,
-               offsets: np.ndarray, class_ids: np.ndarray,
-               order_a: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-class swap flags for ``X: A ~ B`` over one context.
-
-    ``order_a`` is τ_A, the relation's rows sorted by ``col_a``
-    (:meth:`repro.relation.encoding.EncodedRelation.order` caches it
-    per relation); a caller holding bare columns may omit it, and it is
-    sorted here, once per call."""
-    if order_a is None:
-        order_a = np.argsort(col_a)
-    return _dispatch("swap", "swap_flags", col_a, col_b, rows, offsets,
-                     class_ids, order_a)
-
-
 def swap_verdicts(columns: Sequence[np.ndarray],
                   orders: Mapping[int, np.ndarray], rows: np.ndarray,
                   offsets: np.ndarray, pair_a: Sequence[int],
-                  pair_b: Sequence[int],
-                  negate: Sequence[bool]) -> np.ndarray:
-    """One bool per (A, B) pair over one context: does any class
-    contain a swap w.r.t. ``X: A ~ B``?
+                  pair_b: Sequence[int], negate: Sequence[bool],
+                  limit: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+    """``(swapped, stops)`` for every (A, B) pair over one context.
 
+    ``swapped[p]``: does any class contain a swap w.r.t. ``X: A ~ B``?
     ``columns`` are the relation's rank columns, ``orders`` maps each
     A of ``pair_a`` to its τ_A, and ``negate[p]`` reverses B's order
     (the ``swap_desc`` scans).  The context's row -> class table is
-    built once, and each pair's walk over τ_A stops at its first swap
-    (see :meth:`repro.kernels.reference.ReferenceBackend.swap_verdicts`
-    for the contract).  The call is billed once, whatever the number
-    of pairs."""
+    built once, and each pair's walk over τ_A ends once ``limit``
+    classes have stopped: ``stops[p]`` holds those ``(class, row)``
+    stops in walk order, ``-1`` past the last, a stop row being the
+    first row of its class whose B lies below the largest B of the
+    class's smaller A values (see
+    :meth:`repro.kernels.reference.ReferenceBackend.swap_verdicts`
+    for the contract).  Verdicts take ``limit=1``.  The call is billed
+    once, whatever the number of pairs."""
     return _dispatch("swap", "swap_verdicts", columns, orders, rows,
-                     offsets, pair_a, pair_b, negate)
+                     offsets, pair_a, pair_b, negate, limit)
+
+
+def swap_flags(col_a: np.ndarray, col_b: np.ndarray, rows: np.ndarray,
+               offsets: np.ndarray, class_ids: np.ndarray,
+               order_a: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-class swap flags for ``X: A ~ B`` over one context: a
+    one-pair :func:`swap_verdicts` walk with a ``limit`` of the class
+    count (``class_ids`` is ignored; ``order_a`` is sorted here when
+    omitted).  Nothing in the library calls it: it is kept only for
+    the end-to-end benchmark's probe table, which wraps this name."""
+    if order_a is None:
+        order_a = np.argsort(col_a)
+    flags = np.zeros(max(len(offsets) - 1, 0), dtype=bool)
+    _, stops = swap_verdicts((col_a, col_b), {0: order_a}, rows,
+                             offsets, (0,), (1,), (False,),
+                             max(len(flags), 1))
+    flagged = stops[0, :, 0]
+    flags[flagged[flagged >= 0]] = True
+    return flags
 
 
 def split_mismatch(column: np.ndarray, rows: np.ndarray,

@@ -9,9 +9,9 @@
  * arrays byte for byte.  The comments on each kernel state why; the
  * backend-parity suite (tests/kernels) enforces it.  The product
  * kernel builds a whole lattice level per call and sorts no rows, and
- * the swap kernels sort nothing either: they take τ_A, the relation's
+ * the swap kernel sorts nothing either: it takes τ_A, the relation's
  * rows sorted once by the left attribute (counting-sorted by
- * repro_rank_order), and answer a context in one pass over it per
+ * repro_rank_order), and answers a context in one pass over it per
  * (A, B) pair.
  *
  * All arrays are contiguous int64 unless noted; flags/masks are uint8
@@ -215,16 +215,16 @@ done:
  * class's rows in ascending A.  Per class the walk keeps the current
  * A value, that A group's maximum B, and the maximum B over earlier
  * (strictly smaller) A groups, and flags the class at the first B
- * below the last (Definition 5).  A row is only ever compared with
- * earlier groups, so the order within an A group is irrelevant and
- * the flags equal the reference backend's.  O(n + m).
+ * below the last (Definition 5): that row is the class's stop.  A row
+ * is only ever compared with earlier groups, so whether a class is
+ * flagged does not depend on the order within an A group; which row
+ * stops it does, and the reference backend reads the same stop off
+ * the same τ_A.  O(n + m).
  *
- * Two entry points share the table fill and the walk:
- * repro_swap_flags flags every class of one (A, B) pair, and
- * repro_swap_verdicts answers many pairs over one context, filling
- * the table once and stopping each pair at its first swap.
- *
- * Both return a negative code, before any scratch write outside its
+ * repro_swap_verdicts answers many (A, B) pairs over one context,
+ * filling the table once and stopping each pair after `limit`
+ * flagged classes; a stop is written only when a class is flagged.
+ * It returns a negative code, before any scratch write outside its
  * bounds, for inputs that break the CSR contract: -1 allocation
  * failure, -2 a context row outside [0, n), -3 offsets that do not
  * start at 0, decrease, or do not end at m, -4 a τ_A entry outside
@@ -274,12 +274,13 @@ static int64_t fill_class_of(int64_t *class_of, int64_t n,
 }
 
 /* Walk τ_A for one pair until `limit` classes are flagged; returns
- * the number flagged (or -4). */
+ * the number flagged (or -4).  The k-th flagged class and its stop
+ * row go to stops[2k] and stops[2k + 1]. */
 static int64_t swap_walk(const int64_t *col_a, const int64_t *col_b,
                          int64_t b_mask, const int64_t *order_a,
                          int64_t n, const int64_t *class_of,
                          int64_t n_classes, repro_swap_state *state,
-                         uint8_t *flags, int64_t limit)
+                         uint8_t *flags, int64_t limit, int64_t *stops)
 {
     for (int64_t c = 0; c < n_classes; c++) {
         flags[c] = 0;
@@ -310,40 +311,24 @@ static int64_t swap_walk(const int64_t *col_a, const int64_t *col_b,
         }
         if (b < s->before_max) {
             flags[c] = 1;
+            stops[2 * flagged] = c;
+            stops[2 * flagged + 1] = row;
             flagged++;
         }
     }
     return flagged;
 }
 
-/* Flag every class of the context containing a swap w.r.t. X: A ~ B
- * (out_flags: n_classes entries).  Returns the number flagged. */
-int64_t repro_swap_flags(const int64_t *col_a, const int64_t *col_b,
-                         const int64_t *order_a, int64_t n,
-                         const int64_t *rows, int64_t m,
-                         const int64_t *offsets, int64_t n_classes,
-                         uint8_t *out_flags)
-{
-    int64_t *class_of = malloc((size_t)(n > 0 ? n : 1) * sizeof *class_of);
-    repro_swap_state *state = malloc(
-        (size_t)(n_classes > 0 ? n_classes : 1) * sizeof *state);
-    int64_t rc = -1;
-    if (class_of && state) {
-        rc = fill_class_of(class_of, n, rows, m, offsets, n_classes);
-        if (rc == 0 && m > 0)
-            rc = swap_walk(col_a, col_b, 0, order_a, n, class_of,
-                           n_classes, state, out_flags, n_classes);
-    }
-    free(class_of);
-    free(state);
-    return rc;
-}
-
 /* out_swapped[p] = 1 iff some class of the context contains a swap
- * w.r.t. pairs[p].  Returns the number of such pairs. */
+ * w.r.t. pairs[p].  Pair p's first `limit` stops, (class, row) in τ_A
+ * order, go to out_stops[2 * limit * p ...]; the caller sizes
+ * out_stops for n_pairs * limit stops, limit >= 1 (entries past a
+ * pair's last stop are left as they are).  Returns the number of
+ * swapping pairs. */
 int64_t repro_swap_verdicts(const repro_swap_pair *pairs, int64_t n_pairs,
                             int64_t n, const int64_t *rows, int64_t m,
                             const int64_t *offsets, int64_t n_classes,
+                            int64_t limit, int64_t *out_stops,
                             uint8_t *out_swapped)
 {
     size_t k = (size_t)(n_classes > 0 ? n_classes : 1);
@@ -359,13 +344,14 @@ int64_t repro_swap_verdicts(const repro_swap_pair *pairs, int64_t n_pairs,
             got = swap_walk(pairs[p].col_a, pairs[p].col_b,
                             -(int64_t)(pairs[p].negate != 0),
                             pairs[p].order_a, n, class_of, n_classes,
-                            state, flags, 1);
+                            state, flags, limit,
+                            out_stops + 2 * limit * p);
         if (got < 0) {
             rc = got;
             break;
         }
-        out_swapped[p] = (uint8_t)got;
-        rc += got;
+        out_swapped[p] = got > 0;
+        rc += got > 0;
     }
     free(class_of);
     free(state);

@@ -40,8 +40,7 @@ import numpy as np
 from repro.kernels.reference import (Parent, check_swap_pairs,
                                      product_bounds,
                                      product_contract_error,
-                                     swap_contract_error,
-                                     swap_input_length)
+                                     swap_contract_error)
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC", "-std=c11", "-fno-math-errno")
@@ -133,12 +132,9 @@ def _load() -> ctypes.CDLL:
         lib.repro_products.restype = i64
         lib.repro_products.argtypes = [ptr, i64, ptr, i64, i64, ptr, i64,
                                        ptr, i64, ptr]
-        lib.repro_swap_flags.restype = i64
-        lib.repro_swap_flags.argtypes = [ptr, ptr, ptr, i64, ptr, i64,
-                                         ptr, i64, ptr]
         lib.repro_swap_verdicts.restype = i64
         lib.repro_swap_verdicts.argtypes = [ptr, i64, i64, ptr, i64, ptr,
-                                            i64, ptr]
+                                            i64, i64, ptr, ptr]
         lib.repro_split_mismatch.restype = None
         lib.repro_split_mismatch.argtypes = [ptr, ptr, ptr, i64, ptr]
         lib.repro_densify.restype = i64
@@ -225,39 +221,20 @@ class CompiledBackend:
         return (out_rows[:int(spans[:, 1].sum())],
                 out_offsets[:int(spans[:, 3].sum()) + len(tasks)], spans)
 
-    def swap_flags(self, col_a: np.ndarray, col_b: np.ndarray,
-                   rows: np.ndarray, offsets: np.ndarray,
-                   class_ids: np.ndarray,
-                   order_a: np.ndarray) -> np.ndarray:
-        n = swap_input_length(col_a, col_b, order_a)
-        n_classes = len(offsets) - 1
-        if n_classes < 0:
-            raise swap_contract_error(-3)
-        flags = np.zeros(max(n_classes, 1), dtype=np.uint8)
-        col_a = _c(col_a)
-        col_b = _c(col_b)
-        order_a = _c(order_a)
-        rows = _c(rows)
-        offsets = _c(offsets)
-        flagged = self._lib.repro_swap_flags(
-            col_a.ctypes.data, col_b.ctypes.data, order_a.ctypes.data, n,
-            rows.ctypes.data, len(rows), offsets.ctypes.data, n_classes,
-            flags.ctypes.data)
-        if flagged < 0:
-            raise swap_contract_error(flagged)
-        return flags[:n_classes].view(bool)
-
     def swap_verdicts(self, columns: Sequence[np.ndarray],
                       orders: Mapping[int, np.ndarray], rows: np.ndarray,
                       offsets: np.ndarray, pair_a: Sequence[int],
-                      pair_b: Sequence[int],
-                      negate: Sequence[bool]) -> np.ndarray:
-        n = check_swap_pairs(columns, orders, pair_a, pair_b, negate)
+                      pair_b: Sequence[int], negate: Sequence[bool],
+                      limit: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+        n = check_swap_pairs(columns, orders, pair_a, pair_b, negate,
+                             limit)
         n_classes = len(offsets) - 1
         if n_classes < 0:
             raise swap_contract_error(-3)
         n_pairs = len(pair_a)
         swapped = np.zeros(max(n_pairs, 1), dtype=np.uint8)
+        stops = np.full((n_pairs, min(limit, n_classes), 2), -1,
+                        dtype=np.int64)
         # one address per referenced column and τ_A; the C side reads
         # one (col_a, col_b, order_a, negate) record per pair
         held: List[np.ndarray] = []
@@ -272,10 +249,11 @@ class CompiledBackend:
         offsets = _c(offsets)
         found = self._lib.repro_swap_verdicts(
             table.ctypes.data, n_pairs, n, rows.ctypes.data, len(rows),
-            offsets.ctypes.data, n_classes, swapped.ctypes.data)
+            offsets.ctypes.data, n_classes, stops.shape[1],
+            stops.ctypes.data, swapped.ctypes.data)
         if found < 0:
             raise swap_contract_error(found)
-        return swapped[:n_pairs].view(bool)
+        return swapped[:n_pairs].view(bool), stops
 
     def split_mismatch(self, column: np.ndarray, rows: np.ndarray,
                        offsets: np.ndarray,

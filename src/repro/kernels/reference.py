@@ -13,12 +13,12 @@ parity suite enforces.
 
 The product kernel takes a whole lattice level (Section 4.6): every
 ``(left, right)`` parent pair of the level in one call, one row ->
-class probe per left parent.  The swap kernels take τ_A, the
+class probe per left parent.  The swap kernel takes τ_A, the
 relation's rows sorted once by ``A``
 (:meth:`repro.relation.encoding.EncodedRelation.order`, the stable
-:meth:`ReferenceBackend.rank_order`), and walk it instead of sorting
+:meth:`ReferenceBackend.rank_order`), and walks it instead of sorting
 each context: both backends answer a swap check in one pass over the
-relation's rows per (A, B) pair.
+relation's rows per (A, B) pair, and report where that pass stopped.
 """
 
 from __future__ import annotations
@@ -98,28 +98,18 @@ def swap_mask(class_ids: np.ndarray, values_a: np.ndarray,
     return shifted_b < max_b_of_earlier_groups
 
 
-def swap_input_length(col_a: np.ndarray, col_b: np.ndarray,
-                      order_a: np.ndarray) -> int:
-    """The relation's row count, once ``col_a``, ``col_b`` and
-    ``order_a`` agree on it; a mismatch raises ``ValueError`` before
-    any kernel indexes the arrays."""
-    n = len(order_a)
-    if len(col_a) != n or len(col_b) != n:
-        raise ValueError(
-            f"swap_flags needs col_a, col_b and order_a of one length; "
-            f"got {len(col_a)}, {len(col_b)} and {n}")
-    return n
-
-
 def check_swap_pairs(columns: Sequence[np.ndarray],
                      orders: Mapping[int, np.ndarray],
                      pair_a: Sequence[int], pair_b: Sequence[int],
-                     negate: Sequence[bool]) -> int:
+                     negate: Sequence[bool], limit: int) -> int:
     """The relation's row count, once the (A, B) pairs of a
     :meth:`ReferenceBackend.swap_verdicts` call are well formed: pair
     arrays of one length, indices in ``[0, arity)``, a τ_A for every A,
-    and every column and τ_A of one length.  ``ValueError`` otherwise,
-    before any kernel indexes the arrays."""
+    every column and τ_A of one length, and a ``limit`` of at least 1.
+    ``ValueError`` otherwise, before any kernel indexes the arrays."""
+    if limit < 1:
+        raise ValueError(
+            f"swap_verdicts needs a limit of at least 1; got {limit}")
     if not len(pair_a) == len(pair_b) == len(negate):
         raise ValueError(
             f"swap_verdicts needs pair_a, pair_b and negate of one "
@@ -235,6 +225,23 @@ def _tau_walk(position: np.ndarray, order_a: np.ndarray,
     return class_ids[walk], rows[walk]
 
 
+def _first_stops(hits: np.ndarray, sorted_ids: np.ndarray,
+                 sorted_rows: np.ndarray, position: np.ndarray,
+                 limit: int) -> np.ndarray:
+    """Where one pair's first ``limit`` stops lie, in τ_A order, as
+    positions in the class-then-walk order of :func:`_tau_walk`, given
+    the pair's swap-mask positions ``hits`` (ascending) and the τ_A
+    ``position`` table: each class stops at its first hit, where the C
+    walk flags it."""
+    if limit == 1:
+        # a verdict's one stop is the earliest hit in τ_A, whatever
+        # its class: no per-class pass (it cost a quarter of a batched
+        # verdict call on cli-wide's contexts)
+        return hits[[position[sorted_rows[hits]].argmin()]]
+    first = hits[np.flatnonzero(np.diff(sorted_ids[hits], prepend=-1))]
+    return first[np.argsort(position[sorted_rows[first]])[:limit]]
+
+
 class ReferenceBackend:
     """Array-level kernel contract, NumPy implementation.
 
@@ -254,26 +261,29 @@ class ReferenceBackend:
       ``min(||Π_left||, ||Π_right||)`` rows.
     * :meth:`rank_order` — ``np.argsort(ranks, kind="stable")``: every
       row sorted by rank, ties in row order (a valid τ_A).
-    * :meth:`swap_flags` — one bool per context class: does the class
-      contain a swap pair w.r.t. ``A ~ B``?  ``order_a`` is τ_A, every
-      row sorted by ``col_a`` in any order within ties.  (Per-class
-      flags rather than a positional mask: the verdicts do not depend
-      on the order within ties, positions would.)
-    * :meth:`swap_verdicts` — one bool per ``(pair_a[p], pair_b[p])``
-      pair over one context: does any class contain a swap w.r.t.
-      ``A ~ B``, with B's order reversed where ``negate[p]`` (the
-      ``swap_desc`` scans)?  ``columns`` are the relation's rank
-      columns, ``orders`` maps every A to its τ_A.  Equal to
-      ``swap_flags(...).any()`` per pair.
+    * :meth:`swap_verdicts` — ``(swapped, stops)`` over one context.
+      ``swapped[p]``: does any class contain a swap w.r.t. ``A ~ B``
+      for the pair ``(pair_a[p], pair_b[p])``, with B's order reversed
+      where ``negate[p]`` (the ``swap_desc`` scans)?  ``columns`` are
+      the relation's rank columns, ``orders`` maps every A to its τ_A
+      (every row sorted by A, in any order within ties).
+      ``stops[p]`` (shape ``(n_pairs, min(limit, n_classes), 2)``)
+      holds the pair's first ``limit`` ``(class, row)`` stops in τ_A
+      order, ``-1`` past its last: a class stops at its first row in
+      τ_A whose B lies below the largest B of the class's smaller A
+      values.  Verdicts do not depend on the order within ties of
+      τ_A; stop rows do, and both backends read them off the same
+      τ_A.
     * :meth:`split_mismatch` — bool per grouped row (parallel to
       ``rows``): does the row's value differ from its class's first?
     * :meth:`densify` — ``np.unique(values, return_inverse=True)``:
       sorted distinct values plus each value's index among them.
 
-    The product and both swap kernels raise ``ValueError`` for inputs
+    The product and swap kernels raise ``ValueError`` for inputs
     outside their contract (rows outside ``[0, n)``, offsets that do
     not start at 0, decrease or miss ``len(rows)``, task or pair
-    indices out of range, unequal lengths) before indexing anything.
+    indices out of range, unequal lengths, a swap ``limit`` below 1)
+    before indexing anything.
     """
 
     name = "reference"
@@ -325,33 +335,19 @@ class ReferenceBackend:
                                                        copy=False)
 
     @staticmethod
-    def swap_flags(col_a: np.ndarray, col_b: np.ndarray,
-                   rows: np.ndarray, offsets: np.ndarray,
-                   class_ids: np.ndarray,
-                   order_a: np.ndarray) -> np.ndarray:
-        n = swap_input_length(col_a, col_b, order_a)
-        _check_swap_context(rows, offsets, n)
-        flags = np.zeros(len(offsets) - 1, dtype=bool)
-        if len(rows) == 0:
-            return flags
-        sorted_ids, sorted_rows = _tau_walk(
-            np.empty(n, dtype=np.int64), order_a, class_ids, rows)
-        mask = swap_mask(sorted_ids, col_a[sorted_rows],
-                         col_b[sorted_rows])
-        flags[sorted_ids[mask]] = True
-        return flags
-
-    @staticmethod
     def swap_verdicts(columns: Sequence[np.ndarray],
                       orders: Mapping[int, np.ndarray], rows: np.ndarray,
                       offsets: np.ndarray, pair_a: Sequence[int],
-                      pair_b: Sequence[int],
-                      negate: Sequence[bool]) -> np.ndarray:
-        n = check_swap_pairs(columns, orders, pair_a, pair_b, negate)
+                      pair_b: Sequence[int], negate: Sequence[bool],
+                      limit: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+        n = check_swap_pairs(columns, orders, pair_a, pair_b, negate,
+                             limit)
         _check_swap_context(rows, offsets, n)
         swapped = np.zeros(len(pair_a), dtype=bool)
+        limit = min(limit, len(offsets) - 1)
+        stops = np.full((len(pair_a), limit, 2), -1, dtype=np.int64)
         if len(rows) == 0:
-            return swapped
+            return swapped, stops
         class_ids = _class_ids(offsets)
         position = np.empty(n, dtype=np.int64)
         pairs_of = {}
@@ -366,9 +362,15 @@ class ReferenceBackend:
                 values_b = columns[pair_b[p]][sorted_rows]
                 if negate[p]:
                     values_b = ~values_b
-                swapped[p] = swap_mask(sorted_ids, values_a,
-                                       values_b).any()
-        return swapped
+                hits = np.flatnonzero(swap_mask(sorted_ids, values_a,
+                                                values_b))
+                if len(hits):
+                    swapped[p] = True
+                    pick = _first_stops(hits, sorted_ids, sorted_rows,
+                                        position, limit)
+                    stops[p, :len(pick), 0] = sorted_ids[pick]
+                    stops[p, :len(pick), 1] = sorted_rows[pick]
+        return swapped, stops
 
     @staticmethod
     def split_mismatch(column: np.ndarray, rows: np.ndarray,

@@ -148,6 +148,9 @@ class ODService:
         if self.journal is not None:
             self._replay_journal()
         self._thread: Optional[threading.Thread] = None
+        #: ``shutdown()`` waits for an event only ``serve_forever()``
+        #: sets, so ``close()`` calls it only once serving has begun
+        self._serving = False
         self._closed = False
 
     def _replay_journal(self) -> None:
@@ -247,6 +250,7 @@ class ODService:
 
     def start(self) -> None:
         """Serve in a background thread (in-process embedding)."""
+        self._serving = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, name="repro-od-http",
             daemon=True)
@@ -254,6 +258,7 @@ class ODService:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (the CLI foreground path)."""
+        self._serving = True
         self._httpd.serve_forever()
 
     def close(self) -> None:
@@ -261,7 +266,8 @@ class ODService:
         if self._closed:
             return
         self._closed = True
-        self._httpd.shutdown()
+        if self._serving:
+            self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=10.0)

@@ -54,6 +54,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.deltalog.records import (
+    append_record,
     encode_record,
     read_records,
     trusted_length,
@@ -135,7 +136,7 @@ class JobJournal:
         # re-open past the trusted prefix: a torn tail is overwritten
         # by truncating to the prefix before appending anything new
         trusted = trusted_length(self._records)
-        self._handle = open(self.path, "ab")
+        self._handle = open(self.path, "ab", buffering=0)
         if self._handle.tell() > trusted:
             self._handle.truncate(trusted)
             self._handle.seek(trusted)
@@ -149,16 +150,17 @@ class JobJournal:
         with self._lock:
             if self._closed:
                 return self._lsn          # shutdown race: drop quietly
-            self._lsn += 1
             started = time.perf_counter()
             try:
-                self._handle.write(encode_record(self._lsn, payload))
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
+                append_record(self._handle,
+                              encode_record(self._lsn + 1, payload))
             except OSError as error:
                 _ERRORS.inc()
                 raise JournalError(
                     f"journal append failed: {error}") from error
+            # the LSN is taken only once the record is durable: a
+            # failed append leaves no gap for replay to stop at
+            self._lsn += 1
             _FSYNC_SECONDS.observe(time.perf_counter() - started)
             _APPENDS.inc(type=str(payload.get("type", "unknown")))
             return self._lsn

@@ -26,9 +26,8 @@ from repro.core.validation import (
     CanonicalValidator,
     Split,
     Swap,
-    scan_find_swap,
-    split_mismatch_mask,
-    swap_classes,
+    split_witnesses,
+    swap_witnesses,
 )
 from repro.partitions.partition import StrippedPartition, value_group_sizes
 from repro.relation.table import Relation
@@ -127,54 +126,6 @@ def count_swap_pairs(column_a: np.ndarray, column_b: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# witness collection
-# ----------------------------------------------------------------------
-def collect_splits(column: np.ndarray, context: StrippedPartition,
-                   attribute: str, limit: int) -> List[Split]:
-    """Up to ``limit`` split witnesses (one per offending class).
-
-    Offending classes are located with one vectorized segmented
-    constancy check; only those classes are touched to extract the
-    witness rows.
-    """
-    rows = context.rows
-    if len(rows) == 0:
-        return []
-    offsets = context.offsets
-    mismatch = split_mismatch_mask(column, context)
-    per_class = np.add.reduceat(mismatch, offsets[:-1])
-    witnesses: List[Split] = []
-    for class_id in np.flatnonzero(per_class)[:limit]:
-        start, stop = offsets[class_id], offsets[class_id + 1]
-        position = start + int(np.argmax(mismatch[start:stop]))
-        witnesses.append(
-            Split(int(rows[start]), int(rows[position]), attribute))
-    return witnesses
-
-
-def collect_swaps(column_a: np.ndarray, column_b: np.ndarray,
-                  context: StrippedPartition, left: str, right: str,
-                  limit: int,
-                  order_a: Optional[np.ndarray] = None) -> List[Swap]:
-    """Up to ``limit`` swap witnesses (one per offending class).
-
-    One swap-kernel pass (:func:`repro.core.validation.swap_classes`,
-    over τ_A when ``order_a`` is given) finds the offending classes;
-    the scalar witness scan then runs only on those.
-    """
-    offsets = context.offsets
-    witnesses: List[Swap] = []
-    for class_id in swap_classes(column_a, column_b, context,
-                                 order_a)[:limit]:
-        class_rows = context.rows[offsets[class_id]:offsets[class_id + 1]]
-        witness = scan_find_swap(column_a, column_b, class_rows,
-                                 left, right)
-        if witness is not None:
-            witnesses.append(witness)
-    return witnesses
-
-
-# ----------------------------------------------------------------------
 # the public checker
 # ----------------------------------------------------------------------
 class ViolationDetector:
@@ -198,7 +149,6 @@ class ViolationDetector:
             relation.encode(),
             max_cached_partitions=max_cached_partitions, cache=cache)
         self._encoded = self._validator.relation
-        self._index = {name: i for i, name in enumerate(self._encoded.names)}
 
     def close(self) -> None:
         """Release the validator's executor."""
@@ -241,35 +191,31 @@ class ViolationDetector:
         raise TypeError(f"unsupported dependency object: {dependency!r}")
 
     # -- leaves ---------------------------------------------------------
-    def _context_partition(self, context) -> StrippedPartition:
-        mask = 0
-        for name in context:
-            mask |= 1 << self._index[name]
-        return self._validator.cache.get(mask)
-
     def _check_fd(self, fd: CanonicalFD, max_witnesses: int,
                   count_pairs: bool) -> ViolationReport:
-        if self._validator.fd_holds(fd):
+        validator = self._validator
+        if validator.fd_holds(fd):
             return ViolationReport(str(fd), holds=True)
-        partition = self._context_partition(fd.context)
-        column = self._encoded.column(self._index[fd.attribute])
-        witnesses = (collect_splits(column, partition, fd.attribute,
-                                    max_witnesses)
+        partition = validator.context_partition(fd.context)
+        column = self._encoded.column(validator.index(fd.attribute))
+        witnesses = (split_witnesses(column, partition, fd.attribute,
+                                     max_witnesses)
                      if max_witnesses > 0 else [])
         pairs = count_split_pairs(column, partition) if count_pairs else 0
         return ViolationReport(str(fd), False, pairs, witnesses)
 
     def _check_ocd(self, ocd: CanonicalOCD, max_witnesses: int,
                    count_pairs: bool) -> ViolationReport:
-        if self._validator.ocd_holds(ocd):
+        validator = self._validator
+        if validator.ocd_holds(ocd):
             return ViolationReport(str(ocd), holds=True)
-        partition = self._context_partition(ocd.context)
-        a = self._index[ocd.left]
+        partition = validator.context_partition(ocd.context)
+        a = validator.index(ocd.left)
         column_a = self._encoded.column(a)
-        column_b = self._encoded.column(self._index[ocd.right])
-        witnesses = (collect_swaps(column_a, column_b, partition,
-                                   ocd.left, ocd.right, max_witnesses,
-                                   self._encoded.order(a))
+        column_b = self._encoded.column(validator.index(ocd.right))
+        witnesses = (swap_witnesses(column_a, column_b, partition,
+                                    ocd.left, ocd.right, max_witnesses,
+                                    self._encoded.order(a))
                      if max_witnesses > 0 else [])
         pairs = (count_swap_pairs(column_a, column_b, partition)
                  if count_pairs else 0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import os
 import random
 from typing import List, Tuple
 
@@ -45,3 +47,25 @@ def random_relation(seed: int, n_cols: int, n_rows: int,
     rows = [tuple(rng.randint(0, domain) for _ in range(n_cols))
             for _ in range(n_rows)]
     return make_relation(n_cols, rows)
+
+
+class FullDisk:
+    """Stands in for a durable log's file handle: the first ``write``
+    puts the first ``torn`` bytes of its record on disk, then fails as
+    a full disk does; every other call goes to the real handle."""
+
+    def __init__(self, handle, torn: int):
+        self._handle = handle
+        self._torn = torn
+        self._failed = False
+
+    def write(self, data: bytes) -> int:
+        if self._failed:
+            return self._handle.write(data)
+        self._failed = True
+        self._handle.write(data[:self._torn])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)

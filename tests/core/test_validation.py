@@ -15,13 +15,13 @@ from repro.core.od import (
 )
 from repro.core.validation import (
     CanonicalValidator,
-    find_split,
-    find_swap,
     is_compatible_in_classes,
     is_constant_in_classes,
     list_od_holds,
     order_compatible,
     order_equivalent,
+    split_witnesses,
+    swap_witnesses,
 )
 from repro.partitions.partition import StrippedPartition
 from tests.conftest import make_relation, small_relations
@@ -37,15 +37,14 @@ class TestConstantChecks:
         column = np.array([5, 6, 7, 7])
         partition = StrippedPartition([[0, 1], [2, 3]], 4)
         assert not is_constant_in_classes(column, partition)
-        witness = find_split(column, partition, "a")
-        assert witness is not None
+        [witness] = split_witnesses(column, partition, "a", 3)
         assert column[witness.row_s] != column[witness.row_t]
 
     def test_singletons_never_split(self):
         column = np.array([1, 2, 3])
         partition = StrippedPartition([], 3)  # superkey context
         assert is_constant_in_classes(column, partition)
-        assert find_split(column, partition, "a") is None
+        assert split_witnesses(column, partition, "a", 3) == []
 
 
 class TestCompatibilityChecks:
@@ -60,8 +59,7 @@ class TestCompatibilityChecks:
         b = np.array([1, 0])
         partition = StrippedPartition([[0, 1]], 2)
         assert not is_compatible_in_classes(a, b, partition)
-        swap = find_swap(a, b, partition, "a", "b")
-        assert swap is not None
+        [swap] = swap_witnesses(a, b, partition, "a", "b", 3)
         # witness is oriented: row_s precedes in A, follows in B
         assert a[swap.row_s] < a[swap.row_t]
         assert b[swap.row_s] > b[swap.row_t]
@@ -83,9 +81,9 @@ class TestCompatibilityChecks:
             a[i] < a[j] and b[i] > b[j]
             for i in range(len(pairs)) for j in range(len(pairs)))
         assert is_compatible_in_classes(a, b, partition) == expected
-        witness = find_swap(a, b, partition, "a", "b")
-        assert (witness is None) == expected
-        if witness is not None:
+        witnesses = swap_witnesses(a, b, partition, "a", "b", 1)
+        assert (not witnesses) == expected
+        for witness in witnesses:
             assert a[witness.row_s] < a[witness.row_t]
             assert b[witness.row_s] > b[witness.row_t]
 

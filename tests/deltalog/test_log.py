@@ -12,6 +12,7 @@ from repro.deltalog import (
     read_delta_log,
 )
 from repro.deltalog.records import encode_record
+from tests.conftest import FullDisk
 
 
 def batch(n):
@@ -68,6 +69,22 @@ class TestAppendReplay:
             log.append(batch(1))
             log.append(batch(2))
             assert [r.lsn for r in log.records()] == [1, 2]
+
+
+class TestFailedAppend:
+    def test_torn_failed_append_leaves_the_log_clean(self, tmp_path):
+        """A write that puts part of a record on disk and then fails
+        leaves no bytes behind: the next append takes the LSN and
+        replays."""
+        log = DeltaLog(tmp_path / "d.log")
+        log.append(batch(1))
+        log._handle = FullDisk(log._handle, 7)
+        with pytest.raises(DeltaLogError, match="No space left"):
+            log.append(batch(2))
+        assert log.append(batch(3)) == 2
+        log.close()
+        assert [r.lsn for r in read_delta_log(tmp_path / "d.log")] == \
+            [1, 2]
 
 
 class TestTrustBoundary:

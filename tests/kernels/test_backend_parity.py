@@ -8,11 +8,12 @@ randomized CSR layouts.  Products are batched, one lattice level per
 call: a batch must equal, byte for byte, its tasks run one at a time,
 and the stable rank order must equal ``np.argsort(kind="stable")``,
 fallbacks included.  ``swap_desc`` candidates negate a rank
-column, so swap parity is also pinned on negated inputs; swap flags
-are also pinned to the scalar per-class scan on coarse and near-empty
-contexts and must not depend on τ_A's order within ties; batched swap
-verdicts must equal ``any(swap_flags)`` and the scalar scan per pair;
-and densify parity covers the compiled kernel's sparse-range and
+column, so swap parity is also pinned on negated inputs.  The swap
+kernel's verdicts and its ``(class, row)`` stops must be identical on
+both backends and equal a scalar τ_A walk; walked to the class count,
+the classes that stop are the scalar per-class scan's on coarse and
+near-empty contexts, and do not depend on τ_A's order within ties.
+Densify parity covers the compiled kernel's sparse-range and
 negative-value fallback paths.  Inputs outside the product and swap
 kernels' contracts raise ``ValueError`` on both backends.
 
@@ -267,13 +268,25 @@ def test_rank_order_is_stable_argsort(name, compiled):
                      f"rank_order({name}, {backend.name})")
 
 
-def _swap_args(col_a, col_b, context, order_a=None):
-    """Backend ``swap_flags`` arguments; τ_A defaults to the argsort
-    :meth:`EncodedRelation.order` computes."""
+def _one_pair(col_a, col_b, context, order_a=None):
+    """``swap_verdicts`` arguments for the one pair ``col_a ~ col_b``
+    with a ``limit`` of the class count (every offending class stops);
+    τ_A defaults to the argsort :meth:`EncodedRelation.order`
+    computes."""
     if order_a is None:
         order_a = np.argsort(col_a)
-    return (col_a, col_b, context.rows, context.offsets,
-            context.class_ids(), order_a)
+    return ((col_a, col_b), {0: order_a}, context.rows, context.offsets,
+            [0], [1], [False], max(context.n_classes, 1))
+
+
+def _stopped(backend, args) -> np.ndarray:
+    """Per-class flags: the classes a one-pair walk stopped in."""
+    swapped, stops = backend.swap_verdicts(*args)
+    flags = np.zeros(len(args[3]) - 1, dtype=bool)
+    found = stops[0, :, 0]
+    flags[found[found >= 0]] = True
+    assert swapped[0] == flags.any()
+    return flags
 
 
 @pytest.mark.parametrize("name", sorted(RANKS))
@@ -286,8 +299,9 @@ def test_swap_parity(name, negate_b, compiled):
     col_b = rng.integers(0, 9, n)
     if negate_b:
         col_b = -col_b
-    args = _swap_args(col_a, col_b, context)
-    _assert_same(compiled.swap_flags(*args), REFERENCE.swap_flags(*args),
+    args = _one_pair(col_a, col_b, context)
+    _assert_same(compiled.swap_verdicts(*args),
+                 REFERENCE.swap_verdicts(*args),
                  f"swap({name}, negate_b={negate_b})")
 
 
@@ -296,8 +310,10 @@ def test_swap_parity_all_ties(compiled):
     context = StrippedPartition.from_ranks(np.arange(N) % 3)
     col_a = np.zeros(N, dtype=np.int64)
     col_b = np.random.default_rng(5).integers(0, 6, N)
-    args = _swap_args(col_a, col_b, context)
-    _assert_same(compiled.swap_flags(*args), REFERENCE.swap_flags(*args),
+    args = _one_pair(col_a, col_b, context)
+    swapped, stops = REFERENCE.swap_verdicts(*args)
+    assert not swapped.any() and (stops == -1).all()
+    _assert_same(compiled.swap_verdicts(*args), (swapped, stops),
                  "swap(all-ties)")
 
 
@@ -348,8 +364,10 @@ def _scalar_flags(col_a, col_b, context) -> np.ndarray:
 @pytest.mark.parametrize("shape", sorted(SWAP_CONTEXTS))
 @pytest.mark.parametrize("kind", ["random", "monotone", "negated"])
 def test_swap_tau_walk_shapes(shape, kind, compiled):
-    """Both backends match the scalar per-class scan on every shape,
-    and the flags do not depend on the order within ties of τ_A."""
+    """Walked to the class count, both backends stop in exactly the
+    classes the scalar per-class scan flags, on every shape and
+    whatever τ_A's order within ties; so does the dispatcher's
+    per-class ``swap_flags`` view."""
     context = StrippedPartition.from_ranks(SWAP_CONTEXTS[shape])
     col_a, col_b = _swap_columns(kind, context.n_rows)
     want = _scalar_flags(col_a, col_b, context)
@@ -357,24 +375,109 @@ def test_swap_tau_walk_shapes(shape, kind, compiled):
         assert not want.any()
     for order_a in (np.argsort(col_a), _tie_shuffled_order(col_a, 1),
                     _tie_shuffled_order(col_a, 2)):
-        args = _swap_args(col_a, col_b, context, order_a)
+        args = _one_pair(col_a, col_b, context, order_a)
         label = f"swap({shape}, {kind})"
-        _assert_same(REFERENCE.swap_flags(*args), want, label)
-        _assert_same(compiled.swap_flags(*args), want, label)
+        _assert_same(_stopped(REFERENCE, args), want, label)
+        _assert_same(_stopped(compiled, args), want, label)
+        _assert_same(compiled.swap_verdicts(*args),
+                     REFERENCE.swap_verdicts(*args), label)
+        for backend in (REFERENCE, compiled):
+            with kernels.activate(backend):
+                _assert_same(kernels.swap_flags(
+                    col_a, col_b, context.rows, context.offsets,
+                    context.class_ids(), order_a), want, label)
 
 
 @pytest.mark.parametrize("name", sorted(RANKS))
 def test_swap_flags_ignore_order_within_ties(name, compiled):
+    """The classes a walk to the class count stops in (the per-class
+    swap flags) do not depend on τ_A's order within ties."""
     context = StrippedPartition.from_ranks(RANKS[name])
     rng = np.random.default_rng(23)
     col_a = rng.integers(0, 5, context.n_rows)
     col_b = rng.integers(0, 5, context.n_rows)
     want = _scalar_flags(col_a, col_b, context)
     for seed in (3, 4):
-        args = _swap_args(col_a, col_b, context,
-                          _tie_shuffled_order(col_a, seed))
-        _assert_same(REFERENCE.swap_flags(*args), want, f"swap({name})")
-        _assert_same(compiled.swap_flags(*args), want, f"swap({name})")
+        args = _one_pair(col_a, col_b, context,
+                         _tie_shuffled_order(col_a, seed))
+        _assert_same(_stopped(REFERENCE, args), want, f"swap({name})")
+        _assert_same(_stopped(compiled, args), want, f"swap({name})")
+
+
+def _walk_stops(col_a, col_b, order_a, context, limit):
+    """The scalar τ_A walk (Section 4.6), row by row: per class the
+    current A, that A group's largest B and the largest B of earlier
+    groups; a class stops at its first B below the last, and the walk
+    ends after ``limit`` stops."""
+    class_of = dict(zip(context.rows.tolist(),
+                        context.class_ids().tolist()))
+    state, stops = {}, []
+    for row in order_a.tolist():
+        if len(stops) == limit:
+            break
+        c = class_of.get(row)
+        if c is None or c in {stop[0] for stop in stops}:
+            continue
+        a, b = int(col_a[row]), int(col_b[row])
+        current, group_max, before_max = state.get(c, (None, None, None))
+        if a != current:
+            if group_max is not None and (before_max is None
+                                          or group_max > before_max):
+                before_max = group_max
+            current, group_max = a, b
+        else:
+            group_max = max(group_max, b)
+        state[c] = (current, group_max, before_max)
+        if before_max is not None and b < before_max:
+            stops.append((c, row))
+    return stops
+
+
+#: (context ranks, A, B) of the stop oracle: ties inside A groups,
+#: the empty context (Π_{}: one class of every row), a superkey
+#: context (no class), 0- and 1-row relations
+STOP_CASES = {
+    "ties-in-a-groups": (np.arange(60) % 4, np.arange(60) // 10 % 3,
+                         np.random.default_rng(37).integers(0, 5, 60)),
+    "empty-context": (np.zeros(40, dtype=np.int64),
+                  np.random.default_rng(38).integers(0, 6, 40),
+                  np.random.default_rng(39).integers(0, 6, 40)),
+    "many-classes": (np.arange(90) % 15,
+                     np.random.default_rng(40).integers(0, 4, 90),
+                     np.random.default_rng(41).integers(0, 4, 90)),
+    "superkey": (np.arange(30), np.arange(30), np.arange(30)[::-1]),
+    "empty-relation": (np.empty(0, dtype=np.int64),) * 3,
+    "one-row": (np.zeros(1, dtype=np.int64),) * 3,
+}
+
+
+@pytest.mark.parametrize("case", sorted(STOP_CASES))
+@pytest.mark.parametrize("negate", [False, True])
+@pytest.mark.parametrize("limit", [1, 3, 1000])
+@pytest.mark.parametrize("tau", ["argsort", "shuffled-ties"])
+def test_swap_stops_match_the_walk_oracle(case, negate, limit, tau,
+                                          compiled):
+    """Both backends return identical bits and stops, equal to the
+    scalar walk's first ``limit`` stops in τ_A order (``1000`` is
+    above every case's class count)."""
+    ranks, col_a, col_b = (np.asarray(v, dtype=np.int64)
+                           for v in STOP_CASES[case])
+    context = StrippedPartition.from_ranks(ranks)
+    order_a = (np.argsort(col_a) if tau == "argsort"
+               else _tie_shuffled_order(col_a, 43))
+    args = ((col_a, col_b), {0: order_a}, context.rows, context.offsets,
+            [0], [1], [negate], limit)
+    swapped, stops = REFERENCE.swap_verdicts(*args)
+    want = _walk_stops(col_a, ~col_b if negate else col_b, order_a,
+                       context, limit)
+    assert stops.shape == (1, min(limit, context.n_classes), 2)
+    assert [tuple(stop) for stop in stops[0].tolist()
+            if stop[0] >= 0] == want
+    assert bool(swapped[0]) == bool(want)
+    if case in ("superkey", "empty-relation", "one-row"):
+        assert not want
+    _assert_same(compiled.swap_verdicts(*args), (swapped, stops),
+                 f"stops({case}, negate={negate}, limit={limit})")
 
 
 class _NoCalls:
@@ -391,12 +494,12 @@ def test_swap_rejects_unequal_lengths_before_c(short, compiled,
     arrays = {"col_a": np.arange(20), "col_b": np.arange(20),
               "order_a": np.arange(20)}
     arrays[short] = arrays[short][:-1]
-    args = (arrays["col_a"], arrays["col_b"], context.rows,
-            context.offsets, context.class_ids(), arrays["order_a"])
+    args = _one_pair(arrays["col_a"], arrays["col_b"], context,
+                     arrays["order_a"])
     monkeypatch.setattr(compiled, "_lib", _NoCalls())
     for backend in (compiled, REFERENCE):
-        with pytest.raises(ValueError, match="one length"):
-            backend.swap_flags(*args)
+        with pytest.raises(ValueError, match="one length|length 20"):
+            backend.swap_verdicts(*args)
 
 
 #: context shapes of the batched verdict call (n = 300 rows)
@@ -441,8 +544,10 @@ VERDICT_PAIRS = [(0, 1, False), (0, 4, False), (0, 2, True),
 @pytest.mark.parametrize("shape", sorted(VERDICT_CONTEXTS))
 @pytest.mark.parametrize("tau", ["argsort", "shuffled-ties"])
 def test_swap_verdicts_contract(shape, tau, compiled):
-    """Compiled, reference, ``any(swap_flags)`` per pair and the scalar
-    per-class scan agree on every pair of one batched call."""
+    """Compiled and reference agree on the bits and stops of every
+    pair of one batched call, each pair's bit equals the scalar
+    per-class scan and that pair's own one-pair call, and one pair's
+    stop does not end the others."""
     context = StrippedPartition.from_ranks(VERDICT_CONTEXTS[shape])
     columns = _verdict_columns(context)
     if tau == "argsort":
@@ -453,13 +558,16 @@ def test_swap_verdicts_contract(shape, tau, compiled):
     pair_a, pair_b, negate = (list(v) for v in zip(*VERDICT_PAIRS))
     args = (columns, orders, context.rows, context.offsets, pair_a,
             pair_b, negate)
+    swapped, stops = REFERENCE.swap_verdicts(*args)
     want = []
-    for a, b, neg in VERDICT_PAIRS:
+    for p, (a, b, neg) in enumerate(VERDICT_PAIRS):
         col_b = -columns[b] if neg else columns[b]
         scalar = _scalar_flags(columns[a], col_b, context).any()
-        flag_args = _swap_args(columns[a], col_b, context, orders[a])
-        for backend in (REFERENCE, compiled):
-            assert backend.swap_flags(*flag_args).any() == scalar
+        alone = REFERENCE.swap_verdicts(
+            (columns[a], columns[b]), {0: orders[a]}, context.rows,
+            context.offsets, [0], [1], [neg])
+        _assert_same(alone, (swapped[p:p + 1], stops[p:p + 1]),
+                     f"pair {p} alone")
         want.append(scalar)
     want = np.array(want, dtype=bool)
     if shape == "empty":
@@ -468,8 +576,9 @@ def test_swap_verdicts_contract(shape, tau, compiled):
         # the first-class failure sits between pairs that hold
         assert want[:4].tolist() == [False, True, False, False]
     label = f"swap_verdicts({shape}, {tau})"
-    _assert_same(REFERENCE.swap_verdicts(*args), want, label)
-    _assert_same(compiled.swap_verdicts(*args), want, label)
+    _assert_same(swapped, want, label)
+    assert (stops[:, :1, 0] >= 0).any(axis=1).tolist() == want.tolist()
+    _assert_same(compiled.swap_verdicts(*args), (swapped, stops), label)
 
 
 def test_swap_verdicts_no_pairs(compiled):
@@ -477,20 +586,20 @@ def test_swap_verdicts_no_pairs(compiled):
     columns = [np.arange(10)]
     for backend in (REFERENCE, compiled):
         got = backend.swap_verdicts(columns, {}, context.rows,
-                                    context.offsets, [], [], [])
-        _assert_same(got, np.zeros(0, dtype=bool), "no pairs")
+                                    context.offsets, [], [], [], 3)
+        _assert_same(got, (np.zeros(0, dtype=bool),
+                           np.zeros((0, 2, 2), dtype=np.int64)),
+                     "no pairs")
 
 
 def _swap_inputs(case: str) -> tuple:
-    """Valid inputs for both swap entry points over a 20-row relation,
-    then broken as ``case`` says: ``(flags_args, verdicts_args)``;
-    ``flags_args`` is ``None`` where the case has no pairs to break in
-    ``swap_flags``."""
+    """Valid ``swap_verdicts`` arguments over a 20-row relation, then
+    broken as ``case`` says."""
     context = StrippedPartition.from_ranks(np.arange(20) % 4)
     columns = [np.arange(20) % 5, np.arange(20) % 3]
     orders = {0: np.argsort(columns[0]), 1: np.argsort(columns[1])}
     rows, offsets = context.rows.copy(), context.offsets.copy()
-    pair_a, pair_b, negate = [0, 1], [1, 0], [False, True]
+    pair_a, pair_b, negate, limit = [0, 1], [1, 0], [False, True], 2
     if case == "row-n":
         rows[3] = 20
     elif case == "row-negative":
@@ -522,40 +631,33 @@ def _swap_inputs(case: str) -> tuple:
         orders[1] = orders[1][:-1]
     elif case == "order-missing":
         del orders[1]
-    verdicts_args = (columns, orders, rows, offsets, pair_a, pair_b,
-                     negate)
-    flags_args = None
-    if case in CONTEXT_CASES:
-        flags_args = (columns[0], columns[1], rows, offsets,
-                      context.class_ids(), orders[0])
-    return flags_args, verdicts_args
+    elif case == "limit-zero":
+        limit = 0
+    return (columns, orders, rows, offsets, pair_a, pair_b, negate,
+            limit)
 
 
-#: broken contexts (both entry points) and broken pairs (the batched one)
-CONTEXT_CASES = ["row-n", "row-negative", "offsets-not-from-0",
-                 "offsets-decrease", "offsets-past-rows",
-                 "offsets-short-of-rows", "offsets-empty", "tau-row-n"]
-PAIR_CASES = ["pair-a-arity", "pair-b-negative", "pair-lengths",
+#: broken contexts, broken pairs and a limit below 1
+SWAP_CASES = ["row-n", "row-negative", "offsets-not-from-0",
+              "offsets-decrease", "offsets-past-rows",
+              "offsets-short-of-rows", "offsets-empty", "tau-row-n",
+              "pair-a-arity", "pair-b-negative", "pair-lengths",
               "negate-length", "column-lengths", "order-length",
-              "order-missing"]
+              "order-missing", "limit-zero"]
 
 
 @pytest.mark.parametrize("backend_name", ["reference", "compiled"])
-@pytest.mark.parametrize("case", CONTEXT_CASES + PAIR_CASES)
+@pytest.mark.parametrize("case", SWAP_CASES)
 def test_swap_kernels_reject_bad_inputs(case, backend_name):
     """A row outside [0, n), offsets that do not run from 0 up to
-    len(rows), a pair index outside [0, arity) or unequal lengths is a
-    ``ValueError`` on both entry points — in C before any write
-    outside the scratch table."""
+    len(rows), a pair index outside [0, arity), unequal lengths or a
+    limit below 1 is a ``ValueError`` — in C before any write outside
+    the scratch table and the stops."""
     if backend_name == "compiled" and not kernels.compiled_available():
         pytest.skip("no C toolchain; compiled backend unavailable")
     backend = kernels.resolve_backend(backend_name)
-    flags_args, verdicts_args = _swap_inputs(case)
     with pytest.raises(ValueError):
-        backend.swap_verdicts(*verdicts_args)
-    if flags_args is not None:
-        with pytest.raises(ValueError):
-            backend.swap_flags(*flags_args)
+        backend.swap_verdicts(*_swap_inputs(case))
 
 
 @pytest.mark.parametrize("name", sorted(RANKS))

@@ -63,9 +63,9 @@ def collect(seed: int) -> None:
 
 def run_all(seed: int):
     columns, orders, context, parents, values = inputs(seed)
-    swapped = kernels.swap_verdicts(
+    swapped, stops = kernels.swap_verdicts(
         columns, orders, context.rows.copy(), context.offsets.copy(),
-        [0, 1, 0, 1], [1, 2, 2, 0], [False, True, False, False])
+        [0, 1, 0, 1], [1, 2, 2, 0], [False, True, False, False], 3)
     collect(seed)
     rows, offsets, spans = kernels.partition_products(
         parents, [(0, 1), (0, 2), (1, 2), (2, 0)], N_ROWS)
@@ -74,7 +74,8 @@ def run_all(seed: int):
     collect(seed)
     survivors, dense = kernels.densify(values)
     collect(seed)
-    return (swapped.tolist(), rows.tolist(), offsets.tolist(),
+    return (swapped.tolist(), stops.tolist(), rows.tolist(),
+            offsets.tolist(),
             spans.tolist(), order.tolist(), survivors.tolist(),
             dense.tolist())
 

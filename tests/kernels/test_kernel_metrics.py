@@ -48,9 +48,9 @@ def test_all_four_kernel_families_bill():
         kernels.partition_product(
             context.row_to_class(), context.rows, context.offsets,
             context.class_ids(), context.n_classes)
-        kernels.swap_flags(
-            encoded.column(1), encoded.column(2), context.rows,
-            context.offsets, context.class_ids())
+        kernels.swap_verdicts(
+            encoded.ranks, {1: encoded.order(1)}, context.rows,
+            context.offsets, [1], [2], [False])
         kernels.split_mismatch(
             encoded.column(1), context.rows, context.offsets,
             context.class_sizes)

@@ -7,11 +7,11 @@ tests pin both against the slow oracles on randomized relations, down
 to the 0-, 1- and 2-row inputs:
 
 * ``StrippedPartition.product``  vs  ``partition_from_columns``
-* the swap scan                  vs  the per-class witness scan
+* the swap scan and witnesses    vs  the per-class witness scan
                                      ``scan_find_swap`` and the
                                      list-based ``order_compatible``
                                      oracle (Definition 3)
-* the split scan                 vs  dict-grouping reference
+* the split scan and witnesses   vs  dict-grouping reference
 
 including the all-singleton (superkey context), single-class, and
 empty-relation edge cases.
@@ -26,13 +26,12 @@ from hypothesis import given, settings
 from repro import kernels
 from repro.core.od import OrderCompatibility, as_spec
 from repro.core.validation import (
-    find_split,
-    find_swap,
     is_compatible_in_classes,
     is_constant_in_classes,
     order_compatible,
     scan_find_swap,
-    swap_classes,
+    split_witnesses,
+    swap_witnesses,
 )
 from repro.partitions.partition import (
     StrippedPartition,
@@ -124,11 +123,16 @@ def test_flat_layout_consistent(seed):
 # ----------------------------------------------------------------------
 # swap scan vs scalar scan and the list-based oracle
 # ----------------------------------------------------------------------
+def _swapping_classes(column_a, column_b, context):
+    """Ids of the classes the per-class witness scan (the test
+    oracle) finds a swap in."""
+    return [class_id for class_id, rows in enumerate(context.classes)
+            if scan_find_swap(column_a, column_b, np.asarray(rows),
+                              "a", "b") is not None]
+
+
 def _reference_swap_free(column_a, column_b, context):
-    """Per-class witness scan, class by class (the test oracle)."""
-    return all(
-        scan_find_swap(column_a, column_b, np.asarray(rows), "a", "b")
-        is None for rows in context.classes)
+    return not _swapping_classes(column_a, column_b, context)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -142,16 +146,18 @@ def test_swap_scan_matches_scalar_reference(seed, n_rows, domain,
     context = partition_from_columns(encoded, [0])
     column_a = encoded.column(1)
     column_b = encoded.column(2)
-    expected = _reference_swap_free(column_a, column_b, context)
+    guilty = _swapping_classes(column_a, column_b, context)
     assert is_compatible_in_classes(column_a, column_b,
-                                    context) == expected
-    witness = find_swap(column_a, column_b, context, "c1", "c2")
-    assert (witness is None) == expected
-    guilty = swap_classes(column_a, column_b, context)
-    assert (len(guilty) == 0) == expected
-    if witness is not None:
-        # the witness really is a swap: equal on context, discordant
+                                    context) == (not guilty)
+    witnesses = swap_witnesses(column_a, column_b, context, "c1", "c2",
+                               n_rows + 1)
+    # one witness per offending class, each a real swap: equal on the
+    # context, discordant on A and B
+    owners = context.row_to_class()
+    assert sorted(owners[w.row_t] for w in witnesses) == guilty
+    for witness in witnesses:
         row_s, row_t = witness.row_s, witness.row_t
+        assert owners[row_s] == owners[row_t]
         assert encoded.column(0)[row_s] == encoded.column(0)[row_t]
         assert column_a[row_s] < column_a[row_t]
         assert column_b[row_s] > column_b[row_t]
@@ -195,8 +201,8 @@ def test_swap_scan_superkey_and_empty(backend):
     superkey = StrippedPartition.from_ranks(np.arange(100))
     column = np.arange(100)
     assert is_compatible_in_classes(column, column[::-1].copy(), superkey)
-    assert find_swap(column, column[::-1].copy(), superkey,
-                     "a", "b") is None
+    assert swap_witnesses(column, column[::-1].copy(), superkey,
+                          "a", "b", 3) == []
     empty = StrippedPartition.from_ranks(np.array([], dtype=np.int64))
     nothing = np.array([], dtype=np.int64)
     assert is_compatible_in_classes(nothing, nothing, empty)
@@ -221,9 +227,13 @@ def test_split_scan_matches_reference(seed, n_rows, domain):
     column = encoded.column(2)
     expected = _reference_constant(column, context)
     assert is_constant_in_classes(column, context) == expected
-    witness = find_split(column, context, "c2")
-    assert (witness is None) == expected
-    if witness is not None:
+    witnesses = split_witnesses(column, context, "c2", n_rows + 1)
+    # one witness per offending class, in class order
+    guilty = [class_id for class_id, rows in enumerate(context.classes)
+              if len({int(v) for v in column[rows]}) > 1]
+    owners = context.row_to_class()
+    assert [owners[w.row_t] for w in witnesses] == guilty
+    for witness in witnesses:
         assert encoded.column(0)[witness.row_s] == \
             encoded.column(0)[witness.row_t]
         assert encoded.column(1)[witness.row_s] == \
@@ -254,8 +264,9 @@ def test_split_scan_single_class_and_empty():
     assert is_constant_in_classes(constant, everything)
     varied = np.arange(80)
     assert not is_constant_in_classes(varied, everything)
-    split = find_split(varied, everything, "x")
-    assert split is not None and split.row_s != split.row_t
+    [split] = split_witnesses(varied, everything, "x", 3)
+    assert split.row_s != split.row_t
     empty = StrippedPartition.from_ranks(np.array([], dtype=np.int64))
     assert is_constant_in_classes(np.array([], dtype=np.int64), empty)
-    assert find_split(np.array([], dtype=np.int64), empty, "x") is None
+    assert split_witnesses(np.array([], dtype=np.int64), empty, "x",
+                           3) == []

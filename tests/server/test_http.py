@@ -330,6 +330,27 @@ def test_bad_timeout_leaves_the_job_runner_alive():
         assert job["status"] == "done", job
 
 
+def test_close_returns_on_a_service_that_never_served():
+    """``close()`` on a service that was built but never started
+    returns and stops its job runner (``shutdown()`` would wait for a
+    serve loop that never ran).  The close runs on a helper thread
+    with a bounded join, so a hang fails the test instead of the
+    suite."""
+    import threading
+
+    def runners():
+        return [thread for thread in threading.enumerate()
+                if thread.name == "repro-od-jobs"]
+
+    before = runners()
+    service = ODService(port=0, workers=1)
+    closer = threading.Thread(target=service.close, daemon=True)
+    closer.start()
+    closer.join(timeout=10.0)
+    assert not closer.is_alive(), "close() hung on an unstarted service"
+    assert runners() == before
+
+
 def test_discover_keeps_the_validate_working_set():
     """A discover job builds its lattice partitions itself: it neither
     reads nor evicts the dataset's partition cache, so a validate's

@@ -15,6 +15,7 @@ from repro.server.journal import (
     JournalError,
     read_records,
 )
+from tests.conftest import FullDisk
 
 COLUMNS = ["c0", "c1", "c2"]
 ROWS = [(1, 10, 5), (2, 20, 5), (3, 30, 6)]
@@ -110,6 +111,28 @@ class TestReopen:
         blocker.write_text("not a directory", encoding="utf-8")
         with pytest.raises(JournalError, match="journal directory"):
             JobJournal(blocker)
+
+
+class TestFailedAppend:
+    @pytest.mark.parametrize("torn", [0, 7],
+                             ids=["nothing-written", "torn-record"])
+    def test_failed_append_leaves_no_gap(self, tmp_path, torn):
+        """An append that fails takes no LSN and leaves no bytes, so
+        replay keeps every record written after it."""
+        journal = JobJournal(tmp_path)
+        journal.job_submitted("job-1", "discover", "fp", {})
+        journal._handle = FullDisk(journal._handle, torn)
+        with pytest.raises(JournalError, match="No space left"):
+            journal.job_started("job-1")
+        journal.job_finished("job-1", "done")
+        journal.job_submitted("job-2", "discover", "fp", {})
+        journal.close()
+        with JobJournal(tmp_path) as reopened:
+            state = reopened.recover()
+        assert state.last_lsn == 3
+        assert state.finished_jobs == 1
+        assert [job["id"] for job in state.pending_jobs] == ["job-2"]
+        assert state.crashed_jobs == []
 
 
 class TestRecover:

@@ -14,7 +14,7 @@ from repro import (
     order_compatible,
     parse,
 )
-from repro.core.validation import find_swap
+from repro.core.validation import swap_witnesses
 from repro.datasets import date_dim, date_dim_planted, employees
 from repro.partitions import SortedPartition, StrippedPartition
 from repro.relation.table import Relation
@@ -90,10 +90,9 @@ class TestExample3:
         encoded = table1.encode()
         sal = encoded.names.index("sal")
         subg = encoded.names.index("subg")
-        swap = find_swap(
+        [swap] = swap_witnesses(
             encoded.column(sal), encoded.column(subg),
-            StrippedPartition.single_class(6), "sal", "subg")
-        assert swap is not None
+            StrippedPartition.single_class(6), "sal", "subg", 1)
         # t1 (row 0) and t2 (row 1) are a swap: salary up, subgroup down
         assert {swap.row_s, swap.row_t} <= {0, 1, 2, 3, 4}
 
