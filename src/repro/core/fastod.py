@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro import kernels
 from repro.core.results import DiscoveryResult
 from repro.engine.budget import DeadlineBudget
 from repro.engine.executors import make_executor
@@ -91,9 +92,12 @@ class FastODConfig:
         Which partition-kernel implementation to run the hot loops on:
         ``"reference"`` (pure NumPy), ``"compiled"`` (C via ctypes),
         or ``"auto"`` (compiled when buildable, else reference).
-        ``None`` defers to the ``REPRO_KERNELS`` environment variable.
-        Backends are byte-identical by contract, so this is a
-        work-shaping knob like ``workers``.
+        :meth:`FastOD.run` activates it once around the whole run, so
+        level 1, every product, scan and pool share follow it.
+        ``None`` keeps the backend the calling thread runs: an outer
+        :func:`repro.kernels.activate` block's, else the process
+        default (``REPRO_KERNELS``).  Backends are byte-identical by
+        contract, so this is a work-shaping knob like ``workers``.
     """
 
     minimality_pruning: bool = True
@@ -177,17 +181,16 @@ class FastOD:
     # ------------------------------------------------------------------
     def run(self, budget: Optional[DeadlineBudget] = None
             ) -> DiscoveryResult:
-        """Run discovery.  ``budget`` injects an externally owned
-        :class:`~repro.engine.DeadlineBudget` (the service job
-        scheduler's cancellation handle); by default one is built from
-        ``config.timeout_seconds``."""
+        """Run discovery on ``config.kernel_backend``.  ``budget``
+        injects an externally owned :class:`~repro.engine.DeadlineBudget`
+        (the service job scheduler's cancellation handle); by default
+        one is built from ``config.timeout_seconds``."""
         config = self._config
         if budget is None:
             budget = DeadlineBudget(config.timeout_seconds)
         executor = make_executor(
             self._encoded, workers=config.workers, pool=self._pool,
-            min_grouped_rows=config.parallel_min_grouped_rows,
-            kernel_backend=config.kernel_backend)
+            min_grouped_rows=config.parallel_min_grouped_rows)
         backend = PartitionBackend(self._encoded, config, executor,
                                    budget)
         planner = LatticePlanner(
@@ -196,7 +199,8 @@ class FastOD:
                        else "FASTOD-NoPruning"),
             n_rows=self._encoded.n_rows)
         try:
-            return planner.run()
+            with kernels.activate(config.kernel_backend):
+                return planner.run()
         finally:
             # an owned pool's threads end with the run; injected
             # pools belong to the caller and survive for the next run

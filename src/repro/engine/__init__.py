@@ -8,17 +8,12 @@ window, emitting typed tasks (:class:`ProductTask`,
 executors (:class:`SerialExecutor`, :class:`PoolExecutor`) decide where
 those tasks run; and one :class:`DeadlineBudget` per run is consulted
 by every layer.  The from-scratch, hybrid, incremental, validator, and
-extension entry points all consume this engine — a new backend (async,
-distributed) is a new executor, not another traversal fork.
+extension entry points all consume this engine rather than forking the
+traversal.
 """
 
 from repro.engine.budget import DeadlineBudget
-from repro.engine.executors import (
-    Executor,
-    PoolExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.engine.executors import PoolExecutor, SerialExecutor, make_executor
 from repro.engine.planner import (
     LatticePlanner,
     PartitionBackend,
@@ -29,7 +24,6 @@ from repro.engine.telemetry import ExecutorTelemetry
 
 __all__ = [
     "DeadlineBudget",
-    "Executor",
     "ExecutorTelemetry",
     "FdCheckTask",
     "LatticePlanner",

@@ -1,6 +1,6 @@
 """Pluggable executors: where planner-emitted tasks actually run.
 
-An :class:`Executor` resolves two kinds of work: partition products
+An executor resolves two kinds of work: partition products
 (:class:`~repro.engine.tasks.ProductTask`, one lattice level per
 batch) and scans.  Every scan — FASTOD's OCD/FD checks, the hybrid
 escalation waves, the bidirectional/pointwise sweeps, one
@@ -28,17 +28,17 @@ views over it.  Two implementations ship:
   thread through an internal :class:`SerialExecutor` that shares the
   same telemetry.  Each batch is billed once, with its wall time.
 
-Every future backend (async, distributed) is a third implementation of
-this protocol — not another traversal fork.
+Neither picks a kernel backend: every batch runs on the one the
+calling thread has active (:func:`repro.kernels.activate`, entered
+once where a run starts), and the pool's shares inherit it.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import repro.parallel.pool as pool_module
-from repro import kernels
 from repro.engine.budget import DeadlineBudget
 from repro.engine.tasks import ProductTask
 from repro.engine.telemetry import ExecutorTelemetry
@@ -50,23 +50,16 @@ from repro.relation.encoding import EncodedRelation
 
 
 class SerialExecutor:
-    """Runs every task on the calling thread.
-
-    ``kernel_backend`` pins the :mod:`repro.kernels` backend the task
-    batches run under (``None`` defers to the process default /
-    ``REPRO_KERNELS``); the executor activates it around every batch so
-    one process can host executors on different backends.
-    """
+    """Runs every task on the calling thread, on the kernel backend
+    that thread has active."""
 
     name = "serial"
 
     def __init__(self, relation: EncodedRelation,
-                 telemetry: Optional[ExecutorTelemetry] = None,
-                 kernel_backend: Optional[str] = None):
+                 telemetry: Optional[ExecutorTelemetry] = None):
         self._relation = relation
         #: derives the contexts a scan batch names by attribute mask
         self._cache: Optional[PartitionCache] = None
-        self.kernel_backend = kernel_backend
         self.telemetry = telemetry or ExecutorTelemetry("serial", 1)
 
     @property
@@ -103,11 +96,9 @@ class SerialExecutor:
         timed_out = budget.hit()
         if not timed_out:
             index = {mask: i for i, mask in enumerate(parents)}
-            with kernels.activate(self.kernel_backend):
-                built = level_products(
-                    list(parents.values()),
-                    [(index[task.left], index[task.right])
-                     for task in tasks])
+            built = level_products(
+                list(parents.values()),
+                [(index[task.left], index[task.right]) for task in tasks])
             products = {task.child: product
                         for task, product in zip(tasks, built)}
         self.telemetry.record("products", len(products), False,
@@ -134,9 +125,8 @@ class SerialExecutor:
             return self.derive(context_key) if context is None else context
 
         started = time.perf_counter()
-        with kernels.activate(self.kernel_backend):
-            verdicts, timed_out = scan_verdicts(
-                self._relation, tasks, context_of, budget.hit)
+        verdicts, timed_out = scan_verdicts(
+            self._relation, tasks, context_of, budget.hit)
         self.telemetry.record(phase, len(verdicts), False,
                               time.perf_counter() - started)
         return verdicts, timed_out
@@ -172,16 +162,16 @@ class PoolExecutor:
     comes from :data:`repro.parallel.pool.PARALLEL_MIN_GROUPED_ROWS`
     *read at dispatch time* (so tests and benchmarks can retune it).
     Every batch is split into ``workers`` shares, whatever the pool's
-    thread count.  An injected ``pool`` is reused and never shut down
-    by :meth:`close`; an owned pool is joined there.
+    thread count; the shares run on the calling thread's active kernel
+    backend.  An injected ``pool`` is reused and never shut down by
+    :meth:`close`; an owned pool is joined there.
     """
 
     name = "pool"
 
     def __init__(self, relation: EncodedRelation, workers: int,
                  pool: Optional[WorkerPool] = None,
-                 min_grouped_rows: Optional[int] = None,
-                 kernel_backend: Optional[str] = None):
+                 min_grouped_rows: Optional[int] = None):
         if workers < 2:
             raise ValueError("PoolExecutor needs workers >= 2; use "
                              "SerialExecutor for serial runs")
@@ -190,12 +180,8 @@ class PoolExecutor:
         self._injected = pool
         self._owned: Optional[WorkerPool] = None
         self._min_grouped_rows = min_grouped_rows
-        #: kernels backend every batch (shares *and* the serial
-        #: fallback) runs under; ``None`` defers to the process default
-        self.kernel_backend = kernel_backend
         self.telemetry = ExecutorTelemetry("pool", workers)
-        self._serial = SerialExecutor(relation, telemetry=self.telemetry,
-                                      kernel_backend=kernel_backend)
+        self._serial = SerialExecutor(relation, telemetry=self.telemetry)
 
     @property
     def relation(self) -> EncodedRelation:
@@ -248,10 +234,9 @@ class PoolExecutor:
         if len(tasks) < 2 or rows < self.grouped_rows_threshold:
             return self._serial.run_products(parents, tasks, budget)
         started = time.perf_counter()
-        with kernels.activate(self.kernel_backend):
-            products, timed_out = self._pool().run_products(
-                parents, [(task.child, task.left, task.right)
-                          for task in tasks], budget.hit, self.workers)
+        products, timed_out = self._pool().run_products(
+            parents, [(task.child, task.left, task.right)
+                      for task in tasks], budget.hit, self.workers)
         self.telemetry.record("products", len(products), True,
                               time.perf_counter() - started)
         return products, timed_out
@@ -278,9 +263,8 @@ class PoolExecutor:
         if len(tasks) < 2 or rows < self.grouped_rows_threshold:
             return self._serial.run_scans(resolved, tasks, budget, phase)
         started = time.perf_counter()
-        with kernels.activate(self.kernel_backend):
-            verdicts, timed_out = self._pool().run_scans(
-                resolved, tasks, budget.hit, self.workers)
+        verdicts, timed_out = self._pool().run_scans(
+            resolved, tasks, budget.hit, self.workers)
         self.telemetry.record(phase, len(verdicts), True,
                               time.perf_counter() - started)
         return verdicts, timed_out
@@ -302,42 +286,10 @@ class PoolExecutor:
         return self._serial.scan_partition(mode, a, b, partition)
 
 
-class Executor(Protocol):
-    """The executor contract planners and backends program to.
-
-    Structural (``typing.Protocol``): :class:`SerialExecutor` and
-    :class:`PoolExecutor` satisfy it without inheriting, and a future
-    backend (async, distributed) only needs these methods."""
-
-    telemetry: ExecutorTelemetry
-
-    @property
-    def relation(self) -> EncodedRelation: ...
-
-    def run_products(self, parents: Dict[int, StrippedPartition],
-                     tasks: Sequence[ProductTask],
-                     budget: DeadlineBudget
-                     ) -> Tuple[Dict[int, StrippedPartition], bool]: ...
-
-    def run_scans(self, contexts: Dict[Hashable, StrippedPartition],
-                  tasks: Sequence[ScanTask], budget: DeadlineBudget,
-                  phase: str = "scans"
-                  ) -> Tuple[Dict[Hashable, bool], bool]: ...
-
-    def run_validations(self, tasks: Sequence[ScanTask],
-                        budget: DeadlineBudget, phase: str = "wave"
-                        ) -> Tuple[Dict[Hashable, bool], bool]: ...
-
-    def rebase(self, relation: EncodedRelation) -> None: ...
-
-    def close(self) -> None: ...
-
-
 def make_executor(relation: EncodedRelation,
                   workers: Optional[int] = None,
                   pool: Optional[WorkerPool] = None,
-                  min_grouped_rows: Optional[int] = None,
-                  kernel_backend: Optional[str] = None):
+                  min_grouped_rows: Optional[int] = None):
     """The one place the serial-vs-pool decision is made.
 
     An explicit ``workers`` wins (the benchmark's projection mode
@@ -346,25 +298,21 @@ def make_executor(relation: EncodedRelation,
     otherwise ``REPRO_WORKERS`` / serial via
     :func:`repro.parallel.resolve_workers`.  Fewer than two effective
     workers yields a :class:`SerialExecutor` even when a pool was
-    injected — mirroring the historical ``FastOD`` gate.
-
-    ``kernel_backend`` picks the :mod:`repro.kernels` backend the
-    executor's batches run under (the pool's shares inherit it);
-    ``None`` defers to ``REPRO_KERNELS``/auto.
+    injected — mirroring the historical ``FastOD`` gate.  The kernel
+    backend is not chosen here: the executor runs on whichever one the
+    calling thread has active.
     """
     if workers is None and pool is not None:
         effective = pool.workers
     else:
         effective = resolve_workers(workers)
     if effective < 2:
-        return SerialExecutor(relation, kernel_backend=kernel_backend)
+        return SerialExecutor(relation)
     return PoolExecutor(relation, effective, pool=pool,
-                        min_grouped_rows=min_grouped_rows,
-                        kernel_backend=kernel_backend)
+                        min_grouped_rows=min_grouped_rows)
 
 
 __all__ = [
-    "Executor",
     "PoolExecutor",
     "ScanTask",
     "SerialExecutor",

@@ -26,7 +26,6 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro import kernels
 from repro.core.candidates import (
     LatticeNode,
     context_names,
@@ -298,14 +297,11 @@ class PartitionBackend:
             cc=full_mask, cs=set())
 
     def first_level(self) -> Dict[int, LatticeNode]:
-        # level 1's rank sorts run here, not in an executor batch, so
-        # they activate the executor's pinned kernel backend themselves
-        with kernels.activate(self._executor.kernel_backend):
-            return {
-                1 << a: LatticeNode(1 << a, StrippedPartition.for_attribute(
-                    self._relation, a))
-                for a in range(self._relation.arity)
-            }
+        return {
+            1 << a: LatticeNode(1 << a, StrippedPartition.for_attribute(
+                self._relation, a))
+            for a in range(self._relation.arity)
+        }
 
     def build_level(self, masks: List[int],
                     current: Dict[int, LatticeNode]

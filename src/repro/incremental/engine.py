@@ -141,10 +141,11 @@ class IncrementalFastOD:
         self._ocd_false: Set[OcdKey] = set()
         self._n_batches = 0
         # re-checks and rediscoveries run on the calling thread at any
-        # worker count (``config.workers`` sizes only the oracle run)
-        self._executor = SerialExecutor(
-            self._encoded, kernel_backend=config.kernel_backend)
-        self._result = self._rediscover()
+        # worker count (``config.workers`` sizes only the oracle run),
+        # on the config's kernel backend
+        self._executor = SerialExecutor(self._encoded)
+        with kernels.activate(config.kernel_backend):
+            self._result = self._rediscover()
         if self._verify:
             self._check_against_oracle(self._result)
 
@@ -213,13 +214,14 @@ class IncrementalFastOD:
         self._relation = fold.relation
         self._encoded = fold.relation.encode()
         self._executor.rebase(self._encoded)
-        if fold.deletes:
-            self._ocd_true, self._ocd_false = set(), set()
-            retraversed = True
-        else:
-            retraversed = self._recheck(n_old)
-        self._result = (self._rediscover() if retraversed
-                        else self._carry_result(previous))
+        with kernels.activate(self._config.kernel_backend):
+            if fold.deletes:
+                self._ocd_true, self._ocd_false = set(), set()
+                retraversed = True
+            else:
+                retraversed = self._recheck(n_old)
+            self._result = (self._rediscover() if retraversed
+                            else self._carry_result(previous))
         if self._verify:
             self._check_against_oracle(self._result)
 
@@ -245,9 +247,8 @@ class IncrementalFastOD:
         A new split or swap pair needs an appended row in a class of
         the OD's context, so only the held ODs whose context Π* holds
         one are scanned, in one batch: an FD ``X: [] ↦ A`` for a split
-        in A, an OCD for a swap.  The contexts (products and level 1's
-        rank sorts) and the scans run under the config's kernel
-        backend, and both bill the ``recheck`` phase."""
+        in A, an OCD for a swap.  Deriving the contexts and scanning
+        them both bill the ``recheck`` phase."""
         started = time.perf_counter()
         held = ([(key, key[0], "const", key[1], 0)
                  for key in self._fd_true]
@@ -255,13 +256,12 @@ class IncrementalFastOD:
                    for key in self._ocd_true])
         cache = PartitionCache(self._encoded)
         contexts = {}
-        with kernels.activate(self._executor.kernel_backend):
-            for mask in {task[1] for task in held}:
-                context = cache.get(mask)
-                # Π*'s rows are the rows inside classes: an appended
-                # one among them can pair with the rest of its class
-                if context.rows.max(initial=-1) >= n_old:
-                    contexts[mask] = context
+        for mask in {task[1] for task in held}:
+            context = cache.get(mask)
+            # Π*'s rows are the rows inside classes: an appended one
+            # among them can pair with the rest of its class
+            if context.rows.max(initial=-1) >= n_old:
+                contexts[mask] = context
         tasks = [task for task in held if task[1] in contexts]
         self._executor.telemetry.record(
             "recheck", len(held), False, time.perf_counter() - started)
@@ -332,9 +332,8 @@ class IncrementalFastOD:
 
 
 class _RecordingBackend(PartitionBackend):
-    """FASTOD's partition backend on the engine's executor (so
-    ``FastODConfig.kernel_backend`` pins its kernels), recording the
-    sweep's verdicts into the engine's sets.  An OCD candidate in
+    """FASTOD's partition backend on the engine's executor, recording
+    the sweep's verdicts into the engine's sets.  An OCD candidate in
     ``held`` (it held before and was re-checked since) or in the
     refuted set is answered from there; only the rest are scanned."""
 

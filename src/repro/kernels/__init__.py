@@ -15,10 +15,15 @@ backends:
   byte-identical outputs, measured ~2-6x faster per kernel.  Falls
   back to ``reference`` cleanly when no compiler is available.
 
-Selection order: an explicit ``activate()`` (what the executors use to
-honor ``FastODConfig(kernel_backend=...)``) > the process default set
-by :func:`set_default_backend` or the ``REPRO_KERNELS`` environment
-variable (``auto``/``reference``/``compiled``) > ``auto``.  ``auto``
+Selection order: an explicit ``activate()``, made once where a run
+starts (``FastOD.run`` and ``IncrementalFastOD`` honor
+``FastODConfig(kernel_backend=...)`` this way, and every scan,
+product and rank sort of the run follows, pool shares included) > the
+process default set by :func:`set_default_backend` or the
+``REPRO_KERNELS`` environment variable (``auto``/``reference``/
+``compiled``) > ``auto``.  ``activate(None)`` inherits: it keeps the
+backend the calling thread already runs, so a ``None`` config inside
+an outer ``activate()`` block runs that block's backend.  ``auto``
 prefers the compiled backend when it builds, the reference backend
 otherwise; asking for ``compiled`` explicitly when it cannot build
 warns once and falls back.
@@ -58,7 +63,8 @@ _REFERENCE = ReferenceBackend()
 _default = None
 _default_lock = threading.Lock()
 
-#: per-thread activation stack (executors activate around batches)
+#: per-thread activation stack (a run's entry point and each pool
+#: share push onto it)
 _active = threading.local()
 
 _warned_fallback = False
@@ -149,8 +155,11 @@ def active_backend_name() -> str:
 
 @contextmanager
 def activate(backend):
-    """Run a block under an explicit backend (object or name)."""
-    if isinstance(backend, str) or backend is None:
+    """Run a block under an explicit backend (object or name);
+    ``None``/"" keep the calling thread's active backend."""
+    if backend is None or backend == "":
+        backend = active_backend()
+    elif isinstance(backend, str):
         backend = resolve_backend(backend)
     stack = getattr(_active, "stack", None)
     if stack is None:

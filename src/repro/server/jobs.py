@@ -323,6 +323,9 @@ class JobScheduler:
                 f"unknown job kind {kind!r}; supported: {list(JOB_KINDS)}")
         if self._closed:
             raise JobError("the scheduler is shut down")
+        if not isinstance(fingerprint, str):
+            raise JobError(
+                f"'fingerprint' must be a string, got {fingerprint!r}")
         params = dict(params or {})
         # validate parameters before the job record exists, so a typo
         # fails the request instead of stranding a queued/failed job
@@ -335,11 +338,10 @@ class JobScheduler:
                 raise JobError(
                     f"{kind} jobs need a 'dependency' string")
         if kind == "violations":
-            try:
-                params["witnesses"] = int(params.get("witnesses", 5))
-            except (TypeError, ValueError):
-                raise JobError("'witnesses' must be an integer") \
-                    from None
+            witnesses = params.setdefault("witnesses", 5)
+            if type(witnesses) is not int or witnesses < 0:
+                raise JobError(f"'witnesses' must be a non-negative "
+                               f"integer, got {witnesses!r}")
         if kind == "append":
             rows = params.get("rows")
             if not isinstance(rows, (list, tuple)) or not rows:

@@ -17,6 +17,7 @@ import pytest
 from repro import kernels
 from repro.kernels import compiled as compiled_module
 from repro.kernels.reference import ReferenceBackend
+from repro.obs import metrics
 
 
 @pytest.fixture(autouse=True)
@@ -62,6 +63,12 @@ def test_activate_none_resolves_default():
     kernels.set_default_backend("reference")
     with kernels.activate(None) as backend:
         assert backend.name == "reference"
+    # nested, None keeps the enclosing block's backend, whatever the
+    # process default is
+    kernels.set_default_backend("auto")
+    with kernels.activate("reference") as outer:
+        with kernels.activate(None) as backend:
+            assert backend is outer
 
 
 def test_auto_prefers_compiled_when_available():
@@ -103,3 +110,86 @@ def test_tier1_env_spelling_matches_docs(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert kernels.default_backend().name in ("compiled", "reference")
+
+
+KERNELS = ("product", "swap", "split", "densify", "order")
+
+
+def _billed():
+    return {backend: sum(metrics.REGISTRY.value(
+                "repro_kernel_calls_total", kernel=kernel,
+                backend=backend) for kernel in KERNELS)
+            for backend in ("reference", "compiled")}
+
+
+def _bills_reference_only(run):
+    """Run ``run()`` and check that every kernel call it made was
+    billed to ``reference``; returns what ``run`` returned."""
+    before = _billed()
+    out = run()
+    after = _billed()
+    assert after["compiled"] == before["compiled"], (before, after)
+    assert after["reference"] > before["reference"], (before, after)
+    return out
+
+
+@pytest.mark.skipif(not kernels.compiled_available(),
+                    reason="no C toolchain; compiled backend unavailable")
+def test_one_activation_pins_every_kernel_call_of_a_run():
+    """With compiled as the process default, a block under
+    ``activate("reference")`` runs every engine entry point's kernels
+    on ``reference``: validator, detector, FastOD serial and on pool
+    shares, hybrid and the incremental engine's re-check and
+    rediscovery.  A pinned ``FastODConfig.kernel_backend`` beats an
+    enclosing block."""
+    from repro.core.fastod import FastOD, FastODConfig
+    from repro.core.hybrid import hybrid_discover
+    from repro.core.parser import parse
+    from repro.core.validation import CanonicalValidator
+    from repro.datasets import make_dataset
+    from repro.deltalog import DeltaBatch
+    from repro.incremental import IncrementalFastOD
+    from repro.violations import ViolationDetector
+
+    kernels.set_default_backend("compiled")
+    ocd = "{origin}: month ~ carrier"
+
+    def flight():
+        # a fresh encoding per call: no τ_A is cached from another run
+        return make_dataset("flight", n_rows=3000, n_attrs=6, seed=42)
+
+    def detect():
+        report = ViolationDetector(flight()).check(ocd, max_witnesses=3)
+        assert not report.holds and report.witnesses
+        return report
+
+    def pooled():
+        result = FastOD(flight(), FastODConfig(
+            workers=2, parallel_min_grouped_rows=0)).run()
+        phases = result.executor_stats["phases"].values()
+        assert sum(phase["pool_tasks"] for phase in phases) > 0
+        return result
+
+    with kernels.activate("reference"):
+        _bills_reference_only(
+            lambda: CanonicalValidator(flight()).holds(parse(ocd)))
+        _bills_reference_only(detect)
+        _bills_reference_only(
+            lambda: FastOD(flight(), FastODConfig()).run())
+        _bills_reference_only(pooled)
+        _bills_reference_only(lambda: hybrid_discover(flight()))
+        engine = _bills_reference_only(
+            lambda: IncrementalFastOD(flight()))
+        # copies of existing rows sit in every held OD's context
+        # classes and can flip none: the re-check alone runs
+        rows = list(engine.relation.rows())
+        report = _bills_reference_only(lambda: engine.apply_delta(
+            DeltaBatch.inserts(rows[:5])))
+        assert not report.retraversed
+        report = _bills_reference_only(lambda: engine.apply_delta(
+            DeltaBatch.deletes(rows[:30])))
+        assert report.n_deleted == 30 and report.retraversed
+
+    with kernels.activate("compiled"):
+        _bills_reference_only(lambda: FastOD(
+            flight(), FastODConfig(kernel_backend="reference")).run())

@@ -293,6 +293,24 @@ def test_malformed_request_is_400(service, client, case):
     assert contents() == before
 
 
+def test_unhashable_fingerprint_and_infinite_witnesses_are_400(
+        service, client):
+    """Each reached a 500 (``TypeError: unhashable type`` from the
+    catalog lookup, ``OverflowError`` from ``int(inf)``)."""
+    fp = client.register_rows(
+        ["w0", "w1"], [[1, 2], [3, 4]], name="witnesses")["fingerprint"]
+    jobs = [job["id"] for job in client.jobs()]
+    for body in ({"kind": "discover", "fingerprint": ["x"]},
+                 {"kind": "discover", "fingerprint": {"a": 1}},
+                 {"kind": "violations", "fingerprint": fp,
+                  "dependency": "{}: w0 ~ w1",
+                  "witnesses": float("inf")}):
+        status, reply = _post_raw(service, "/jobs", body)
+        assert status == 400, reply
+        assert list(reply) == ["error"]
+    assert [job["id"] for job in client.jobs()] == jobs
+
+
 @pytest.mark.parametrize("length,status", [
     ("abc", 400), ("-5", 400), ("99999999999", 413)])
 def test_bad_content_length_is_refused_unread(service, client, length,

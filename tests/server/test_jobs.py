@@ -235,11 +235,16 @@ class TestValidateAndViolations:
         assert scheduler.jobs() == []
 
     def test_bad_witnesses_fails_at_submit(self, scheduler):
+        # not an int (a bool, a float, even a whole or infinite one,
+        # is refused, not truncated), or below zero
         fp = register(scheduler, small())
-        with pytest.raises(JobError, match="witnesses"):
-            scheduler.submit("violations", fp,
-                             {"dependency": "{}: [] -> c2",
-                              "witnesses": "lots"})
+        for witnesses in ("lots", None, True, 2.7, 1e300, float("inf"),
+                          -1):
+            with pytest.raises(JobError, match="witnesses"):
+                scheduler.submit("violations", fp,
+                                 {"dependency": "{}: [] -> c2",
+                                  "witnesses": witnesses})
+        assert scheduler.jobs() == []
 
 
 class TestAppendJobs:

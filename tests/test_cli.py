@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.relation.csvio import write_csv
+from repro.core.od import ListOD, OrderCompatibility
+from repro.core.validation import list_od_holds, order_compatible
+from repro.relation.csvio import read_csv, write_csv
 from tests.conftest import make_relation
 
 
@@ -466,3 +475,56 @@ class TestWatchTruncation:
         assert main(["watch", csv_file, "--interval", "0.01",
                      "--max-batches", "1"]) == 2
         assert "shrank" in capsys.readouterr().err
+
+
+#: the dependencies the mixed-cell CSVs are checked against, each with
+#: its oracle on the parsed relation (``X: A ~ B`` is ``XA ~ XB`` and
+#: ``X: [] -> A`` is ``X -> XA``)
+MIXED_DEPENDENCIES = {
+    "{}: a ~ b": lambda relation: order_compatible(
+        relation, OrderCompatibility(["a"], ["b"])),
+    "{c}: a ~ b": lambda relation: order_compatible(
+        relation, OrderCompatibility(["c", "a"], ["c", "b"])),
+    "{c}: [] -> a": lambda relation: list_od_holds(
+        relation, ListOD(["c"], ["c", "a"])),
+    "[c,a] -> [b]": lambda relation: list_od_holds(
+        relation, ListOD(["c", "a"], ["b"])),
+}
+
+#: cell texts of every inferred kind: ints, floats (``1.0`` ranks with
+#: ``1``), strings that no number parse takes, and the empty cell,
+#: read as ``None``
+MIXED_CELLS = st.sampled_from(
+    ["-1", "0", "1", "2", "1.0", "0.5", "-2.5", "a", "b", "zz", ""])
+
+
+def _run(argv):
+    """``main(argv)``'s exit code and stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(MIXED_CELLS, MIXED_CELLS, MIXED_CELLS),
+                max_size=8))
+def test_check_and_violations_on_mixed_cells(rows):
+    """``check`` exits 0 iff the oracle says the dependency holds, and
+    ``violations`` counts violating pairs iff it does not."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "mixed.csv")
+        with open(path, "w", newline="") as handle:
+            handle.write("a,b,c\n")
+            handle.writelines(",".join(row) + "\n" for row in rows)
+        relation = read_csv(path)
+        for dependency, oracle in MIXED_DEPENDENCIES.items():
+            holds = oracle(relation)
+            code, _ = _run(["check", path, dependency])
+            assert code == (0 if holds else 1), (dependency, rows)
+            code, out = _run(["violations", path, dependency])
+            assert code == (0 if holds else 1), (dependency, rows)
+            head = out.splitlines()[0]
+            counted = re.search(r"violated by (\d+) tuple pair", head)
+            pairs = int(counted.group(1)) if counted else 0
+            assert (pairs > 0) == (not holds), (dependency, rows, out)

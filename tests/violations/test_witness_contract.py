@@ -19,8 +19,6 @@ domains, 0- to 2-row inputs and random contexts:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,25 +41,14 @@ BACKENDS = ["reference"] + (["compiled"] if kernels.compiled_available()
                             else [])
 
 
-@contextmanager
-def default_backend(name: str):
-    """Run a block with ``name`` as the process default backend, which
-    the validator's executor and the witness kernels both dispatch
-    to."""
-    saved = kernels._default
-    kernels._default = kernels.resolve_backend(name)
-    try:
-        yield
-    finally:
-        kernels._default = saved
-
-
 def _witnesses(relation, od, max_witnesses):
     """``(validator witness, detector witnesses, detector verdict)``
     for ``od`` under each backend; the backends must agree."""
     seen = {}
     for name in BACKENDS:
-        with default_backend(name):
+        # one activation pins the validator's and the detector's
+        # scans and witness walks alike
+        with kernels.activate(name):
             validator = CanonicalValidator(relation)
             report = ViolationDetector(relation).check(
                 od, max_witnesses=max_witnesses)
